@@ -51,6 +51,7 @@ from .preprocess import (
     ClearConstraint,
     NormalizationBounds,
     PreferenceSpec,
+    REF_STRATEGIES,
     RegionOfInterest,
     Removal,
     VagueClamp,
@@ -426,6 +427,8 @@ class Prepared:
     dropped: tuple[int, ...]
     removals: list[tuple[str, Removal]]
     notes: list[str]
+    # Exactly-best objectives kept because best-value survivors disagree.
+    disputed: tuple[int, ...]
 
     @property
     def all_sets(self) -> list[SolutionSet]:
@@ -478,41 +481,30 @@ def prepare(manifest: Manifest) -> Prepared:
             runs.append(work)
         algorithms[entry.name] = runs
 
-    dropped = dropped_per_set or ()
+    candidates = dropped_per_set or ()
+    survivors = [s.objectives for runs in algorithms.values() for run in runs for s in run]
+    disputed = tuple(j for j in candidates if len({v[j] for v in survivors}) > 1)
+    for j in disputed:
+        notes.append(
+            f"objective {manifest.objectives[j].name!r} kept: best-value survivors "
+            "disagree across sets, so it still discriminates"
+        )
+    dropped = tuple(j for j in candidates if j not in disputed)
     if dropped:
-        confirmed: list[int] = []
-        for j in dropped:
-            values = {
-                s.objectives[j]
-                for runs in algorithms.values()
-                for run in runs
-                for s in run.solutions
-            }
-            if len(values) <= 1:
-                confirmed.append(j)
-            else:
-                name = manifest.objectives[j].name
-                notes.append(
-                    f"objective {name!r} kept: best-value survivors disagree "
-                    "across sets, so it still discriminates"
-                )
-        if confirmed:
-            keep = [i for i in range(len(manifest.objectives)) if i not in confirmed]
-            names = ", ".join(manifest.objectives[j].name for j in confirmed)
-            notes.append(f"objective(s) {names} dropped: identical for all survivors")
-            algorithms = {
-                alg: [_project(run, keep) for run in runs]
-                for alg, runs in algorithms.items()
-            }
-            dropped = tuple(confirmed)
-        else:
-            dropped = ()
+        keep = [i for i in range(len(manifest.objectives)) if i not in dropped]
+        names = ", ".join(manifest.objectives[j].name for j in dropped)
+        notes.append(f"objective(s) {names} dropped: identical for all survivors")
+        algorithms = {
+            alg: [_project(run, keep) for run in runs]
+            for alg, runs in algorithms.items()
+        }
     return Prepared(
         manifest=manifest,
         algorithms=algorithms,
         dropped=dropped,
         removals=removals,
         notes=notes,
+        disputed=disputed,
     )
 
 
@@ -543,7 +535,7 @@ class EvaluationContext:
     """Shared yardsticks for per-run indicator evaluation."""
 
     raw_sets: list[SolutionSet]
-    norm_sets: dict[int, SolutionSet]
+    norm_sets: dict[tuple[str, int], SolutionSet]  # by (algorithm, run index)
     reference_raw: SolutionSet
     reference_norm: SolutionSet | None
     bounds: NormalizationBounds | None
@@ -560,14 +552,15 @@ def _build_context(
     reference_raw = build_reference_set(nonempty)
     bounds = None
     reference_norm = None
-    norm_sets: dict[int, SolutionSet] = {}
+    norm_sets: dict[tuple[str, int], SolutionSet] = {}
     if config.normalization != "none":
         if config.normalization == "hard_bounds":
             bounds = NormalizationBounds.from_hard_bounds(nonempty[0])
         else:
             bounds = NormalizationBounds.from_sets(nonempty)
         normed = normalize(raw_sets, bounds)
-        norm_sets = {id(raw): nrm for raw, nrm in zip(raw_sets, normed)}
+        keys = [(a, r) for a, rs in prepared.algorithms.items() for r in range(len(rs))]
+        norm_sets = dict(zip(keys, normed))
         reference_norm = build_reference_set(
             [n for r, n in zip(raw_sets, normed) if r.solutions]
         )
@@ -586,17 +579,9 @@ def _build_context(
     )
 
 
-def _distance_space(
-    ctx: EvaluationContext, run: SolutionSet, config: IndicatorConfig
-) -> tuple[SolutionSet, SolutionSet]:
-    """Pick the (set, reference) pair for distance-based indicators."""
-    if config.normalization != "none" and ctx.reference_norm is not None:
-        return ctx.norm_sets[id(run)], ctx.reference_norm
-    return run, ctx.reference_raw
-
-
 def _indicator_value(
     name: str,
+    slot: tuple[str, int],
     run: SolutionSet,
     ctx: EvaluationContext,
     config: IndicatorConfig,
@@ -618,7 +603,10 @@ def _indicator_value(
             if s is run:
                 return v
         raise EmptySetError(f"set {run.name!r} is empty")
-    A, reference = _distance_space(ctx, run, config)
+    # Distance-based indicators use the normalized space when there is one.
+    A, reference = run, ctx.reference_raw
+    if config.normalization != "none" and ctx.reference_norm is not None:
+        A, reference = ctx.norm_sets[slot], ctx.reference_norm
     if key == "gd":
         return ind.gd(A, reference, p=config.gd_p)
     if key == "gd_plus":
@@ -784,7 +772,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 for name, cfg in unary:
                     if not run.solutions:
                         continue
-                    value = _indicator_value(name, run, ctx, cfg)
+                    value = _indicator_value(name, (alg, r), run, ctx, cfg)
                     profile = aspects_of(name)
                     results.append(
                         {
@@ -859,7 +847,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     "winner": min(scal, key=lambda a: scal[a]["score"]),
                 }
 
-    if prefs.clear and any("kept: best-value survivors disagree" in n for n in prepared.notes):
+    if prepared.disputed:
         findings += [
             LintWarning(
                 code="N-RENORM-SURVIVORS",
@@ -1125,7 +1113,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ref-point", help="explicit reference point, e.g. '13,11'")
     p.add_argument(
         "--ref-strategy",
-        choices=["worst_values", "nadir_plus_tenth", "nadir_plus_l_over_h", "doubled_range", "explicit"],
+        choices=REF_STRATEGIES,
         help="reference point construction strategy",
     )
     p.add_argument("--gd-p", type=float, help="aggregation power for gd")

@@ -242,6 +242,41 @@ def compare(a: Vector, b: Vector) -> DominanceOutcome:
     return DominanceOutcome.INCOMPARABLE
 
 
+# Cap on the row pairs one block of ``_dominance`` compares, which bounds its
+# temporaries to a few times ``_BLOCK_PAIRS * m`` bytes at any input size.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _dominance(
+    X: np.ndarray, Y: np.ndarray, weak: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dominance between the rows of two ``(n, m)`` arrays, in one pass.
+
+    Returns ``(x_any, y_any)``: which rows of ``X`` dominate some row of
+    ``Y``, and which rows of ``Y`` some row of ``X`` dominates.  ``weak``
+    asks for weak dominance; otherwise equal rows do not dominate.
+    """
+    x_any = np.zeros(len(X), dtype=bool)
+    y_any = np.zeros(len(Y), dtype=bool)
+    cols = max(1, min(len(Y), _BLOCK_PAIRS))
+    rows = max(1, _BLOCK_PAIRS // cols)
+    for i in range(0, len(X), rows):
+        xs = X[i : i + rows]
+        for j in range(0, len(Y), cols):
+            ys = Y[j : j + cols]
+            # One objective at a time: 2-D temporaries only, no (rows, cols, m).
+            le = np.ones((len(xs), len(ys)), dtype=bool)
+            lt = np.full_like(le, weak)
+            for a, b in zip(xs.T, ys.T):
+                le &= a[:, None] <= b
+                if not weak:
+                    lt |= a[:, None] < b
+            rel = le & lt
+            x_any[i : i + rows] |= rel.any(axis=1)
+            y_any[j : j + cols] |= rel.any(axis=0)
+    return x_any, y_any
+
+
 def _check_sets(first: SolutionSet, second: SolutionSet) -> None:
     if first.m != second.m:
         raise DimensionMismatchError(
@@ -255,9 +290,7 @@ def set_dominates(first: SolutionSet, second: SolutionSet) -> bool:
     _check_sets(first, second)
     if not second.solutions:
         raise EmptySetError("set dominance against an empty set is undefined")
-    return all(
-        any(dominates(a, b) for a in first.solutions) for b in second.solutions
-    )
+    return bool(_dominance(first.values(), second.values())[1].all())
 
 
 def set_weakly_dominates(first: SolutionSet, second: SolutionSet) -> bool:
@@ -265,9 +298,7 @@ def set_weakly_dominates(first: SolutionSet, second: SolutionSet) -> bool:
     _check_sets(first, second)
     if not second.solutions:
         raise EmptySetError("weak set dominance against an empty set is undefined")
-    return all(
-        any(weakly_dominates(a, b) for a in first.solutions) for b in second.solutions
-    )
+    return bool(_dominance(first.values(), second.values(), weak=True)[1].all())
 
 
 def better_relation(first: SolutionSet, second: SolutionSet) -> SetRelation:
@@ -291,25 +322,13 @@ def better_relation(first: SolutionSet, second: SolutionSet) -> SetRelation:
     return SetRelation.INCOMPARABLE
 
 
-def _dominated_mask(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows dominated by some other row (exact duplicates are
-    not dominated by each other)."""
-    n = values.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    # le[j, i]: row j <= row i everywhere; lt[j, i]: row j < row i somewhere.
-    le = (values[:, None, :] <= values[None, :, :]).all(axis=2)
-    lt = (values[:, None, :] < values[None, :, :]).any(axis=2)
-    return (le & lt).any(axis=0)
-
-
 def nondominated_front(A: SolutionSet) -> SolutionSet:
     """Members of ``A`` not dominated by any other member.
 
     Input order is preserved and exact duplicates are retained (duplicates do
     not dominate each other).
     """
-    dominated = _dominated_mask(A.values())
+    _, dominated = _dominance(A.values(), A.values())
     keep = [s for s, d in zip(A.solutions, dominated) if not d]
     return A.with_solutions(keep)
 

@@ -27,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .indicators import ASPECTS, IndicatorConfig, aspects_of, canonical_name
+from .indicators import (
+    _HV_MAX_OBJECTIVES, ASPECTS, IndicatorConfig, aspects_of, canonical_name,
+)
 from .preprocess import EXACTLY_BEST, PreferenceSpec
 
 __all__ = [
@@ -180,12 +182,10 @@ class SetContext:
     """What the planner may assume about the data without seeing it."""
 
     set_count: int = 2
-    set_sizes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.set_count < 1:
             raise ValueError("set_count must be at least 1")
-        object.__setattr__(self, "set_sizes", tuple(int(n) for n in self.set_sizes))
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def lint(
 
     if "spread" in names and m != 2:
         findings.append(_finding("L-SPREAD-DIM", f"m={m}"))
-    if "hv" in names and m > 10:
+    if "hv" in names and m > _HV_MAX_OBJECTIVES:
         findings.append(_finding("L-HV-DIM", f"m={m}"))
 
     if mode.combined_front_reference and any(

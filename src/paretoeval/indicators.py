@@ -19,10 +19,9 @@ from .core import (
     DimensionMismatchError,
     EmptySetError,
     SolutionSet,
-    dominates,
+    _dominance,
     nondominated_front,
     unique_nondominated_front,
-    weakly_dominates,
 )
 from .preprocess import NORMALIZATION_MODES, REF_STRATEGIES
 
@@ -270,21 +269,17 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     count_a = Counter(A.vectors())
     count_b = Counter(B.vectors())
     shared = sum(min(c, count_b[v]) for v, c in count_a.items() if v in count_b)
-
-    def _tally(xs: list[tuple[float, ...]], others: list[tuple[float, ...]]):
-        dominating = 0
-        incomparable = 0
-        for x in xs:
-            if any(dominates(x, o) for o in others):
-                dominating += 1
-            elif not any(weakly_dominates(x, o) for o in others) and not any(
-                dominates(o, x) for o in others
-            ):
-                incomparable += 1
-        return dominating, incomparable
-
-    a_dom, a_inc = _tally(A.vectors(), B.vectors())
-    b_dom, b_inc = _tally(B.vectors(), A.vectors())
+    va, vb = A.values(), B.values()
+    a_wins, b_loses = _dominance(va, vb)
+    b_wins, a_loses = _dominance(vb, va)
+    # A member that dominates nothing weakly dominates an opponent only by
+    # equalling it, so "incomparable" means: no win, no loss, no twin.
+    a_twin = np.array([v in count_b for v in A.vectors()], dtype=bool)
+    b_twin = np.array([v in count_a for v in B.vectors()], dtype=bool)
+    a_dom = int(a_wins.sum())
+    b_dom = int(b_wins.sum())
+    a_inc = int((~a_wins & ~a_loses & ~a_twin).sum())
+    b_inc = int((~b_wins & ~b_loses & ~b_twin).sum())
     denom = shared + a_dom + a_inc + b_dom + b_inc
     if denom == 0:
         raise EmptySetError("contribution denominator is empty")
@@ -296,11 +291,9 @@ def coverage(A: SolutionSet, B: SolutionSet) -> float:
     _check_same_m(A, B)
     if not A.solutions or not B.solutions:
         raise EmptySetError("coverage needs two non-empty sets")
-    distinct_b = list(dict.fromkeys(B.vectors()))
-    covered = sum(
-        1 for b in distinct_b if any(weakly_dominates(a, b) for a in A.vectors())
-    )
-    return covered / len(distinct_b)
+    distinct_b = np.array(list(dict.fromkeys(B.vectors())))
+    _, covered = _dominance(A.values(), distinct_b, weak=True)
+    return int(covered.sum()) / len(distinct_b)
 
 
 def gd(A: SolutionSet, reference: SolutionSet, p: float = 1.0) -> float:
@@ -431,13 +424,9 @@ def unfr(A: SolutionSet, sets: Sequence[SolutionSet]) -> float:
 def _front_points(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     """Prune exact duplicates and dominated points (plain tuples)."""
     unique = list(dict.fromkeys(points))
-    out = []
-    for p in unique:
-        if not any(
-            q != p and all(a <= b for a, b in zip(q, p)) for q in unique
-        ):
-            out.append(p)
-    return out
+    arr = np.array(unique)
+    _, dominated = _dominance(arr, arr)
+    return [p for p, d in zip(unique, dominated) if not d]
 
 
 def _hv_recursive(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:

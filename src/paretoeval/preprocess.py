@@ -427,7 +427,7 @@ class NormalizationBounds:
         object.__setattr__(self, "nadir", tuple(float(v) for v in self.nadir))
         if len(self.ideal) != len(self.nadir):
             raise DimensionMismatchError("ideal and nadir must have equal length")
-        if self.source not in ("combined_front", "hard_bounds", "user_supplied"):
+        if self.source not in ("combined_front", "hard_bounds"):
             raise ValueError(f"unknown bounds source {self.source!r}")
         for lo, hi in zip(self.ideal, self.nadir):
             if lo > hi:

@@ -9,6 +9,7 @@ masks) so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -34,6 +35,34 @@ def front_indices(points) -> list[int]:
         if not dominated:
             keep.append(i)
     return keep
+
+
+def contribution_oracle(A, B) -> float:
+    """Contribution by pairwise scans: A's share of the better solutions."""
+    count_a, count_b = Counter(A), Counter(B)
+    shared = sum(min(c, count_b[v]) for v, c in count_a.items() if v in count_b)
+
+    def tally(xs, others):
+        dominating = incomparable = 0
+        for x in xs:
+            if any(strictly_dom(x, o) for o in others):
+                dominating += 1
+            elif not any(weakly_dom(x, o) for o in others) and not any(
+                strictly_dom(o, x) for o in others
+            ):
+                incomparable += 1
+        return dominating, incomparable
+
+    a_dom, a_inc = tally(A, B)
+    b_dom, b_inc = tally(B, A)
+    return (shared / 2.0 + a_dom + a_inc) / (shared + a_dom + a_inc + b_dom + b_inc)
+
+
+def coverage_oracle(A, B) -> float:
+    """Fraction of B's distinct vectors weakly dominated by some member of A."""
+    distinct_b = list(dict.fromkeys(B))
+    covered = sum(1 for b in distinct_b if any(weakly_dom(a, b) for a in A))
+    return covered / len(distinct_b)
 
 
 def hv_grid(points, ref) -> float:

@@ -1,0 +1,139 @@
+"""Every dominance consumer against its pairwise-loop oracle.
+
+Inputs are real-valued, of random size and dimension, with exact duplicates
+(within and across sets), coordinate ties and shifted copies that are
+strictly dominated.  Each property also runs with a tiny block cap, so the
+kernel splits both operands into many blocks.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from paretoeval import (
+    ObjectiveMeta,
+    Solution,
+    SolutionSet,
+    contribution,
+    coverage,
+    nondominated_front,
+    set_dominates,
+    set_weakly_dominates,
+)
+from paretoeval import core
+from paretoeval.indicators import _front_points
+from conftest import make_set
+import oracles
+
+# The block cap is patched once per test, not per example.
+kernel_settings = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture(params=[None, 37], ids=["default-block", "tiny-block"])
+def block_pairs(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(core, "_BLOCK_PAIRS", request.param)
+
+
+def _points(rng, m, n, pool):
+    """n rows: random, then some rows replaced by exact copies of, or strictly
+    worse shifts of, rows from ``pool`` or from the new rows themselves."""
+    X = rng.normal(size=(n, m)) * rng.choice([0.1, 1.0, 100.0])
+    ties = rng.random((n, m)) < 0.3
+    X[ties] = np.round(X[ties])
+    pool = np.vstack([pool, X])
+    if n:
+        twins = rng.random(n) < 0.2
+        X[twins] = pool[rng.integers(len(pool), size=twins.sum())]
+        worse = rng.random(n) < 0.2
+        shift = rng.random((worse.sum(), m)) * (rng.random((worse.sum(), m)) < 0.5)
+        X[worse] = pool[rng.integers(len(pool), size=worse.sum())] + shift
+    return [tuple(row) for row in X.tolist()]
+
+
+@st.composite
+def point_lists(draw, count, min_size=1):
+    """``count`` lists of m-vectors, sharing duplicates and ties between them."""
+    m = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lists: list[list[tuple[float, ...]]] = []
+    for _ in range(count):
+        pool = np.array([p for ps in lists for p in ps]).reshape(-1, m)
+        lists.append(_points(rng, m, draw(st.integers(min_size, 200)), pool))
+    return [_set(name, points, m) for name, points in zip("AB", lists)], lists
+
+
+def _set(name, points, m):
+    meta = tuple(ObjectiveMeta(f"f{i + 1}") for i in range(m))
+    return SolutionSet(name, meta, tuple(Solution(p) for p in points))
+
+
+@kernel_settings
+@given(drawn=point_lists(1))
+def test_front_matches_oracle(block_pairs, drawn):
+    (A,), (points,) = drawn
+    kept = [s.objectives for s in nondominated_front(A).solutions]
+    assert kept == [points[i] for i in oracles.front_indices(points)]
+
+
+@kernel_settings
+@given(drawn=point_lists(1))
+def test_front_points_match_oracle(block_pairs, drawn):
+    _, (points,) = drawn
+    unique = list(dict.fromkeys(points))
+    assert _front_points(points) == [unique[i] for i in oracles.front_indices(unique)]
+
+
+@kernel_settings
+@given(drawn=point_lists(2, min_size=0))
+def test_set_dominance_matches_oracle(block_pairs, drawn):
+    (A, B), (a, b) = drawn
+    if b:
+        assert set_dominates(A, B) == all(
+            any(oracles.strictly_dom(x, y) for x in a) for y in b
+        )
+        assert set_weakly_dominates(A, B) == all(
+            any(oracles.weakly_dom(x, y) for x in a) for y in b
+        )
+    if a:
+        assert set_weakly_dominates(B, A) == all(
+            any(oracles.weakly_dom(y, x) for y in b) for x in a
+        )
+
+
+@kernel_settings
+@given(drawn=point_lists(2, min_size=0))
+def test_contribution_matches_oracle(block_pairs, drawn):
+    (A, B), (a, b) = drawn
+    if a or b:
+        assert contribution(A, B) == oracles.contribution_oracle(a, b)
+        assert contribution(B, A) == oracles.contribution_oracle(b, a)
+
+
+@kernel_settings
+@given(drawn=point_lists(2))
+def test_coverage_matches_oracle(block_pairs, drawn):
+    (A, B), (a, b) = drawn
+    assert coverage(A, B) == oracles.coverage_oracle(a, b)
+    assert coverage(B, A) == oracles.coverage_oracle(b, a)
+
+
+def test_front_memory_is_bounded():
+    A = make_set("A", np.random.default_rng(0).random((4000, 3)).tolist())
+    tracemalloc.start()
+    try:
+        front = nondominated_front(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(front) < len(A)
+    assert peak < 16e6
