@@ -223,6 +223,24 @@ def _parse_preferences(raw: dict, names: list[str]) -> PreferenceSpec:
         raise ManifestError(f"preferences: {exc}") from exc
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Expected JSON type of each scalar override, checked before IndicatorConfig
+# compares or converts the value.
+_OVERRIDE_TYPES = {
+    "gd_p": ("a number", _is_number),
+    "grid_divisions": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "hv_strategy": ("a string", lambda v: isinstance(v, str)),
+    "normalization": ("a string", lambda v: isinstance(v, str)),
+    "ref_point": (
+        "a list of numbers",
+        lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
+    ),
+}
+
+
 def _parse_overrides(raw: dict) -> Overrides:
     _require_keys(
         raw,
@@ -242,6 +260,12 @@ def _parse_overrides(raw: dict) -> Overrides:
             canonical_name(name)
         except ValueError as exc:
             raise ManifestError(f"indicator_overrides: {exc}") from exc
+    for key, (expected, valid) in _OVERRIDE_TYPES.items():
+        if key in raw and not valid(raw[key]):
+            raise ManifestError(
+                f"indicator_overrides.{key}: expected {expected}, "
+                f"got {json.dumps(raw[key])}"
+            )
     defaults = IndicatorConfig()
     ref_point = tuple(raw["ref_point"]) if raw.get("ref_point") is not None else None
     # A bare reference point means "use exactly this point".
@@ -313,7 +337,13 @@ def load_manifest(path: str | Path) -> Manifest:
         _require_keys(a, {"name", "runs"}, where)
         if "name" not in a or "runs" not in a or not a["runs"]:
             raise ManifestError(f"{where}: needs 'name' and a non-empty 'runs' list")
-        algorithms.append(AlgorithmEntry(a["name"], tuple(a["runs"])))
+        runs = a["runs"]
+        if not isinstance(runs, list) or not all(isinstance(r, str) for r in runs):
+            raise ManifestError(
+                f"{where}.runs: expected a non-empty list of strings, "
+                f"got {json.dumps(runs)}"
+            )
+        algorithms.append(AlgorithmEntry(a["name"], tuple(runs)))
     if len({a.name for a in algorithms}) != len(algorithms):
         raise ManifestError("algorithm names must be unique")
 

@@ -9,6 +9,8 @@ and the distance-based indicators simply consume what they are given.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -429,28 +431,82 @@ def _front_points(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     return [p for p, d in zip(unique, dominated) if not d]
 
 
-def _hv_recursive(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
-    """Exact hypervolume by sweeping the last objective and slicing."""
+def _hv2d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+    """Exact 2-D hypervolume: sweep left to right, each front point adds a
+    rectangle."""
+    best_y = ref[1]
+    vol = 0.0
+    for x, y in sorted(points):
+        if y < best_y:
+            vol += (ref[0] - x) * (best_y - y)
+            best_y = y
+    return vol
+
+
+def _hv3d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+    """Exact 3-D hypervolume by the HV3D dimension sweep.
+
+    Points enter in ascending order of the last objective.  ``xs``/``ys`` hold
+    the 2-D staircase of the points seen so far (x ascending, y descending)
+    and ``area`` its dominated area, updated by the region each entering
+    point adds; each slab between consecutive last-objective values
+    contributes ``area * depth``.
+    """
+    rx, ry, rz = ref
+    xs: list[float] = []
+    ys: list[float] = []
+    area = vol = 0.0
+    ordered = sorted(points, key=lambda p: p[2])
+    for k, (x, y, z) in enumerate(ordered):
+        i = bisect_left(xs, x)
+        top = ys[i - 1] if i else ry  # height of the staircase just left of x
+        if top > y and not (i < len(xs) and xs[i] == x and ys[i] <= y):
+            # Staircase points from i to j - 1 are dominated by (x, y).
+            j = i
+            while j < len(ys) and ys[j] >= y:
+                j += 1
+            left, height = x, top
+            for qx, qy in zip(xs[i:j], ys[i:j]):
+                area += (qx - left) * (height - y)
+                left, height = qx, qy
+            area += ((xs[j] if j < len(xs) else rx) - left) * (height - y)
+            xs[i:j] = [x]
+            ys[i:j] = [y]
+        vol += area * ((ordered[k + 1][2] if k + 1 < len(ordered) else rz) - z)
+    return vol
+
+
+def _hv_wfg(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+    """Exact hypervolume for four or more objectives (WFG).
+
+    The total is the sum of each point's exclusive volume against the
+    points after it: its box minus the hypervolume of its limit set (those
+    points pushed up to it).  Ordering worst-first on the last objective
+    gives every limit set that point's last coordinate, so the limit set is
+    measured one dimension down.
+    """
+    ordered = sorted(points, key=lambda p: p[-1], reverse=True)
+    head_ref = ref[:-1]
+    total = 0.0
+    for i, p in enumerate(ordered):
+        head = p[:-1]
+        box = math.prod(r - v for r, v in zip(head_ref, head))
+        limit = [tuple(map(max, head, q[:-1])) for q in ordered[i + 1 :]]
+        shadow = _hv_front(_front_points(limit), head_ref)
+        total += (box - shadow) * (ref[-1] - p[-1])
+    return total
+
+
+def _hv_front(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+    """Exact hypervolume of distinct, mutually nondominated points that are
+    strictly better than ``ref`` on every objective."""
     if not points:
         return 0.0
     if len(ref) == 2:
-        # Sweep left to right; each front point adds a rectangle.
-        best_y = ref[1]
-        vol = 0.0
-        for x, y in sorted(points):
-            if y < best_y:
-                vol += (ref[0] - x) * (best_y - y)
-                best_y = y
-        return vol
-    ordered = sorted(points, key=lambda p: p[-1])
-    total = 0.0
-    for i, p in enumerate(ordered):
-        depth = (ordered[i + 1][-1] if i + 1 < len(ordered) else ref[-1]) - p[-1]
-        if depth == 0:
-            continue
-        slab = _front_points([q[:-1] for q in ordered[: i + 1]])
-        total += _hv_recursive(slab, ref[:-1]) * depth
-    return total
+        return _hv2d(points, ref)
+    if len(ref) == 3:
+        return _hv3d(points, ref)
+    return _hv_wfg(points, ref)
 
 
 def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
@@ -458,8 +514,12 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
 
     Exact (no sampling).  Solutions that are not strictly better than the
     reference point on every objective contribute nothing and are clipped
-    away; duplicates and dominated members never change the value.  Supports
-    2..10 objectives; beyond that the exact sweep is rejected as impractical.
+    away; duplicates and dominated members never change the value.  The
+    algorithm follows the objective count m: a sort-and-sweep staircase for
+    m=2, the HV3D dimension sweep for m=3 (Fonseca, Paquete & López-Ibáñez
+    2006; Beume et al. 2009) and WFG for m >= 4 (While, Bradstreet & Barone
+    2012), whose recursion ends in the m=3 sweep.  Supports 2..10 objectives;
+    beyond that the exact computation is rejected as impractical.
     """
     if A.m < 2:
         raise ValueError("hypervolume needs at least two objectives")
@@ -473,7 +533,7 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     pts = [
         p for p in A.vectors() if all(v < r for v, r in zip(p, ref))
     ]
-    return _hv_recursive(_front_points(pts), ref)
+    return _hv_front(_front_points(pts), ref)
 
 
 def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:

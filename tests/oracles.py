@@ -3,7 +3,8 @@
 Everything here is written with plain loops and a deliberately different
 algorithmic approach from the library (cell counting and Monte-Carlo
 sampling instead of dimension sweep, pairwise scans instead of vectorized
-masks) so agreement between the two is meaningful evidence.
+masks) so agreement between the two is meaningful evidence.  The slicer is
+the slower exact hypervolume the library's sweeps and WFG replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from collections import Counter
 from itertools import product
 
 import numpy as np
+
+from paretoeval.indicators import _front_points
 
 
 def weakly_dom(a, b) -> bool:
@@ -82,15 +85,61 @@ def hv_grid(points, ref) -> float:
     return float(covered)
 
 
+def hv_slicer_oracle(points, ref) -> float:
+    """Exact hypervolume by sweeping the last objective and slicing.
+
+    Every point must lie strictly inside the reference box; duplicates and
+    dominated points are allowed.
+    """
+    if not points:
+        return 0.0
+    if len(ref) == 2:
+        # Sweep left to right; each front point adds a rectangle.
+        best_y = ref[1]
+        vol = 0.0
+        for x, y in sorted(points):
+            if y < best_y:
+                vol += (ref[0] - x) * (best_y - y)
+                best_y = y
+        return vol
+    ordered = sorted(points, key=lambda p: p[-1])
+    total = 0.0
+    for i, p in enumerate(ordered):
+        depth = (ordered[i + 1][-1] if i + 1 < len(ordered) else ref[-1]) - p[-1]
+        if depth == 0:
+            continue
+        slab = _front_points([q[:-1] for q in ordered[: i + 1]])
+        total += hv_slicer_oracle(slab, ref[:-1]) * depth
+    return total
+
+
+def sample_columns(samples) -> np.ndarray:
+    """Samples of shape (N, m) as m contiguous columns, shape (m, N)."""
+    return np.ascontiguousarray(np.asarray(samples).T)
+
+
+def mc_hits(columns, points) -> np.ndarray:
+    """Which samples some point weakly dominates, one column at a time.
+
+    ``columns`` comes from :func:`sample_columns`; comparing whole contiguous
+    columns keeps every temporary one-dimensional.
+    """
+    hit = np.zeros(columns.shape[1], dtype=bool)
+    for p in points:
+        inside = columns[0] >= p[0]
+        for column, v in zip(columns[1:], p[1:]):
+            inside &= column >= v
+        hit |= inside
+    return hit
+
+
 def hv_monte_carlo(points, ref, n_samples=1_000_000, seed=0, lows=None) -> float:
     """Hypervolume by uniform sampling over [lows, ref]."""
     rng = np.random.default_rng(seed)
     ref = np.asarray(ref, dtype=float)
     lows = np.zeros_like(ref) if lows is None else np.asarray(lows, dtype=float)
     samples = rng.uniform(lows, ref, size=(n_samples, len(ref)))
-    hit = np.zeros(n_samples, dtype=bool)
-    for p in points:
-        hit |= np.all(samples >= np.asarray(p, dtype=float), axis=1)
+    hit = mc_hits(sample_columns(samples), points)
     box = float(np.prod(ref - lows))
     return box * float(np.count_nonzero(hit)) / n_samples
 

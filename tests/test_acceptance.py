@@ -204,8 +204,10 @@ def test_criterion_07_misleading_statistics_flagged():
 
 def test_criterion_08_hv_matches_independent_oracles():
     rng = np.random.default_rng(20240817)
-    mc_samples = {
-        m: np.random.default_rng(99 + m).uniform(0, 10, size=(1_000_000, m))
+    mc_columns = {
+        m: oracles.sample_columns(
+            np.random.default_rng(99 + m).uniform(0, 10, size=(1_000_000, m))
+        )
         for m in (2, 3, 4)
     }
     worst_rel = 0.0
@@ -219,11 +221,8 @@ def test_criterion_08_hv_matches_independent_oracles():
         grid = oracles.hv_grid(pts, ref)
         assert exact == grid, f"instance {case}: exact {exact} != grid {grid}"
 
-        samples = mc_samples[m]
-        hit = np.zeros(len(samples), dtype=bool)
-        for p in pts:
-            hit |= np.all(samples >= np.asarray(p), axis=1)
-        mc = (10.0**m) * float(np.count_nonzero(hit)) / len(samples)
+        hit = oracles.mc_hits(mc_columns[m], pts)
+        mc = (10.0**m) * float(np.count_nonzero(hit)) / len(hit)
         rel = abs(mc - exact) / exact
         worst_rel = max(worst_rel, rel)
         assert rel <= 0.01, f"instance {case}: MC {mc} vs exact {exact}"

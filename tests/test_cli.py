@@ -186,6 +186,18 @@ class TestManifestLoading:
         with pytest.raises(ManifestError, match="nowhere.csv"):
             load_manifest(path)
 
+    def test_runs_must_be_a_list_of_strings(self, tmp_path):
+        path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
+        doc = json.loads(path.read_text())
+        for bad in ("a_0.csv", ["a_0.csv", 3]):
+            doc["algorithms"][0]["runs"] = bad
+            path.write_text(json.dumps(doc))
+            with pytest.raises(
+                ManifestError,
+                match=r"algorithms\[0\]\.runs: expected a non-empty list of strings",
+            ):
+                load_manifest(path)
+
     def test_roi_forms(self, tmp_path):
         path = write_manifest(
             tmp_path, MIN_2D, {"a": [KNEE_A]}, preferences={"roi": "knee"}
@@ -812,3 +824,23 @@ class TestMainErrors:
         )
         assert code == EXIT_ERROR
         assert "xyz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("grid_divisions", "10", 'grid_divisions: expected an integer, got "10"'),
+            ("grid_divisions", 10.5, "grid_divisions: expected an integer, got 10.5"),
+            ("gd_p", True, "gd_p: expected a number, got true"),
+            ("ref_point", [13, "11"], 'ref_point: expected a list of numbers, got [13, "11"]'),
+            ("ref_point", 13, "ref_point: expected a list of numbers, got 13"),
+            ("hv_strategy", 1, "hv_strategy: expected a string, got 1"),
+            ("normalization", None, "normalization: expected a string, got null"),
+        ],
+    )
+    def test_mistyped_override_exits_2(self, tmp_path, capsys, key, value, message):
+        path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]}, overrides={key: value})
+        code = main(["evaluate", "--manifest", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert f"indicator_overrides.{message}" in err
+        assert "Traceback" not in err

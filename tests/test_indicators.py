@@ -389,8 +389,10 @@ class TestHypervolume:
 class TestHypervolumeOracles:
     def test_grid_and_monte_carlo_agreement(self):
         rng = np.random.default_rng(2024)
-        mc_samples = {
-            m: np.random.default_rng(7).uniform(0, 10, size=(1_000_000, m))
+        mc_columns = {
+            m: oracles.sample_columns(
+                np.random.default_rng(7).uniform(0, 10, size=(1_000_000, m))
+            )
             for m in (2, 3, 4)
         }
         for case in range(100):
@@ -401,12 +403,55 @@ class TestHypervolumeOracles:
             A = make_set("A", pts)
             exact = hypervolume(A, ref)
             assert exact == oracles.hv_grid(pts, ref), f"case {case}: grid mismatch"
-            samples = mc_samples[m]
-            hit = np.zeros(len(samples), dtype=bool)
-            for p in pts:
-                hit |= np.all(samples >= np.asarray(p), axis=1)
-            mc = (10.0**m) * float(np.count_nonzero(hit)) / len(samples)
+            hit = oracles.mc_hits(mc_columns[m], pts)
+            mc = (10.0**m) * float(np.count_nonzero(hit)) / len(hit)
             assert mc == pytest.approx(exact, rel=0.01), f"case {case}: MC off"
+
+    @pytest.mark.parametrize("m, max_n", [(2, 200), (3, 200), (4, 60), (5, 30)])
+    def test_matches_slicer_on_real_valued_sets(self, m, max_n):
+        # Sizes stop where the slicer gets slow.  Rows start uniform or on
+        # the unit sphere (all mutually nondominated); then some are rounded
+        # into ties, copied exactly, shifted to strictly worse copies, or
+        # pushed onto or past the reference box.
+        rng = np.random.default_rng(3000 + m)
+        ref = (10.0,) * m
+        for case in range(12):
+            n = int(rng.integers(1, max_n + 1))
+            if case % 2:
+                X = rng.uniform(0, 10, size=(n, m))
+            else:
+                X = np.abs(rng.normal(size=(n, m)))
+                X = 9.0 * X / np.linalg.norm(X, axis=1, keepdims=True)
+            ties = rng.random((n, m)) < 0.2
+            X[ties] = np.round(X[ties])
+            twins = rng.random(n) < 0.15
+            X[twins] = X[rng.integers(n, size=twins.sum())]
+            worse = rng.random(n) < 0.15
+            X[worse] = X[rng.integers(n, size=worse.sum())] + rng.random(
+                (worse.sum(), m)
+            )
+            outside = np.flatnonzero(rng.random(n) < 0.1)
+            X[outside, rng.integers(m, size=len(outside))] = rng.choice(
+                [10.0, 11.5], size=len(outside)
+            )
+            pts = [tuple(row) for row in X.tolist()]
+            inside = [p for p in pts if all(v < r for v, r in zip(p, ref))]
+            exact = hypervolume(make_set("A", pts), ref)
+            assert exact == pytest.approx(
+                oracles.hv_slicer_oracle(inside, ref), rel=1e-12, abs=0
+            ), f"m={m} case {case}"
+
+    def test_matches_slicer_on_sphere_front(self):
+        # Shaped like one run of the 5-objective benchmark front: the axis
+        # corners plus points on the positive unit sphere, scaled by 100.
+        rng = np.random.default_rng(25)
+        X = np.abs(rng.normal(size=(20, 5)))
+        X = np.vstack([np.eye(5), X / np.linalg.norm(X, axis=1, keepdims=True)])
+        pts = [tuple(row) for row in (100.0 * X).tolist()]
+        ref = (110.0,) * 5
+        assert hypervolume(make_set("A", pts), ref) == pytest.approx(
+            oracles.hv_slicer_oracle(pts, ref), rel=1e-12, abs=0
+        )
 
 
 DOMINATED_SHIFT = st.integers(2, 4).flatmap(
