@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,12 +32,7 @@ from .core import (
     SolutionSet,
 )
 from . import indicators as ind
-from .doe import (
-    RunCollection,
-    per_objective_stats,
-    scalarize_best,
-    select_representative_run,
-)
+from .doe import IndicatorTable, indicator_table, per_objective_stats, scalarize_best
 from .guidance import (
     EvaluationMode,
     EvaluationPlan,
@@ -48,6 +43,7 @@ from .guidance import (
 )
 from .indicators import IndicatorConfig, aspects_of, canonical_name
 from .preprocess import (
+    EXACTLY_BEST,
     ClearConstraint,
     NormalizationBounds,
     PreferenceSpec,
@@ -57,7 +53,6 @@ from .preprocess import (
     VagueClamp,
     apply_clear_preferences,
     apply_vague_preferences,
-    build_reference_point,
     build_reference_set,
     normalize,
     screen_trivial,
@@ -110,10 +105,19 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Overrides:
-    """Indicator selection and configuration fragments from the manifest."""
+    """Indicator selection and configuration fragments from the manifest.
+
+    ``fields`` names the ``IndicatorConfig`` fields the manifest set; a
+    bare ``ref_point`` sets ``hv_strategy`` to ``explicit`` as well.
+    """
 
     indicators: tuple[str, ...] = ()
     config: IndicatorConfig = field(default_factory=IndicatorConfig)
+    fields: frozenset[str] = frozenset()
+
+    def apply_to(self, config: IndicatorConfig) -> IndicatorConfig:
+        """``config`` with the manifest's values for the fields it set."""
+        return replace(config, **{f: getattr(self.config, f) for f in self.fields})
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,25 @@ class Manifest:
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{where}: expected an object, got {json.dumps(obj)}")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ManifestError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+
+
+def _list(value: object, where: str) -> list:
+    if not isinstance(value, list):
+        raise ManifestError(f"{where}: expected a list, got {json.dumps(value)}")
+    return value
+
+
+def _name(obj: dict, where: str) -> str:
+    if not isinstance(obj["name"], str):
+        raise ManifestError(
+            f"{where}.name: expected a string, got {json.dumps(obj['name'])}"
+        )
+    return obj["name"]
 
 
 def _objective_index(ref: object, names: list[str], where: str) -> int:
@@ -169,14 +189,14 @@ def _parse_preferences(raw: dict, names: list[str]) -> PreferenceSpec:
     )
     screen = tuple(
         _parse_constraint(c, names, f"preferences.screen[{i}]")
-        for i, c in enumerate(raw.get("screen", []))
+        for i, c in enumerate(_list(raw.get("screen", []), "preferences.screen"))
     )
     clear = tuple(
         _parse_constraint(c, names, f"preferences.clear[{i}]")
-        for i, c in enumerate(raw.get("clear", []))
+        for i, c in enumerate(_list(raw.get("clear", []), "preferences.clear"))
     )
     vague = []
-    for i, v in enumerate(raw.get("vague", [])):
+    for i, v in enumerate(_list(raw.get("vague", []), "preferences.vague")):
         where = f"preferences.vague[{i}]"
         _require_keys(v, {"objective", "saturation", "hard_floor"}, where)
         if "objective" not in v or "saturation" not in v:
@@ -202,7 +222,7 @@ def _parse_preferences(raw: dict, names: list[str]) -> PreferenceSpec:
                 raise ManifestError("preferences.roi: needs 'extreme'")
             idx = tuple(
                 _objective_index(o, names, "preferences.roi.extreme")
-                for o in roi_raw["extreme"]
+                for o in _list(roi_raw["extreme"], "preferences.roi.extreme")
             )
             roi = RegionOfInterest("extreme", idx)
         else:
@@ -227,9 +247,13 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# Expected JSON type of each scalar override, checked before IndicatorConfig
+# Expected JSON type of each override, checked before IndicatorConfig
 # compares or converts the value.
 _OVERRIDE_TYPES = {
+    "indicators": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    ),
     "gd_p": ("a number", _is_number),
     "grid_divisions": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
     "hv_strategy": ("a string", lambda v: isinstance(v, str)),
@@ -254,18 +278,18 @@ def _parse_overrides(raw: dict) -> Overrides:
         },
         "indicator_overrides",
     )
-    indicators = tuple(raw.get("indicators", []))
-    for name in indicators:
-        try:
-            canonical_name(name)
-        except ValueError as exc:
-            raise ManifestError(f"indicator_overrides: {exc}") from exc
     for key, (expected, valid) in _OVERRIDE_TYPES.items():
         if key in raw and not valid(raw[key]):
             raise ManifestError(
                 f"indicator_overrides.{key}: expected {expected}, "
                 f"got {json.dumps(raw[key])}"
             )
+    indicators = tuple(raw.get("indicators", []))
+    for name in indicators:
+        try:
+            canonical_name(name)
+        except ValueError as exc:
+            raise ManifestError(f"indicator_overrides: {exc}") from exc
     defaults = IndicatorConfig()
     ref_point = tuple(raw["ref_point"]) if raw.get("ref_point") is not None else None
     # A bare reference point means "use exactly this point".
@@ -282,7 +306,10 @@ def _parse_overrides(raw: dict) -> Overrides:
         )
     except ValueError as exc:
         raise ManifestError(f"indicator_overrides: {exc}") from exc
-    return Overrides(indicators=indicators, config=config)
+    fields = set(raw) - {"indicators"}
+    if ref_point is not None:
+        fields.add("hv_strategy")
+    return Overrides(indicators=indicators, config=config, fields=frozenset(fields))
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -307,15 +334,16 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError("manifest needs a non-empty 'algorithms' list")
 
     objectives: list[ObjectiveMeta] = []
-    for i, o in enumerate(raw["objectives"]):
+    for i, o in enumerate(_list(raw["objectives"], "objectives")):
         where = f"objectives[{i}]"
         _require_keys(o, {"name", "direction", "units", "hard_bounds"}, where)
         if "name" not in o:
             raise ManifestError(f"{where}: missing 'name'")
+        name = _name(o, where)
         try:
             objectives.append(
                 ObjectiveMeta(
-                    name=o["name"],
+                    name=name,
                     direction=Direction(o.get("direction", "min")),
                     units=o.get("units"),
                     hard_bounds=(
@@ -332,7 +360,7 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError("objective names must be unique")
 
     algorithms: list[AlgorithmEntry] = []
-    for i, a in enumerate(raw["algorithms"]):
+    for i, a in enumerate(_list(raw["algorithms"], "algorithms")):
         where = f"algorithms[{i}]"
         _require_keys(a, {"name", "runs"}, where)
         if "name" not in a or "runs" not in a or not a["runs"]:
@@ -343,11 +371,17 @@ def load_manifest(path: str | Path) -> Manifest:
                 f"{where}.runs: expected a non-empty list of strings, "
                 f"got {json.dumps(runs)}"
             )
-        algorithms.append(AlgorithmEntry(a["name"], tuple(runs)))
+        algorithms.append(AlgorithmEntry(_name(a, where), tuple(runs)))
     if len({a.name for a in algorithms}) != len(algorithms):
         raise ManifestError("algorithm names must be unique")
 
     preferences = _parse_preferences(raw.get("preferences", {}), names)
+    best = {c.objective for c in preferences.clear if c.kind == EXACTLY_BEST}
+    if len(best) == len(names):
+        raise ManifestError(
+            "preferences.clear: exactly_best on every objective leaves no "
+            "objective to compare the sets on"
+        )
     overrides = _parse_overrides(raw.get("indicator_overrides", {}))
     out_raw = raw.get("output", {})
     _require_keys(out_raw, {"report", "plot_data"}, "output")
@@ -560,112 +594,51 @@ def _merge_config(
     return IndicatorConfig(**kwargs)
 
 
-@dataclass
-class EvaluationContext:
-    """Shared yardsticks for per-run indicator evaluation."""
-
-    raw_sets: list[SolutionSet]
-    norm_sets: dict[tuple[str, int], SolutionSet]  # by (algorithm, run index)
-    reference_raw: SolutionSet
-    reference_norm: SolutionSet | None
-    bounds: NormalizationBounds | None
-    ref_point: tuple[float, ...] | None
-
-
-def _build_context(
-    prepared: Prepared, config: IndicatorConfig, need_hv: bool
-) -> EvaluationContext:
-    raw_sets = prepared.all_sets
-    nonempty = [s for s in raw_sets if s.solutions]
-    if not nonempty:
-        raise EmptySetError("every set is empty after preprocessing")
-    reference_raw = build_reference_set(nonempty)
-    bounds = None
-    reference_norm = None
-    norm_sets: dict[tuple[str, int], SolutionSet] = {}
-    if config.normalization != "none":
-        if config.normalization == "hard_bounds":
-            bounds = NormalizationBounds.from_hard_bounds(nonempty[0])
-        else:
-            bounds = NormalizationBounds.from_sets(nonempty)
-        normed = normalize(raw_sets, bounds)
-        keys = [(a, r) for a, rs in prepared.algorithms.items() for r in range(len(rs))]
-        norm_sets = dict(zip(keys, normed))
-        reference_norm = build_reference_set(
-            [n for r, n in zip(raw_sets, normed) if r.solutions]
-        )
-    ref_point = None
-    if need_hv:
-        ref_point = build_reference_point(
-            reference_raw, config.hv_strategy, explicit=config.ref_point
-        )
-    return EvaluationContext(
-        raw_sets=raw_sets,
-        norm_sets=norm_sets,
-        reference_raw=reference_raw,
-        reference_norm=reference_norm,
-        bounds=bounds,
-        ref_point=ref_point,
+def _plan(manifest: Manifest) -> EvaluationPlan:
+    return recommend(
+        manifest.preferences,
+        len(manifest.objectives),
+        SetContext(set_count=len(manifest.algorithms)),
     )
 
 
-def _indicator_value(
-    name: str,
-    slot: tuple[str, int],
-    run: SolutionSet,
-    ctx: EvaluationContext,
-    config: IndicatorConfig,
-) -> float:
-    key = canonical_name(name)
-    if key == "nfs":
-        return float(ind.nfs(run))
-    if key == "unfr":
-        return ind.unfr(run, ctx.raw_sets)
-    if key == "hv":
-        assert ctx.ref_point is not None
-        return ind.hypervolume(run, ctx.ref_point)
-    if key == "grid_diversity":
-        values = ind.grid_diversity(
-            [s for s in ctx.raw_sets if s.solutions], config.grid_divisions
-        )
-        live = [s for s in ctx.raw_sets if s.solutions]
-        for s, v in zip(live, values):
-            if s is run:
-                return v
-        raise EmptySetError(f"set {run.name!r} is empty")
-    # Distance-based indicators use the normalized space when there is one.
-    A, reference = run, ctx.reference_raw
-    if config.normalization != "none" and ctx.reference_norm is not None:
-        A, reference = ctx.norm_sets[slot], ctx.reference_norm
-    if key == "gd":
-        return ind.gd(A, reference, p=config.gd_p)
-    if key == "gd_plus":
-        return ind.gd_plus(A, reference)
-    if key == "igd":
-        return ind.igd(A, reference)
-    if key == "igd_plus":
-        return ind.igd_plus(A, reference)
-    if key == "epsilon":
-        return ind.epsilon_additive(A, reference)
-    if key == "sp":
-        return ind.spacing(A)
-    if key == "spread":
-        ordered = sorted(reference.vectors())
-        return ind.spread_delta(A, [ordered[0], ordered[-1]])
-    raise ValueError(f"indicator {name!r} cannot be evaluated per run")
+def _planned(
+    manifest: Manifest, args: argparse.Namespace, plan: EvaluationPlan | None = None
+) -> list[tuple[str, IndicatorConfig]]:
+    """The (indicator, config) pairs evaluate computes.
+
+    An indicator list from the flags or the manifest runs with the merged
+    config.  Otherwise each planned config takes the fields the manifest
+    set, then the flags.
+    """
+    chosen_names = args.indicator or list(manifest.overrides.indicators)
+    if chosen_names:
+        config = _merge_config(manifest.overrides.config, args)
+        return [(canonical_name(n), config) for n in chosen_names]
+    return [
+        (p.name, _merge_config(manifest.overrides.apply_to(p.config), args))
+        for p in (plan or _plan(manifest)).indicators
+    ]
 
 
-def _config_snapshot(
-    config: IndicatorConfig, ctx: EvaluationContext | None
-) -> dict:
+def _ranking_column(
+    planned: Sequence[tuple[str, IndicatorConfig]], config: IndicatorConfig
+) -> tuple[str, IndicatorConfig]:
+    """The planned hv column, else hv with the merged config (unreported)."""
+    return next(((n, c) for n, c in planned if n == "hv"), ("hv", config))
+
+
+def _config_snapshot(config: IndicatorConfig, table: IndicatorTable | None) -> dict:
     snap = config.snapshot()
-    if ctx is not None:
-        snap["reference_set_size"] = len(ctx.reference_raw)
-        if ctx.ref_point is not None:
-            snap["reference_point"] = list(ctx.ref_point)
-        if ctx.bounds is not None:
-            snap["bounds_ideal"] = list(ctx.bounds.ideal)
-            snap["bounds_nadir"] = list(ctx.bounds.nadir)
+    if table is not None:
+        snap["reference_set_size"] = len(table.reference)
+        point = table.points.get((config.hv_strategy, config.ref_point))
+        if point is not None:
+            snap["reference_point"] = list(point)
+        bounds = table.bounds.get(config.normalization)
+        if bounds is not None:
+            snap["bounds_ideal"] = list(bounds.ideal)
+            snap["bounds_nadir"] = list(bounds.nadir)
     return snap
 
 
@@ -737,16 +710,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     prepared = prepare(manifest)
     prefs = manifest.preferences
     m = len(manifest.objectives)
-    plan = recommend(prefs, m, SetContext(set_count=len(manifest.algorithms)))
+    plan = _plan(manifest)
 
-    chosen_names = args.indicator or list(manifest.overrides.indicators)
     config = _merge_config(manifest.overrides.config, args)
-    if chosen_names:
-        planned = [(canonical_name(n), config) for n in chosen_names]
-    else:
-        planned = [
-            (p.name, _merge_config(p.config, args)) for p in plan.indicators
-        ]
+    planned = _planned(manifest, args, plan)
 
     live_m = prepared.live_m
     # Lint what will actually be computed (overrides included); carry the
@@ -794,15 +761,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         unary = [(n, c) for n, c in planned if not aspects_of(n).binary]
         binary = [(n, c) for n, c in planned if aspects_of(n).binary]
-        need_hv = any(n == "hv" for n, _ in unary)
-        ctx = _build_context(prepared, config, need_hv)
+        table = indicator_table(
+            prepared.algorithms, unary, _ranking_column(unary, config)
+        )
         for alg, runs in prepared.algorithms.items():
             per_indicator: dict[str, list[float]] = {}
-            for r, run in enumerate(runs):
-                for name, cfg in unary:
-                    if not run.solutions:
-                        continue
-                    value = _indicator_value(name, (alg, r), run, ctx, cfg)
+            for r in range(len(runs)):
+                for (name, cfg), value in zip(unary, table.values.get((alg, r), ())):
                     profile = aspects_of(name)
                     results.append(
                         {
@@ -812,7 +777,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             "value": value,
                             "better": profile.better,
                             "aspects": sorted(profile.aspects),
-                            "config": _config_snapshot(cfg, ctx),
+                            "config": _config_snapshot(cfg, table),
                         }
                     )
                     per_indicator.setdefault(name, []).append(value)
@@ -826,18 +791,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         "runs": len(values),
                     }
                 )
-            live_runs = [r for r in runs if r.solutions]
-            if len(live_runs) == 1:
-                representative[alg] = runs.index(live_runs[0])
-            elif live_runs and live_m >= 2:
-                collection = RunCollection(alg, tuple(live_runs))
-                hv_cfg = next((c for n, c in unary if n == "hv"), config)
-                try:
-                    representative[alg] = select_representative_run(
-                        collection, "hv", hv_cfg
-                    )
-                except ValueError:
-                    pass
+        representative = table.representative
         if binary and len(prepared.algorithms) == 2:
             (name_a, runs_a), (name_b, runs_b) = prepared.algorithms.items()
             set_a = _union_set(runs_a, name_a)
@@ -865,8 +819,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     continue
                 basis = _union_set(live, alg)
                 target = basis
-                if ctx.bounds is not None:
-                    target = normalize([basis], ctx.bounds)[0]
+                bounds = table.bounds.get(config.normalization)
+                if bounds is not None:
+                    target = normalize([basis], bounds)[0]
                 sol, score = scalarize_best(target, prefs.weights)
                 scal[alg] = {"score": score, "solution": list(sol.objectives)}
             if scal:
@@ -979,11 +934,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    plan = recommend(
-        manifest.preferences,
-        len(manifest.objectives),
-        SetContext(set_count=len(manifest.algorithms)),
-    )
+    plan = _plan(manifest)
     report = {"schema": "solution-set-plan/1", "plan": _plan_to_dict(plan)}
     _write_report(report, args.out, None)
     print("preprocessing:")
@@ -1004,14 +955,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     m = len(manifest.objectives)
     config = _merge_config(manifest.overrides.config, args)
-    chosen_names = args.indicator or list(manifest.overrides.indicators)
-    if chosen_names:
-        chosen = [(canonical_name(n), config) for n in chosen_names]
-    else:
-        plan = recommend(
-            manifest.preferences, m, SetContext(set_count=len(manifest.algorithms))
-        )
-        chosen = [(p.name, p.config) for p in plan.indicators]
+    chosen = _planned(manifest, args)
     hv_at_nadir = False
     if config.ref_point is not None and any(n == "hv" for n, _ in chosen):
         prepared = prepare(manifest)
@@ -1086,6 +1030,12 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     live_m = next(iter(prepared.all_sets)).m
     config = _merge_config(manifest.overrides.config, args)
 
+    # The same pick as evaluate: the run closest to the median hv.
+    representative: dict[str, int] = {}
+    if live_m >= 2 and any(s.solutions for s in prepared.all_sets):
+        column = _ranking_column(_planned(manifest, args), config)
+        representative = indicator_table(prepared.algorithms, [], column).representative
+
     chosen_runs: dict[str, SolutionSet] = {}
     for alg, runs in prepared.algorithms.items():
         live = [r for r in runs if r.solutions]
@@ -1097,11 +1047,8 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             )
             chosen_runs[alg] = runs[0]
             continue
-        if len(live) == 1 or live_m < 2:
-            chosen_runs[alg] = live[0]
-        else:
-            idx = select_representative_run(RunCollection(alg, tuple(live)), "hv", config)
-            chosen_runs[alg] = live[idx]
+        rep = representative.get(alg)
+        chosen_runs[alg] = live[0] if rep is None else runs[rep]
 
     written: list[str] = []
     if live_m <= 3:

@@ -1,4 +1,5 @@
-"""Descriptive statistics over solution sets and runs.
+"""Descriptive statistics over solution sets and runs, and the run x
+indicator table every per-run evaluation reads from.
 
 Per-objective summaries (mean/median/best/worst) are the classic way to
 report multi-run experiments, but on their own they can invert the verdict
@@ -10,7 +11,7 @@ say so loudly instead of silently misleading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,18 +23,25 @@ from .core import (
     SolutionSet,
     set_dominates,
 )
-from .indicators import IndicatorConfig, canonical_name
+from .indicators import IndicatorConfig, aspects_of, canonical_name
 from . import indicators as _ind
-from .preprocess import build_reference_point, build_reference_set
+from .preprocess import (
+    NormalizationBounds,
+    build_reference_point,
+    build_reference_set,
+    normalize,
+)
 
 __all__ = [
     "STATS",
     "ObjectiveStats",
     "DoeComparison",
     "RunCollection",
+    "IndicatorTable",
     "per_objective_stats",
     "doe_compare",
     "scalarize_best",
+    "indicator_table",
     "select_representative_run",
 ]
 
@@ -184,52 +192,135 @@ def scalarize_best(
     return A.solutions[idx], float(scores[idx])
 
 
-def _unary_value(
-    name: str,
-    run: SolutionSet,
-    all_runs: Sequence[SolutionSet],
-    config: IndicatorConfig,
-) -> float:
-    """Evaluate one unary-capable indicator for a run.
+@dataclass(frozen=True)
+class IndicatorTable:
+    """Per-run indicator values of one experiment, from shared yardsticks.
 
-    Reference material (reference set or reference point) is derived from
-    the union of all runs so every run is judged against the same yardstick.
+    ``values[(algorithm, run)]`` holds one value per column for each
+    non-empty run.  ``reference`` is the union front of the non-empty runs
+    (raw units); ``bounds`` maps normalization modes to bounds and ``points``
+    each ``hv`` column's ``(hv_strategy, ref_point)`` to its reference point.
     """
-    key = canonical_name(name)
-    if key in ("ci", "c"):
-        raise ValueError(f"{name} is a binary indicator; it cannot rank runs")
-    if key == "nfs":
-        return float(_ind.nfs(run))
-    if key == "sp":
-        return _ind.spacing(run)
-    if key == "unfr":
-        return _ind.unfr(run, list(all_runs))
-    if key == "grid_diversity":
-        values = _ind.grid_diversity(list(all_runs), config.grid_divisions)
-        for r, v in zip(all_runs, values):
-            if r is run:
-                return v
-        raise ValueError("run is not part of the collection")
-    reference = build_reference_set(list(all_runs))
-    if key == "hv":
-        point = build_reference_point(
-            reference, config.hv_strategy, explicit=config.ref_point
-        )
-        return _ind.hypervolume(run, point)
-    if key == "gd":
-        return _ind.gd(run, reference, p=config.gd_p)
-    if key == "gd_plus":
-        return _ind.gd_plus(run, reference)
-    if key == "igd":
-        return _ind.igd(run, reference)
-    if key == "igd_plus":
-        return _ind.igd_plus(run, reference)
-    if key == "epsilon":
-        return _ind.epsilon_additive(run, reference)
-    if key == "spread":
-        ordered = sorted(reference.vectors())
-        return _ind.spread_delta(run, [ordered[0], ordered[-1]])
-    raise ValueError(f"indicator {name!r} cannot be evaluated per run")
+
+    values: dict[tuple[str, int], tuple[float, ...]]
+    reference: SolutionSet
+    bounds: dict[str, NormalizationBounds]
+    points: dict[tuple[str, tuple[float, ...] | None], tuple[float, ...]]
+    representative: dict[str, int]
+
+
+def _closest_to_median(values: Mapping[int, float]) -> int:
+    """Key of the value closest to the lower median; ties keep the lowest key."""
+    ordered = sorted(values.values())
+    median = ordered[(len(ordered) - 1) // 2]
+    return min(values, key=lambda k: (abs(values[k] - median), k))
+
+
+def indicator_table(
+    algorithms: Mapping[str, Sequence[SolutionSet]],
+    columns: Sequence[tuple[str, IndicatorConfig]],
+    rank_by: tuple[str, IndicatorConfig],
+) -> IndicatorTable:
+    """Evaluate unary indicator columns on every run, each yardstick built once.
+
+    The yardsticks come from the non-empty runs of all algorithms: the
+    reference set, raw and per normalization mode; the bounds; one hv
+    reference point per ``(hv_strategy, ref_point)``; the grid cells; the
+    ``spread`` extremes.  Each algorithm's representative run is the one
+    whose ``rank_by`` value is closest to the median of its runs' values
+    (Knowles, Thiele & Zitzler 2006).  A ``rank_by`` that is not a column is
+    computed for the pick only; if that fails (hv beyond its objective
+    limit), only algorithms with one non-empty run get a representative.
+    """
+    columns = tuple((canonical_name(n), c) for n, c in columns)
+    rank_by = (canonical_name(rank_by[0]), rank_by[1])
+    for name, _ in columns + (rank_by,):
+        if aspects_of(name).binary:
+            raise ValueError(f"{name} is a binary indicator; it cannot rank runs")
+    slots = [
+        (alg, r)
+        for alg, runs in algorithms.items()
+        for r, run in enumerate(runs)
+        if run.solutions
+    ]
+    live = [algorithms[alg][r] for alg, r in slots]
+    if not live:
+        raise EmptySetError("every set is empty after preprocessing")
+    reference = build_reference_set(live)
+    bounds: dict[str, NormalizationBounds] = {}
+    for mode in dict.fromkeys(c.normalization for _, c in columns + (rank_by,)):
+        if mode == "hard_bounds":
+            bounds[mode] = NormalizationBounds.from_hard_bounds(live[0])
+        elif mode != "none":
+            bounds[mode] = NormalizationBounds.from_sets(live)
+    spaces = {"none": (live, reference)}
+    points: dict[tuple[str, tuple[float, ...] | None], tuple[float, ...]] = {}
+
+    def space(mode: str) -> tuple[list[SolutionSet], SolutionSet]:
+        if mode not in spaces:
+            normed = normalize(live, bounds[mode])
+            spaces[mode] = (normed, build_reference_set(normed))
+        return spaces[mode]
+
+    def point(cfg: IndicatorConfig) -> tuple[float, ...]:
+        key = (cfg.hv_strategy, cfg.ref_point)
+        if key not in points:
+            points[key] = build_reference_point(
+                reference, cfg.hv_strategy, explicit=cfg.ref_point
+            )
+        return points[key]
+
+    def column(name: str, cfg: IndicatorConfig) -> list[float]:
+        if name == "nfs":
+            return [float(_ind.nfs(run)) for run in live]
+        if name == "unfr":
+            return [_ind._front_share(run, reference) for run in live]
+        if name == "hv":
+            ref_point = point(cfg)
+            return [_ind.hypervolume(run, ref_point) for run in live]
+        if name == "grid_diversity":
+            return _ind.grid_diversity(live, cfg.grid_divisions)
+        runs, ref = space(cfg.normalization)
+        if name == "gd":
+            return [_ind.gd(run, ref, p=cfg.gd_p) for run in runs]
+        if name == "gd_plus":
+            return [_ind.gd_plus(run, ref) for run in runs]
+        if name == "igd":
+            return [_ind.igd(run, ref) for run in runs]
+        if name == "igd_plus":
+            return [_ind.igd_plus(run, ref) for run in runs]
+        if name == "epsilon":
+            return [_ind.epsilon_additive(run, ref) for run in runs]
+        if name == "sp":
+            return [_ind.spacing(run) for run in runs]
+        ordered = sorted(ref.vectors())  # spread
+        return [_ind.spread_delta(run, [ordered[0], ordered[-1]]) for run in runs]
+
+    computed = {col: column(*col) for col in dict.fromkeys(columns)}
+    reported = dict(points)  # the hv columns' points, not one built for the pick
+    live_runs = {alg: [r for a, r in slots if a == alg] for alg in algorithms}
+    rank: dict[tuple[str, int], float] = {}
+    if any(len(runs) > 1 for runs in live_runs.values()):
+        try:
+            rank = dict(zip(slots, computed.get(rank_by) or column(*rank_by)))
+        except ValueError:
+            pass  # not a column, so only the pick goes without it
+    representative: dict[str, int] = {}
+    for alg, runs in live_runs.items():
+        if len(runs) == 1:
+            representative[alg] = runs[0]
+        elif runs and rank:
+            representative[alg] = _closest_to_median({r: rank[(alg, r)] for r in runs})
+    return IndicatorTable(
+        values={
+            slot: tuple(computed[col][i] for col in columns)
+            for i, slot in enumerate(slots)
+        },
+        reference=reference,
+        bounds=bounds,
+        points=reported,
+        representative=representative,
+    )
 
 
 def select_representative_run(
@@ -239,17 +330,12 @@ def select_representative_run(
 ) -> int:
     """Index of the run whose indicator value is closest to the median.
 
-    The median over an even number of runs is the lower-middle value, so the
-    selected run always exists in the collection.  Distance ties keep the
-    lowest run index.  The choice is invariant to run order up to that tie
-    rule.
+    The values are :func:`indicator_table`'s over the collection, so the
+    yardsticks come from all of its runs.  The median over an even number of
+    runs is the lower-middle value, so the selected run always exists in the
+    collection.  Distance ties keep the lowest run index.  The choice is
+    invariant to run order up to that tie rule.
     """
-    config = config or IndicatorConfig()
-    values = [
-        _unary_value(indicator, run, collection.runs, config)
-        for run in collection.runs
-    ]
-    ordered = sorted(values)
-    median = ordered[(len(ordered) - 1) // 2]
-    distances = [abs(v - median) for v in values]
-    return int(np.argmin(distances))
+    column = (indicator, config or IndicatorConfig())
+    table = indicator_table({collection.algorithm: collection.runs}, [column], column)
+    return table.representative[collection.algorithm]

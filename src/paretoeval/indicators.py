@@ -417,10 +417,17 @@ def unfr(A: SolutionSet, sets: Sequence[SolutionSet]) -> float:
     union = unique_nondominated_front(
         A.with_solutions(tuple(merged), name="union")
     )
-    union_vectors = set(union.vectors())
-    mine = unique_nondominated_front(A)
-    surviving = sum(1 for s in mine.solutions if s.objectives in union_vectors)
-    return surviving / len(union)
+    return _front_share(A, union)
+
+
+def _front_share(A: SolutionSet, union: SolutionSet) -> float:
+    """A's unique nondominated vectors that survive in ``union``, the unique
+    nondominated front of a union that includes A, as a share of its size.
+
+    A vector of A on the union front is nondominated within A as well, so
+    counting A's distinct vectors on that front counts exactly those.
+    """
+    return len(set(A.vectors()) & set(union.vectors())) / len(union)
 
 
 def _front_points(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:

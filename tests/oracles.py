@@ -210,3 +210,12 @@ def h_oracle(n, m) -> int:
     """Largest h >= 1 with C(h+m-1, m-1) <= n, by exhaustive scan; 1 if none."""
     feasible = [h for h in range(1, n + m + 2) if math.comb(h + m - 1, m - 1) <= n]
     return max(feasible) if feasible else 1
+
+
+def unfr_oracle(A, sets) -> float:
+    """Share of the union's unique front held by A's own unique front, with
+    both fronts taken by the pairwise filter.  ``sets`` must include A."""
+    union = [p for s in sets for p in s]
+    union_front = {union[i] for i in front_indices(union)}
+    mine = {A[i] for i in front_indices(A)}
+    return len(mine & union_front) / len(union_front)

@@ -6,6 +6,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from paretoeval import EvaluationWarning, ObjectiveMeta, Direction
@@ -537,6 +538,94 @@ class TestEvaluate:
         assert values == {"alpha": 71.0, "beta": 45.5}
 
 
+    # Front (1, 2), (2, 1), (3, 0.5): nadir (3, 2), range (2, 1.5), so
+    # doubled_range gives (5, 3.5) and nadir_plus_tenth (3.2, 2.15).
+    SMALL = {"alpha": [[(1, 2), (3, 0.5)]], "beta": [[(2, 1)]]}
+
+    def _hv_rows(self, tmp_path, **manifest):
+        out = {"report": str(tmp_path / "r.json")}
+        path = write_manifest(tmp_path, MIN_2D, self.SMALL, output=out, **manifest)
+        assert main(["evaluate", "--manifest", str(path)]) != EXIT_ERROR
+        report = json.loads((tmp_path / "r.json").read_text())
+        return [r for r in report["results"] if r["indicator"] == "hv"]
+
+    def test_hv_point_follows_the_planned_strategy(self, tmp_path):
+        rows = self._hv_rows(tmp_path, preferences={"roi": {"extreme": ["f1"]}})
+        assert [r["config"]["hv_strategy"] for r in rows] == ["doubled_range"] * 2
+        assert [r["config"]["reference_point"] for r in rows] == [[5.0, 3.5]] * 2
+        assert rows[0]["value"] == (5 - 1) * (3.5 - 2) + (5 - 3) * (2 - 0.5)
+
+    def test_manifest_strategy_reaches_planned_configs(self, tmp_path):
+        rows = self._hv_rows(tmp_path, overrides={"hv_strategy": "doubled_range"})
+        assert [r["config"]["hv_strategy"] for r in rows] == ["doubled_range"] * 2
+        assert [r["config"]["reference_point"] for r in rows] == [[5.0, 3.5]] * 2
+
+    def test_representative_run_read_from_reported_hv(self, tmp_path):
+        # Against alg's own front (nadir (3, 3)) the median hv run is 0; the
+        # shared front also holds ref's far points, so the shared reference
+        # point is (33.1, 33.1) and the median hv run is 2.
+        runs = [[(1, 1)], [(0, 3), (3, 0)], [(0.5, 2), (2, 0.5)]]
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"alg": runs, "ref": [[(-1, 30), (30, -1)]]},
+            overrides={"indicators": ["hv"]},
+            output={"report": str(tmp_path / "r.json")},
+        )
+        assert main(["evaluate", "--manifest", str(path)]) != EXIT_ERROR
+        report = json.loads((tmp_path / "r.json").read_text())
+        hv = {
+            r["run"]: r["value"] for r in report["results"] if r["algorithm"] == "alg"
+        }
+        assert report["results"][0]["config"]["reference_point"] == [
+            pytest.approx(33.1),
+            pytest.approx(33.1),
+        ]
+        median = sorted(hv.values())[1]
+        assert min(hv, key=lambda r: abs(hv[r] - median)) == 2
+        assert report["representative_runs"] == {"alg": 2, "ref": 0}
+
+        out_dir = tmp_path / "plots"
+        code = main(["plot-data", "--manifest", str(path), "--out", str(out_dir)])
+        assert code == EXIT_OK
+        plotted = load_solution_set(out_dir / "alg.csv", META_2D)
+        assert plotted.vectors() == [tuple(map(float, p)) for p in runs[2]]
+
+    def test_multi_run_reports_are_byte_stable(self, tmp_path):
+        rng = np.random.default_rng(20240611)
+        objectives = [{"name": f"f{j}", "direction": "min"} for j in range(3)]
+        algorithms = {}
+        for a in range(3):
+            runs = []
+            for r in range(4):
+                front = rng.dirichlet(np.ones(3), size=12) * 10 + a + 0.5 * r
+                filler = front + rng.uniform(0.1, 2.0, size=front.shape)
+                runs.append(np.round(np.vstack([front, filler]), 3).tolist())
+            algorithms[f"alg{a}"] = runs
+        # One run lies wholly beyond the screen.
+        algorithms["alg1"][0] = [[p[0] + 100, *p[1:]] for p in algorithms["alg1"][0]]
+        path = write_manifest(
+            tmp_path,
+            objectives,
+            algorithms,
+            preferences={
+                "screen": [{"objective": "f0", "kind": "at_most", "threshold": 50}]
+            },
+        )
+        outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for out in outs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EvaluationWarning)
+                main(["evaluate", "--manifest", str(path), "--out", str(out)])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        report = json.loads(outs[0].read_text())
+        planned = {r["indicator"] for r in report["results"]}
+        assert {"unfr", "grid_diversity", "hv"} <= planned
+        alg1_runs = {r["run"] for r in report["results"] if r["algorithm"] == "alg1"}
+        assert alg1_runs == {1, 2, 3}
+        assert report["representative_runs"]["alg1"] in alg1_runs
+
+
 class TestCompare:
     def test_contribution_both_directions(self, knee_manifest, capsys):
         assert (
@@ -844,3 +933,58 @@ class TestMainErrors:
         assert code == EXIT_ERROR
         assert f"indicator_overrides.{message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda d: d.update(indicator_overrides={"indicators": "hv"}),
+                'indicator_overrides.indicators: expected a list of strings, got "hv"',
+            ),
+            (
+                lambda d: d.update(objectives="ab"),
+                'objectives: expected a list, got "ab"',
+            ),
+            (
+                lambda d: d.update(algorithms="AB"),
+                'algorithms: expected a list, got "AB"',
+            ),
+            (
+                lambda d: d.update(objectives=["f1", "f2"]),
+                'objectives[0]: expected an object, got "f1"',
+            ),
+            (
+                lambda d: d["objectives"][0].update(name=5),
+                "objectives[0].name: expected a string, got 5",
+            ),
+            (
+                lambda d: d.update(
+                    preferences={
+                        "clear": [
+                            {"objective": "f1", "kind": "exactly_best"},
+                            {"objective": "f2", "kind": "exactly_best"},
+                        ]
+                    }
+                ),
+                "preferences.clear: exactly_best on every objective leaves no "
+                "objective to compare the sets on",
+            ),
+        ],
+        ids=[
+            "indicators-string",
+            "objectives-string",
+            "algorithms-string",
+            "objectives-of-strings",
+            "objective-name-number",
+            "exactly-best-everywhere",
+        ],
+    )
+    def test_misshapen_manifest_exits_2(self, tmp_path, capsys, mutate, message):
+        path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        code = main(["evaluate", "--manifest", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == f"error: {message}\n"
