@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,6 @@ from .core import (
     EmptySetError,
     EvaluationWarning,
     ObjectiveMeta,
-    Solution,
     SolutionSet,
 )
 from . import indicators as ind
@@ -152,6 +152,42 @@ def _name(obj: dict, where: str) -> str:
     return obj["name"]
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value: object) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# Expected JSON type of a manifest scalar, checked before the domain types
+# compare or convert the value; null stands for "not given" where allowed.
+_NUMBER = ("a number", _is_number)
+_OPTIONAL_NUMBER = ("a number", lambda v: v is None or _is_number(v))
+_OPTIONAL_NUMBERS = ("a list of numbers", lambda v: v is None or _is_numbers(v))
+_BOUNDS = ("a list of two numbers", lambda v: v is None or (_is_numbers(v) and len(v) == 2))
+_BOOLEAN = ("a boolean", lambda v: isinstance(v, bool))
+_OVERRIDE_TYPES = {
+    "indicators": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    ),
+    "gd_p": _NUMBER,
+    "grid_divisions": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "hv_strategy": ("a string", lambda v: isinstance(v, str)),
+    "normalization": ("a string", lambda v: isinstance(v, str)),
+    "ref_point": _OPTIONAL_NUMBERS,
+}
+
+
+def _check_types(obj: dict, types: dict, where: str) -> None:
+    for key, (expected, valid) in types.items():
+        if key in obj and not valid(obj[key]):
+            raise ManifestError(
+                f"{where}.{key}: expected {expected}, got {json.dumps(obj[key])}"
+            )
+
+
 def _objective_index(ref: object, names: list[str], where: str) -> int:
     if isinstance(ref, bool):
         raise ManifestError(f"{where}: objective reference must be a name or index")
@@ -171,6 +207,7 @@ def _parse_constraint(raw: dict, names: list[str], where: str) -> ClearConstrain
     for key in ("objective", "kind"):
         if key not in raw:
             raise ManifestError(f"{where}: missing {key!r}")
+    _check_types(raw, {"threshold": _OPTIONAL_NUMBER}, where)
     try:
         return ClearConstraint(
             objective=_objective_index(raw["objective"], names, where),
@@ -187,6 +224,8 @@ def _parse_preferences(raw: dict, names: list[str]) -> PreferenceSpec:
         {"screen", "clear", "vague", "roi", "weights", "untransferable"},
         "preferences",
     )
+    types = {"weights": _OPTIONAL_NUMBERS, "untransferable": _BOOLEAN}
+    _check_types(raw, types, "preferences")
     screen = tuple(
         _parse_constraint(c, names, f"preferences.screen[{i}]")
         for i, c in enumerate(_list(raw.get("screen", []), "preferences.screen"))
@@ -201,6 +240,7 @@ def _parse_preferences(raw: dict, names: list[str]) -> PreferenceSpec:
         _require_keys(v, {"objective", "saturation", "hard_floor"}, where)
         if "objective" not in v or "saturation" not in v:
             raise ManifestError(f"{where}: needs objective and saturation")
+        _check_types(v, {"saturation": _NUMBER, "hard_floor": _OPTIONAL_NUMBER}, where)
         try:
             vague.append(
                 VagueClamp(
@@ -237,32 +277,10 @@ def _parse_preferences(raw: dict, names: list[str]) -> PreferenceSpec:
             roi=roi,
             weights=tuple(weights) if weights is not None else None,
             screen=screen,
-            untransferable=bool(raw.get("untransferable", False)),
+            untransferable=raw.get("untransferable", False),
         )
     except ValueError as exc:
         raise ManifestError(f"preferences: {exc}") from exc
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# Expected JSON type of each override, checked before IndicatorConfig
-# compares or converts the value.
-_OVERRIDE_TYPES = {
-    "indicators": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
-    ),
-    "gd_p": ("a number", _is_number),
-    "grid_divisions": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "hv_strategy": ("a string", lambda v: isinstance(v, str)),
-    "normalization": ("a string", lambda v: isinstance(v, str)),
-    "ref_point": (
-        "a list of numbers",
-        lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
-    ),
-}
 
 
 def _parse_overrides(raw: dict) -> Overrides:
@@ -278,12 +296,7 @@ def _parse_overrides(raw: dict) -> Overrides:
         },
         "indicator_overrides",
     )
-    for key, (expected, valid) in _OVERRIDE_TYPES.items():
-        if key in raw and not valid(raw[key]):
-            raise ManifestError(
-                f"indicator_overrides.{key}: expected {expected}, "
-                f"got {json.dumps(raw[key])}"
-            )
+    _check_types(raw, _OVERRIDE_TYPES, "indicator_overrides")
     indicators = tuple(raw.get("indicators", []))
     for name in indicators:
         try:
@@ -340,6 +353,7 @@ def load_manifest(path: str | Path) -> Manifest:
         if "name" not in o:
             raise ManifestError(f"{where}: missing 'name'")
         name = _name(o, where)
+        _check_types(o, {"hard_bounds": _BOUNDS}, where)
         try:
             objectives.append(
                 ObjectiveMeta(
@@ -430,7 +444,8 @@ def load_solution_set(
         raise SolutionFileError(
             f"{path}:1: header {value_columns} does not match objectives {expected}"
         )
-    solutions: list[Solution] = []
+    rows: list[list[float]] = []
+    ids: list[str | None] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -449,19 +464,20 @@ def load_solution_set(
                 raise SolutionFileError(
                     f"{path}:{lineno}: column {col!r} has non-numeric value {cell!r}"
                 ) from exc
-        try:
-            solutions.append(Solution(tuple(vals), id=sol_id))
-        except ValueError as exc:
-            raise SolutionFileError(f"{path}:{lineno}: {exc}") from exc
-    if not solutions:
+        bad = [v for v in vals if not math.isfinite(v)]
+        if bad:
+            raise SolutionFileError(
+                f"{path}:{lineno}: objective values must be finite, got {bad[0]!r}"
+            )
+        rows.append(vals)
+        ids.append(sol_id)
+    if not rows:
         warnings.warn(
             f"{path} contains a header but no solutions",
             EvaluationWarning,
             stacklevel=2,
         )
-    return SolutionSet(
-        name=name or path.stem, meta=tuple(meta), solutions=tuple(solutions)
-    )
+    return SolutionSet._from_array(name or path.stem, meta, rows, ids=ids)
 
 
 def write_solution_set(path: str | Path, A: SolutionSet) -> None:
@@ -506,11 +522,7 @@ class Prepared:
 def _project(A: SolutionSet, keep: Sequence[int]) -> SolutionSet:
     meta = tuple(A.meta[i] for i in keep)
     signs = tuple(A.signs[i] for i in keep) if A.signs is not None else None
-    sols = tuple(
-        Solution(tuple(s.objectives[i] for i in keep), id=s.id, source=s.source)
-        for s in A.solutions
-    )
-    return SolutionSet(A.name, meta, sols, signs=signs)
+    return A._select(values=A.values()[:, keep], meta=meta, signs=signs)
 
 
 def prepare(manifest: Manifest) -> Prepared:
@@ -539,14 +551,14 @@ def prepare(manifest: Manifest) -> Prepared:
             work, dropped = apply_clear_preferences(work, prefs, log=log)
             work = apply_vague_preferences(work, prefs, log=log)
             removals.extend((run_name, rm) for rm in log)
-            if not work.solutions:
+            if not len(work):
                 notes.append(f"set {run_name!r} is empty after preprocessing")
             dropped_per_set = dropped  # same constraints => same candidates
             runs.append(work)
         algorithms[entry.name] = runs
 
     candidates = dropped_per_set or ()
-    survivors = [s.objectives for runs in algorithms.values() for run in runs for s in run]
+    survivors = [v for runs in algorithms.values() for run in runs for v in run.vectors()]
     disputed = tuple(j for j in candidates if len({v[j] for v in survivors}) > 1)
     for j in disputed:
         notes.append(
@@ -578,20 +590,19 @@ def _merge_config(
     """Apply command-line flag overrides on top of a base configuration."""
     if cli is None:
         return cfg
-    kwargs = cfg.snapshot()
-    kwargs["ref_point"] = cfg.ref_point
+    changes: dict[str, object] = {}
     if cli.ref_strategy:
-        kwargs["hv_strategy"] = cli.ref_strategy
+        changes["hv_strategy"] = cli.ref_strategy
     if cli.ref_point:
-        kwargs["ref_point"] = tuple(float(v) for v in cli.ref_point.split(","))
-        kwargs["hv_strategy"] = "explicit"
+        changes["ref_point"] = tuple(float(v) for v in cli.ref_point.split(","))
+        changes["hv_strategy"] = "explicit"
     if cli.gd_p is not None:
-        kwargs["gd_p"] = cli.gd_p
+        changes["gd_p"] = cli.gd_p
     if cli.grid_div is not None:
-        kwargs["grid_divisions"] = cli.grid_div
+        changes["grid_divisions"] = cli.grid_div
     if cli.no_normalize:
-        kwargs["normalization"] = "none"
-    return IndicatorConfig(**kwargs)
+        changes["normalization"] = "none"
+    return replace(cfg, **changes)
 
 
 def _plan(manifest: Manifest) -> EvaluationPlan:
@@ -694,13 +705,6 @@ def _write_report(report: dict, out: str | None, default: str | None) -> None:
     )
 
 
-def _union_set(runs: Sequence[SolutionSet], name: str) -> SolutionSet:
-    merged: list[Solution] = []
-    for run in runs:
-        merged.extend(run.solutions)
-    return runs[0].with_solutions(tuple(merged), name=name)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -741,7 +745,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         stored_best: dict[str, float] = {}
         natural_best: dict[str, float] = {}
         for alg, runs in prepared.algorithms.items():
-            values = [s.objectives[0] for run in runs for s in run.solutions]
+            values = [v for run in runs for v in run.values()[:, 0].tolist()]
             if not values:
                 continue
             sign = runs[0].signs[0] if runs[0].signs is not None else 1.0
@@ -794,9 +798,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         representative = table.representative
         if binary and len(prepared.algorithms) == 2:
             (name_a, runs_a), (name_b, runs_b) = prepared.algorithms.items()
-            set_a = _union_set(runs_a, name_a)
-            set_b = _union_set(runs_b, name_b)
-            if set_a.solutions and set_b.solutions:
+            set_a = SolutionSet._concat(runs_a, name_a)
+            set_b = SolutionSet._concat(runs_b, name_b)
+            if len(set_a) and len(set_b):
                 for name, cfg in binary:
                     fn = ind.contribution if name == "ci" else ind.coverage
                     for first, second in ((set_a, set_b), (set_b, set_a)):
@@ -814,10 +818,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if prefs.weights is not None:
             scal = {}
             for alg, runs in prepared.algorithms.items():
-                live = [r for r in runs if r.solutions]
+                live = [r for r in runs if len(r)]
                 if not live:
                     continue
-                basis = _union_set(live, alg)
+                basis = SolutionSet._concat(live, alg)
                 target = basis
                 bounds = table.bounds.get(config.normalization)
                 if bounds is not None:
@@ -896,9 +900,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(chosen) > 1:
         raise ValueError("compare takes exactly one indicator")
     indicator = canonical_name(chosen[0])
-    set_a = _union_set(prepared.algorithms[first], first)
-    set_b = _union_set(prepared.algorithms[second], second)
-    if not set_a.solutions or not set_b.solutions:
+    set_a = SolutionSet._concat(prepared.algorithms[first], first)
+    set_b = SolutionSet._concat(prepared.algorithms[second], second)
+    if not len(set_a) or not len(set_b):
         raise EmptySetError("cannot compare empty sets")
     if indicator == "ci":
         forward = ind.contribution(set_a, set_b)
@@ -959,7 +963,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     hv_at_nadir = False
     if config.ref_point is not None and any(n == "hv" for n, _ in chosen):
         prepared = prepare(manifest)
-        live = [s for s in prepared.all_sets if s.solutions]
+        live = [s for s in prepared.all_sets if len(s)]
         if live:
             front = build_reference_set(live)
             nadir = tuple(float(v) for v in front.values().max(axis=0))
@@ -992,7 +996,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     blocks = []
     for alg, runs in prepared.algorithms.items():
         for r, run in enumerate(runs):
-            if not run.solutions:
+            if not len(run):
                 continue
             st = per_objective_stats(run)
             blocks.append(
@@ -1027,18 +1031,18 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     prepared = prepare(manifest)
     out_dir = Path(args.out or manifest.output.plot_data or "plot-data")
     out_dir.mkdir(parents=True, exist_ok=True)
-    live_m = next(iter(prepared.all_sets)).m
+    live_m = prepared.live_m
     config = _merge_config(manifest.overrides.config, args)
 
     # The same pick as evaluate: the run closest to the median hv.
     representative: dict[str, int] = {}
-    if live_m >= 2 and any(s.solutions for s in prepared.all_sets):
+    if live_m >= 2 and any(len(s) for s in prepared.all_sets):
         column = _ranking_column(_planned(manifest, args), config)
         representative = indicator_table(prepared.algorithms, [], column).representative
 
     chosen_runs: dict[str, SolutionSet] = {}
     for alg, runs in prepared.algorithms.items():
-        live = [r for r in runs if r.solutions]
+        live = [r for r in runs if len(r)]
         if not live:
             warnings.warn(
                 f"algorithm {alg!r} has no surviving solutions to plot",
@@ -1057,11 +1061,11 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             write_solution_set(path, run)
             written.append(str(path))
     else:
-        live = [s for s in chosen_runs.values() if s.solutions]
+        live = [s for s in chosen_runs.values() if len(s)]
         bounds = NormalizationBounds.from_sets(live)
         rows = ["set,solution,objective,value"]
         for alg, run in chosen_runs.items():
-            normed = normalize([run], bounds)[0] if run.solutions else run
+            normed = normalize([run], bounds)[0] if len(run) else run
             for i, sol in enumerate(normed.solutions):
                 label = sol.id or str(i)
                 for name, v in zip((o.name for o in normed.meta), sol.objectives):
@@ -1144,10 +1148,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, SolutionFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, EmptySetError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

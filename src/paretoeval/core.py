@@ -132,68 +132,142 @@ def _vec(x: Vector) -> tuple[float, ...]:
     return tuple(float(v) for v in x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SolutionSet:
     """A named multiset of solutions sharing one objective space.
 
-    ``signs`` records an orientation transform applied to the stored values:
-    ``natural_value = signs[i] * stored_value`` per objective.  ``None`` means
-    the stored values are already natural (all-minimize data).
+    The stored (minimization-oriented) values are kept once, as one read-only
+    float array of shape ``(n, m)``, with one id and one source per row;
+    ``solutions`` is a row view built on first read.  Sets compare by
+    identity.  ``signs`` records an orientation transform applied to the
+    stored values: ``natural_value = signs[i] * stored_value`` per objective.
+    ``None`` means the stored values are already natural (all-minimize data).
     """
 
     name: str
     meta: tuple[ObjectiveMeta, ...]
-    solutions: tuple[Solution, ...] = ()
-    signs: tuple[float, ...] | None = None
+    signs: tuple[float, ...] | None
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        meta: Sequence[ObjectiveMeta],
+        solutions: Sequence[Solution] = (),
+        signs: Sequence[float] | None = None,
+    ) -> None:
+        rows = tuple(solutions)
+        for s in rows:
+            if len(s) != len(meta):
+                raise DimensionMismatchError(
+                    f"set {name!r} declares {len(meta)} objectives but a solution has {len(s)}"
+                )
+        values = [s.objectives for s in rows]
+        ids, sources = [s.id for s in rows], [s.source for s in rows]
+        self._store(name, meta, values, ids, sources, signs)
+        self.__dict__["_rows"] = rows
+
+    def _store(self, name, meta, values, ids, sources, signs) -> None:
+        """Check and set the whole state; the dataclass is frozen, so the
+        writes go through ``__dict__``."""
+        if not name:
             raise ValueError("solution set name must be non-empty")
-        meta = tuple(self.meta)
+        meta = tuple(meta)
         if not meta:
             raise ValueError("solution set needs at least one objective")
-        sols = tuple(self.solutions)
-        m = len(meta)
-        for s in sols:
-            if len(s) != m:
-                raise DimensionMismatchError(
-                    f"set {self.name!r} declares {m} objectives but a solution has {len(s)}"
-                )
-        object.__setattr__(self, "meta", meta)
-        object.__setattr__(self, "solutions", sols)
-        if self.signs is not None:
-            signs = tuple(float(s) for s in self.signs)
-            if len(signs) != m:
+        values = np.array(values, dtype=float).reshape(len(values), len(meta))
+        if not np.isfinite(values).all():
+            raise ValueError("objective values must be finite")
+        if signs is not None:
+            signs = tuple(float(s) for s in signs)
+            if len(signs) != len(meta):
                 raise DimensionMismatchError("signs length must match objective count")
             if any(s not in (1.0, -1.0) for s in signs):
                 raise ValueError("signs entries must be +1 or -1")
-            object.__setattr__(self, "signs", signs)
+        values.flags.writeable = False
+        n = len(values)
+        self.__dict__.update(
+            name=name,
+            meta=meta,
+            signs=signs,
+            _values=values,
+            _ids=tuple(ids) if ids is not None else (None,) * n,
+            _sources=tuple(sources) if sources is not None else (None,) * n,
+            _rows=None,
+        )
+
+    @classmethod
+    def _from_array(
+        cls, name, meta, values, ids=None, sources=None, signs=None
+    ) -> "SolutionSet":
+        """A set over a copy of the ``(n, m)`` array ``values``; ids and
+        sources default to ``None`` on every row."""
+        out = cls.__new__(cls)
+        out._store(name, meta, values, ids, sources, signs)
+        return out
+
+    def _select(self, rows=slice(None), values=None, meta=None, signs=None) -> "SolutionSet":
+        """The rows picked by a mask, index list or slice, in their order.
+
+        ``values`` replaces the stored values (same row count) before the
+        pick.  ``meta`` and ``signs`` travel together: without ``meta`` both
+        are kept, with it ``signs`` is taken as given.
+        """
+        picked = np.arange(len(self))[rows].tolist()
+        if meta is None:
+            meta, signs = self.meta, self.signs
+        return SolutionSet._from_array(
+            self.name,
+            meta,
+            (self._values if values is None else values)[rows],
+            [self._ids[i] for i in picked],
+            [self._sources[i] for i in picked],
+            signs,
+        )
+
+    @classmethod
+    def _concat(cls, sets: Sequence["SolutionSet"], name: str) -> "SolutionSet":
+        """All rows of ``sets`` in order, under the first set's metadata and
+        orientation; rows without a source are tagged with their set's name."""
+        if any(s.m != sets[0].m for s in sets):
+            raise DimensionMismatchError("sets disagree on objective count")
+        return cls._from_array(
+            name,
+            sets[0].meta,
+            np.concatenate([s._values for s in sets]),
+            [i for s in sets for i in s._ids],
+            [src if src is not None else s.name for s in sets for src in s._sources],
+            sets[0].signs,
+        )
+
+    @property
+    def solutions(self) -> tuple[Solution, ...]:
+        if self._rows is None:
+            self.__dict__["_rows"] = tuple(
+                Solution(tuple(v), id=i, source=src)
+                for v, i, src in zip(self._values.tolist(), self._ids, self._sources)
+            )
+        return self._rows
 
     @property
     def m(self) -> int:
         return len(self.meta)
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[Solution]:
         return iter(self.solutions)
 
     def values(self) -> np.ndarray:
-        """Stored (minimization-oriented) values, shape ``(n, m)``."""
-        if not self.solutions:
-            return np.empty((0, self.m))
-        return np.array([s.objectives for s in self.solutions], dtype=float)
+        """Stored (minimization-oriented) values, shape ``(n, m)``, read-only."""
+        return self._values
 
     def natural_values(self) -> np.ndarray:
         """Values in natural units/direction, shape ``(n, m)``."""
-        v = self.values()
-        if self.signs is None:
-            return v
-        return v * np.asarray(self.signs)
+        return self._values if self.signs is None else self._values * self.signs
 
     def vectors(self) -> list[tuple[float, ...]]:
-        return [s.objectives for s in self.solutions]
+        return list(map(tuple, self._values.tolist()))
 
     def with_solutions(
         self, solutions: Sequence[Solution], name: str | None = None
@@ -288,7 +362,7 @@ def _check_sets(first: SolutionSet, second: SolutionSet) -> None:
 def set_dominates(first: SolutionSet, second: SolutionSet) -> bool:
     """True if every member of ``second`` is dominated by some member of ``first``."""
     _check_sets(first, second)
-    if not second.solutions:
+    if not len(second):
         raise EmptySetError("set dominance against an empty set is undefined")
     return bool(_dominance(first.values(), second.values())[1].all())
 
@@ -296,7 +370,7 @@ def set_dominates(first: SolutionSet, second: SolutionSet) -> bool:
 def set_weakly_dominates(first: SolutionSet, second: SolutionSet) -> bool:
     """True if every member of ``second`` is weakly dominated by some member of ``first``."""
     _check_sets(first, second)
-    if not second.solutions:
+    if not len(second):
         raise EmptySetError("weak set dominance against an empty set is undefined")
     return bool(_dominance(first.values(), second.values(), weak=True)[1].all())
 
@@ -309,7 +383,7 @@ def better_relation(first: SolutionSet, second: SolutionSet) -> SetRelation:
     means mutual weak set-dominance.
     """
     _check_sets(first, second)
-    if not first.solutions or not second.solutions:
+    if not len(first) or not len(second):
         raise EmptySetError("better relation needs two non-empty sets")
     fw = set_weakly_dominates(first, second)
     bw = set_weakly_dominates(second, first)
@@ -329,8 +403,7 @@ def nondominated_front(A: SolutionSet) -> SolutionSet:
     not dominate each other).
     """
     _, dominated = _dominance(A.values(), A.values())
-    keep = [s for s, d in zip(A.solutions, dominated) if not d]
-    return A.with_solutions(keep)
+    return A._select(~dominated)
 
 
 def unique_nondominated_front(A: SolutionSet) -> SolutionSet:
@@ -339,10 +412,7 @@ def unique_nondominated_front(A: SolutionSet) -> SolutionSet:
     The first occurrence of each duplicated vector is kept.
     """
     front = nondominated_front(A)
-    seen: set[tuple[float, ...]] = set()
-    keep: list[Solution] = []
-    for s in front.solutions:
-        if s.objectives not in seen:
-            seen.add(s.objectives)
-            keep.append(s)
-    return A.with_solutions(keep)
+    first: dict[tuple[float, ...], int] = {}
+    for i, v in enumerate(front.vectors()):
+        first.setdefault(v, i)
+    return front._select(list(first.values()))

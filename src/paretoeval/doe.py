@@ -102,7 +102,7 @@ def per_objective_stats(A: SolutionSet) -> ObjectiveStats:
     Best and worst follow each objective's natural direction: for a
     maximized objective the best value is the largest one.
     """
-    if not A.solutions:
+    if not len(A):
         raise EmptySetError(f"set {A.name!r} is empty")
     natural = A.natural_values()
     signs = A.signs if A.signs is not None else (1.0,) * A.m
@@ -182,7 +182,7 @@ def scalarize_best(
     sum(w_i * f_i).  Ties keep the first occurrence.  Weights are expected
     to be normalized values over comparable (e.g. normalized) objectives.
     """
-    if not A.solutions:
+    if not len(A):
         raise EmptySetError(f"set {A.name!r} is empty")
     w = np.asarray([float(x) for x in weights])
     if w.shape[0] != A.m:
@@ -241,7 +241,7 @@ def indicator_table(
         (alg, r)
         for alg, runs in algorithms.items()
         for r, run in enumerate(runs)
-        if run.solutions
+        if len(run)
     ]
     live = [algorithms[alg][r] for alg, r in slots]
     if not live:

@@ -266,7 +266,7 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     orderings sum to 1, and 0.5 means parity.
     """
     _check_same_m(A, B)
-    if not A.solutions and not B.solutions:
+    if not len(A) and not len(B):
         raise EmptySetError("contribution of two empty sets is undefined")
     count_a = Counter(A.vectors())
     count_b = Counter(B.vectors())
@@ -291,7 +291,7 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
 def coverage(A: SolutionSet, B: SolutionSet) -> float:
     """Fraction of B's distinct vectors weakly dominated by some member of A."""
     _check_same_m(A, B)
-    if not A.solutions or not B.solutions:
+    if not len(A) or not len(B):
         raise EmptySetError("coverage needs two non-empty sets")
     distinct_b = np.array(list(dict.fromkeys(B.vectors())))
     _, covered = _dominance(A.values(), distinct_b, weak=True)
@@ -403,21 +403,11 @@ def unfr(A: SolutionSet, sets: Sequence[SolutionSet]) -> float:
     fraction of that front's size contributed by A's own unique nondominated
     vectors that survive against the union.
     """
-    basis = list(sets)
-    if not any(s is A for s in basis):
-        basis.append(A)
-    merged: list = []
-    m = A.m
-    for s in basis:
-        if s.m != m:
-            raise DimensionMismatchError("sets disagree on objective count")
-        merged.extend(s.solutions)
-    if not merged:
+    basis = [A] + [s for s in sets if s is not A]
+    merged = SolutionSet._concat(basis, "union")
+    if not len(merged):
         raise EmptySetError("union of sets is empty")
-    union = unique_nondominated_front(
-        A.with_solutions(tuple(merged), name="union")
-    )
-    return _front_share(A, union)
+    return _front_share(A, unique_nondominated_front(merged))
 
 
 def _front_share(A: SolutionSet, union: SolutionSet) -> float:
@@ -568,15 +558,10 @@ def grid_diversity(
         raise EmptySetError("need at least one solution set")
     if divisions < 2:
         raise ValueError("divisions must be >= 2")
-    m = sets[0].m
-    rows = []
     for s in sets:
-        if s.m != m:
-            raise DimensionMismatchError("sets disagree on objective count")
-        if not s.solutions:
+        if not len(s):
             raise EmptySetError(f"set {s.name!r} is empty")
-        rows.append(s.values())
-    stacked = np.vstack(rows)
+    stacked = SolutionSet._concat(sets, "union").values()
     lo = stacked.min(axis=0)
     hi = stacked.max(axis=0)
     if (hi == lo).any():
@@ -587,7 +572,7 @@ def grid_diversity(
         idx = np.minimum(scaled.astype(int), divisions - 1)
         return {tuple(int(c) for c in row) for row in idx}
 
-    per_set = [_cells(v) for v in rows]
+    per_set = [_cells(s.values()) for s in sets]
     union: set[tuple[int, ...]] = set()
     for cells in per_set:
         union |= cells

@@ -238,15 +238,7 @@ def to_minimization(A: SolutionSet) -> SolutionSet:
         ObjectiveMeta(o.name, Direction.MINIMIZE, o.units, o.hard_bounds)
         for o in A.meta
     )
-    sols = tuple(
-        Solution(
-            tuple(s * v for s, v in zip(signs, sol.objectives)),
-            id=sol.id,
-            source=sol.source,
-        )
-        for sol in A.solutions
-    )
-    return SolutionSet(A.name, meta, sols, signs=signs)
+    return A._select(values=A.values() * signs, meta=meta, signs=signs)
 
 
 def restore_orientation(A: SolutionSet, original_meta: Sequence[ObjectiveMeta]) -> SolutionSet:
@@ -255,30 +247,27 @@ def restore_orientation(A: SolutionSet, original_meta: Sequence[ObjectiveMeta]) 
         raise ValueError("set carries no orientation transform to undo")
     if len(original_meta) != A.m:
         raise DimensionMismatchError("original metadata length must match")
-    sols = tuple(
-        Solution(
-            tuple(s * v for s, v in zip(A.signs, sol.objectives)),
-            id=sol.id,
-            source=sol.source,
-        )
-        for sol in A.solutions
-    )
-    return SolutionSet(A.name, tuple(original_meta), sols, signs=None)
+    return A._select(values=A.values() * A.signs, meta=original_meta, signs=None)
 
 
-def _satisfies(
-    sol: Solution,
-    rule: ClearConstraint,
-    signs: Sequence[float],
-    best_stored: float | None,
-) -> bool:
-    stored = sol.objectives[rule.objective]
-    natural = signs[rule.objective] * stored
-    if rule.kind == AT_LEAST:
-        return natural >= rule.threshold  # type: ignore[operator]
-    if rule.kind == AT_MOST:
-        return natural <= rule.threshold  # type: ignore[operator]
-    return stored == best_stored
+def _drop(
+    A: SolutionSet,
+    failed: Iterable[np.ndarray],
+    reasons: Sequence[str],
+    log: list[Removal] | None,
+    values: np.ndarray | None = None,
+) -> SolutionSet:
+    """The rows of ``A`` that no mask in ``failed`` flags, with ``values``
+    if given.  Each dropped row is logged in row order, with its stored
+    vector and the reason of the first mask that flags it."""
+    culprit = np.full(len(A), -1)
+    for k, mask in enumerate(failed):
+        culprit[(culprit < 0) & mask] = k
+    gone = np.flatnonzero(culprit >= 0)
+    if log is not None:
+        for idx, sol in zip(gone.tolist(), A._select(gone).solutions):
+            log.append(Removal(idx, sol, reasons[culprit[idx]]))
+    return A._select(culprit < 0, values=values)
 
 
 def _filter_by_rules(
@@ -287,25 +276,18 @@ def _filter_by_rules(
     log: list[Removal] | None,
 ) -> SolutionSet:
     signs = _signs(A)
-    # Best stored value per exactly_best rule; stored orientation is
-    # minimization, so "best" is always the minimum.
-    best: dict[int, float | None] = {}
-    for rule in rules:
-        if rule.kind == EXACTLY_BEST:
-            col = [s.objectives[rule.objective] for s in A.solutions]
-            best[rule.objective] = min(col) if col else None
-    keep: list[Solution] = []
-    for idx, sol in enumerate(A.solutions):
-        violated = None
-        for rule in rules:
-            if not _satisfies(sol, rule, signs, best.get(rule.objective)):
-                violated = rule
-                break
-        if violated is None:
-            keep.append(sol)
-        elif log is not None:
-            log.append(Removal(idx, sol, violated.describe(A.meta)))
-    return A.with_solutions(keep)
+
+    def fails(rule: ClearConstraint) -> np.ndarray:
+        stored = A.values()[:, rule.objective]
+        natural = signs[rule.objective] * stored
+        if rule.kind == AT_LEAST:
+            return natural < rule.threshold
+        if rule.kind == AT_MOST:
+            return natural > rule.threshold
+        # Stored orientation is minimization, so "best" is the minimum.
+        return stored != stored.min(initial=np.inf)
+
+    return _drop(A, map(fails, rules), [r.describe(A.meta) for r in rules], log)
 
 
 def screen_trivial(
@@ -323,7 +305,7 @@ def screen_trivial(
         return A
     _check_indices(A, (r.objective for r in rules), "screening rule")
     out = _filter_by_rules(A, rules, log)
-    if rules and not out.solutions and A.solutions:
+    if not len(out) and len(A):
         warnings.warn(
             f"screening removed every solution of set {A.name!r}",
             EvaluationWarning,
@@ -349,7 +331,7 @@ def apply_clear_preferences(
     if not spec.clear:
         return A, ()
     out = _filter_by_rules(A, spec.clear, log)
-    if not out.solutions and A.solutions:
+    if not len(out) and len(A):
         warnings.warn(
             f"clear constraints removed every solution of set {A.name!r}",
             EvaluationWarning,
@@ -378,40 +360,26 @@ def apply_vague_preferences(
     if not spec.vague:
         return A
     signs = _signs(A)
-    keep: list[Solution] = []
-    for idx, sol in enumerate(A.solutions):
-        vals = list(sol.objectives)
-        discarded_by = None
-        for clamp in spec.vague:
-            j = clamp.objective
-            natural = signs[j] * vals[j]
-            maximize = signs[j] < 0
-            floor = clamp.hard_floor
-            short_of_floor = floor is not None and (
-                natural < floor if maximize else natural > floor
-            )
-            if short_of_floor:
-                discarded_by = clamp
-                break
-            beyond_saturation = (
-                natural > clamp.saturation if maximize else natural < clamp.saturation
-            )
-            if beyond_saturation:
-                vals[j] = signs[j] * clamp.saturation
-        if discarded_by is None:
-            keep.append(Solution(tuple(vals), id=sol.id, source=sol.source))
-        elif log is not None:
-            name = A.meta[discarded_by.objective].name
-            log.append(
-                Removal(idx, sol, f"{name} short of hard floor {discarded_by.hard_floor}")
-            )
-    if not keep and A.solutions:
+    clamped = A.values().copy()
+    short, reasons = [], []
+    for clamp in spec.vague:
+        # In stored (minimization) orientation lower is better in both
+        # directions, and the sign flip is exact.
+        j = clamp.objective
+        stored = A.values()[:, j]
+        floor = np.inf if clamp.hard_floor is None else signs[j] * clamp.hard_floor
+        short.append(stored > floor)
+        reasons.append(f"{A.meta[j].name} short of hard floor {clamp.hard_floor}")
+        saturation = signs[j] * clamp.saturation
+        clamped[stored < saturation, j] = saturation
+    out = _drop(A, short, reasons, log, values=clamped)
+    if not len(out) and len(A):
         warnings.warn(
             f"vague clamps removed every solution of set {A.name!r}",
             EvaluationWarning,
             stacklevel=2,
         )
-    return A.with_solutions(keep)
+    return out
 
 
 @dataclass(frozen=True)
@@ -436,7 +404,11 @@ class NormalizationBounds:
     @classmethod
     def from_sets(cls, sets: Sequence[SolutionSet]) -> "NormalizationBounds":
         """Componentwise min/max over every solution of every set."""
-        stacked = _stack_values(sets)
+        if not sets:
+            raise EmptySetError("need at least one solution set")
+        stacked = SolutionSet._concat(sets, "union").values()
+        if not len(stacked):
+            raise EmptySetError("all sets are empty")
         return cls(
             ideal=tuple(stacked.min(axis=0)),
             nadir=tuple(stacked.max(axis=0)),
@@ -456,19 +428,6 @@ class NormalizationBounds:
             ideal.append(lo)
             nadir.append(hi)
         return cls(ideal=tuple(ideal), nadir=tuple(nadir), source="hard_bounds")
-
-
-def _stack_values(sets: Sequence[SolutionSet]) -> np.ndarray:
-    if not sets:
-        raise EmptySetError("need at least one solution set")
-    m = sets[0].m
-    for s in sets[1:]:
-        if s.m != m:
-            raise DimensionMismatchError("sets disagree on objective count")
-    rows = [s.values() for s in sets if len(s)]
-    if not rows:
-        raise EmptySetError("all sets are empty")
-    return np.vstack(rows)
 
 
 def normalize(
@@ -500,25 +459,18 @@ def normalize(
         if s.m != m:
             raise DimensionMismatchError("sets disagree on objective count")
         vals = s.values()
-        if len(s):
-            scaled = np.where(degenerate, 0.0, (vals - ideal) / np.where(degenerate, 1.0, span))
-            if ((scaled < 0) | (scaled > 1)).any():
-                warnings.warn(
-                    f"set {s.name!r} has values outside the normalization bounds",
-                    EvaluationWarning,
-                    stacklevel=2,
-                )
-        else:
-            scaled = vals
-        sols = tuple(
-            Solution(tuple(row), id=orig.id, source=orig.source)
-            for row, orig in zip(scaled.tolist(), s.solutions)
-        )
+        scaled = np.where(degenerate, 0.0, (vals - ideal) / np.where(degenerate, 1.0, span))
+        if ((scaled < 0) | (scaled > 1)).any():
+            warnings.warn(
+                f"set {s.name!r} has values outside the normalization bounds",
+                EvaluationWarning,
+                stacklevel=2,
+            )
         meta = tuple(
             ObjectiveMeta(o.name, Direction.MINIMIZE, units=None, hard_bounds=None)
             for o in s.meta
         )
-        out.append(SolutionSet(s.name, meta, sols, signs=None))
+        out.append(s._select(values=scaled, meta=meta, signs=None))
     return out
 
 
@@ -531,22 +483,9 @@ def build_reference_set(sets: Sequence[SolutionSet]) -> SolutionSet:
     """
     if not sets:
         raise EmptySetError("need at least one solution set")
-    m = sets[0].m
-    merged: list[Solution] = []
-    for s in sets:
-        if s.m != m:
-            raise DimensionMismatchError("sets disagree on objective count")
-        for sol in s.solutions:
-            merged.append(
-                Solution(
-                    sol.objectives,
-                    id=sol.id,
-                    source=sol.source if sol.source is not None else s.name,
-                )
-            )
-    if not merged:
+    union = SolutionSet._concat(sets, "reference")
+    if not len(union):
         raise EmptySetError("cannot build a reference set from empty sets")
-    union = SolutionSet("reference", sets[0].meta, tuple(merged), signs=sets[0].signs)
     return unique_nondominated_front(union)
 
 
@@ -594,7 +533,7 @@ def build_reference_point(
     """
     if strategy not in REF_STRATEGIES:
         raise ValueError(f"unknown reference strategy {strategy!r}")
-    if not basis.solutions:
+    if not len(basis):
         raise EmptySetError("cannot derive a reference point from an empty basis")
     if strategy == "worst_values":
         return tuple(float(v) for v in basis.values().max(axis=0))

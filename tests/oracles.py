@@ -4,18 +4,40 @@ Everything here is written with plain loops and a deliberately different
 algorithmic approach from the library (cell counting and Monte-Carlo
 sampling instead of dimension sweep, pairwise scans instead of vectorized
 masks) so agreement between the two is meaningful evidence.  The slicer is
-the slower exact hypervolume the library's sweeps and WFG replaced.
+the slower exact hypervolume the library's sweeps and WFG replaced, and the
+``*_oracle`` preprocessing transforms are the per-row versions the array
+transforms replaced: each rebuilds every surviving row as a new ``Solution``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
+from paretoeval.core import (
+    DimensionMismatchError,
+    Direction,
+    EmptySetError,
+    EvaluationWarning,
+    ObjectiveMeta,
+    Solution,
+    SolutionSet,
+)
 from paretoeval.indicators import _front_points
+from paretoeval.preprocess import (
+    AT_LEAST,
+    AT_MOST,
+    EXACTLY_BEST,
+    ClearConstraint,
+    NormalizationBounds,
+    PreferenceSpec,
+    Removal,
+)
 
 
 def weakly_dom(a, b) -> bool:
@@ -219,3 +241,219 @@ def unfr_oracle(A, sets) -> float:
     union_front = {union[i] for i in front_indices(union)}
     mine = {A[i] for i in front_indices(A)}
     return len(mine & union_front) / len(union_front)
+
+
+def _signs(A: SolutionSet) -> tuple[float, ...]:
+    return A.signs if A.signs is not None else (1.0,) * A.m
+
+
+def to_minimization_oracle(A: SolutionSet) -> SolutionSet:
+    """Negate maximized objectives, row by row."""
+    if A.signs is not None:
+        raise ValueError(f"set {A.name!r} already carries an orientation transform")
+    signs = tuple(
+        -1.0 if o.direction is Direction.MAXIMIZE else 1.0 for o in A.meta
+    )
+    meta = tuple(
+        ObjectiveMeta(o.name, Direction.MINIMIZE, o.units, o.hard_bounds)
+        for o in A.meta
+    )
+    sols = tuple(
+        Solution(
+            tuple(s * v for s, v in zip(signs, sol.objectives)),
+            id=sol.id,
+            source=sol.source,
+        )
+        for sol in A.solutions
+    )
+    return SolutionSet(A.name, meta, sols, signs=signs)
+
+
+def restore_orientation_oracle(
+    A: SolutionSet, original_meta: Sequence[ObjectiveMeta]
+) -> SolutionSet:
+    """Invert :func:`to_minimization_oracle` row by row."""
+    if A.signs is None:
+        raise ValueError("set carries no orientation transform to undo")
+    if len(original_meta) != A.m:
+        raise DimensionMismatchError("original metadata length must match")
+    sols = tuple(
+        Solution(
+            tuple(s * v for s, v in zip(A.signs, sol.objectives)),
+            id=sol.id,
+            source=sol.source,
+        )
+        for sol in A.solutions
+    )
+    return SolutionSet(A.name, tuple(original_meta), sols, signs=None)
+
+
+def _satisfies(
+    sol: Solution,
+    rule: ClearConstraint,
+    signs: Sequence[float],
+    best_stored: float | None,
+) -> bool:
+    stored = sol.objectives[rule.objective]
+    natural = signs[rule.objective] * stored
+    if rule.kind == AT_LEAST:
+        return natural >= rule.threshold  # type: ignore[operator]
+    if rule.kind == AT_MOST:
+        return natural <= rule.threshold  # type: ignore[operator]
+    return stored == best_stored
+
+
+def filter_by_rules_oracle(
+    A: SolutionSet,
+    rules: Sequence[ClearConstraint],
+    log: list[Removal] | None,
+) -> SolutionSet:
+    """Rows passing every rule; each other row is logged with the first rule
+    it violates."""
+    signs = _signs(A)
+    # Best stored value per exactly_best rule; stored orientation is
+    # minimization, so "best" is always the minimum.
+    best: dict[int, float | None] = {}
+    for rule in rules:
+        if rule.kind == EXACTLY_BEST:
+            col = [s.objectives[rule.objective] for s in A.solutions]
+            best[rule.objective] = min(col) if col else None
+    keep: list[Solution] = []
+    for idx, sol in enumerate(A.solutions):
+        violated = None
+        for rule in rules:
+            if not _satisfies(sol, rule, signs, best.get(rule.objective)):
+                violated = rule
+                break
+        if violated is None:
+            keep.append(sol)
+        elif log is not None:
+            log.append(Removal(idx, sol, violated.describe(A.meta)))
+    return A.with_solutions(keep)
+
+
+def apply_vague_preferences_oracle(
+    A: SolutionSet,
+    spec: PreferenceSpec,
+    log: list[Removal] | None = None,
+) -> SolutionSet:
+    """Saturation clamps and hard floors, row by row and clamp by clamp."""
+    if not spec.vague:
+        return A
+    signs = _signs(A)
+    keep: list[Solution] = []
+    for idx, sol in enumerate(A.solutions):
+        vals = list(sol.objectives)
+        discarded_by = None
+        for clamp in spec.vague:
+            j = clamp.objective
+            natural = signs[j] * vals[j]
+            maximize = signs[j] < 0
+            floor = clamp.hard_floor
+            short_of_floor = floor is not None and (
+                natural < floor if maximize else natural > floor
+            )
+            if short_of_floor:
+                discarded_by = clamp
+                break
+            beyond_saturation = (
+                natural > clamp.saturation if maximize else natural < clamp.saturation
+            )
+            if beyond_saturation:
+                vals[j] = signs[j] * clamp.saturation
+        if discarded_by is None:
+            keep.append(Solution(tuple(vals), id=sol.id, source=sol.source))
+        elif log is not None:
+            name = A.meta[discarded_by.objective].name
+            log.append(
+                Removal(idx, sol, f"{name} short of hard floor {discarded_by.hard_floor}")
+            )
+    if not keep and A.solutions:
+        warnings.warn(
+            f"vague clamps removed every solution of set {A.name!r}",
+            EvaluationWarning,
+            stacklevel=2,
+        )
+    return A.with_solutions(keep)
+
+
+def normalize_oracle(
+    sets: Sequence[SolutionSet], bounds: NormalizationBounds
+) -> list[SolutionSet]:
+    """``(v - ideal) / (nadir - ideal)`` per objective, one row at a time."""
+    if not sets:
+        return []
+    m = sets[0].m
+    if len(bounds.ideal) != m:
+        raise DimensionMismatchError("bounds do not match objective count")
+    ideal = np.asarray(bounds.ideal)
+    span = np.asarray(bounds.nadir) - ideal
+    degenerate = span == 0
+    if degenerate.any():
+        names = [sets[0].meta[i].name for i in np.nonzero(degenerate)[0]]
+        warnings.warn(
+            f"degenerate normalization range on {', '.join(names)}; mapping to 0",
+            EvaluationWarning,
+            stacklevel=2,
+        )
+    out: list[SolutionSet] = []
+    for s in sets:
+        if s.m != m:
+            raise DimensionMismatchError("sets disagree on objective count")
+        vals = s.values()
+        if len(s):
+            scaled = np.where(degenerate, 0.0, (vals - ideal) / np.where(degenerate, 1.0, span))
+            if ((scaled < 0) | (scaled > 1)).any():
+                warnings.warn(
+                    f"set {s.name!r} has values outside the normalization bounds",
+                    EvaluationWarning,
+                    stacklevel=2,
+                )
+        else:
+            scaled = vals
+        sols = tuple(
+            Solution(tuple(row), id=orig.id, source=orig.source)
+            for row, orig in zip(scaled.tolist(), s.solutions)
+        )
+        meta = tuple(
+            ObjectiveMeta(o.name, Direction.MINIMIZE, units=None, hard_bounds=None)
+            for o in s.meta
+        )
+        out.append(SolutionSet(s.name, meta, sols, signs=None))
+    return out
+
+
+def unique_front_oracle(A: SolutionSet) -> SolutionSet:
+    """Pairwise front of ``A`` with the first occurrence of each vector kept."""
+    sols = A.solutions
+    front = [sols[i] for i in front_indices([s.objectives for s in sols])]
+    seen: set[tuple[float, ...]] = set()
+    keep: list[Solution] = []
+    for s in front:
+        if s.objectives not in seen:
+            seen.add(s.objectives)
+            keep.append(s)
+    return A.with_solutions(keep)
+
+
+def build_reference_set_oracle(sets: Sequence[SolutionSet]) -> SolutionSet:
+    """Unique front of the union, each row rebuilt with its source tag."""
+    if not sets:
+        raise EmptySetError("need at least one solution set")
+    m = sets[0].m
+    merged: list[Solution] = []
+    for s in sets:
+        if s.m != m:
+            raise DimensionMismatchError("sets disagree on objective count")
+        for sol in s.solutions:
+            merged.append(
+                Solution(
+                    sol.objectives,
+                    id=sol.id,
+                    source=sol.source if sol.source is not None else s.name,
+                )
+            )
+    if not merged:
+        raise EmptySetError("cannot build a reference set from empty sets")
+    union = SolutionSet("reference", sets[0].meta, tuple(merged), signs=sets[0].signs)
+    return unique_front_oracle(union)

@@ -9,7 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
-from paretoeval import EvaluationWarning, ObjectiveMeta, Direction
+from paretoeval import (
+    ClearConstraint,
+    Direction,
+    EvaluationWarning,
+    NormalizationBounds,
+    ObjectiveMeta,
+    normalize,
+    screen_trivial,
+    to_minimization,
+)
 from paretoeval.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -310,6 +319,19 @@ class TestSolutionFiles:
         path.write_text("f1,f2\nnan,2\n", encoding="utf-8")
         with pytest.raises(SolutionFileError, match=r"run\.csv:2"):
             load_solution_set(path, META_2D)
+        path.write_text("f1,f2\n1,2\n\n3,inf\n", encoding="utf-8")
+        with pytest.raises(SolutionFileError, match=r"run\.csv:4: .*finite, got inf"):
+            load_solution_set(path, META_2D)
+
+    def test_ids_survive_preprocessing(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("id,f1,f2\ns1,1,9\ns2,0,0\ns3,5,2\n", encoding="utf-8")
+        meta = (ObjectiveMeta("f1"), ObjectiveMeta("f2", Direction.MAXIMIZE))
+        run = to_minimization(load_solution_set(path, meta))
+        screened = screen_trivial(run, [ClearConstraint(1, "at_least", 1.0)])
+        (normed,) = normalize([screened], NormalizationBounds.from_sets([screened]))
+        assert [s.id for s in normed.solutions] == ["s1", "s3"]
+        assert normed.vectors() == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_header_only_warns(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -969,6 +991,44 @@ class TestMainErrors:
                 "preferences.clear: exactly_best on every objective leaves no "
                 "objective to compare the sets on",
             ),
+            (
+                lambda d: d["objectives"][0].update(hard_bounds=[0]),
+                "objectives[0].hard_bounds: expected a list of two numbers, got [0]",
+            ),
+            (
+                lambda d: d["objectives"][0].update(hard_bounds=5),
+                "objectives[0].hard_bounds: expected a list of two numbers, got 5",
+            ),
+            (
+                lambda d: d.update(preferences={"weights": 5}),
+                "preferences.weights: expected a list of numbers, got 5",
+            ),
+            (
+                lambda d: d.update(
+                    preferences={"vague": [{"objective": "f1", "saturation": None}]}
+                ),
+                "preferences.vague[0].saturation: expected a number, got null",
+            ),
+            (
+                lambda d: d.update(
+                    preferences={
+                        "clear": [{"objective": "f1", "kind": "at_most", "threshold": [1]}]
+                    }
+                ),
+                "preferences.clear[0].threshold: expected a number, got [1]",
+            ),
+            (
+                lambda d: d.update(
+                    preferences={
+                        "screen": [{"objective": "f2", "kind": "at_least", "threshold": True}]
+                    }
+                ),
+                "preferences.screen[0].threshold: expected a number, got true",
+            ),
+            (
+                lambda d: d.update(preferences={"untransferable": "no"}),
+                'preferences.untransferable: expected a boolean, got "no"',
+            ),
         ],
         ids=[
             "indicators-string",
@@ -977,6 +1037,13 @@ class TestMainErrors:
             "objectives-of-strings",
             "objective-name-number",
             "exactly-best-everywhere",
+            "hard-bounds-one-number",
+            "hard-bounds-number",
+            "weights-number",
+            "saturation-null",
+            "threshold-list",
+            "threshold-bool",
+            "untransferable-string",
         ],
     )
     def test_misshapen_manifest_exits_2(self, tmp_path, capsys, mutate, message):
