@@ -1151,6 +1151,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a bug: one line naming its type, no traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

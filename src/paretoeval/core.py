@@ -9,6 +9,7 @@ recorded on the set so reports can restore natural units.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Union
@@ -351,6 +352,107 @@ def _dominance(
     return x_any, y_any
 
 
+def _lex_sorted(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, V[order], repeat)``: the stable lexicographic order of the
+    rows, so tied rows (``-0.0`` against ``0.0`` included) keep their input
+    order, the sorted rows, and which sorted rows equal the row before."""
+    order = np.lexsort(V.T[::-1])
+    S = V[order]
+    repeat = np.zeros(len(S), dtype=bool)
+    repeat[1:] = (S[1:] == S[:-1]).all(axis=1)
+    return order, S, repeat
+
+
+def _front_mask(V: np.ndarray, unique: bool = False) -> np.ndarray:
+    """Which rows of the ``(n, m)`` array ``V`` no other row dominates.
+
+    The mask is in input order and keeps exact duplicates, which do not
+    dominate each other; ``unique`` keeps only the first occurrence of each.
+    A row can be dominated only by a row before it in lexicographic order,
+    so the rows are sorted once and the method follows ``m``: a running
+    minimum for m=2 and a staircase sweep for m=3 (Kung, Luccio & Preparata
+    1975), and blocks of sorted rows through ``_dominance`` otherwise.
+    """
+    order, S, repeat = _lex_sorted(V)
+    if V.shape[1] == 2:
+        keep = _front_sweep2(S)
+    elif V.shape[1] == 3:
+        keep = _front_sweep3(S, repeat)
+    else:
+        keep = _front_blocks(S)
+    if unique:
+        keep &= ~repeat
+    mask = np.empty(len(V), dtype=bool)
+    mask[order] = keep
+    return mask
+
+
+def _front_sweep2(S: np.ndarray) -> np.ndarray:
+    """Front of lexicographically sorted 2-column rows: a row is kept when it
+    is the lowest of its group of equal first objective and lies strictly
+    below every row of the groups before it."""
+    x, y = S[:, 0], S[:, 1]
+    start = np.ones(len(S), dtype=bool)
+    start[1:] = x[1:] != x[:-1]
+    group = np.cumsum(start) - 1
+    low = y[start]
+    below = np.empty_like(low)
+    below[:1] = np.inf
+    np.minimum.accumulate(low[:-1], out=below[1:])
+    return (low < below)[group] & (y == low[group])
+
+
+def _front_sweep3(S: np.ndarray, repeat: np.ndarray) -> np.ndarray:
+    """Front of lexicographically sorted 3-column rows.
+
+    ``ys``/``zs`` hold the staircase of the rows kept so far in the last two
+    objectives (y ascending, z descending), closed by an ``(inf, -inf)``
+    sentinel; an earlier row dominates the current one exactly when some
+    step lies weakly below it there.  A repeat of the previous row shares
+    its verdict.
+    """
+    keep: list[bool] = []
+    ys, zs = [math.inf], [-math.inf]
+    kept = True
+    for y, z, again in zip(S[:, 1].tolist(), S[:, 2].tolist(), repeat.tolist()):
+        if not again:
+            i = bisect_right(ys, y)
+            kept = not (i and zs[i - 1] <= z)
+            if kept:
+                # Steps j to k - 1 lie weakly above (y, z) and leave the staircase.
+                j = k = bisect_left(ys, y, 0, i)
+                while zs[k] >= z:
+                    k += 1
+                ys[j:k] = [y]
+                zs[j:k] = [z]
+        keep.append(kept)
+    return np.array(keep, dtype=bool)
+
+
+def _front_blocks(S: np.ndarray) -> np.ndarray:
+    """Front of lexicographically sorted rows, one block at a time.
+
+    Each block is compared with the front of the blocks before it, which
+    holds a dominator of every earlier row that has one, and its survivors
+    with each other.  That front is gathered in place at the head of ``S``,
+    a scratch copy, so no other array grows with it.  A block is sized so
+    that a quarter of ``_BLOCK_PAIRS`` bounds its self-comparison.
+    """
+    keep = np.zeros(len(S), dtype=bool)
+    size = max(1, math.isqrt(_BLOCK_PAIRS // 4))
+    found = 0
+    for i in range(0, len(S), size):
+        block = S[i : i + size]
+        alive = ~_dominance(S[:found], block)[1]
+        kept = block[alive]
+        alive[alive] = ~_dominance(kept, kept)[1]
+        keep[i : i + size] = alive
+        kept = block[alive]
+        S[found : found + len(kept)] = kept
+        found += len(kept)
+    return keep
+
+
 def _check_sets(first: SolutionSet, second: SolutionSet) -> None:
     if first.m != second.m:
         raise DimensionMismatchError(
@@ -402,8 +504,7 @@ def nondominated_front(A: SolutionSet) -> SolutionSet:
     Input order is preserved and exact duplicates are retained (duplicates do
     not dominate each other).
     """
-    _, dominated = _dominance(A.values(), A.values())
-    return A._select(~dominated)
+    return A._select(_front_mask(A.values()))
 
 
 def unique_nondominated_front(A: SolutionSet) -> SolutionSet:
@@ -412,7 +513,5 @@ def unique_nondominated_front(A: SolutionSet) -> SolutionSet:
     The first occurrence of each duplicated vector is kept.
     """
     front = nondominated_front(A)
-    first: dict[tuple[float, ...], int] = {}
-    for i, v in enumerate(front.vectors()):
-        first.setdefault(v, i)
-    return front._select(list(first.values()))
+    order, _, repeat = _lex_sorted(front.values())
+    return front._select(np.sort(order[~repeat]))

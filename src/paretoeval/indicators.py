@@ -9,7 +9,6 @@ and the distance-based indicators simply consume what they are given.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from .core import (
     EmptySetError,
     SolutionSet,
     _dominance,
+    _front_mask,
     nondominated_front,
     unique_nondominated_front,
 )
@@ -272,8 +272,13 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     count_b = Counter(B.vectors())
     shared = sum(min(c, count_b[v]) for v, c in count_a.items() if v in count_b)
     va, vb = A.values(), B.values()
-    a_wins, b_loses = _dominance(va, vb)
-    b_wins, a_loses = _dominance(vb, va)
+    # A row dominates some row of the other set exactly when it dominates one
+    # that dominates no other row there (a row of the front of the negated
+    # set), and is dominated by some row exactly when a front row dominates it.
+    a_wins = _dominance(va, vb[_front_mask(-vb)])[0]
+    b_wins = _dominance(vb, va[_front_mask(-va)])[0]
+    a_loses = _dominance(vb[_front_mask(vb)], va)[1]
+    b_loses = _dominance(va[_front_mask(va)], vb)[1]
     # A member that dominates nothing weakly dominates an opponent only by
     # equalling it, so "incomparable" means: no win, no loss, no twin.
     a_twin = np.array([v in count_b for v in A.vectors()], dtype=bool)
@@ -294,7 +299,9 @@ def coverage(A: SolutionSet, B: SolutionSet) -> float:
     if not len(A) or not len(B):
         raise EmptySetError("coverage needs two non-empty sets")
     distinct_b = np.array(list(dict.fromkeys(B.vectors())))
-    _, covered = _dominance(A.values(), distinct_b, weak=True)
+    # A row weakly dominated by some row of A is weakly dominated by a front row.
+    va = A.values()
+    _, covered = _dominance(va[_front_mask(va)], distinct_b, weak=True)
     return int(covered.sum()) / len(distinct_b)
 
 
@@ -420,27 +427,25 @@ def _front_share(A: SolutionSet, union: SolutionSet) -> float:
     return len(set(A.vectors()) & set(union.vectors())) / len(union)
 
 
-def _front_points(points: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    """Prune exact duplicates and dominated points (plain tuples)."""
-    unique = list(dict.fromkeys(points))
-    arr = np.array(unique)
-    _, dominated = _dominance(arr, arr)
-    return [p for p, d in zip(unique, dominated) if not d]
+def _front_points(points: np.ndarray) -> np.ndarray:
+    """The nondominated rows of an ``(n, m)`` array, in input order, with the
+    first occurrence of each duplicated row kept."""
+    return points[_front_mask(points, unique=True)]
 
 
-def _hv2d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+def _hv2d(points: np.ndarray, ref: tuple[float, ...]) -> float:
     """Exact 2-D hypervolume: sweep left to right, each front point adds a
     rectangle."""
     best_y = ref[1]
     vol = 0.0
-    for x, y in sorted(points):
+    for x, y in points[np.argsort(points[:, 0])].tolist():
         if y < best_y:
             vol += (ref[0] - x) * (best_y - y)
             best_y = y
     return vol
 
 
-def _hv3d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+def _hv3d(points: np.ndarray, ref: tuple[float, ...]) -> float:
     """Exact 3-D hypervolume by the HV3D dimension sweep.
 
     Points enter in ascending order of the last objective.  ``xs``/``ys`` hold
@@ -453,7 +458,7 @@ def _hv3d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
     xs: list[float] = []
     ys: list[float] = []
     area = vol = 0.0
-    ordered = sorted(points, key=lambda p: p[2])
+    ordered = points[np.argsort(points[:, 2], kind="stable")].tolist()
     for k, (x, y, z) in enumerate(ordered):
         i = bisect_left(xs, x)
         top = ys[i - 1] if i else ry  # height of the staircase just left of x
@@ -473,31 +478,36 @@ def _hv3d(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
     return vol
 
 
-def _hv_wfg(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+def _hv_wfg(points: np.ndarray, ref: tuple[float, ...]) -> float:
     """Exact hypervolume for four or more objectives (WFG).
 
     The total is the sum of each point's exclusive volume against the
     points after it: its box minus the hypervolume of its limit set (those
     points pushed up to it).  Ordering worst-first on the last objective
-    gives every limit set that point's last coordinate, so the limit set is
-    measured one dimension down.
+    (stably, so ties keep their order) gives every limit set that point's
+    last coordinate, so the limit set is measured one dimension down.
     """
-    ordered = sorted(points, key=lambda p: p[-1], reverse=True)
+    ordered = points[np.argsort(-points[:, -1], kind="stable")]
+    heads = ordered[:, :-1]
     head_ref = ref[:-1]
+    # Box volumes multiplied one objective at a time, in objective order.
+    boxes = np.ones(len(heads))
+    for r, column in zip(head_ref, heads.T):
+        boxes = boxes * (r - column)
+    depths = ref[-1] - ordered[:, -1]
     total = 0.0
-    for i, p in enumerate(ordered):
-        head = p[:-1]
-        box = math.prod(r - v for r, v in zip(head_ref, head))
-        limit = [tuple(map(max, head, q[:-1])) for q in ordered[i + 1 :]]
+    for i, (box, depth) in enumerate(zip(boxes.tolist(), depths.tolist())):
+        limit = np.maximum(heads[i + 1 :], heads[i])
         shadow = _hv_front(_front_points(limit), head_ref)
-        total += (box - shadow) * (ref[-1] - p[-1])
+        total += (box - shadow) * depth
     return total
 
 
-def _hv_front(points: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
-    """Exact hypervolume of distinct, mutually nondominated points that are
-    strictly better than ``ref`` on every objective."""
-    if not points:
+def _hv_front(points: np.ndarray, ref: tuple[float, ...]) -> float:
+    """Exact hypervolume of the rows of an ``(n, m)`` array: distinct,
+    mutually nondominated points, each strictly better than ``ref`` on every
+    objective."""
+    if not len(points):
         return 0.0
     if len(ref) == 2:
         return _hv2d(points, ref)
@@ -527,10 +537,8 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     ref = tuple(float(v) for v in refpoint)
     if len(ref) != A.m:
         raise DimensionMismatchError("reference point length must match")
-    pts = [
-        p for p in A.vectors() if all(v < r for v, r in zip(p, ref))
-    ]
-    return _hv_front(_front_points(pts), ref)
+    pts = A.values()
+    return _hv_front(_front_points(pts[(pts < ref).all(axis=1)]), ref)
 
 
 def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:

@@ -27,6 +27,7 @@ from .core import (
     ObjectiveMeta,
     Solution,
     SolutionSet,
+    _front_mask,
     unique_nondominated_front,
 )
 
@@ -537,8 +538,9 @@ def build_reference_point(
         raise EmptySetError("cannot derive a reference point from an empty basis")
     if strategy == "worst_values":
         return tuple(float(v) for v in basis.values().max(axis=0))
-    front = unique_nondominated_front(basis)
-    fv = front.values()
+    # Only the front's values are needed, so no front set is built.
+    fv = basis.values()
+    fv = fv[_front_mask(fv, unique=True)]
     nadir = fv.max(axis=0)
     if strategy == "explicit":
         if explicit is None:
@@ -565,7 +567,7 @@ def build_reference_point(
     elif strategy == "doubled_range":
         step = span.copy()
     else:  # nadir_plus_l_over_h
-        h = compute_h(len(front), basis.m)
+        h = compute_h(len(fv), basis.m)
         step = span / float(h)
     step = np.where(degenerate, 1.0, step)
     return tuple(float(v) for v in (nadir + step))

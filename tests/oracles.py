@@ -4,7 +4,8 @@ Everything here is written with plain loops and a deliberately different
 algorithmic approach from the library (cell counting and Monte-Carlo
 sampling instead of dimension sweep, pairwise scans instead of vectorized
 masks) so agreement between the two is meaningful evidence.  The slicer is
-the slower exact hypervolume the library's sweeps and WFG replaced, and the
+the slower exact hypervolume the library's sweeps and WFG replaced, the
+kernel front is the quadratic front the sort-based routine replaced, and the
 ``*_oracle`` preprocessing transforms are the per-row versions the array
 transforms replaced: each rebuilds every surviving row as a new ``Solution``.
 """
@@ -27,8 +28,8 @@ from paretoeval.core import (
     ObjectiveMeta,
     Solution,
     SolutionSet,
+    _dominance,
 )
-from paretoeval.indicators import _front_points
 from paretoeval.preprocess import (
     AT_LEAST,
     AT_MOST,
@@ -60,6 +61,22 @@ def front_indices(points) -> list[int]:
         if not dominated:
             keep.append(i)
     return keep
+
+
+def kernel_front_mask(V: np.ndarray) -> np.ndarray:
+    """Front mask from one kernel self-comparison: every row against every
+    row, the quadratic step the sort-based front routine replaced."""
+    return ~_dominance(V, V)[1]
+
+
+def front_points_oracle(points) -> list[tuple[float, ...]]:
+    """Exact duplicates and dominated points pruned from a list of tuples,
+    first occurrences kept in input order (the list-based filter the array
+    one replaced)."""
+    unique = list(dict.fromkeys(points))
+    if not unique:
+        return []
+    return [p for p, keep in zip(unique, kernel_front_mask(np.array(unique))) if keep]
 
 
 def contribution_oracle(A, B) -> float:
@@ -130,7 +147,8 @@ def hv_slicer_oracle(points, ref) -> float:
         depth = (ordered[i + 1][-1] if i + 1 < len(ordered) else ref[-1]) - p[-1]
         if depth == 0:
             continue
-        slab = _front_points([q[:-1] for q in ordered[: i + 1]])
+        slab = list(dict.fromkeys(q[:-1] for q in ordered[: i + 1]))
+        slab = [slab[k] for k in front_indices(slab)]
         total += hv_slicer_oracle(slab, ref[:-1]) * depth
     return total
 

@@ -19,6 +19,7 @@ from paretoeval import (
     screen_trivial,
     to_minimization,
 )
+from paretoeval import cli
 from paretoeval.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -917,6 +918,27 @@ class TestPlotData:
 
 
 class TestMainErrors:
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (KeyError("objectives"), "error: KeyError: 'objectives'"),
+            (RuntimeError("lost\nstate"), "error: RuntimeError: lost state"),
+        ],
+        ids=["KeyError", "RuntimeError"],
+    )
+    def test_unexpected_exception_exits_2_in_one_line(
+        self, knee_manifest, capsys, monkeypatch, exc, line
+    ):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_evaluate", broken)
+        code = main(["evaluate", "--manifest", str(knee_manifest)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.splitlines() == [line]
+        assert "Traceback" not in err
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = main(["evaluate", "--manifest", str(tmp_path / "none.json")])
         assert code == EXIT_ERROR

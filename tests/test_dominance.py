@@ -3,7 +3,8 @@
 Inputs are real-valued, of random size and dimension, with exact duplicates
 (within and across sets), coordinate ties and shifted copies that are
 strictly dominated.  Each property also runs with a tiny block cap, so the
-kernel splits both operands into many blocks.
+kernel splits both operands into many blocks and the sort-based front takes
+its m >= 4 rows in many blocks.
 """
 
 from __future__ import annotations
@@ -85,12 +86,47 @@ def test_front_matches_oracle(block_pairs, drawn):
     assert kept == [points[i] for i in oracles.front_indices(points)]
 
 
+@st.composite
+def front_arrays(draw):
+    """One ``(n, m)`` array, m in 2..6, built to stress the sort-based front:
+    integer-grid or real rows, or rows on a plane (all mutually
+    nondominated); a coarse first objective, so rows share it in groups;
+    duplicated rows; and zeros of either sign, so equal rows can differ in
+    their sign bits."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "real", "plane"]))
+    if kind == "grid":
+        V = rng.integers(-2, 3, size=(n, m)).astype(float)
+    else:
+        V = rng.normal(size=(n, m))
+        if kind == "plane":
+            V[:, -1] = -V[:, :-1].sum(axis=1)
+        ties = rng.random((n, m)) < 0.2
+        V[ties] = np.round(V[ties])
+    V[:, 0] = np.round(V[:, 0] * draw(st.sampled_from([1.0, 4.0])))
+    if n:
+        twins = rng.random(n) < 0.2
+        V[twins] = V[rng.integers(n, size=twins.sum())]
+    V[(V == 0) & (rng.random((n, m)) < 0.5)] = -0.0
+    return V
+
+
 @kernel_settings
-@given(drawn=point_lists(1))
-def test_front_points_match_oracle(block_pairs, drawn):
-    _, (points,) = drawn
-    unique = list(dict.fromkeys(points))
-    assert _front_points(points) == [unique[i] for i in oracles.front_indices(unique)]
+@given(V=front_arrays())
+def test_front_mask_matches_kernel_oracle(block_pairs, V):
+    assert (core._front_mask(V) == oracles.kernel_front_mask(V)).all()
+
+
+@kernel_settings
+@given(V=st.one_of(point_lists(1).map(lambda d: np.array(d[1][0])), front_arrays()))
+def test_front_points_match_oracle(block_pairs, V):
+    points = [tuple(row) for row in V.tolist()]
+    # Bytes, not values: the first occurrence of each duplicate is kept, sign
+    # bits of zeros included, in input order.
+    expected = np.array(oracles.front_points_oracle(points)).reshape(-1, V.shape[1])
+    assert _front_points(V).tobytes() == expected.tobytes()
 
 
 @kernel_settings
@@ -128,12 +164,16 @@ def test_coverage_matches_oracle(block_pairs, drawn):
 
 
 def test_front_memory_is_bounded():
-    A = make_set("A", np.random.default_rng(0).random((4000, 3)).tolist())
-    tracemalloc.start()
-    try:
-        front = nondominated_front(A)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert 0 < len(front) < len(A)
-    assert peak < 16e6
+    # The peak stays within 16 MB, about 200 bytes a row at 8e4 rows: the
+    # sweeps for m=2 and m=3 hold a few columns and lists, never a mask of
+    # row pairs.
+    for n, m in [(4000, 3), (80_000, 2), (80_000, 3)]:
+        A = make_set("A", np.random.default_rng(0).random((n, m)).tolist())
+        tracemalloc.start()
+        try:
+            front = nondominated_front(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(front) < len(A)
+        assert peak < 16e6, (n, m)

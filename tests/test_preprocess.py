@@ -346,6 +346,18 @@ class TestReferencePoint:
         # 5 front points, m=2 -> h=4
         assert point == pytest.approx((12 + 11 / 4, 10 + 8.5 / 4), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "strategy", ["nadir_plus_tenth", "nadir_plus_l_over_h", "doubled_range"]
+    )
+    def test_raw_basis_gives_the_point_of_its_unique_front(self, knee_sets, strategy):
+        # Twice every knee point plus two dominated rows: h for nadir_plus_l_over_h
+        # must count the 5 distinct front points, not the 10 copies.
+        raw = make_set("U", KNEE_A + KNEE_B + KNEE_B + KNEE_A + [(13, 11), (9, 6)])
+        front = build_reference_set(list(knee_sets))
+        assert build_reference_point(raw, strategy) == build_reference_point(
+            front, strategy
+        )
+
     def test_degenerate_range_steps_by_one(self):
         A = make_set("A", [(1, 5), (2, 5)])
         with pytest.warns(EvaluationWarning):
