@@ -317,8 +317,9 @@ def compare(a: Vector, b: Vector) -> DominanceOutcome:
     return DominanceOutcome.INCOMPARABLE
 
 
-# Cap on the row pairs one block of ``_dominance`` compares, which bounds its
-# temporaries to a few times ``_BLOCK_PAIRS * m`` bytes at any input size.
+# Cap on the row pairs one block of ``_dominance`` or ``_nearest`` compares,
+# which bounds their temporaries to a few times ``_BLOCK_PAIRS * m`` bytes at
+# any input size.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -350,6 +351,107 @@ def _dominance(
             x_any[i : i + rows] |= rel.any(axis=1)
             y_any[j : j + cols] |= rel.any(axis=0)
     return x_any, y_any
+
+
+def _chain(first, terms):
+    """``first`` followed by ``terms``, combined one at a time, in order."""
+    for k in terms:
+        first = (first, k)
+    return first
+
+
+def _sum_order(lo: int, n: int):
+    """The order in which numpy's ``add.reduce`` sums the ``n`` terms from
+    index ``lo`` of a contiguous axis (its ``pairwise_sum``): a term index,
+    or a pair ``(left, right)`` summed as ``left + right``.
+
+    Fewer than 8 terms are summed in sequence.  Up to 128 go to eight
+    interleaved accumulators, combined as a tree, then the leftover terms
+    follow in sequence.  More are split in halves of a multiple of 8.
+    """
+    if n < 8:
+        return _chain(lo, range(lo + 1, lo + n))
+    if n <= 128:
+        full = lo + n - n % 8
+        r = [_chain(j, range(j + 8, full, 8)) for j in range(lo, lo + 8)]
+        tree = ((r[0], r[1]), (r[2], r[3])), ((r[4], r[5]), (r[6], r[7]))
+        return _chain(tree, range(full, lo + n))
+    half = n // 2 - n // 2 % 8
+    return _sum_order(lo, half), _sum_order(lo + half, n - half)
+
+
+def _steps(order, reg: int = 0) -> list[tuple[int | None, int]]:
+    """``order`` as steps on numbered buffers that leave its value in buffer
+    ``reg``: ``(k, r)`` writes term k to buffer r and ``(None, r)`` combines
+    buffer r + 1 into buffer r."""
+    if isinstance(order, int):
+        return [(order, reg)]
+    left, right = order
+    return _steps(left, reg) + _steps(right, reg + 1) + [(None, reg)]
+
+
+def _nearest(
+    X: np.ndarray, Y: np.ndarray, metric: str, skip_self: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column minima of the distances between the rows of an
+    ``(n, m)`` and a ``(k, m)`` array, without holding all ``n * k`` of them.
+
+    ``metric`` names the distance from a row x to a row y: ``"euclidean"``,
+    the 2-norm of x - y; ``"shortfall"``, the 2-norm of max(x - y, 0);
+    ``"l1"``, the 1-norm of x - y; and ``"epsilon"``, max_i (x_i - y_i).
+    ``skip_self`` leaves out the pair of each row with itself, for ``Y`` the
+    same array as ``X``.
+
+    Blocks of at most ``_BLOCK_PAIRS`` pairs are filled one objective at a
+    time into preallocated 2-D buffers, so no ``(rows, cols, m)`` array
+    exists.  The results equal, bit for bit, those of the ``(n, k, m)``
+    array of differences: a pair's terms are summed in the order numpy's
+    ``sum`` over a last axis of length m uses, the square root is taken of
+    the minima, and the sign of a zero epsilon is numpy's.
+    """
+    n, k, m = len(X), len(Y), X.shape[1]
+    epsilon = metric == "epsilon"
+    fold = np.maximum if epsilon else np.add
+    steps = _steps(_chain(0, range(1, m)) if epsilon else _sum_order(0, m))
+    cols = max(1, min(k, _BLOCK_PAIRS))
+    rows = max(1, min(n, _BLOCK_PAIRS // cols))
+    buffers = [np.empty(rows * cols) for _ in range(max(r for _, r in steps) + 1)]
+    row_min = np.full(n, np.inf)
+    col_min = np.full(k, np.inf)
+    for i in range(0, n, rows):
+        xs = X[i : i + rows]
+        for j in range(0, k, cols):
+            ys = Y[j : j + cols]
+            shape = (len(xs), len(ys))
+            buf = [b[: shape[0] * shape[1]].reshape(shape) for b in buffers]
+            for t, r in steps:
+                if t is None:
+                    fold(buf[r], buf[r + 1], out=buf[r])
+                    continue
+                np.subtract.outer(xs[:, t], ys[:, t], out=buf[r])
+                if metric == "shortfall":
+                    np.maximum(buf[r], 0.0, out=buf[r])
+                if metric == "l1":
+                    np.abs(buf[r], out=buf[r])
+                elif not epsilon:
+                    np.multiply(buf[r], buf[r], out=buf[r])
+            d = buf[0]
+            if epsilon:
+                # A zero maximum is 0.0 or -0.0 by which of its tied terms
+                # wins, and numpy's max breaks such ties in an order that
+                # depends on the CPU's vector width: take it from numpy.
+                a, b = np.nonzero(d == 0)
+                if len(a):
+                    d[a, b] = (xs[a] - ys[b]).max(axis=1)
+            if skip_self:
+                p = np.arange(max(i, j), min(i + shape[0], j + shape[1]))
+                d[p - i, p - j] = np.inf
+            np.minimum(row_min[i : i + rows], d.min(axis=1), out=row_min[i : i + rows])
+            np.minimum(col_min[j : j + cols], d.min(axis=0), out=col_min[j : j + cols])
+    if metric in ("euclidean", "shortfall"):
+        np.sqrt(row_min, out=row_min)
+        np.sqrt(col_min, out=col_min)
+    return row_min, col_min
 
 
 def _lex_sorted(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from .core import (
     SolutionSet,
     _dominance,
     _front_mask,
+    _nearest,
     nondominated_front,
     unique_nondominated_front,
 )
@@ -245,18 +246,6 @@ def _check_same_m(A: SolutionSet, B: SolutionSet) -> None:
         )
 
 
-def _euclidean(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, shape (len(X), len(Y))."""
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _shortfall(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise one-sided distances: X penalized only where worse than Y."""
-    diff = np.maximum(X[:, None, :] - Y[None, :, :], 0.0)
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 def contribution(A: SolutionSet, B: SolutionSet) -> float:
     """Share of the better solutions contributed by A relative to B.
 
@@ -315,7 +304,7 @@ def gd(A: SolutionSet, reference: SolutionSet, p: float = 1.0) -> float:
     _check_same_m(A, reference)
     if p < 1:
         raise ValueError("p must be >= 1")
-    d = _euclidean(_values(A), _values(reference)).min(axis=1)
+    d = _nearest(_values(A), _values(reference), "euclidean")[0]
     return float((d**p).sum() ** (1.0 / p) / len(d))
 
 
@@ -327,7 +316,7 @@ def gd_plus(A: SolutionSet, reference: SolutionSet) -> float:
     the reference costs nothing.  Aggregation is the arithmetic mean.
     """
     _check_same_m(A, reference)
-    d = _shortfall(_values(A), _values(reference)).min(axis=1)
+    d = _nearest(_values(A), _values(reference), "shortfall")[0]
     return float(d.mean())
 
 
@@ -335,7 +324,7 @@ def igd(A: SolutionSet, reference: SolutionSet) -> float:
     """Inverted generational distance: mean distance from each reference
     point to its nearest member of A."""
     _check_same_m(A, reference)
-    d = _euclidean(_values(reference), _values(A)).min(axis=1)
+    d = _nearest(_values(A), _values(reference), "euclidean")[1]
     return float(d.mean())
 
 
@@ -343,8 +332,8 @@ def igd_plus(A: SolutionSet, reference: SolutionSet) -> float:
     """Inverted generational distance with one-sided distances: A is charged
     only where it fails to reach each reference point."""
     _check_same_m(A, reference)
-    # shortfall[i, j]: member i of A penalized where worse than reference j
-    d = _shortfall(_values(A), _values(reference)).min(axis=0)
+    # Member a of A is charged where it is worse than reference point r.
+    d = _nearest(_values(A), _values(reference), "shortfall")[1]
     return float(d.mean())
 
 
@@ -391,9 +380,7 @@ def spacing(A: SolutionSet) -> float:
     v = _values(A)
     if len(v) < 2:
         raise ValueError("spacing needs at least two solutions")
-    l1 = np.abs(v[:, None, :] - v[None, :, :]).sum(axis=2)
-    np.fill_diagonal(l1, np.inf)
-    d = l1.min(axis=1)
+    d = _nearest(v, v, "l1", skip_self=True)[0]
     return float(d.std(ddof=1))
 
 
@@ -548,8 +535,7 @@ def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:
     negative when A strictly exceeds B everywhere.
     """
     _check_same_m(A, B)
-    diff = _values(A)[:, None, :] - _values(B)[None, :, :]
-    return float(diff.max(axis=2).min(axis=0).max())
+    return float(_nearest(_values(A), _values(B), "epsilon")[1].max())
 
 
 def grid_diversity(
@@ -578,7 +564,7 @@ def grid_diversity(
     def _cells(v: np.ndarray) -> set[tuple[int, ...]]:
         scaled = (v - lo) / (hi - lo) * divisions
         idx = np.minimum(scaled.astype(int), divisions - 1)
-        return {tuple(int(c) for c in row) for row in idx}
+        return set(map(tuple, idx.tolist()))
 
     per_set = [_cells(s.values()) for s in sets]
     union: set[tuple[int, ...]] = set()

@@ -3,8 +3,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
-from paretoeval import Direction, ObjectiveMeta, Solution, SolutionSet
+from paretoeval import Direction, ObjectiveMeta, Solution, SolutionSet, core
+
+# Settings for properties that take ``block_pairs``: the block cap is patched
+# once per test, not per example.
+kernel_settings = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture(params=[None, 37], ids=["default-block", "tiny-block"])
+def block_pairs(request, monkeypatch):
+    """Run at the default block cap and at a tiny one, so the block kernels
+    split both operands into many blocks."""
+    if request.param is not None:
+        monkeypatch.setattr(core, "_BLOCK_PAIRS", request.param)
 
 
 def make_set(name, points, directions=None, names=None, signs=None):

@@ -5,7 +5,9 @@ algorithmic approach from the library (cell counting and Monte-Carlo
 sampling instead of dimension sweep, pairwise scans instead of vectorized
 masks) so agreement between the two is meaningful evidence.  The slicer is
 the slower exact hypervolume the library's sweeps and WFG replaced, the
-kernel front is the quadratic front the sort-based routine replaced, and the
+kernel front is the quadratic front the sort-based routine replaced, the
+``*_matrix`` distance indicators are the ``(n, k, m)`` array versions the
+blocked nearest-distance kernel replaced (bit-exact references), and the
 ``*_oracle`` preprocessing transforms are the per-row versions the array
 transforms replaced: each rebuilds every surviving row as a new ``Solution``.
 """
@@ -244,6 +246,51 @@ def spacing_oracle(points) -> float:
         dists.append(best)
     mean = sum(dists) / n
     return math.sqrt(sum((d - mean) ** 2 for d in dists) / (n - 1))
+
+
+def euclidean_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances, shape (len(X), len(Y))."""
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def shortfall_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Pairwise one-sided distances: X penalized only where worse than Y."""
+    diff = np.maximum(X[:, None, :] - Y[None, :, :], 0.0)
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def gd_matrix(A: np.ndarray, R: np.ndarray, p: float = 1.0) -> float:
+    d = euclidean_matrix(A, R).min(axis=1)
+    return float((d**p).sum() ** (1.0 / p) / len(d))
+
+
+def gd_plus_matrix(A: np.ndarray, R: np.ndarray) -> float:
+    d = shortfall_matrix(A, R).min(axis=1)
+    return float(d.mean())
+
+
+def igd_matrix(A: np.ndarray, R: np.ndarray) -> float:
+    d = euclidean_matrix(R, A).min(axis=1)
+    return float(d.mean())
+
+
+def igd_plus_matrix(A: np.ndarray, R: np.ndarray) -> float:
+    # shortfall[i, j]: member i of A penalized where worse than reference j
+    d = shortfall_matrix(A, R).min(axis=0)
+    return float(d.mean())
+
+
+def epsilon_matrix(A: np.ndarray, B: np.ndarray) -> float:
+    diff = A[:, None, :] - B[None, :, :]
+    return float(diff.max(axis=2).min(axis=0).max())
+
+
+def spacing_matrix(v: np.ndarray) -> float:
+    l1 = np.abs(v[:, None, :] - v[None, :, :]).sum(axis=2)
+    np.fill_diagonal(l1, np.inf)
+    d = l1.min(axis=1)
+    return float(d.std(ddof=1))
 
 
 def h_oracle(n, m) -> int:

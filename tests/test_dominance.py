@@ -12,8 +12,7 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from paretoeval import (
@@ -28,21 +27,8 @@ from paretoeval import (
 )
 from paretoeval import core
 from paretoeval.indicators import _front_points
-from conftest import make_set
+from conftest import kernel_settings, make_set
 import oracles
-
-# The block cap is patched once per test, not per example.
-kernel_settings = settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-
-
-@pytest.fixture(params=[None, 37], ids=["default-block", "tiny-block"])
-def block_pairs(request, monkeypatch):
-    if request.param is not None:
-        monkeypatch.setattr(core, "_BLOCK_PAIRS", request.param)
 
 
 def _points(rng, m, n, pool):
