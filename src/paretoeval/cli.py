@@ -3,7 +3,8 @@
 An experiment is described by a JSON manifest naming the objectives, the
 algorithms with their run files (CSV, one solution per row), the declared
 preferences, optional indicator overrides, and output paths.  Unknown
-manifest fields are rejected so typos fail fast.  Machine-readable reports
+manifest fields are rejected so typos fail fast, and each subcommand takes
+only the flags it reads.  Machine-readable reports
 are byte-stable: the same manifest and data always serialize to the same
 bytes (keys sorted, no timestamps).
 
@@ -18,14 +19,13 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    Direction,
     EmptySetError,
     EvaluationWarning,
     ObjectiveMeta,
@@ -54,6 +54,7 @@ from .preprocess import (
     apply_clear_preferences,
     apply_vague_preferences,
     build_reference_set,
+    normalization_bounds,
     normalize,
     screen_trivial,
     to_minimization,
@@ -84,7 +85,7 @@ EXIT_ERROR = 2
 
 
 class ManifestError(ValueError):
-    """Malformed experiment manifest."""
+    """Malformed experiment manifest; the message starts with the JSON path."""
 
 
 class SolutionFileError(ValueError):
@@ -96,6 +97,10 @@ class AlgorithmEntry:
     name: str
     runs: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("algorithm name must be non-empty")
+
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -104,225 +109,214 @@ class OutputSpec:
 
 
 @dataclass(frozen=True)
-class Overrides:
-    """Indicator selection and configuration fragments from the manifest.
-
-    ``fields`` names the ``IndicatorConfig`` fields the manifest set; a
-    bare ``ref_point`` sets ``hv_strategy`` to ``explicit`` as well.
-    """
-
-    indicators: tuple[str, ...] = ()
-    config: IndicatorConfig = field(default_factory=IndicatorConfig)
-    fields: frozenset[str] = frozenset()
-
-    def apply_to(self, config: IndicatorConfig) -> IndicatorConfig:
-        """``config`` with the manifest's values for the fields it set."""
-        return replace(config, **{f: getattr(self.config, f) for f in self.fields})
-
-
-@dataclass(frozen=True)
 class Manifest:
+    """A checked manifest.  ``overrides`` holds only the ``IndicatorConfig``
+    fields that ``indicator_overrides`` sets, reference-point rule applied."""
+
     objectives: tuple[ObjectiveMeta, ...]
     algorithms: tuple[AlgorithmEntry, ...]
     preferences: PreferenceSpec = field(default_factory=PreferenceSpec)
-    overrides: Overrides = field(default_factory=Overrides)
+    indicators: tuple[str, ...] = ()
+    overrides: Mapping[str, object] = field(default_factory=dict)
     output: OutputSpec = field(default_factory=OutputSpec)
     base_dir: str = "."
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ManifestError(f"{where}: expected an object, got {json.dumps(obj)}")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ManifestError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+class _Kind(NamedTuple):
+    """The JSON type of a manifest value: the label error messages name, the
+    check a value must pass, and the field table of a nested object (for a
+    list, of each of its items)."""
 
-
-def _list(value: object, where: str) -> list:
-    if not isinstance(value, list):
-        raise ManifestError(f"{where}: expected a list, got {json.dumps(value)}")
-    return value
-
-
-def _name(obj: dict, where: str) -> str:
-    if not isinstance(obj["name"], str):
-        raise ManifestError(
-            f"{where}.name: expected a string, got {json.dumps(obj['name'])}"
-        )
-    return obj["name"]
+    label: str
+    valid: Callable[[object], bool]
+    table: dict | None = None
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number: not true/false, NaN or an infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
-def _is_numbers(value: object) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
+def _list_of(valid: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, list) and all(map(valid, v))
 
 
-# Expected JSON type of a manifest scalar, checked before the domain types
-# compare or convert the value; null stands for "not given" where allowed.
-_NUMBER = ("a number", _is_number)
-_OPTIONAL_NUMBER = ("a number", lambda v: v is None or _is_number(v))
-_OPTIONAL_NUMBERS = ("a list of numbers", lambda v: v is None or _is_numbers(v))
-_BOUNDS = ("a list of two numbers", lambda v: v is None or (_is_numbers(v) and len(v) == 2))
-_BOOLEAN = ("a boolean", lambda v: isinstance(v, bool))
-_OVERRIDE_TYPES = {
-    "indicators": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+def _nullable(kind: _Kind) -> _Kind:
+    """``kind`` or null, which stands for "not given"."""
+    return kind._replace(valid=lambda v: v is None or kind.valid(v))
+
+
+_NUMBER = _Kind("a number", _is_number)
+_INTEGER = _Kind("an integer", lambda v: _is_number(v) and isinstance(v, int))
+_STRING = _Kind("a string", lambda v: isinstance(v, str))
+_BOOLEAN = _Kind("a boolean", lambda v: isinstance(v, bool))
+_NUMBERS = _Kind("a list of numbers", _list_of(_is_number))
+_PAIR = _Kind("a list of two numbers", lambda v: _NUMBERS.valid(v) and len(v) == 2)
+_STRINGS = _Kind("a list of strings", _list_of(_STRING.valid))
+_RUNS = _Kind("a non-empty list of strings", lambda v: _STRINGS.valid(v) and v != [])
+_REFERENCE = _Kind(
+    "an objective name or index",
+    lambda v: isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)),
+)
+_REFERENCES = _Kind("a list of objective names or indices", _list_of(_REFERENCE.valid))
+
+
+def _object(table: dict) -> _Kind:
+    return _Kind("an object", lambda v: isinstance(v, dict), table)
+
+
+def _objects(table: dict) -> _Kind:
+    return _Kind("a list", lambda v: isinstance(v, list), table)
+
+
+# One field table per manifest object: field -> (required, kind).
+_REQUIRED, _OPTIONAL = True, False
+_OBJECTIVE = {
+    "name": (_REQUIRED, _STRING),
+    "direction": (_OPTIONAL, _STRING),
+    "units": (_OPTIONAL, _nullable(_STRING)),
+    "hard_bounds": (_OPTIONAL, _nullable(_PAIR)),
+}
+_ALGORITHM = {"name": (_REQUIRED, _STRING), "runs": (_REQUIRED, _RUNS)}
+_CONSTRAINT = {
+    "objective": (_REQUIRED, _REFERENCE),
+    "kind": (_REQUIRED, _STRING),
+    "threshold": (_OPTIONAL, _nullable(_NUMBER)),
+}
+_CLAMP = {
+    "objective": (_REQUIRED, _REFERENCE),
+    "saturation": (_REQUIRED, _NUMBER),
+    "hard_floor": (_OPTIONAL, _nullable(_NUMBER)),
+}
+_ROI = {"extreme": (_REQUIRED, _REFERENCES)}
+_PREFERENCES = {
+    "screen": (_OPTIONAL, _objects(_CONSTRAINT)),
+    "clear": (_OPTIONAL, _objects(_CONSTRAINT)),
+    "vague": (_OPTIONAL, _objects(_CLAMP)),
+    "roi": (
+        _OPTIONAL,
+        _Kind(
+            '"knee" or an object',
+            lambda v: v is None or v == "knee" or isinstance(v, dict),
+            _ROI,
+        ),
     ),
-    "gd_p": _NUMBER,
-    "grid_divisions": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "hv_strategy": ("a string", lambda v: isinstance(v, str)),
-    "normalization": ("a string", lambda v: isinstance(v, str)),
-    "ref_point": _OPTIONAL_NUMBERS,
+    "weights": (_OPTIONAL, _nullable(_NUMBERS)),
+    "untransferable": (_OPTIONAL, _BOOLEAN),
+}
+_OVERRIDES = {
+    "indicators": (_OPTIONAL, _STRINGS),
+    "gd_p": (_OPTIONAL, _NUMBER),
+    "hv_strategy": (_OPTIONAL, _STRING),
+    "ref_point": (_OPTIONAL, _nullable(_NUMBERS)),
+    "grid_divisions": (_OPTIONAL, _INTEGER),
+    "normalization": (_OPTIONAL, _STRING),
+}
+_OUTPUT = {
+    "report": (_OPTIONAL, _nullable(_STRING)),
+    "plot_data": (_OPTIONAL, _nullable(_STRING)),
+}
+_MANIFEST = {
+    "objectives": (_REQUIRED, _objects(_OBJECTIVE)),
+    "algorithms": (_REQUIRED, _objects(_ALGORITHM)),
+    "preferences": (_OPTIONAL, _object(_PREFERENCES)),
+    "indicator_overrides": (_OPTIONAL, _object(_OVERRIDES)),
+    "output": (_OPTIONAL, _object(_OUTPUT)),
 }
 
 
-def _check_types(obj: dict, types: dict, where: str) -> None:
-    for key, (expected, valid) in types.items():
-        if key in obj and not valid(obj[key]):
-            raise ManifestError(
-                f"{where}.{key}: expected {expected}, got {json.dumps(obj[key])}"
-            )
+def _walk(obj: object, table: dict, where: str = "") -> None:
+    """Check a manifest object, and the objects nested in it, against its
+    field table.  Rejects, in this order: a value that is not an object,
+    unknown fields, missing required fields, mistyped values."""
+    name = where or "manifest"
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{name}: expected an object, got {json.dumps(obj)}")
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ManifestError(f"unknown field(s) in {name}: {', '.join(unknown)}")
+    missing = [k for k, (required, _) in table.items() if required and k not in obj]
+    if missing:
+        raise ManifestError(f"{name}: missing {missing[0]!r}")
+    for key, value in obj.items():
+        kind = table[key][1]
+        path = f"{where}.{key}" if where else key
+        if not kind.valid(value):
+            got = json.dumps(value)
+            raise ManifestError(f"{path}: expected {kind.label}, got {got}")
+        if kind.table is not None and isinstance(value, dict):
+            _walk(value, kind.table, path)
+        elif kind.table is not None and isinstance(value, list):
+            for i, item in enumerate(value):
+                _walk(item, kind.table, f"{path}[{i}]")
 
 
-def _objective_index(ref: object, names: list[str], where: str) -> int:
-    if isinstance(ref, bool):
-        raise ManifestError(f"{where}: objective reference must be a name or index")
-    if isinstance(ref, int):
-        if not 0 <= ref < len(names):
-            raise ManifestError(f"{where}: objective index {ref} out of range")
-        return ref
-    if isinstance(ref, str):
-        if ref not in names:
-            raise ManifestError(f"{where}: unknown objective {ref!r}")
-        return names.index(ref)
-    raise ManifestError(f"{where}: objective reference must be a name or index")
-
-
-def _parse_constraint(raw: dict, names: list[str], where: str) -> ClearConstraint:
-    _require_keys(raw, {"objective", "kind", "threshold"}, where)
-    for key in ("objective", "kind"):
-        if key not in raw:
-            raise ManifestError(f"{where}: missing {key!r}")
-    _check_types(raw, {"threshold": _OPTIONAL_NUMBER}, where)
+def _at(where: str, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ``ValueError`` prefixed with ``where``."""
     try:
-        return ClearConstraint(
-            objective=_objective_index(raw["objective"], names, where),
-            kind=raw["kind"],
-            threshold=raw.get("threshold"),
-        )
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
 
-def _parse_preferences(raw: dict, names: list[str]) -> PreferenceSpec:
-    _require_keys(
-        raw,
-        {"screen", "clear", "vague", "roi", "weights", "untransferable"},
+def _objective_index(ref: str | int, names: list[str]) -> int:
+    if isinstance(ref, str):
+        if ref not in names:
+            raise ValueError(f"unknown objective {ref!r}")
+        return names.index(ref)
+    if not 0 <= ref < len(names):
+        raise ValueError(f"objective index {ref} out of range")
+    return ref
+
+
+def _preferences(raw: dict, names: list[str]) -> PreferenceSpec:
+    def index(ref: str | int, where: str) -> int:
+        return _at(where, _objective_index, ref, names)
+
+    def parts(key: str, build: Callable, *rest: str) -> tuple:
+        built = []
+        for i, item in enumerate(raw.get(key, [])):
+            where = f"preferences.{key}[{i}]"
+            objective = index(item["objective"], f"{where}.objective")
+            built.append(_at(where, build, objective, *(item.get(k) for k in rest)))
+        return tuple(built)
+
+    roi = raw.get("roi")
+    if isinstance(roi, dict):
+        extreme = (index(o, "preferences.roi.extreme") for o in roi["extreme"])
+        roi = RegionOfInterest("extreme", tuple(extreme))
+    elif roi is not None:
+        roi = RegionOfInterest(roi)
+    return _at(
         "preferences",
+        PreferenceSpec,
+        clear=parts("clear", ClearConstraint, "kind", "threshold"),
+        vague=parts("vague", VagueClamp, "saturation", "hard_floor"),
+        roi=roi,
+        weights=raw.get("weights"),
+        screen=parts("screen", ClearConstraint, "kind", "threshold"),
+        untransferable=raw.get("untransferable", False),
     )
-    types = {"weights": _OPTIONAL_NUMBERS, "untransferable": _BOOLEAN}
-    _check_types(raw, types, "preferences")
-    screen = tuple(
-        _parse_constraint(c, names, f"preferences.screen[{i}]")
-        for i, c in enumerate(_list(raw.get("screen", []), "preferences.screen"))
-    )
-    clear = tuple(
-        _parse_constraint(c, names, f"preferences.clear[{i}]")
-        for i, c in enumerate(_list(raw.get("clear", []), "preferences.clear"))
-    )
-    vague = []
-    for i, v in enumerate(_list(raw.get("vague", []), "preferences.vague")):
-        where = f"preferences.vague[{i}]"
-        _require_keys(v, {"objective", "saturation", "hard_floor"}, where)
-        if "objective" not in v or "saturation" not in v:
-            raise ManifestError(f"{where}: needs objective and saturation")
-        _check_types(v, {"saturation": _NUMBER, "hard_floor": _OPTIONAL_NUMBER}, where)
-        try:
-            vague.append(
-                VagueClamp(
-                    objective=_objective_index(v["objective"], names, where),
-                    saturation=v["saturation"],
-                    hard_floor=v.get("hard_floor"),
-                )
-            )
-        except ValueError as exc:
-            raise ManifestError(f"{where}: {exc}") from exc
-    roi_raw = raw.get("roi")
-    roi = None
-    if roi_raw is not None:
-        if roi_raw == "knee":
-            roi = RegionOfInterest("knee")
-        elif isinstance(roi_raw, dict):
-            _require_keys(roi_raw, {"extreme"}, "preferences.roi")
-            if "extreme" not in roi_raw:
-                raise ManifestError("preferences.roi: needs 'extreme'")
-            idx = tuple(
-                _objective_index(o, names, "preferences.roi.extreme")
-                for o in _list(roi_raw["extreme"], "preferences.roi.extreme")
-            )
-            roi = RegionOfInterest("extreme", idx)
-        else:
-            raise ManifestError(
-                "preferences.roi must be 'knee' or {'extreme': [objectives]}"
-            )
-    weights = raw.get("weights")
-    try:
-        return PreferenceSpec(
-            clear=clear,
-            vague=tuple(vague),
-            roi=roi,
-            weights=tuple(weights) if weights is not None else None,
-            screen=screen,
-            untransferable=raw.get("untransferable", False),
-        )
-    except ValueError as exc:
-        raise ManifestError(f"preferences: {exc}") from exc
 
 
-def _parse_overrides(raw: dict) -> Overrides:
-    _require_keys(
-        raw,
-        {
-            "indicators",
-            "gd_p",
-            "hv_strategy",
-            "ref_point",
-            "grid_divisions",
-            "normalization",
-        },
-        "indicator_overrides",
-    )
-    _check_types(raw, _OVERRIDE_TYPES, "indicator_overrides")
-    indicators = tuple(raw.get("indicators", []))
-    for name in indicators:
-        try:
-            canonical_name(name)
-        except ValueError as exc:
-            raise ManifestError(f"indicator_overrides: {exc}") from exc
-    defaults = IndicatorConfig()
-    ref_point = tuple(raw["ref_point"]) if raw.get("ref_point") is not None else None
-    # A bare reference point means "use exactly this point".
-    strategy = raw.get(
-        "hv_strategy", "explicit" if ref_point is not None else defaults.hv_strategy
-    )
-    try:
-        config = IndicatorConfig(
-            gd_p=raw.get("gd_p", defaults.gd_p),
-            hv_strategy=strategy,
-            ref_point=ref_point,
-            grid_divisions=raw.get("grid_divisions", defaults.grid_divisions),
-            normalization=raw.get("normalization", defaults.normalization),
-        )
-    except ValueError as exc:
-        raise ManifestError(f"indicator_overrides: {exc}") from exc
-    fields = set(raw) - {"indicators"}
-    if ref_point is not None:
-        fields.add("hv_strategy")
-    return Overrides(indicators=indicators, config=config, fields=frozenset(fields))
+_CONFIG_FIELDS = tuple(f.name for f in fields(IndicatorConfig))
+
+
+def _config_level(values: dict[str, object]) -> dict[str, object]:
+    """One level of config fields, the manifest's or the flags': a
+    ``ref_point`` with no ``hv_strategy`` beside it means ``explicit``, and
+    beside any other strategy it is an error."""
+    if "ref_point" in values:
+        strategy = values.setdefault("hv_strategy", "explicit")
+        if strategy != "explicit":
+            raise ValueError(
+                f"ref_point needs hv_strategy 'explicit', got {strategy!r}"
+            )
+    return values
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -334,74 +328,48 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ManifestError("manifest root must be an object")
-    _require_keys(
-        raw,
-        {"objectives", "algorithms", "preferences", "indicator_overrides", "output"},
-        "manifest",
-    )
-    if "objectives" not in raw or not raw["objectives"]:
-        raise ManifestError("manifest needs a non-empty 'objectives' list")
-    if "algorithms" not in raw or not raw["algorithms"]:
-        raise ManifestError("manifest needs a non-empty 'algorithms' list")
+    _walk(raw, _MANIFEST)
+    for key in ("objectives", "algorithms"):
+        if not raw[key]:
+            raise ManifestError(f"manifest needs a non-empty {key!r} list")
 
-    objectives: list[ObjectiveMeta] = []
-    for i, o in enumerate(_list(raw["objectives"], "objectives")):
-        where = f"objectives[{i}]"
-        _require_keys(o, {"name", "direction", "units", "hard_bounds"}, where)
-        if "name" not in o:
-            raise ManifestError(f"{where}: missing 'name'")
-        name = _name(o, where)
-        _check_types(o, {"hard_bounds": _BOUNDS}, where)
-        try:
-            objectives.append(
-                ObjectiveMeta(
-                    name=name,
-                    direction=Direction(o.get("direction", "min")),
-                    units=o.get("units"),
-                    hard_bounds=(
-                        tuple(o["hard_bounds"])
-                        if o.get("hard_bounds") is not None
-                        else None
-                    ),
-                )
-            )
-        except ValueError as exc:
-            raise ManifestError(f"{where}: {exc}") from exc
+    objectives = tuple(
+        _at(
+            f"objectives[{i}]",
+            ObjectiveMeta,
+            o["name"],
+            o.get("direction", "min"),
+            o.get("units"),
+            o.get("hard_bounds"),
+        )
+        for i, o in enumerate(raw["objectives"])
+    )
     names = [o.name for o in objectives]
     if len(set(names)) != len(names):
         raise ManifestError("objective names must be unique")
-
-    algorithms: list[AlgorithmEntry] = []
-    for i, a in enumerate(_list(raw["algorithms"], "algorithms")):
-        where = f"algorithms[{i}]"
-        _require_keys(a, {"name", "runs"}, where)
-        if "name" not in a or "runs" not in a or not a["runs"]:
-            raise ManifestError(f"{where}: needs 'name' and a non-empty 'runs' list")
-        runs = a["runs"]
-        if not isinstance(runs, list) or not all(isinstance(r, str) for r in runs):
-            raise ManifestError(
-                f"{where}.runs: expected a non-empty list of strings, "
-                f"got {json.dumps(runs)}"
-            )
-        algorithms.append(AlgorithmEntry(_name(a, where), tuple(runs)))
+    algorithms = tuple(
+        _at(f"algorithms[{i}]", AlgorithmEntry, a["name"], tuple(a["runs"]))
+        for i, a in enumerate(raw["algorithms"])
+    )
     if len({a.name for a in algorithms}) != len(algorithms):
         raise ManifestError("algorithm names must be unique")
 
-    preferences = _parse_preferences(raw.get("preferences", {}), names)
+    preferences = _preferences(raw.get("preferences", {}), names)
     best = {c.objective for c in preferences.clear if c.kind == EXACTLY_BEST}
     if len(best) == len(names):
         raise ManifestError(
             "preferences.clear: exactly_best on every objective leaves no "
             "objective to compare the sets on"
         )
-    overrides = _parse_overrides(raw.get("indicator_overrides", {}))
-    out_raw = raw.get("output", {})
-    _require_keys(out_raw, {"report", "plot_data"}, "output")
-    output = OutputSpec(
-        report=out_raw.get("report"), plot_data=out_raw.get("plot_data")
-    )
+    where = "indicator_overrides"
+    raw_overrides = raw.get(where, {})
+    indicators = tuple(raw_overrides.get("indicators", ()))
+    for name in indicators:
+        _at(where, canonical_name, name)
+    given = {k: v for k in _CONFIG_FIELDS if (v := raw_overrides.get(k)) is not None}
+    level = _at(where, _config_level, given)
+    config = _at(where, IndicatorConfig, **level)
+    out = raw.get("output", {})
     for a in algorithms:
         for rel in a.runs:
             if not (path.parent / rel).is_file():
@@ -409,11 +377,12 @@ def load_manifest(path: str | Path) -> Manifest:
                     f"algorithms[{a.name!r}]: run file {rel!r} not found"
                 )
     return Manifest(
-        objectives=tuple(objectives),
-        algorithms=tuple(algorithms),
+        objectives=objectives,
+        algorithms=algorithms,
         preferences=preferences,
-        overrides=overrides,
-        output=output,
+        indicators=indicators,
+        overrides={k: getattr(config, k) for k in level},
+        output=OutputSpec(report=out.get("report"), plot_data=out.get("plot_data")),
         base_dir=str(path.parent),
     )
 
@@ -584,25 +553,16 @@ def prepare(manifest: Manifest) -> Prepared:
     )
 
 
-def _merge_config(
-    cfg: IndicatorConfig, cli: argparse.Namespace | None
+def _configure(
+    base: IndicatorConfig, manifest: Manifest, args: argparse.Namespace
 ) -> IndicatorConfig:
-    """Apply command-line flag overrides on top of a base configuration."""
-    if cli is None:
-        return cfg
-    changes: dict[str, object] = {}
-    if cli.ref_strategy:
-        changes["hv_strategy"] = cli.ref_strategy
-    if cli.ref_point:
-        changes["ref_point"] = tuple(float(v) for v in cli.ref_point.split(","))
-        changes["hv_strategy"] = "explicit"
-    if cli.gd_p is not None:
-        changes["gd_p"] = cli.gd_p
-    if cli.grid_div is not None:
-        changes["grid_divisions"] = cli.grid_div
-    if cli.no_normalize:
-        changes["normalization"] = "none"
-    return replace(cfg, **changes)
+    """``base`` with the fields the manifest sets, then those the flags set.
+
+    A config flag stores its value under the field it sets; a subcommand
+    without that flag leaves the field alone.
+    """
+    flags = {k: v for k in _CONFIG_FIELDS if (v := getattr(args, k, None)) is not None}
+    return replace(base, **{**manifest.overrides, **_config_level(flags)})
 
 
 def _plan(manifest: Manifest) -> EvaluationPlan:
@@ -622,12 +582,12 @@ def _planned(
     config.  Otherwise each planned config takes the fields the manifest
     set, then the flags.
     """
-    chosen_names = args.indicator or list(manifest.overrides.indicators)
+    chosen_names = args.indicator or manifest.indicators
     if chosen_names:
-        config = _merge_config(manifest.overrides.config, args)
+        config = _configure(IndicatorConfig(), manifest, args)
         return [(canonical_name(n), config) for n in chosen_names]
     return [
-        (p.name, _merge_config(manifest.overrides.apply_to(p.config), args))
+        (p.name, _configure(p.config, manifest, args))
         for p in (plan or _plan(manifest)).indicators
     ]
 
@@ -716,7 +676,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     m = len(manifest.objectives)
     plan = _plan(manifest)
 
-    config = _merge_config(manifest.overrides.config, args)
+    config = _configure(IndicatorConfig(), manifest, args)
     planned = _planned(manifest, args, plan)
 
     live_m = prepared.live_m
@@ -911,10 +871,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         forward = ind.coverage(set_a, set_b)
         backward = ind.coverage(set_b, set_a)
     elif indicator == "epsilon":
-        config = _merge_config(manifest.overrides.config, args)
+        config = _configure(IndicatorConfig(), manifest, args)
         a, b = set_a, set_b
-        if config.normalization != "none":
-            bounds = NormalizationBounds.from_sets([set_a, set_b])
+        bounds = normalization_bounds(config.normalization, [set_a, set_b])
+        if bounds is not None:
             a, b = normalize([set_a, set_b], bounds)
         forward = ind.epsilon_additive(a, b)
         backward = ind.epsilon_additive(b, a)
@@ -958,7 +918,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     m = len(manifest.objectives)
-    config = _merge_config(manifest.overrides.config, args)
+    config = _configure(IndicatorConfig(), manifest, args)
     chosen = _planned(manifest, args)
     hv_at_nadir = False
     if config.ref_point is not None and any(n == "hv" for n, _ in chosen):
@@ -1032,7 +992,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or manifest.output.plot_data or "plot-data")
     out_dir.mkdir(parents=True, exist_ok=True)
     live_m = prepared.live_m
-    config = _merge_config(manifest.overrides.config, args)
+    config = _configure(IndicatorConfig(), manifest, args)
 
     # The same pick as evaluate: the run closest to the median hv.
     representative: dict[str, int] = {}
@@ -1084,62 +1044,70 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
 # Entry point
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--manifest", required=True, help="experiment manifest (JSON)")
-    p.add_argument(
-        "--indicator",
-        action="append",
-        help="indicator to compute (repeatable; overrides the manifest)",
-    )
-    p.add_argument("--ref-point", help="explicit reference point, e.g. '13,11'")
-    p.add_argument(
-        "--ref-strategy",
-        choices=REF_STRATEGIES,
-        help="reference point construction strategy",
-    )
-    p.add_argument("--gd-p", type=float, help="aggregation power for gd")
-    p.add_argument("--grid-div", type=int, help="grid divisions for grid_diversity")
-    p.add_argument(
-        "--no-normalize", action="store_true", help="evaluate in raw objective units"
-    )
-    p.add_argument("--out", help="write the machine-readable report here")
-    p.add_argument(
-        "--strict", action="store_true", help="treat warnings as errors (exit 2)"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    def point(text: str) -> tuple[float, ...]:
+        return tuple(float(v) for v in text.split(","))
+
+    # Each flag once; a config flag stores under the IndicatorConfig field
+    # it sets.
+    flags = {
+        "--manifest": dict(required=True, help="experiment manifest (JSON)"),
+        "--indicator": dict(
+            action="append",
+            help="indicator to compute (repeatable; overrides the manifest)",
+        ),
+        "--ref-point": dict(type=point, help="explicit reference point, e.g. '13,11'"),
+        "--ref-strategy": dict(
+            dest="hv_strategy",
+            choices=REF_STRATEGIES,
+            help="reference point construction strategy",
+        ),
+        "--gd-p": dict(type=float, help="aggregation power for gd"),
+        "--grid-div": dict(
+            dest="grid_divisions", type=int, help="grid divisions for grid_diversity"
+        ),
+        "--no-normalize": dict(
+            dest="normalization",
+            action="store_const",
+            const="none",
+            help="evaluate in raw objective units",
+        ),
+        "--out": dict(help="write the machine-readable report here"),
+        "--strict": dict(action="store_true", help="treat warnings as errors (exit 2)"),
+    }
+    # The flags each subcommand reads; lint reads what evaluate computes.
+    only_out = ["--manifest", "--out"]
+    commands = [
+        ("evaluate", cmd_evaluate, "run the evaluation plan over all runs", [*flags]),
+        (
+            "compare",
+            cmd_compare,
+            "pairwise indicator between two algorithms",
+            ["--manifest", "--indicator", "--no-normalize", "--out"],
+        ),
+        ("recommend", cmd_recommend, "print the evaluation plan", only_out),
+        ("lint", cmd_lint, "check the setup for documented misuse", [*flags]),
+        ("stats", cmd_stats, "per-objective summary statistics", only_out),
+        (
+            "plot-data",
+            cmd_plot_data,
+            "write plot-ready CSV files",
+            ["--manifest", "--indicator", "--ref-point", "--ref-strategy", "--out"],
+        ),
+    ]
     parser = argparse.ArgumentParser(
         prog="paretoeval",
         description="Evaluate, compare, and lint Pareto solution-set experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("evaluate", help="run the evaluation plan over all runs")
-    _add_common(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_cmp = sub.add_parser("compare", help="pairwise indicator between two algorithms")
-    _add_common(p_cmp)
-    p_cmp.add_argument("first", help="first algorithm name")
-    p_cmp.add_argument("second", help="second algorithm name")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_rec = sub.add_parser("recommend", help="print the evaluation plan")
-    _add_common(p_rec)
-    p_rec.set_defaults(func=cmd_recommend)
-
-    p_lint = sub.add_parser("lint", help="check the setup for documented misuse")
-    _add_common(p_lint)
-    p_lint.set_defaults(func=cmd_lint)
-
-    p_stats = sub.add_parser("stats", help="per-objective summary statistics")
-    _add_common(p_stats)
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_plot = sub.add_parser("plot-data", help="write plot-ready CSV files")
-    _add_common(p_plot)
-    p_plot.set_defaults(func=cmd_plot_data)
+    for name, func, summary, reads in commands:
+        p = sub.add_parser(name, help=summary)
+        for flag in reads:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+    compare = sub.choices["compare"]
+    compare.add_argument("first", help="first algorithm name")
+    compare.add_argument("second", help="second algorithm name")
     return parser
 
 

@@ -406,8 +406,8 @@ def _nearest(
     time into preallocated 2-D buffers, so no ``(rows, cols, m)`` array
     exists.  The results equal, bit for bit, those of the ``(n, k, m)``
     array of differences: a pair's terms are summed in the order numpy's
-    ``sum`` over a last axis of length m uses, the square root is taken of
-    the minima, and the sign of a zero epsilon is numpy's.
+    ``sum`` over a last axis of length m uses, and the square root is taken
+    of the minima.  Only the sign of a zero epsilon may differ.
     """
     n, k, m = len(X), len(Y), X.shape[1]
     epsilon = metric == "epsilon"
@@ -436,13 +436,6 @@ def _nearest(
                 elif not epsilon:
                     np.multiply(buf[r], buf[r], out=buf[r])
             d = buf[0]
-            if epsilon:
-                # A zero maximum is 0.0 or -0.0 by which of its tied terms
-                # wins, and numpy's max breaks such ties in an order that
-                # depends on the CPU's vector width: take it from numpy.
-                a, b = np.nonzero(d == 0)
-                if len(a):
-                    d[a, b] = (xs[a] - ys[b]).max(axis=1)
             if skip_self:
                 p = np.arange(max(i, j), min(i + shape[0], j + shape[1]))
                 d[p - i, p - j] = np.inf

@@ -29,6 +29,7 @@ from .preprocess import (
     NormalizationBounds,
     build_reference_point,
     build_reference_set,
+    normalization_bounds,
     normalize,
 )
 
@@ -36,13 +37,11 @@ __all__ = [
     "STATS",
     "ObjectiveStats",
     "DoeComparison",
-    "RunCollection",
     "IndicatorTable",
     "per_objective_stats",
     "doe_compare",
     "scalarize_best",
     "indicator_table",
-    "select_representative_run",
 ]
 
 STATS = ("mean", "median", "best", "worst")
@@ -74,26 +73,6 @@ class DoeComparison:
     first_stats: ObjectiveStats
     second_stats: ObjectiveStats
     misleading_flag: bool
-
-
-@dataclass(frozen=True)
-class RunCollection:
-    """All runs of one algorithm on one problem instance."""
-
-    algorithm: str
-    runs: tuple[SolutionSet, ...]
-
-    def __post_init__(self) -> None:
-        if not self.algorithm:
-            raise ValueError("algorithm name must be non-empty")
-        runs = tuple(self.runs)
-        if not runs:
-            raise EmptySetError("a run collection needs at least one run")
-        m = runs[0].m
-        for r in runs[1:]:
-            if r.m != m:
-                raise DimensionMismatchError("runs disagree on objective count")
-        object.__setattr__(self, "runs", runs)
 
 
 def per_objective_stats(A: SolutionSet) -> ObjectiveStats:
@@ -237,6 +216,8 @@ def indicator_table(
     for name, _ in columns + (rank_by,):
         if aspects_of(name).binary:
             raise ValueError(f"{name} is a binary indicator; it cannot rank runs")
+    if "" in algorithms:
+        raise ValueError("algorithm names must be non-empty")
     slots = [
         (alg, r)
         for alg, runs in algorithms.items()
@@ -249,10 +230,8 @@ def indicator_table(
     reference = build_reference_set(live)
     bounds: dict[str, NormalizationBounds] = {}
     for mode in dict.fromkeys(c.normalization for _, c in columns + (rank_by,)):
-        if mode == "hard_bounds":
-            bounds[mode] = NormalizationBounds.from_hard_bounds(live[0])
-        elif mode != "none":
-            bounds[mode] = NormalizationBounds.from_sets(live)
+        if (found := normalization_bounds(mode, live)) is not None:
+            bounds[mode] = found
     spaces = {"none": (live, reference)}
     points: dict[tuple[str, tuple[float, ...] | None], tuple[float, ...]] = {}
 
@@ -321,21 +300,3 @@ def indicator_table(
         points=reported,
         representative=representative,
     )
-
-
-def select_representative_run(
-    collection: RunCollection,
-    indicator: str = "hv",
-    config: IndicatorConfig | None = None,
-) -> int:
-    """Index of the run whose indicator value is closest to the median.
-
-    The values are :func:`indicator_table`'s over the collection, so the
-    yardsticks come from all of its runs.  The median over an even number of
-    runs is the lower-middle value, so the selected run always exists in the
-    collection.  Distance ties keep the lowest run index.  The choice is
-    invariant to run order up to that tie rule.
-    """
-    column = (indicator, config or IndicatorConfig())
-    table = indicator_table({collection.algorithm: collection.runs}, [column], column)
-    return table.representative[collection.algorithm]

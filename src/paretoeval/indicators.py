@@ -9,9 +9,10 @@ and the distance-based indicators simply consume what they are given.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "ASPECTS",
     "IndicatorConfig",
     "IndicatorProfile",
-    "IndicatorResult",
     "canonical_name",
     "aspects_of",
     "contribution",
@@ -73,8 +73,8 @@ class IndicatorConfig:
     normalization: str = "combined_front"
 
     def __post_init__(self) -> None:
-        if self.gd_p < 1:
-            raise ValueError("gd_p must be >= 1")
+        if not 1 <= self.gd_p < math.inf:
+            raise ValueError(f"gd_p must be finite and >= 1, got {self.gd_p}")
         if self.grid_divisions < 2:
             raise ValueError("grid_divisions must be >= 2")
         if self.hv_strategy not in REF_STRATEGIES:
@@ -82,9 +82,10 @@ class IndicatorConfig:
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization mode {self.normalization!r}")
         if self.ref_point is not None:
-            object.__setattr__(
-                self, "ref_point", tuple(float(v) for v in self.ref_point)
-            )
+            point = tuple(float(v) for v in self.ref_point)
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"ref_point must be finite, got {point}")
+            object.__setattr__(self, "ref_point", point)
 
     def snapshot(self) -> dict:
         return {
@@ -112,17 +113,6 @@ class IndicatorProfile:
     better: str  # "higher" | "lower"
     binary: bool = False
     needs_normalization: bool = False
-
-
-@dataclass(frozen=True)
-class IndicatorResult:
-    """One computed indicator value plus enough context to reproduce it."""
-
-    indicator: str
-    value: float
-    better: str
-    aspects: tuple[str, ...]
-    config_snapshot: Mapping[str, object] = field(default_factory=dict)
 
 
 _PROFILES: dict[str, IndicatorProfile] = {
@@ -535,7 +525,8 @@ def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:
     negative when A strictly exceeds B everywhere.
     """
     _check_same_m(A, B)
-    return float(_nearest(_values(A), _values(B), "epsilon")[1].max())
+    # + 0.0 prints a zero as 0.0 whichever sign its tied terms carried.
+    return float(_nearest(_values(A), _values(B), "epsilon")[1].max()) + 0.0
 
 
 def grid_diversity(

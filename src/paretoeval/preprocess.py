@@ -48,6 +48,7 @@ __all__ = [
     "screen_trivial",
     "apply_clear_preferences",
     "apply_vague_preferences",
+    "normalization_bounds",
     "normalize",
     "build_reference_set",
     "build_reference_point",
@@ -429,6 +430,19 @@ class NormalizationBounds:
             ideal.append(lo)
             nadir.append(hi)
         return cls(ideal=tuple(ideal), nadir=tuple(nadir), source="hard_bounds")
+
+
+def normalization_bounds(
+    mode: str, sets: Sequence[SolutionSet]
+) -> NormalizationBounds | None:
+    """The bounds normalization ``mode`` maps ``sets`` with: the objectives'
+    declared hard bounds, the sets' componentwise min and max
+    (``combined_front``), or None for ``none``."""
+    if mode == "none":
+        return None
+    if mode == "hard_bounds":
+        return NormalizationBounds.from_hard_bounds(sets[0])
+    return NormalizationBounds.from_sets(sets)
 
 
 def normalize(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from paretoeval import (
     ClearConstraint,
@@ -125,8 +128,8 @@ class TestManifestLoading:
         assert manifest.preferences.screen[0].threshold == 0.4
         assert manifest.preferences.clear[0].objective == 0
         assert manifest.preferences.vague[0].saturation == 0.9
-        assert manifest.overrides.indicators == ("hv",)
-        assert manifest.overrides.config.gd_p == 2.0
+        assert manifest.indicators == ("hv",)
+        assert manifest.overrides == {"gd_p": 2.0}
         assert manifest.output.plot_data == "out/plots"
         assert manifest.base_dir == str(tmp_path)
 
@@ -241,9 +244,8 @@ class TestManifestLoading:
             {"a": [KNEE_A]},
             overrides={"ref_point": [13, 11]},
         )
-        config = load_manifest(path).overrides.config
-        assert config.hv_strategy == "explicit"
-        assert config.ref_point == (13.0, 11.0)
+        overrides = load_manifest(path).overrides
+        assert overrides == {"hv_strategy": "explicit", "ref_point": (13.0, 11.0)}
 
     def test_objective_reference_validation(self, tmp_path):
         for bad in (True, 7, "f9"):
@@ -697,6 +699,23 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "epsilon(a, b) = 1" in out
 
+    def test_epsilon_under_hard_bounds(self, tmp_path, capsys):
+        # Raw epsilon(a, b) is 1 on f1.  The hard bounds scale f1 by 1/100;
+        # the two sets' own range (f1 in [0, 1]) would give 1.
+        objectives = [
+            {"name": "f1", "direction": "min", "hard_bounds": [0, 100]},
+            {"name": "f2", "direction": "min", "hard_bounds": [0, 10]},
+        ]
+        path = write_manifest(
+            tmp_path,
+            objectives,
+            {"a": [[(1, 0)]], "b": [[(0, 0)]]},
+            overrides={"normalization": "hard_bounds"},
+        )
+        argv = ["compare", "--manifest", str(path), "--indicator", "epsilon", "a", "b"]
+        assert main(argv) == EXIT_OK
+        assert "epsilon(a, b) = 0.01\n" in capsys.readouterr().out
+
     def test_coverage_of_dominated_set(self, tmp_path, capsys):
         path = write_manifest(
             tmp_path,
@@ -968,6 +987,12 @@ class TestMainErrors:
             ("ref_point", 13, "ref_point: expected a list of numbers, got 13"),
             ("hv_strategy", 1, "hv_strategy: expected a string, got 1"),
             ("normalization", None, "normalization: expected a string, got null"),
+            ("gd_p", math.inf, "gd_p: expected a number, got Infinity"),
+            (
+                "ref_point",
+                [math.nan, math.nan],
+                "ref_point: expected a list of numbers, got [NaN, NaN]",
+            ),
         ],
     )
     def test_mistyped_override_exits_2(self, tmp_path, capsys, key, value, message):
@@ -1051,6 +1076,69 @@ class TestMainErrors:
                 lambda d: d.update(preferences={"untransferable": "no"}),
                 'preferences.untransferable: expected a boolean, got "no"',
             ),
+            (
+                lambda d: d.update(preferences={"weights": [math.nan, math.nan]}),
+                "preferences.weights: expected a list of numbers, got [NaN, NaN]",
+            ),
+            (
+                lambda d: d["objectives"][0].update(hard_bounds=[0, -math.inf]),
+                "objectives[0].hard_bounds: expected a list of two numbers, "
+                "got [0, -Infinity]",
+            ),
+            (
+                lambda d: d.update(
+                    preferences={"vague": [{"objective": "f1", "saturation": math.nan}]}
+                ),
+                "preferences.vague[0].saturation: expected a number, got NaN",
+            ),
+            (
+                lambda d: d.update(output={"report": 5}),
+                "output.report: expected a string, got 5",
+            ),
+            (
+                lambda d: d["objectives"][0].update(direction=1),
+                "objectives[0].direction: expected a string, got 1",
+            ),
+            (
+                lambda d: d["objectives"][0].update(units=["s"]),
+                'objectives[0].units: expected a string, got ["s"]',
+            ),
+            (
+                lambda d: d.update(
+                    preferences={"clear": [{"objective": "f1", "kind": None}]}
+                ),
+                "preferences.clear[0].kind: expected a string, got null",
+            ),
+            (
+                lambda d: d["objectives"][0].pop("name"),
+                "objectives[0]: missing 'name'",
+            ),
+            (
+                lambda d: d.update(preferences={"vague": [{"objective": "f1"}]}),
+                "preferences.vague[0]: missing 'saturation'",
+            ),
+            (
+                lambda d: d.update(preferences={"roi": {}}),
+                "preferences.roi: missing 'extreme'",
+            ),
+            (
+                lambda d: d.pop("algorithms"),
+                "manifest: missing 'algorithms'",
+            ),
+            (
+                lambda d: d["algorithms"][0].update(name=""),
+                "algorithms[0]: algorithm name must be non-empty",
+            ),
+            (
+                lambda d: d.update(
+                    indicator_overrides={
+                        "ref_point": [13, 11],
+                        "hv_strategy": "worst_values",
+                    }
+                ),
+                "indicator_overrides: ref_point needs hv_strategy 'explicit', "
+                "got 'worst_values'",
+            ),
         ],
         ids=[
             "indicators-string",
@@ -1066,6 +1154,19 @@ class TestMainErrors:
             "threshold-list",
             "threshold-bool",
             "untransferable-string",
+            "weights-nan",
+            "hard-bounds-infinite",
+            "saturation-nan",
+            "output-report-number",
+            "direction-number",
+            "units-list",
+            "kind-null",
+            "name-missing",
+            "saturation-missing",
+            "extreme-missing",
+            "algorithms-missing",
+            "algorithm-name-empty",
+            "ref-point-beside-a-strategy",
         ],
     )
     def test_misshapen_manifest_exits_2(self, tmp_path, capsys, mutate, message):
@@ -1077,3 +1178,213 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert err == f"error: {message}\n"
+
+
+class TestFlags:
+    READS = {
+        "evaluate": {
+            "--manifest", "--indicator", "--ref-point", "--ref-strategy", "--gd-p",
+            "--grid-div", "--no-normalize", "--out", "--strict",
+        },
+        "compare": {"--manifest", "--indicator", "--no-normalize", "--out"},
+        "recommend": {"--manifest", "--out"},
+        "stats": {"--manifest", "--out"},
+        "plot-data": {
+            "--manifest", "--indicator", "--ref-point", "--ref-strategy", "--out",
+        },
+    }
+    READS["lint"] = READS["evaluate"]
+
+    def test_each_subcommand_registers_the_flags_it_reads(self):
+        subcommands = next(
+            a for a in cli.build_parser()._actions if a.dest == "command"
+        ).choices
+        registered = {
+            name: {f for a in p._actions for f in a.option_strings} - {"-h", "--help"}
+            for name, p in subcommands.items()
+        }
+        assert registered == self.READS
+        assert sum(map(len, registered.values())) == 31
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--strict"],
+            ["stats", "--ref-point", "1,2"],
+            ["recommend", "--indicator", "hv"],
+            ["compare", "--gd-p", "2", "alpha", "beta"],
+            ["plot-data", "--no-normalize"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_unread_flag_exits_2(self, knee_manifest, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([argv[0], "--manifest", str(knee_manifest), *argv[1:]])
+        assert exit_.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ref-point", "inf,inf"], "ref_point must be finite"),
+            (["--ref-point", "nan,1"], "ref_point must be finite"),
+            (["--gd-p", "inf"], "gd_p must be finite and >= 1"),
+            (
+                ["--ref-point", "13,11", "--ref-strategy", "doubled_range"],
+                "ref_point needs hv_strategy 'explicit', got 'doubled_range'",
+            ),
+        ],
+        ids=["ref-point-inf", "ref-point-nan", "gd-p-inf", "point-beside-a-strategy"],
+    )
+    def test_bad_config_flag_exits_2(self, knee_manifest, capsys, flags, message):
+        code = main(["evaluate", "--manifest", str(knee_manifest), *flags])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_flag_strategy_over_manifest_point(self, tmp_path):
+        # Levels apply in turn: the flags' strategy replaces the manifest's
+        # explicit one, and the manifest's point then goes unread.
+        out = tmp_path / "r.json"
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"alpha": [KNEE_A], "beta": [KNEE_B]},
+            overrides={"indicators": ["hv"], "ref_point": [13, 11]},
+        )
+        argv = ["evaluate", "--manifest", str(path), "--out", str(out)]
+        main([*argv, "--ref-strategy", "worst_values"])
+        (row, _) = json.loads(out.read_text())["results"]
+        assert row["config"]["hv_strategy"] == "worst_values"
+        assert row["config"]["reference_point"] == [12.0, 10.0]
+
+
+# Manifests the exit-code property mutates: every manifest object appears.
+CONTRACT_RUNS = {"alpha": [KNEE_A, KNEE_B], "beta": [KNEE_B]}
+CONTRACT_MANIFESTS = [
+    {
+        "objectives": [
+            {"name": "f1", "direction": "min", "units": "s", "hard_bounds": [0, 20]},
+            {"name": "f2", "direction": "max", "hard_bounds": [-20, 20]},
+        ],
+        "algorithms": [
+            {"name": alg, "runs": [f"{alg}_{r}.csv" for r in range(len(runs))]}
+            for alg, runs in CONTRACT_RUNS.items()
+        ],
+        "preferences": {
+            "screen": [{"objective": "f1", "kind": "at_most", "threshold": 11}],
+            "clear": [{"objective": 1, "kind": "at_least", "threshold": 0}],
+            "vague": [{"objective": "f1", "saturation": 2, "hard_floor": 10}],
+            "roi": {"extreme": ["f2"]},
+            "weights": [0.5, 0.5],
+            "untransferable": False,
+        },
+        "indicator_overrides": {
+            "indicators": ["hv", "igd", "ci"],
+            "ref_point": [13, -1],
+            "gd_p": 2,
+            "grid_divisions": 4,
+            "normalization": "hard_bounds",
+        },
+        "output": {"report": "report.json", "plot_data": "plots"},
+    },
+    {
+        "objectives": [{"name": "f1"}, {"name": "f2"}],
+        "algorithms": [
+            {"name": alg, "runs": [f"{alg}_{r}.csv" for r in range(len(runs))]}
+            for alg, runs in CONTRACT_RUNS.items()
+        ],
+        "preferences": {
+            "roi": "knee",
+            "clear": [{"objective": 0, "kind": "exactly_best"}],
+        },
+        "indicator_overrides": {"hv_strategy": "doubled_range"},
+    },
+]
+JUNK = [
+    None, math.nan, math.inf, -1, 0, 1, 2.5, True, "", "x", "f1", "knee",
+    "explicit", "none", "exactly_best", [], [math.nan], [1, 2], ["f1"], {},
+    {"extreme": ["f1"]},
+]
+FLAGS = {
+    "--indicator": ["hv", "igd", "ci", "epsilon", "spread", "xyz"],
+    "--ref-point": ["13,11", "inf,inf", "nan,1", "1", "a,b", "0,0"],
+    "--ref-strategy": ["explicit", "doubled_range", "bogus"],
+    "--gd-p": ["2", "inf", "0.5", "x"],
+    "--grid-div": ["10", "1", "x"],
+    "--no-normalize": [],
+    "--strict": [],
+    "--out": ["out"],
+}
+
+
+def _slots(node):
+    """Every (container, key) in a JSON tree, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def mutated_manifests(draw):
+    """A contract manifest with fields dropped, retyped, renamed or given NaN."""
+    doc = copy.deepcopy(draw(st.sampled_from(CONTRACT_MANIFESTS)))
+    for _ in range(draw(st.integers(0, 2))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["drop", "retype", "rename", "nan"]))
+        if action == "drop":
+            del node[key]
+        elif action == "rename" and isinstance(node, dict):
+            renamed = draw(st.sampled_from([key + "s", "name", "kind", "runs"]))
+            node[renamed] = node.pop(key)
+        else:
+            value = math.nan if action == "nan" else draw(st.sampled_from(JUNK))
+            node[key] = copy.deepcopy(value)
+    return doc
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(TestFlags.READS)))
+    argv = [command, "--manifest", "manifest.json"]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=3)):
+        argv += [flag, *([draw(st.sampled_from(FLAGS[flag]))] if FLAGS[flag] else [])]
+    return argv + (["alpha", "beta"] if command == "compare" else [])
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=mutated_manifests(), argv=command_lines())
+    def test_exit_status_and_stderr(self, tmp_path, monkeypatch, capsys, doc, argv):
+        monkeypatch.chdir(tmp_path)
+        write_runs(tmp_path, ["f1", "f2"], CONTRACT_RUNS)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                code = exc.code
+        out, err = capsys.readouterr()
+        event(f"{argv[0]} exits {code}")
+        assert code in (EXIT_OK, EXIT_WARNINGS, EXIT_ERROR)
+        assert "Traceback" not in out + err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        if code == EXIT_WARNINGS:
+            assert "[warning]" in out and not errors
+        elif code == EXIT_ERROR and not errors:
+            # refused by its findings: an error, or a warning under --strict
+            assert "[error]" in out or ("--strict" in argv and "[warning]" in out)
+        else:
+            assert len(errors) == (code == EXIT_ERROR), err

@@ -10,14 +10,13 @@ from paretoeval import (
     DimensionMismatchError,
     EmptySetError,
     IndicatorConfig,
-    RunCollection,
     doe_compare,
     per_objective_stats,
     scalarize_best,
-    select_representative_run,
     set_dominates,
     to_minimization,
 )
+from paretoeval.doe import indicator_table
 from conftest import make_set
 import oracles
 
@@ -191,72 +190,60 @@ def _staircase_run(name, size):
     return make_set(name, [(float(i), float(size - i)) for i in range(size)])
 
 
+def _representative(runs, indicator="hv", config=None):
+    """The representative run of one algorithm's runs, ranked by `indicator`."""
+    column = (indicator, config or IndicatorConfig())
+    return indicator_table({"alg": runs}, [column], column).representative["alg"]
+
+
 class TestRepresentativeRun:
     def test_odd_count_picks_median(self):
-        runs = RunCollection(
-            "alg", tuple(_staircase_run(f"r{k}", k) for k in (1, 2, 3))
-        )
-        assert select_representative_run(runs, "nfs") == 1
+        runs = [_staircase_run(f"r{k}", k) for k in (1, 2, 3)]
+        assert _representative(runs, "nfs") == 1
 
     def test_even_count_picks_lower_middle(self):
-        runs = RunCollection(
-            "alg", tuple(_staircase_run(f"r{k}", k) for k in (1, 2, 3, 4))
-        )
-        assert select_representative_run(runs, "nfs") == 1
+        runs = [_staircase_run(f"r{k}", k) for k in (1, 2, 3, 4)]
+        assert _representative(runs, "nfs") == 1
 
     def test_order_permutation_tracks_same_run(self):
-        runs = RunCollection(
-            "alg", tuple(_staircase_run(f"r{k}", k) for k in (3, 1, 2))
-        )
-        assert select_representative_run(runs, "nfs") == 2
+        runs = [_staircase_run(f"r{k}", k) for k in (3, 1, 2)]
+        assert _representative(runs, "nfs") == 2
 
     def test_single_run(self):
-        runs = RunCollection("alg", (_staircase_run("only", 3),))
-        assert select_representative_run(runs) == 0
+        assert _representative([_staircase_run("only", 3)]) == 0
 
     def test_default_indicator_is_dominated_volume(self):
-        boxes = tuple(
-            make_set(f"r{k}", [(1.0 - 0.2 * k, 1.0 - 0.2 * k)]) for k in (0, 1, 2)
-        )
-        runs = RunCollection("alg", boxes)
+        boxes = [make_set(f"r{k}", [(1.0 - 0.2 * k, 1.0 - 0.2 * k)]) for k in (0, 1, 2)]
         config = IndicatorConfig(hv_strategy="explicit", ref_point=(2.0, 2.0))
-        assert select_representative_run(runs, config=config) == 1
+        assert _representative(boxes, config=config) == 1
 
     def test_binary_indicator_rejected(self):
-        runs = RunCollection("alg", (_staircase_run("r", 2),))
+        runs = [_staircase_run("r", 2)]
         with pytest.raises(ValueError):
-            select_representative_run(runs, "ci")
+            _representative(runs, "ci")
         with pytest.raises(ValueError):
-            select_representative_run(runs, "c")
+            _representative(runs, "c")
 
     def test_gd_p_setting_reaches_indicator(self):
-        runs = RunCollection(
-            "alg",
-            (
-                make_set("r0", [(0.0, 3.0), (4.0, 0.0)]),
-                make_set("r1", [(0.0, 0.0)]),
-            ),
-        )
+        runs = [
+            make_set("r0", [(0.0, 3.0), (4.0, 0.0)]),
+            make_set("r1", [(0.0, 0.0)]),
+        ]
         # with the combined-front reference r1 sits on the front, so the
         # indicator order is stable across p; this just exercises the path
-        assert select_representative_run(runs, "gd", IndicatorConfig(gd_p=2.0)) in (
-            0,
-            1,
-        )
+        assert _representative(runs, "gd", IndicatorConfig(gd_p=2.0)) in (0, 1)
 
 
-class TestRunCollection:
+class TestIndicatorTableInputs:
     def test_requires_runs(self):
         with pytest.raises(EmptySetError):
-            RunCollection("alg", ())
+            _representative([])
 
     def test_requires_name(self):
+        column = ("nfs", IndicatorConfig())
         with pytest.raises(ValueError):
-            RunCollection("", (_staircase_run("r", 1),))
+            indicator_table({"": [_staircase_run("r", 1)]}, [column], column)
 
     def test_dimension_agreement(self):
         with pytest.raises(DimensionMismatchError):
-            RunCollection(
-                "alg",
-                (make_set("a", [(1, 2)]), make_set("b", [(1, 2, 3)])),
-            )
+            _representative([make_set("a", [(1, 2)]), make_set("b", [(1, 2, 3)])])
