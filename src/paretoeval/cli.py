@@ -777,13 +777,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         )
         if prefs.weights is not None:
             scal = {}
+            # The table's bounds may lack a mode no column reads; built here
+            # from the same runs, missing hard bounds fail the run.
+            bounds = normalization_bounds(
+                config.normalization,
+                [r for runs in prepared.algorithms.values() for r in runs if len(r)],
+            )
             for alg, runs in prepared.algorithms.items():
                 live = [r for r in runs if len(r)]
                 if not live:
                     continue
                 basis = SolutionSet._concat(live, alg)
                 target = basis
-                bounds = table.bounds.get(config.normalization)
                 if bounds is not None:
                     target = normalize([basis], bounds)[0]
                 sol, score = scalarize_best(target, prefs.weights)

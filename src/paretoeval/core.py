@@ -392,9 +392,9 @@ def _steps(order, reg: int = 0) -> list[tuple[int | None, int]]:
 
 def _nearest(
     X: np.ndarray, Y: np.ndarray, metric: str, skip_self: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column minima of the distances between the rows of an
-    ``(n, m)`` and a ``(k, m)`` array, without holding all ``n * k`` of them.
+) -> np.ndarray:
+    """For each row of an ``(n, m)`` array, its least distance to the rows
+    of a ``(k, m)`` array, without holding all ``n * k`` distances.
 
     ``metric`` names the distance from a row x to a row y: ``"euclidean"``,
     the 2-norm of x - y; ``"shortfall"``, the 2-norm of max(x - y, 0);
@@ -417,7 +417,6 @@ def _nearest(
     rows = max(1, min(n, _BLOCK_PAIRS // cols))
     buffers = [np.empty(rows * cols) for _ in range(max(r for _, r in steps) + 1)]
     row_min = np.full(n, np.inf)
-    col_min = np.full(k, np.inf)
     for i in range(0, n, rows):
         xs = X[i : i + rows]
         for j in range(0, k, cols):
@@ -440,11 +439,9 @@ def _nearest(
                 p = np.arange(max(i, j), min(i + shape[0], j + shape[1]))
                 d[p - i, p - j] = np.inf
             np.minimum(row_min[i : i + rows], d.min(axis=1), out=row_min[i : i + rows])
-            np.minimum(col_min[j : j + cols], d.min(axis=0), out=col_min[j : j + cols])
     if metric in ("euclidean", "shortfall"):
         np.sqrt(row_min, out=row_min)
-        np.sqrt(col_min, out=col_min)
-    return row_min, col_min
+    return row_min
 
 
 def _lex_sorted(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -177,8 +177,9 @@ class IndicatorTable:
 
     ``values[(algorithm, run)]`` holds one value per column for each
     non-empty run.  ``reference`` is the union front of the non-empty runs
-    (raw units); ``bounds`` maps normalization modes to bounds and ``points``
-    each ``hv`` column's ``(hv_strategy, ref_point)`` to its reference point.
+    (raw units); ``bounds`` maps each normalization mode that has bounds to
+    them and ``points`` each ``hv`` column's ``(hv_strategy, ref_point)`` to
+    its reference point.
     """
 
     values: dict[tuple[str, int], tuple[float, ...]]
@@ -203,13 +204,15 @@ def indicator_table(
     """Evaluate unary indicator columns on every run, each yardstick built once.
 
     The yardsticks come from the non-empty runs of all algorithms: the
-    reference set, raw and per normalization mode; the bounds; one hv
-    reference point per ``(hv_strategy, ref_point)``; the grid cells; the
-    ``spread`` extremes.  Each algorithm's representative run is the one
-    whose ``rank_by`` value is closest to the median of its runs' values
-    (Knowles, Thiele & Zitzler 2006).  A ``rank_by`` that is not a column is
-    computed for the pick only; if that fails (hv beyond its objective
-    limit), only algorithms with one non-empty run get a representative.
+    reference set, raw and per normalization mode; the bounds, where
+    missing hard bounds are an error only for a mode that a normalizing
+    column reads; one hv reference point per ``(hv_strategy, ref_point)``;
+    the grid cells; the ``spread`` extremes.  Each algorithm's
+    representative run is the one whose ``rank_by`` value is closest to the
+    median of its runs' values (Knowles, Thiele & Zitzler 2006).  A
+    ``rank_by`` that is not a column is computed for the pick only; if that
+    fails (hv beyond its objective limit), only algorithms with one
+    non-empty run get a representative.
     """
     columns = tuple((canonical_name(n), c) for n, c in columns)
     rank_by = (canonical_name(rank_by[0]), rank_by[1])
@@ -228,9 +231,20 @@ def indicator_table(
     if not live:
         raise EmptySetError("every set is empty after preprocessing")
     reference = build_reference_set(live)
+    read = {
+        c.normalization
+        for n, c in columns + (rank_by,)
+        if aspects_of(n).needs_normalization
+    }
     bounds: dict[str, NormalizationBounds] = {}
     for mode in dict.fromkeys(c.normalization for _, c in columns + (rank_by,)):
-        if (found := normalization_bounds(mode, live)) is not None:
+        try:
+            found = normalization_bounds(mode, live)
+        except ValueError:
+            if mode in read:
+                raise
+            continue
+        if found is not None:
             bounds[mode] = found
     spaces = {"none": (live, reference)}
     points: dict[tuple[str, tuple[float, ...] | None], tuple[float, ...]] = {}

@@ -10,7 +10,7 @@ and the distance-based indicators simply consume what they are given.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -294,7 +294,7 @@ def gd(A: SolutionSet, reference: SolutionSet, p: float = 1.0) -> float:
     _check_same_m(A, reference)
     if p < 1:
         raise ValueError("p must be >= 1")
-    d = _nearest(_values(A), _values(reference), "euclidean")[0]
+    d = _nearest(_values(A), _values(reference), "euclidean")
     return float((d**p).sum() ** (1.0 / p) / len(d))
 
 
@@ -306,7 +306,7 @@ def gd_plus(A: SolutionSet, reference: SolutionSet) -> float:
     the reference costs nothing.  Aggregation is the arithmetic mean.
     """
     _check_same_m(A, reference)
-    d = _nearest(_values(A), _values(reference), "shortfall")[0]
+    d = _nearest(_values(A), _values(reference), "shortfall")
     return float(d.mean())
 
 
@@ -314,17 +314,18 @@ def igd(A: SolutionSet, reference: SolutionSet) -> float:
     """Inverted generational distance: mean distance from each reference
     point to its nearest member of A."""
     _check_same_m(A, reference)
-    d = _nearest(_values(A), _values(reference), "euclidean")[1]
-    return float(d.mean())
+    a, r = _values(A), _values(reference)
+    return float(_nearest(r, a, "euclidean").mean())
 
 
 def igd_plus(A: SolutionSet, reference: SolutionSet) -> float:
     """Inverted generational distance with one-sided distances: A is charged
     only where it fails to reach each reference point."""
     _check_same_m(A, reference)
-    # Member a of A is charged where it is worse than reference point r.
-    d = _nearest(_values(A), _values(reference), "shortfall")[1]
-    return float(d.mean())
+    # Member a of A is charged where it is worse than reference point r:
+    # max(a - r, 0) is the shortfall from -r to -a.
+    a, r = _values(A), _values(reference)
+    return float(_nearest(-r, -a, "shortfall").mean())
 
 
 def spread_delta(
@@ -370,7 +371,7 @@ def spacing(A: SolutionSet) -> float:
     v = _values(A)
     if len(v) < 2:
         raise ValueError("spacing needs at least two solutions")
-    d = _nearest(v, v, "l1", skip_self=True)[0]
+    d = _nearest(v, v, "l1", skip_self=True)
     return float(d.std(ddof=1))
 
 
@@ -404,18 +405,16 @@ def _front_share(A: SolutionSet, union: SolutionSet) -> float:
     return len(set(A.vectors()) & set(union.vectors())) / len(union)
 
 
-def _front_points(points: np.ndarray) -> np.ndarray:
-    """The nondominated rows of an ``(n, m)`` array, in input order, with the
-    first occurrence of each duplicated row kept."""
-    return points[_front_mask(points, unique=True)]
-
-
 def _hv2d(points: np.ndarray, ref: tuple[float, ...]) -> float:
-    """Exact 2-D hypervolume: sweep left to right, each front point adds a
-    rectangle."""
+    """Exact 2-D hypervolume: sweep left to right, lower y first among equal
+    x, each front row adds a rectangle; a dominated or repeated row is never
+    below the best y seen and adds nothing."""
     best_y = ref[1]
     vol = 0.0
-    for x, y in points[np.argsort(points[:, 0])].tolist():
+    ordered = points[np.lexsort((points[:, 1], points[:, 0]))]
+    # Only a row at the running minimum of y can lie below every row before it.
+    ordered = ordered[ordered[:, 1] <= np.minimum.accumulate(ordered[:, 1])]
+    for x, y in ordered.tolist():
         if y < best_y:
             vol += (ref[0] - x) * (best_y - y)
             best_y = y
@@ -425,45 +424,86 @@ def _hv2d(points: np.ndarray, ref: tuple[float, ...]) -> float:
 def _hv3d(points: np.ndarray, ref: tuple[float, ...]) -> float:
     """Exact 3-D hypervolume by the HV3D dimension sweep.
 
-    Points enter in ascending order of the last objective.  ``xs``/``ys`` hold
-    the 2-D staircase of the points seen so far (x ascending, y descending)
-    and ``area`` its dominated area, updated by the region each entering
-    point adds; each slab between consecutive last-objective values
-    contributes ``area * depth``.
+    Rows enter in ascending (stable) order of the last objective.
+    ``xs``/``ys`` hold the 2-D staircase of the rows entered so far (x
+    ascending, y descending, closed by an ``(-inf, ry)`` and an
+    ``(rx, -inf)`` sentinel) and ``area`` its dominated area, updated by the
+    region each entering row adds; each slab between the last objectives of
+    consecutive entering rows contributes ``area * depth``.  A row the
+    staircase weakly dominates is dominated or repeated and skipped.  Rows
+    that share their last objective are taken together, and only their
+    unique 2-D front enters, so the front rows enter, in the same order and
+    with the same sums, as into a sweep of the front alone.
     """
     rx, ry, rz = ref
-    xs: list[float] = []
-    ys: list[float] = []
+    rows = points[np.argsort(points[:, 2], kind="stable")].tolist()
+    xs, ys = [-math.inf, rx], [ry, -math.inf]
     area = vol = 0.0
-    ordered = points[np.argsort(points[:, 2], kind="stable")].tolist()
-    for k, (x, y, z) in enumerate(ordered):
-        i = bisect_left(xs, x)
-        top = ys[i - 1] if i else ry  # height of the staircase just left of x
-        if top > y and not (i < len(xs) and xs[i] == x and ys[i] <= y):
+    last = rows[0][2]
+    end = 0  # rows before ``end`` were taken with their group
+    for k, (x, y, z) in enumerate(rows):
+        if k < end or ys[bisect_right(xs, x) - 1] <= y:
+            continue
+        end = k + 1
+        while end < len(rows) and rows[end][2] == z:
+            end += 1
+        group = rows[k:end]
+        if len(group) > 1:
+            group = _group_front(group)
+        for x, y, z in group:
+            i = bisect_right(xs, x)
+            if ys[i - 1] <= y:
+                continue  # a group row the earlier groups already cover
+            if xs[i - 1] == x:
+                i -= 1
+            vol += area * (z - last)
+            last = z
             # Staircase points from i to j - 1 are dominated by (x, y).
             j = i
-            while j < len(ys) and ys[j] >= y:
+            while ys[j] >= y:
                 j += 1
-            left, height = x, top
+            left, height = x, ys[i - 1]
             for qx, qy in zip(xs[i:j], ys[i:j]):
                 area += (qx - left) * (height - y)
                 left, height = qx, qy
-            area += ((xs[j] if j < len(xs) else rx) - left) * (height - y)
+            area += (xs[j] - left) * (height - y)
             xs[i:j] = [x]
             ys[i:j] = [y]
-        vol += area * ((ordered[k + 1][2] if k + 1 < len(ordered) else rz) - z)
-    return vol
+    return vol + area * (rz - last)
+
+
+def _group_front(rows: list[list[float]]) -> list[list[float]]:
+    """The rows no other row dominates in the first two objectives, only the
+    first of equal ones, in input order.
+
+    A staircase like the sweep's holds the rows kept so far with their
+    positions: a row it weakly dominates is dropped, and a row that enters
+    drops the steps it weakly dominates.
+    """
+    xs, ys, kept = [-math.inf, math.inf], [math.inf, -math.inf], [-1, -1]
+    for k, (x, y, _) in enumerate(rows):
+        i = bisect_right(xs, x)
+        if ys[i - 1] > y:
+            if xs[i - 1] == x:
+                i -= 1
+            j = i
+            while ys[j] >= y:
+                j += 1
+            xs[i:j], ys[i:j], kept[i:j] = [x], [y], [k]
+    return [rows[k] for k in sorted(kept[1:-1])]
 
 
 def _hv_wfg(points: np.ndarray, ref: tuple[float, ...]) -> float:
     """Exact hypervolume for four or more objectives (WFG).
 
-    The total is the sum of each point's exclusive volume against the
-    points after it: its box minus the hypervolume of its limit set (those
-    points pushed up to it).  Ordering worst-first on the last objective
-    (stably, so ties keep their order) gives every limit set that point's
-    last coordinate, so the limit set is measured one dimension down.
+    The input is cut once to its unique nondominated rows.  The total is
+    the sum of each row's exclusive volume against the rows after it: its
+    box minus the hypervolume of its limit set (those rows pushed up to
+    it).  Ordering worst-first on the last objective (stably, so ties keep
+    their order) gives every limit set that row's last coordinate, so the
+    limit set is measured one dimension down, as it stands.
     """
+    points = points[_front_mask(points, unique=True)]
     ordered = points[np.argsort(-points[:, -1], kind="stable")]
     heads = ordered[:, :-1]
     head_ref = ref[:-1]
@@ -474,16 +514,17 @@ def _hv_wfg(points: np.ndarray, ref: tuple[float, ...]) -> float:
     depths = ref[-1] - ordered[:, -1]
     total = 0.0
     for i, (box, depth) in enumerate(zip(boxes.tolist(), depths.tolist())):
-        limit = np.maximum(heads[i + 1 :], heads[i])
-        shadow = _hv_front(_front_points(limit), head_ref)
+        shadow = _hv_front(np.maximum(heads[i + 1 :], heads[i]), head_ref)
         total += (box - shadow) * depth
     return total
 
 
 def _hv_front(points: np.ndarray, ref: tuple[float, ...]) -> float:
-    """Exact hypervolume of the rows of an ``(n, m)`` array: distinct,
-    mutually nondominated points, each strictly better than ``ref`` on every
-    objective."""
+    """Exact hypervolume of the raw rows of an ``(n, m)`` array, each
+    strictly better than ``ref`` on every objective.  Duplicated and
+    dominated rows are allowed and need no filter first: the 2-D and 3-D
+    sweeps skip them inside, and WFG cuts its input to the unique front
+    once."""
     if not len(points):
         return 0.0
     if len(ref) == 2:
@@ -502,8 +543,11 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     algorithm follows the objective count m: a sort-and-sweep staircase for
     m=2, the HV3D dimension sweep for m=3 (Fonseca, Paquete & López-Ibáñez
     2006; Beume et al. 2009) and WFG for m >= 4 (While, Bradstreet & Barone
-    2012), whose recursion ends in the m=3 sweep.  Supports 2..10 objectives;
-    beyond that the exact computation is rejected as impractical.
+    2012), whose recursion ends in the m=3 sweep.  The rows go in raw: the
+    two sweeps skip repeated and dominated rows as they meet them, and each
+    WFG node cuts its own input to the unique front once, so its limit sets
+    pass down unfiltered.  Supports 2..10 objectives; beyond that the exact
+    computation is rejected as impractical.
     """
     if A.m < 2:
         raise ValueError("hypervolume needs at least two objectives")
@@ -515,7 +559,7 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     if len(ref) != A.m:
         raise DimensionMismatchError("reference point length must match")
     pts = A.values()
-    return _hv_front(_front_points(pts[(pts < ref).all(axis=1)]), ref)
+    return _hv_front(pts[(pts < ref).all(axis=1)], ref)
 
 
 def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:
@@ -525,8 +569,10 @@ def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:
     negative when A strictly exceeds B everywhere.
     """
     _check_same_m(A, B)
-    # + 0.0 prints a zero as 0.0 whichever sign its tied terms carried.
-    return float(_nearest(_values(A), _values(B), "epsilon")[1].max()) + 0.0
+    # a - b is the epsilon distance from -b to -a.  + 0.0 prints a zero as
+    # 0.0 whichever sign its tied terms carried.
+    a, b = _values(A), _values(B)
+    return float(_nearest(-b, -a, "epsilon").max()) + 0.0
 
 
 def grid_diversity(

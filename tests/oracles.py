@@ -5,9 +5,11 @@ algorithmic approach from the library (cell counting and Monte-Carlo
 sampling instead of dimension sweep, pairwise scans instead of vectorized
 masks) so agreement between the two is meaningful evidence.  The slicer is
 the slower exact hypervolume the library's sweeps and WFG replaced, the
-kernel front is the quadratic front the sort-based routine replaced, the
-``*_matrix`` distance indicators are the ``(n, k, m)`` array versions the
-blocked nearest-distance kernel replaced (bit-exact references), and the
+filter-then-sweep hypervolume is the one the raw-row sweeps replaced (a
+bit-exact reference), the kernel front is the quadratic front the
+sort-based routine replaced, the ``*_matrix`` distance indicators are the
+``(n, k, m)`` array versions the blocked nearest-distance kernel replaced
+(bit-exact references), and the
 ``*_oracle`` preprocessing transforms are the per-row versions the array
 transforms replaced: each rebuilds every surviving row as a new ``Solution``.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from itertools import product
 from typing import Sequence
@@ -31,6 +34,7 @@ from paretoeval.core import (
     Solution,
     SolutionSet,
     _dominance,
+    _front_mask,
 )
 from paretoeval.preprocess import (
     AT_LEAST,
@@ -153,6 +157,77 @@ def hv_slicer_oracle(points, ref) -> float:
         slab = [slab[k] for k in front_indices(slab)]
         total += hv_slicer_oracle(slab, ref[:-1]) * depth
     return total
+
+
+def _hv2d_front(points: np.ndarray, ref) -> float:
+    best_y = ref[1]
+    vol = 0.0
+    for x, y in points[np.argsort(points[:, 0])].tolist():
+        if y < best_y:
+            vol += (ref[0] - x) * (best_y - y)
+            best_y = y
+    return vol
+
+
+def _hv3d_front(points: np.ndarray, ref) -> float:
+    rx, ry, rz = ref
+    xs: list[float] = []
+    ys: list[float] = []
+    area = vol = 0.0
+    ordered = points[np.argsort(points[:, 2], kind="stable")].tolist()
+    for k, (x, y, z) in enumerate(ordered):
+        i = bisect_left(xs, x)
+        top = ys[i - 1] if i else ry
+        if top > y and not (i < len(xs) and xs[i] == x and ys[i] <= y):
+            j = i
+            while j < len(ys) and ys[j] >= y:
+                j += 1
+            left, height = x, top
+            for qx, qy in zip(xs[i:j], ys[i:j]):
+                area += (qx - left) * (height - y)
+                left, height = qx, qy
+            area += ((xs[j] if j < len(xs) else rx) - left) * (height - y)
+            xs[i:j] = [x]
+            ys[i:j] = [y]
+        vol += area * ((ordered[k + 1][2] if k + 1 < len(ordered) else rz) - z)
+    return vol
+
+
+def _hv_wfg_front(points: np.ndarray, ref) -> float:
+    ordered = points[np.argsort(-points[:, -1], kind="stable")]
+    heads = ordered[:, :-1]
+    head_ref = ref[:-1]
+    boxes = np.ones(len(heads))
+    for r, column in zip(head_ref, heads.T):
+        boxes = boxes * (r - column)
+    depths = ref[-1] - ordered[:, -1]
+    total = 0.0
+    for i, (box, depth) in enumerate(zip(boxes.tolist(), depths.tolist())):
+        limit = np.maximum(heads[i + 1 :], heads[i])
+        shadow = _hv_filtered(limit[_front_mask(limit, unique=True)], head_ref)
+        total += (box - shadow) * depth
+    return total
+
+
+def _hv_filtered(points: np.ndarray, ref) -> float:
+    if not len(points):
+        return 0.0
+    if len(ref) == 2:
+        return _hv2d_front(points, ref)
+    if len(ref) == 3:
+        return _hv3d_front(points, ref)
+    return _hv_wfg_front(points, ref)
+
+
+def hv_filter_sweep_oracle(points: np.ndarray, ref) -> float:
+    """Exact hypervolume of an ``(n, m)`` array the filter-then-sweep way
+    the raw-row sweeps replaced: the rows strictly inside ``ref`` are cut to
+    their unique nondominated front, in input order, before the 2-D sweep,
+    the HV3D sweep or WFG runs, and every WFG limit set is cut the same way.
+    The arithmetic is the library's, so values must agree bit for bit."""
+    ref = tuple(float(v) for v in ref)
+    inside = points[(points < ref).all(axis=1)]
+    return _hv_filtered(inside[_front_mask(inside, unique=True)], ref)
 
 
 def sample_columns(samples) -> np.ndarray:

@@ -506,6 +506,40 @@ class TestEvaluate:
         codes = {f["code"] for f in report["findings"]}
         assert "N-RENORM-SURVIVORS" in codes
 
+    def test_unread_hard_bounds_mode_does_not_fail(self, tmp_path, capsys):
+        # hv is computed in raw units, so objectives without hard bounds fail
+        # a hard_bounds plan only when a normalizing column or the weights
+        # read the bounds.
+        def manifest(name, indicators, preferences=None):
+            return str(
+                write_manifest(
+                    tmp_path,
+                    MIN_2D,
+                    {"alpha": [KNEE_A], "beta": [KNEE_B]},
+                    preferences=preferences,
+                    overrides={
+                        "indicators": indicators,
+                        "normalization": "hard_bounds",
+                    },
+                    output={"report": str(tmp_path / f"{name}.json")},
+                    filename=f"{name}-manifest.json",
+                )
+            )
+
+        hv_only = manifest("hv", ["hv"], {"roi": "knee"})
+        assert main(["evaluate", "--manifest", hv_only]) == EXIT_OK
+        report = json.loads((tmp_path / "hv.json").read_text())
+        assert [r["indicator"] for r in report["results"]] == ["hv", "hv"]
+        plots = str(tmp_path / "plots")
+        assert main(["plot-data", "--manifest", hv_only, "--out", plots]) == EXIT_OK
+        capsys.readouterr()
+        for read in (
+            manifest("igd", ["hv", "igd"]),
+            manifest("weights", ["hv"], {"weights": [0.5, 0.5]}),
+        ):
+            assert main(["evaluate", "--manifest", read]) == EXIT_ERROR
+            assert "'f1' declares no hard bounds" in capsys.readouterr().err
+
     def test_weights_route_reports_winner(self, tmp_path, capsys):
         path = write_manifest(
             tmp_path,

@@ -43,6 +43,7 @@ from conftest import (
     KNEE_B,
     REFSET_A,
     REFSET_B,
+    kernel_settings,
     make_set,
 )
 import oracles
@@ -452,6 +453,46 @@ class TestHypervolumeOracles:
         assert hypervolume(make_set("A", pts), ref) == pytest.approx(
             oracles.hv_slicer_oracle(pts, ref), rel=1e-12, abs=0
         )
+
+
+@st.composite
+def hv_cases(draw):
+    """Rows and a reference point for m in 2..6: real rows at three scales
+    with rounded ties, a last column made tie-heavy (or every column pushed
+    up to one row, the shape of a WFG limit set), exact twins, strictly
+    worse copies, zeros of either sign, and rows on or past the box."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, (80, 80, 40, 20, 12)[m - 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, m)) * rng.choice([0.1, 1.0, 100.0])
+    ties = rng.random((n, m)) < 0.3
+    X[ties] = np.round(X[ties])
+    pushed = rng.random(n) < 0.6
+    if draw(st.booleans()):
+        X[pushed] = np.maximum(X[pushed], X[rng.integers(n)])
+    else:
+        X[pushed, -1] = np.maximum(X[pushed, -1], X[rng.integers(n), -1])
+    twins = rng.random(n) < 0.2
+    X[twins] = X[rng.integers(n, size=twins.sum())]
+    worse = rng.random(n) < 0.2
+    shift = rng.random((worse.sum(), m)) * (rng.random((worse.sum(), m)) < 0.5)
+    X[worse] = X[rng.integers(n, size=worse.sum())] + shift
+    X[(X == 0) & (rng.random((n, m)) < 0.5)] = -0.0
+    ref = np.quantile(X, rng.uniform(0.6, 1.0), axis=0) + rng.choice([0.0, 0.5])
+    edge = np.flatnonzero(rng.random(n) < 0.1)
+    cols = rng.integers(m, size=len(edge))
+    X[edge, cols] = ref[cols] + rng.choice([0.0, 1.0], size=len(edge))
+    return X, tuple(ref.tolist())
+
+
+@kernel_settings
+@given(case=hv_cases())
+def test_hypervolume_matches_filter_sweep_oracle(block_pairs, case):
+    # The sweeps take raw rows and skip what the oracle filters out first;
+    # the sums must agree to the bit.
+    X, ref = case
+    value = hypervolume(make_set("A", X.tolist()), ref)
+    assert repr(value) == repr(oracles.hv_filter_sweep_oracle(X, ref))
 
 
 DOMINATED_SHIFT = st.integers(2, 4).flatmap(

@@ -111,8 +111,9 @@ def test_epsilon_sign_of_a_zero_matches_reference(m):
 
 def test_nearest_memory_is_bounded():
     # 2000 rows against 10000 took 1.1 GB in (n, k, m) arrays.  The kernel
-    # holds two block buffers for m < 8, plus vectors of the row and column
-    # minima: within four buffers of _BLOCK_PAIRS floats (2.1 MB).
+    # holds two block buffers for m < 8 plus a vector of the row minima, and
+    # IGD+ and epsilon negate both operands first: within four buffers of
+    # _BLOCK_PAIRS floats (2.1 MB).
     bound = 4 * core._BLOCK_PAIRS * 8
     rng = np.random.default_rng(0)
     A = make_set("A", rng.random((2000, 3)).tolist())
