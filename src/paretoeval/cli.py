@@ -38,6 +38,7 @@ from .guidance import (
     EvaluationPlan,
     LintWarning,
     SetContext,
+    _finding,
     lint,
     recommend,
 )
@@ -599,6 +600,34 @@ def _ranking_column(
     return next(((n, c) for n, c in planned if n == "hv"), ("hv", config))
 
 
+def _lint_findings(
+    prepared: Prepared, planned: Sequence[tuple[str, IndicatorConfig]]
+) -> list[LintWarning]:
+    """Lint what evaluate computes: the planned columns at the objective
+    count left after preprocessing.  An hv column's explicit point is at the
+    nadir when it equals the nadir of the union front of the non-empty runs."""
+    points = {
+        c.ref_point
+        for n, c in planned
+        if n == "hv" and c.hv_strategy == "explicit" and c.ref_point is not None
+    }
+    live = [s for s in prepared.all_sets if len(s)]
+    at_nadir = False
+    if points and live:
+        front = build_reference_set(live)
+        at_nadir = tuple(float(v) for v in front.values().max(axis=0)) in points
+    return lint(
+        planned,
+        prepared.manifest.preferences,
+        prepared.live_m,
+        EvaluationMode(hv_ref_at_nadir=at_nadir),
+    )
+
+
+# The pairwise indicators ``compare`` computes; evaluate's binary columns.
+_PAIRWISE = {"ci": ind.contribution, "c": ind.coverage, "epsilon": ind.epsilon_additive}
+
+
 def _config_snapshot(config: IndicatorConfig, table: IndicatorTable | None) -> dict:
     snap = config.snapshot()
     if table is not None:
@@ -680,14 +709,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     planned = _planned(manifest, args, plan)
 
     live_m = prepared.live_m
-    # Lint what will actually be computed (overrides included); carry the
-    # plan's advisory notes over without repeating its self-lint findings.
-    findings = lint(
-        planned,
-        prefs,
-        live_m,
-        EvaluationMode(clear_transfer_planned=True),
-    )
+    # Carry the plan's advisory notes over without repeating its self-lint
+    # findings.
+    findings = _lint_findings(prepared, planned)
     findings += [w for w in plan.warnings if w.code.startswith("N-")]
     # An error-severity finding means the indicator is mathematically
     # unreliable here; report it instead of computing it.
@@ -762,14 +786,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             set_b = SolutionSet._concat(runs_b, name_b)
             if len(set_a) and len(set_b):
                 for name, cfg in binary:
-                    fn = ind.contribution if name == "ci" else ind.coverage
                     for first, second in ((set_a, set_b), (set_b, set_a)):
                         results.append(
                             {
                                 "algorithm": first.name,
                                 "against": second.name,
                                 "indicator": name,
-                                "value": fn(first, second),
+                                "value": _PAIRWISE[name](first, second),
                                 "better": aspects_of(name).better,
                                 "aspects": sorted(aspects_of(name).aspects),
                                 "config": _config_snapshot(cfg, None),
@@ -802,14 +825,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 }
 
     if prepared.disputed:
-        findings += [
-            LintWarning(
-                code="N-RENORM-SURVIVORS",
-                severity="info",
-                message="survivor sets disagree on a best-value objective; "
-                "evaluation keeps all objectives",
-            )
-        ]
+        findings.append(_finding("N-RENORM-SURVIVORS"))
 
     status = _exit_from_findings(findings, args.strict)
     report = {
@@ -869,24 +885,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     set_b = SolutionSet._concat(prepared.algorithms[second], second)
     if not len(set_a) or not len(set_b):
         raise EmptySetError("cannot compare empty sets")
-    if indicator == "ci":
-        forward = ind.contribution(set_a, set_b)
-        backward = ind.contribution(set_b, set_a)
-    elif indicator == "c":
-        forward = ind.coverage(set_a, set_b)
-        backward = ind.coverage(set_b, set_a)
-    elif indicator == "epsilon":
-        config = _configure(IndicatorConfig(), manifest, args)
-        a, b = set_a, set_b
-        bounds = normalization_bounds(config.normalization, [set_a, set_b])
-        if bounds is not None:
-            a, b = normalize([set_a, set_b], bounds)
-        forward = ind.epsilon_additive(a, b)
-        backward = ind.epsilon_additive(b, a)
-    else:
+    if indicator not in _PAIRWISE:
         raise ValueError(
             f"{indicator} is not a pairwise indicator; use ci, c, or epsilon"
         )
+    if indicator == "epsilon":
+        config = _configure(IndicatorConfig(), manifest, args)
+        bounds = normalization_bounds(config.normalization, [set_a, set_b])
+        if bounds is not None:
+            set_a, set_b = normalize([set_a, set_b], bounds)
+    forward = _PAIRWISE[indicator](set_a, set_b)
+    backward = _PAIRWISE[indicator](set_b, set_a)
     report = {
         "schema": "solution-set-compare/1",
         "indicator": indicator,
@@ -922,23 +931,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    m = len(manifest.objectives)
-    config = _configure(IndicatorConfig(), manifest, args)
+    prepared = prepare(manifest)
     chosen = _planned(manifest, args)
-    hv_at_nadir = False
-    if config.ref_point is not None and any(n == "hv" for n, _ in chosen):
-        prepared = prepare(manifest)
-        live = [s for s in prepared.all_sets if len(s)]
-        if live:
-            front = build_reference_set(live)
-            nadir = tuple(float(v) for v in front.values().max(axis=0))
-            hv_at_nadir = tuple(config.ref_point) == nadir
-    findings = lint(
-        chosen,
-        manifest.preferences,
-        m,
-        EvaluationMode(clear_transfer_planned=True, hv_ref_at_nadir=hv_at_nadir),
-    )
+    findings = _lint_findings(prepared, chosen)
     status = _exit_from_findings(findings, args.strict)
     report = {
         "schema": "solution-set-lint/1",

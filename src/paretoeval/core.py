@@ -604,6 +604,4 @@ def unique_nondominated_front(A: SolutionSet) -> SolutionSet:
 
     The first occurrence of each duplicated vector is kept.
     """
-    front = nondominated_front(A)
-    order, _, repeat = _lex_sorted(front.values())
-    return front._select(np.sort(order[~repeat]))
+    return A._select(_front_mask(A.values(), unique=True))

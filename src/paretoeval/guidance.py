@@ -24,8 +24,8 @@ D14 plotting recommendation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .indicators import (
     _HV_MAX_OBJECTIVES, ASPECTS, IndicatorConfig, aspects_of, canonical_name,
@@ -128,7 +128,8 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
     "N-RENORM-SURVIVORS": (
         None,
         "info",
-        "normalization bounds recomputed over preference-transfer survivors",
+        "survivor sets disagree on a best-value objective; evaluation keeps "
+        "all objectives",
     ),
 }
 
@@ -286,11 +287,10 @@ def lint(
     return findings
 
 
-def _general_indicators(
-    m: int, context: SetContext, config: IndicatorConfig
-) -> list[PlannedIndicator]:
+def _general_indicators(m: int, context: SetContext) -> list[PlannedIndicator]:
     """No-preference route: convergence, diversity, cardinality, and a
     comprehensive indicator."""
+    config = IndicatorConfig()
     chosen = [
         PlannedIndicator(
             "gd_plus",
@@ -362,7 +362,6 @@ def recommend(
             PlanStep("screen", "P1: drop trivially useless solutions before judging")
         )
 
-    config = IndicatorConfig()
     transferable = not prefs.untransferable and not prefs.is_empty()
 
     if prefs.clear:
@@ -388,10 +387,6 @@ def recommend(
                 "P3: clamp beyond-saturation values, drop below-floor solutions",
             )
         )
-
-    route_general = (not transferable) or (
-        not prefs.roi and not prefs.weights and effective_m > 1
-    )
 
     if effective_m == 1:
         pass  # single surviving objective: the best-value step already decides
@@ -419,13 +414,10 @@ def recommend(
             )
         )
         doe_steps.append("best: report per-objective best values")
-    elif route_general:
-        indicators.extend(_general_indicators(effective_m, context, config))
+    else:
+        indicators.extend(_general_indicators(effective_m, context))
 
-    needs_norm = any(
-        aspects_of(p.name).needs_normalization for p in indicators
-    ) and config.normalization != "none"
-    if needs_norm:
+    if any(aspects_of(p.name).needs_normalization for p in indicators):
         steps.append(
             PlanStep("normalize", "scale objectives to comparable ranges")
         )
@@ -436,15 +428,7 @@ def recommend(
     if any(p.name == "spread" for p in indicators):
         plan_notes.append(_finding("N-EXTREMES-SUBSTITUTED"))
 
-    self_findings = lint(
-        [(p.name, p.config) for p in indicators],
-        prefs,
-        effective_m,
-        EvaluationMode(
-            doe_stats=tuple(s.split(":", 1)[0] for s in doe_steps),
-            clear_transfer_planned=True,
-        ),
-    )
+    self_findings = lint([(p.name, p.config) for p in indicators], prefs, effective_m)
     return EvaluationPlan(
         preprocessing=tuple(steps),
         indicators=tuple(indicators),

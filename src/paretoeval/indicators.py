@@ -21,6 +21,7 @@ from .core import (
     DimensionMismatchError,
     EmptySetError,
     SolutionSet,
+    _check_sets,
     _dominance,
     _front_mask,
     _nearest,
@@ -222,18 +223,11 @@ def aspects_of(name: str) -> IndicatorProfile:
     return _PROFILES[canonical_name(name)]
 
 
-def _values(A: SolutionSet, require_nonempty: bool = True) -> np.ndarray:
+def _values(A: SolutionSet) -> np.ndarray:
     v = A.values()
-    if require_nonempty and v.shape[0] == 0:
+    if v.shape[0] == 0:
         raise EmptySetError(f"set {A.name!r} is empty")
     return v
-
-
-def _check_same_m(A: SolutionSet, B: SolutionSet) -> None:
-    if A.m != B.m:
-        raise DimensionMismatchError(
-            f"sets {A.name!r} and {B.name!r} disagree on objective count"
-        )
 
 
 def contribution(A: SolutionSet, B: SolutionSet) -> float:
@@ -244,7 +238,7 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     incomparable to everything there.  Values lie in [0, 1], the two
     orderings sum to 1, and 0.5 means parity.
     """
-    _check_same_m(A, B)
+    _check_sets(A, B)
     if not len(A) and not len(B):
         raise EmptySetError("contribution of two empty sets is undefined")
     count_a = Counter(A.vectors())
@@ -274,7 +268,7 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
 
 def coverage(A: SolutionSet, B: SolutionSet) -> float:
     """Fraction of B's distinct vectors weakly dominated by some member of A."""
-    _check_same_m(A, B)
+    _check_sets(A, B)
     if not len(A) or not len(B):
         raise EmptySetError("coverage needs two non-empty sets")
     distinct_b = np.array(list(dict.fromkeys(B.vectors())))
@@ -291,7 +285,7 @@ def gd(A: SolutionSet, reference: SolutionSet, p: float = 1.0) -> float:
     reference point; the result is (sum d_i^p)^(1/p) / n.  The default p=1
     is the plain arithmetic mean of the distances.
     """
-    _check_same_m(A, reference)
+    _check_sets(A, reference)
     if p < 1:
         raise ValueError("p must be >= 1")
     d = _nearest(_values(A), _values(reference), "euclidean")
@@ -305,7 +299,7 @@ def gd_plus(A: SolutionSet, reference: SolutionSet) -> float:
     than a reference point, so moving a solution into the region dominating
     the reference costs nothing.  Aggregation is the arithmetic mean.
     """
-    _check_same_m(A, reference)
+    _check_sets(A, reference)
     d = _nearest(_values(A), _values(reference), "shortfall")
     return float(d.mean())
 
@@ -313,7 +307,7 @@ def gd_plus(A: SolutionSet, reference: SolutionSet) -> float:
 def igd(A: SolutionSet, reference: SolutionSet) -> float:
     """Inverted generational distance: mean distance from each reference
     point to its nearest member of A."""
-    _check_same_m(A, reference)
+    _check_sets(A, reference)
     a, r = _values(A), _values(reference)
     return float(_nearest(r, a, "euclidean").mean())
 
@@ -321,7 +315,7 @@ def igd(A: SolutionSet, reference: SolutionSet) -> float:
 def igd_plus(A: SolutionSet, reference: SolutionSet) -> float:
     """Inverted generational distance with one-sided distances: A is charged
     only where it fails to reach each reference point."""
-    _check_same_m(A, reference)
+    _check_sets(A, reference)
     # Member a of A is charged where it is worse than reference point r:
     # max(a - r, 0) is the shortfall from -r to -a.
     a, r = _values(A), _values(reference)
@@ -568,7 +562,7 @@ def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:
     max over b of min over a of max_i (a_i - b_i).  Zero for identical sets;
     negative when A strictly exceeds B everywhere.
     """
-    _check_same_m(A, B)
+    _check_sets(A, B)
     # a - b is the epsilon distance from -b to -a.  + 0.0 prints a zero as
     # 0.0 whichever sign its tied terms carried.
     a, b = _values(A), _values(B)

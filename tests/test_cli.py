@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -890,6 +891,55 @@ class TestLint:
         assert at_nadir == EXIT_WARNINGS
         assert beyond == EXIT_OK
 
+    @staticmethod
+    def _evaluate_then_lint(tmp_path, path, *flags):
+        """(evaluate's exit, its report, lint's exit, its report) on one
+        command line."""
+        runs = []
+        for command in ("evaluate", "lint"):
+            out = tmp_path / f"{command}.json"
+            code = main([command, "--manifest", str(path), "--out", str(out), *flags])
+            runs += [code, json.loads(out.read_text())]
+        return runs
+
+    def test_objective_count_after_preprocessing(self, tmp_path):
+        # Every survivor has f3 = 0, so f3 is dropped and spread runs at m=2.
+        objectives = [{"name": f"f{i}", "direction": "min"} for i in (1, 2, 3)]
+        path = write_manifest(
+            tmp_path,
+            objectives,
+            {
+                "a": [[(1, 4, 0), (2, 3, 0), (4, 1, 0), (0.5, 0.5, 2)]],
+                "b": [[(2, 5, 0), (3, 2, 0), (5, 1, 0), (1, 1, 3)]],
+            },
+            preferences={"clear": [{"objective": "f3", "kind": "exactly_best"}]},
+        )
+        code, report, lint_code, lint_report = self._evaluate_then_lint(tmp_path, path)
+        assert report["preprocessing"]["dropped_objectives"] == ["f3"]
+        assert "spread" in {r["indicator"] for r in report["results"]}
+        assert code == lint_code == EXIT_OK
+        assert "L-SPREAD-DIM" not in [f["code"] for f in lint_report["findings"]]
+        assert [f for f in report["findings"] if f["code"].startswith("L-")] == (
+            lint_report["findings"]
+        )
+
+    def test_evaluate_reports_reference_point_at_nadir(self, tmp_path):
+        path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A], "b": [KNEE_B]})
+        code, report, lint_code, lint_report = self._evaluate_then_lint(
+            tmp_path, path, "--indicator", "hv", "--ref-point", "12,10"
+        )
+        assert code == lint_code == EXIT_WARNINGS
+        assert [f["code"] for f in lint_report["findings"]] == ["L-HV-REFPOINT"]
+        assert [f for f in report["findings"] if f["code"].startswith("L-")] == (
+            lint_report["findings"]
+        )
+
+    def test_malformed_run_file_exits_2(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
+        (tmp_path / "a_0.csv").write_text("f1,f2\n1,x\n", encoding="utf-8")
+        assert main(["lint", "--manifest", str(path)]) == EXIT_ERROR
+        assert ":2:" in capsys.readouterr().err
+
     def test_clean_setup(self, tmp_path, capsys):
         path = write_manifest(
             tmp_path, MIN_2D, {"a": [KNEE_A], "b": [KNEE_B]}
@@ -1343,7 +1393,7 @@ JUNK = [
 ]
 FLAGS = {
     "--indicator": ["hv", "igd", "ci", "epsilon", "spread", "xyz"],
-    "--ref-point": ["13,11", "inf,inf", "nan,1", "1", "a,b", "0,0"],
+    "--ref-point": ["13,11", "12,10", "inf,inf", "nan,1", "1", "a,b", "0,0"],
     "--ref-strategy": ["explicit", "doubled_range", "bogus"],
     "--gd-p": ["2", "inf", "0.5", "x"],
     "--grid-div": ["10", "1", "x"],
@@ -1383,12 +1433,29 @@ def mutated_manifests(draw):
     return doc
 
 
+def _empty(directory):
+    """Remove what an earlier example left: hypothesis runs every example of
+    a test in the same ``tmp_path``."""
+    for child in directory.iterdir():
+        if child.is_dir():
+            shutil.rmtree(child)
+        else:
+            child.unlink()
+
+
+@st.composite
+def flag_lists(draw, names=tuple(sorted(FLAGS))):
+    """Up to three of the named flags, each with a value if it takes one."""
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(names), max_size=3)):
+        argv += [flag, *([draw(st.sampled_from(FLAGS[flag]))] if FLAGS[flag] else [])]
+    return argv
+
+
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(TestFlags.READS)))
-    argv = [command, "--manifest", "manifest.json"]
-    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=3)):
-        argv += [flag, *([draw(st.sampled_from(FLAGS[flag]))] if FLAGS[flag] else [])]
+    argv = [command, "--manifest", "manifest.json", *draw(flag_lists())]
     return argv + (["alpha", "beta"] if command == "compare" else [])
 
 
@@ -1401,6 +1468,7 @@ class TestExitCodeContract:
     @given(doc=mutated_manifests(), argv=command_lines())
     def test_exit_status_and_stderr(self, tmp_path, monkeypatch, capsys, doc, argv):
         monkeypatch.chdir(tmp_path)
+        _empty(tmp_path)
         write_runs(tmp_path, ["f1", "f2"], CONTRACT_RUNS)
         (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
@@ -1422,3 +1490,42 @@ class TestExitCodeContract:
             assert "[error]" in out or ("--strict" in argv and "[warning]" in out)
         else:
             assert len(errors) == (code == EXIT_ERROR), err
+
+
+class TestLintMatchesEvaluate:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        doc=mutated_manifests(),
+        flags=flag_lists(tuple(sorted(set(FLAGS) - {"--out"}))),
+    )
+    def test_lint_reports_what_evaluate_reports(
+        self, tmp_path, monkeypatch, capsys, doc, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        _empty(tmp_path)
+        write_runs(tmp_path, ["f1", "f2"], CONTRACT_RUNS)
+        (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        reports = {c: tmp_path / f"{c}.json" for c in ("evaluate", "lint")}
+        codes = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            for command, out in reports.items():
+                argv = [command, "--manifest", "manifest.json", "--out", str(out)]
+                try:
+                    codes[command] = main([*argv, *flags])
+                except SystemExit as exc:  # argparse rejected the command line
+                    codes[command] = exc.code
+        capsys.readouterr()
+        event(f"evaluate exits {codes['evaluate']}")
+        if not reports["evaluate"].exists():
+            return
+        report = json.loads(reports["evaluate"].read_text())
+        linted = json.loads(reports["lint"].read_text())
+        assert codes["lint"] == codes["evaluate"] == report["exit_status"]
+        assert linted["findings"] == [
+            f for f in report["findings"] if f["code"].startswith("L-")
+        ]
