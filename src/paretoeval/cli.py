@@ -414,40 +414,63 @@ def load_solution_set(
         raise SolutionFileError(
             f"{path}:1: header {value_columns} does not match objectives {expected}"
         )
-    rows: list[list[float]] = []
+    cells: list[list[str]] = []
     ids: list[str | None] = []
+    linenos: list[int] = []
+    short = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise SolutionFileError(
-                f"{path}:{lineno}: expected {len(header)} columns, found {len(cells)}"
+        row = [c.strip() for c in line.split(",")]
+        if len(row) != len(header):
+            short = SolutionFileError(
+                f"{path}:{lineno}: expected {len(header)} columns, found {len(row)}"
             )
-        sol_id = cells[0] if has_id else None
-        raw_vals = cells[1:] if has_id else cells
-        vals = []
-        for col, cell in zip(value_columns, raw_vals):
-            try:
-                vals.append(float(cell))
-            except ValueError as exc:
-                raise SolutionFileError(
-                    f"{path}:{lineno}: column {col!r} has non-numeric value {cell!r}"
-                ) from exc
-        bad = [v for v in vals if not math.isfinite(v)]
-        if bad:
-            raise SolutionFileError(
-                f"{path}:{lineno}: objective values must be finite, got {bad[0]!r}"
-            )
-        rows.append(vals)
-        ids.append(sol_id)
-    if not rows:
+            break
+        cells.append(row[1:] if has_id else row)
+        ids.append(row[0] if has_id else None)
+        linenos.append(lineno)
+    # One numpy parse of every cell, which reads a cell as float() does; on
+    # a bad value the lines are parsed again in order to name the first.
+    try:
+        rows = np.array(cells, dtype=float).reshape(len(cells), len(meta))
+        clean = bool(np.isfinite(rows).all())
+    except ValueError:
+        clean = False
+    if not clean:
+        rows = [
+            _row_values(path, lineno, value_columns, row)
+            for lineno, row in zip(linenos, cells)
+        ]
+    if short is not None:
+        raise short
+    if not len(rows):
         warnings.warn(
             f"{path} contains a header but no solutions",
             EvaluationWarning,
             stacklevel=2,
         )
     return SolutionSet._from_array(name or path.stem, meta, rows, ids=ids)
+
+
+def _row_values(
+    path: Path, lineno: int, columns: Sequence[str], cells: Sequence[str]
+) -> list[float]:
+    """One line's values, or the error that names its first bad cell."""
+    vals = []
+    for col, cell in zip(columns, cells):
+        try:
+            vals.append(float(cell))
+        except ValueError as exc:
+            raise SolutionFileError(
+                f"{path}:{lineno}: column {col!r} has non-numeric value {cell!r}"
+            ) from exc
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise SolutionFileError(
+            f"{path}:{lineno}: objective values must be finite, got {bad[0]!r}"
+        )
+    return vals
 
 
 def write_solution_set(path: str | Path, A: SolutionSet) -> None:
@@ -605,22 +628,25 @@ def _lint_findings(
 ) -> list[LintWarning]:
     """Lint what evaluate computes: the planned columns at the objective
     count left after preprocessing.  An hv column's explicit point is at the
-    nadir when it equals the nadir of the union front of the non-empty runs."""
+    nadir when it equals the nadir of the union front of the non-empty runs,
+    and inside it when it is below that nadir on some objective."""
     points = {
         c.ref_point
         for n, c in planned
         if n == "hv" and c.hv_strategy == "explicit" and c.ref_point is not None
     }
     live = [s for s in prepared.all_sets if len(s)]
-    at_nadir = False
+    at_nadir = inside = False
     if points and live:
         front = build_reference_set(live)
-        at_nadir = tuple(float(v) for v in front.values().max(axis=0)) in points
+        nadir = tuple(float(v) for v in front.values().max(axis=0))
+        at_nadir = nadir in points
+        inside = any(p < v for point in points for p, v in zip(point, nadir))
     return lint(
         planned,
         prepared.manifest.preferences,
         prepared.live_m,
-        EvaluationMode(hv_ref_at_nadir=at_nadir),
+        EvaluationMode(hv_ref_at_nadir=at_nadir, hv_ref_inside=inside),
     )
 
 

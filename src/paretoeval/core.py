@@ -479,6 +479,29 @@ def _front_mask(V: np.ndarray, unique: bool = False) -> np.ndarray:
     return mask
 
 
+def _limit_front_masks(L: np.ndarray) -> np.ndarray:
+    """Unique-front masks of a stack of sets, the limit sets of one block of
+    WFG rows, in one pass.
+
+    Set t of the ``(b, n, m)`` array ``L`` is the rows ``L[t, t:]``.  Entry
+    ``[t, j]`` of the ``(b, n)`` result, for j >= t, equals
+    ``_front_mask(L[t, t:], unique=True)[j - t]``: row j is kept when no row
+    p >= t dominates it and no earlier row t <= p < j equals it.  Entries
+    j < t are False.  Temporaries are ``(b, n, n)``, one objective at a time.
+    """
+    b, n, _ = L.shape
+    le = np.ones((b, n, n), dtype=bool)  # [t, p, j]: row p <= row j everywhere
+    lt = np.zeros_like(le)  # and < somewhere
+    for col in np.moveaxis(L, 2, 0):
+        le &= col[:, :, None] <= col[:, None, :]
+        lt |= col[:, :, None] < col[:, None, :]
+    p = np.arange(n)
+    member = p >= np.arange(b)[:, None]
+    # Row p knocks out row j when it dominates j or is an earlier equal row.
+    knocked = le & (lt | (p[:, None] < p)) & member[:, :, None]
+    return member & ~knocked.any(axis=1)
+
+
 def _front_sweep2(S: np.ndarray) -> np.ndarray:
     """Front of lexicographically sorted 2-column rows: a row is kept when it
     is the lowest of its group of equal first objective and lies strictly

@@ -91,6 +91,12 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
         "a hypervolume reference at the worst observed values (or exactly at "
         "the nadir) over-rewards boundary solutions",
     ),
+    "L-HV-REF-INSIDE": (
+        "III",
+        "error",
+        "an explicit hypervolume reference point does not weakly exceed the "
+        "nadir of the union front, so evaluate rejects it",
+    ),
     "L-PREF-IGNORED": (
         "IV",
         "warning",
@@ -200,6 +206,7 @@ class EvaluationMode:
     clear_transfer_planned: bool = True
     combined_front_reference: bool = True
     hv_ref_at_nadir: bool = False
+    hv_ref_inside: bool = False
 
 
 def aspect_coverage(names: Sequence[str]) -> dict[str, str]:
@@ -272,6 +279,8 @@ def lint(
         ):
             findings.append(_finding("L-HV-REFPOINT", config.hv_strategy))
             break
+    if "hv" in names and mode.hv_ref_inside:
+        findings.append(_finding("L-HV-REF-INSIDE"))
 
     if prefs.clear and not mode.clear_transfer_planned:
         findings.append(_finding("L-PREF-IGNORED"))

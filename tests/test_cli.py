@@ -357,6 +357,56 @@ class TestSolutionFiles:
         loaded = load_solution_set(path, original.meta)
         assert loaded.vectors() == original.vectors()
 
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40
+        ),
+        formats=st.lists(
+            st.tuples(
+                st.sampled_from([repr, "%.17g".__mod__, "%.6g".__mod__]),
+                st.sampled_from(["", " ", "\t", "  "]),
+                st.sampled_from(["", " ", "  "]),
+                st.booleans(),
+            ),
+            min_size=1,
+        ),
+    )
+    def test_cells_load_as_float_reads_them(self, tmp_path, values, formats):
+        # Every cell must load to the bits Python's float() gives it: any
+        # formatting, padding, or an underscore between two digits.
+        cells = []
+        for k, value in enumerate(values[: len(values) // 2 * 2]):
+            fmt, left, right, underscore = formats[k % len(formats)]
+            text = fmt(value)
+            digits = [i for i in range(1, len(text)) if text[i - 1 : i + 1].isdigit()]
+            if underscore and digits:
+                text = text[: digits[0]] + "_" + text[digits[0] :]
+            cells.append(left + text + right)
+        path = tmp_path / "run.csv"
+        rows = [",".join(cells[i : i + 2]) for i in range(0, len(cells), 2)]
+        path.write_text("\n".join(["f1,f2", *rows]) + "\n", encoding="utf-8")
+        loaded = load_solution_set(path, META_2D).values()
+        expected = np.array([float(c) for c in cells]).reshape(-1, 2)
+        assert loaded.tobytes() == expected.tobytes()
+
+    def test_first_bad_line_in_file_order(self, tmp_path):
+        # The first failing line is named, whatever fails on later lines.
+        path = tmp_path / "run.csv"
+        for text, where in [
+            ("f1,f2\n1,2\n3,1e400\nx,4\n5\n", r":3: .*finite, got inf$"),
+            ("f1,f2\n1,2\ninf,x\n-inf,4\n", r":3: column 'f2' has non-numeric value 'x'"),
+            ("f1,f2\n1,2\n5\nx,4\n", r":3: expected 2 columns, found 1"),
+            ("f1,f2\n1_0,-0.0\n3,nan\n", r":3: .*finite, got nan$"),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(SolutionFileError, match=where):
+                load_solution_set(path, META_2D)
+
     def test_round_trip_keeps_ids(self, tmp_path):
         original = make_set("run", [(1, 2)]).with_solutions(
             tuple(
@@ -933,6 +983,21 @@ class TestLint:
         assert [f for f in report["findings"] if f["code"].startswith("L-")] == (
             lint_report["findings"]
         )
+
+    def test_reference_point_inside_the_front_is_an_error(self, tmp_path, capsys):
+        # evaluate rejects a point short of the nadir (4, 4); lint must too.
+        path = write_manifest(tmp_path, MIN_2D, {"a": [[(1, 4), (4, 1)]]})
+        flags = ["--manifest", str(path), "--indicator", "hv", "--ref-point", "3,3"]
+        assert main(["evaluate", *flags]) == EXIT_ERROR
+        assert "does not weakly exceed the basis nadir (4.0, 4.0)" in (
+            capsys.readouterr().err
+        )
+        out = tmp_path / "lint.json"
+        assert main(["lint", *flags, "--out", str(out)]) == EXIT_ERROR
+        assert "[error] L-HV-REF-INSIDE" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert [f["code"] for f in report["findings"]] == ["L-HV-REF-INSIDE"]
+        assert report["exit_status"] == EXIT_ERROR
 
     def test_malformed_run_file_exits_2(self, tmp_path, capsys):
         path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})

@@ -22,7 +22,8 @@ from paretoeval import (
     unique_nondominated_front,
     weakly_dominates,
 )
-from conftest import KNEE_A, KNEE_B, make_set
+from paretoeval import core
+from conftest import KNEE_A, KNEE_B, kernel_settings, make_set
 import oracles
 
 
@@ -242,6 +243,35 @@ class TestDominanceProperties:
             SetRelation.EQUIVALENT: SetRelation.EQUIVALENT,
         }
         assert back is mirror[fwd]
+
+
+@st.composite
+def limit_blocks(draw):
+    """The limit sets of one block of WFG rows, m in 4..6: rows at three
+    scales with rounded ties, exact twins, zeros of either sign, pushed up
+    to each of the first ``b`` rows in turn, as ``_hv_wfg`` builds them."""
+    m = draw(st.integers(4, 6))
+    n = draw(st.integers(1, 14))
+    b = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.normal(size=(n, m)) * rng.choice([0.1, 1.0, 100.0])
+    ties = rng.random((n, m)) < 0.4
+    V[ties] = np.round(V[ties])
+    twins = rng.random(n) < 0.3
+    V[twins] = V[rng.integers(n, size=twins.sum())]
+    V[(V == 0) & (rng.random((n, m)) < 0.5)] = -0.0
+    return np.maximum(V[1:], V[:b, None])
+
+
+@kernel_settings
+@given(L=limit_blocks())
+def test_limit_front_masks_match_front_mask(block_pairs, L):
+    # Set t of the block is L[t, t:]; the batch must pick, for every set,
+    # the rows ``_front_mask`` picks from it alone, and nothing before t.
+    masks = core._limit_front_masks(L)
+    for t, limit in enumerate(L):
+        assert not masks[t, :t].any()
+        assert (masks[t, t:] == core._front_mask(limit[t:], unique=True)).all()
 
 
 class TestSolutionValidation:

@@ -495,6 +495,35 @@ def test_hypervolume_matches_filter_sweep_oracle(block_pairs, case):
     assert repr(value) == repr(oracles.hv_filter_sweep_oracle(X, ref))
 
 
+@st.composite
+def sphere_fronts_5d(draw):
+    """38 to 60 rows at m=5, more than the tiny block cap holds, so WFG's
+    4-column nodes take the batched limit-set masks at the default cap and
+    the per-row filter at the tiny one: rows on the positive unit sphere
+    with rounded ties, exact twins, zeros of either sign and some rows
+    pushed up to another row."""
+    n = draw(st.integers(38, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.abs(rng.normal(size=(n, 5)))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    ties = rng.random((n, 5)) < 0.2
+    X[ties] = np.round(X[ties], 1)
+    twins = rng.random(n) < 0.15
+    X[twins] = X[rng.integers(n, size=twins.sum())]
+    pushed = rng.random(n) < 0.1
+    X[pushed] = np.maximum(X[pushed], X[rng.integers(n)])
+    X[(X == 0) & (rng.random((n, 5)) < 0.5)] = -0.0
+    return X
+
+
+@settings(kernel_settings, max_examples=25)
+@given(X=sphere_fronts_5d())
+def test_hypervolume_matches_filter_sweep_oracle_beyond_tiny_cap(block_pairs, X):
+    ref = (1.1,) * 5
+    value = hypervolume(make_set("A", X.tolist()), ref)
+    assert repr(value) == repr(oracles.hv_filter_sweep_oracle(X, ref))
+
+
 DOMINATED_SHIFT = st.integers(2, 4).flatmap(
     lambda m: st.tuples(
         st.lists(
