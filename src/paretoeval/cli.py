@@ -39,6 +39,7 @@ from .guidance import (
     LintWarning,
     SetContext,
     _finding,
+    _plan,
     lint,
     recommend,
 )
@@ -121,6 +122,10 @@ class Manifest:
     overrides: Mapping[str, object] = field(default_factory=dict)
     output: OutputSpec = field(default_factory=OutputSpec)
     base_dir: str = "."
+
+    def resolve(self, rel: str | None) -> Path | None:
+        """A path the manifest names, against the manifest's directory."""
+        return Path(self.base_dir) / rel if rel else None
 
 
 class _Kind(NamedTuple):
@@ -531,13 +536,13 @@ def prepare(manifest: Manifest) -> Prepared:
     notes: list[str] = []
     algorithms: dict[str, list[SolutionSet]] = {}
     dropped_per_set: tuple[int, ...] | None = None
-    base = Path(manifest.base_dir)
 
     for entry in manifest.algorithms:
         runs: list[SolutionSet] = []
         for r, rel in enumerate(entry.runs):
             run_name = entry.name if len(entry.runs) == 1 else f"{entry.name}#{r}"
-            raw = load_solution_set(base / rel, manifest.objectives, name=run_name)
+            path = manifest.resolve(rel)
+            raw = load_solution_set(path, manifest.objectives, name=run_name)
             work = to_minimization(raw)
             log: list[Removal] = []
             work = screen_trivial(work, prefs.screen, log=log)
@@ -550,9 +555,12 @@ def prepare(manifest: Manifest) -> Prepared:
             runs.append(work)
         algorithms[entry.name] = runs
 
-    candidates = dropped_per_set or ()
-    survivors = [v for runs in algorithms.values() for run in runs for v in run.vectors()]
-    disputed = tuple(j for j in candidates if len({v[j] for v in survivors}) > 1)
+    candidates = list(dropped_per_set or ())
+    disputed: tuple[int, ...] = ()
+    if candidates:  # as floats, so -0.0 agrees with 0.0; no survivor, no dispute
+        sets = [run for runs in algorithms.values() for run in runs]
+        best = np.concatenate([s.values()[:, candidates] for s in sets])
+        disputed = tuple(j for j, v in zip(candidates, best.T) if (v != v[:1]).any())
     for j in disputed:
         notes.append(
             f"objective {manifest.objectives[j].name!r} kept: best-value survivors "
@@ -589,40 +597,6 @@ def _configure(
     return replace(base, **{**manifest.overrides, **_config_level(flags)})
 
 
-def _plan(manifest: Manifest) -> EvaluationPlan:
-    return recommend(
-        manifest.preferences,
-        len(manifest.objectives),
-        SetContext(set_count=len(manifest.algorithms)),
-    )
-
-
-def _planned(
-    manifest: Manifest, args: argparse.Namespace, plan: EvaluationPlan | None = None
-) -> list[tuple[str, IndicatorConfig]]:
-    """The (indicator, config) pairs evaluate computes.
-
-    An indicator list from the flags or the manifest runs with the merged
-    config.  Otherwise each planned config takes the fields the manifest
-    set, then the flags.
-    """
-    chosen_names = args.indicator or manifest.indicators
-    if chosen_names:
-        config = _configure(IndicatorConfig(), manifest, args)
-        return [(canonical_name(n), config) for n in chosen_names]
-    return [
-        (p.name, _configure(p.config, manifest, args))
-        for p in (plan or _plan(manifest)).indicators
-    ]
-
-
-def _ranking_column(
-    planned: Sequence[tuple[str, IndicatorConfig]], config: IndicatorConfig
-) -> tuple[str, IndicatorConfig]:
-    """The planned hv column, else hv with the merged config (unreported)."""
-    return next(((n, c) for n, c in planned if n == "hv"), ("hv", config))
-
-
 def _lint_findings(
     prepared: Prepared, planned: Sequence[tuple[str, IndicatorConfig]]
 ) -> list[LintWarning]:
@@ -648,6 +622,51 @@ def _lint_findings(
         prepared.live_m,
         EvaluationMode(hv_ref_at_nadir=at_nadir, hv_ref_inside=inside),
     )
+
+
+# An error-severity finding that makes an indicator mathematically
+# unreliable here blocks it: the report records why instead of a value.
+_BLOCKS = {"L-SPREAD-DIM": "spread", "L-HV-DIM": "hv"}
+
+
+class _Stages(NamedTuple):
+    """What evaluate, lint and plot-data share, built once and in order."""
+
+    prepared: Prepared
+    plan: EvaluationPlan  # for the objectives left after preprocessing
+    config: IndicatorConfig  # the merged config
+    chosen: list[tuple[str, IndicatorConfig]]  # what lint reports as chosen
+    findings: list[LintWarning]  # lint findings on the chosen columns
+    columns: list[tuple[str, IndicatorConfig]]  # chosen, less the blocked
+    ranking: tuple[str, IndicatorConfig]  # the column that picks runs
+
+
+def _stages(args: argparse.Namespace) -> _Stages:
+    """Load, prepare, plan, configure, lint and block.
+
+    An indicator list from the flags or the manifest runs with the merged
+    config.  Otherwise each planned config takes the fields the manifest
+    set, then the flags.  Runs are ranked by the hv column, else by hv with
+    the merged config (computed for the pick only).
+    """
+    manifest = load_manifest(args.manifest)
+    prepared = prepare(manifest)
+    context = SetContext(set_count=len(manifest.algorithms))
+    plan = _plan(
+        manifest.preferences, len(manifest.objectives), prepared.live_m, context
+    )
+    config = _configure(IndicatorConfig(), manifest, args)
+    names = args.indicator or manifest.indicators
+    chosen = (
+        [(canonical_name(n), config) for n in names]
+        if names
+        else [(p.name, _configure(p.config, manifest, args)) for p in plan.indicators]
+    )
+    findings = _lint_findings(prepared, chosen)
+    blocked = {_BLOCKS[f.code] for f in findings if f.code in _BLOCKS}
+    columns = [(n, c) for n, c in chosen if n not in blocked]
+    ranking = next(((n, c) for n, c in columns if n == "hv"), ("hv", config))
+    return _Stages(prepared, plan, config, chosen, findings, columns, ranking)
 
 
 # The pairwise indicators ``compare`` computes; evaluate's binary columns.
@@ -709,8 +728,7 @@ def _plan_to_dict(plan: EvaluationPlan) -> dict:
     }
 
 
-def _write_report(report: dict, out: str | None, default: str | None) -> None:
-    target = out or default
+def _write_report(report: dict, target: str | Path | None) -> None:
     if not target:
         return
     path = Path(target)
@@ -724,76 +742,60 @@ def _write_report(report: dict, out: str | None, default: str | None) -> None:
 # Commands
 
 
+def _result(
+    name: str, cfg: IndicatorConfig, value: float, table: IndicatorTable | None, **where
+) -> dict:
+    """One report row: where the indicator was measured, and its value."""
+    profile = aspects_of(name)
+    return {
+        **where,
+        "indicator": name,
+        "value": value,
+        "better": profile.better,
+        "aspects": sorted(profile.aspects),
+        "config": _config_snapshot(cfg, table),
+    }
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.manifest)
-    prepared = prepare(manifest)
+    stages = _stages(args)
+    prepared, plan = stages.prepared, stages.plan
+    manifest = prepared.manifest
     prefs = manifest.preferences
-    m = len(manifest.objectives)
-    plan = _plan(manifest)
-
-    config = _configure(IndicatorConfig(), manifest, args)
-    planned = _planned(manifest, args, plan)
-
-    live_m = prepared.live_m
     # Carry the plan's advisory notes over without repeating its self-lint
     # findings.
-    findings = _lint_findings(prepared, planned)
-    findings += [w for w in plan.warnings if w.code.startswith("N-")]
-    # An error-severity finding means the indicator is mathematically
-    # unreliable here; report it instead of computing it.
-    blocked = {"L-SPREAD-DIM": "spread", "L-HV-DIM": "hv"}
-    skip = {blocked[f.code] for f in findings if f.code in blocked}
-    planned = [(n, c) for n, c in planned if n not in skip]
+    findings = stages.findings + [w for w in plan.warnings if w.code.startswith("N-")]
 
     results: list[dict] = []
     aggregates: list[dict] = []
     doe_report: dict = {}
     representative: dict[str, int] = {}
 
-    if live_m == 1:
+    if prepared.live_m == 1:
         # A single objective survived preference transfer: compare best values.
-        stored_best: dict[str, float] = {}
-        natural_best: dict[str, float] = {}
+        best: dict[str, float] = {}
         for alg, runs in prepared.algorithms.items():
             values = [v for run in runs for v in run.values()[:, 0].tolist()]
-            if not values:
-                continue
-            sign = runs[0].signs[0] if runs[0].signs is not None else 1.0
-            stored_best[alg] = min(values)
-            natural_best[alg] = sign * stored_best[alg]
-        objective = next(
-            o.name
-            for i, o in enumerate(manifest.objectives)
-            if i not in prepared.dropped
-        )
+            if values:
+                best[alg] = min(values)
+        head = prepared.all_sets[0]
+        sign = head.signs[0] if head.signs is not None else 1.0
         doe_report = {
             "kind": "best-value",
-            "objective": objective,
-            "best": natural_best,
-            "winner": min(stored_best, key=stored_best.get) if stored_best else None,
+            "objective": head.meta[0].name,
+            "best": {alg: sign * v for alg, v in best.items()},
+            "winner": min(best, key=best.get) if best else None,
         }
     else:
-        unary = [(n, c) for n, c in planned if not aspects_of(n).binary]
-        binary = [(n, c) for n, c in planned if aspects_of(n).binary]
-        table = indicator_table(
-            prepared.algorithms, unary, _ranking_column(unary, config)
-        )
+        unary = [(n, c) for n, c in stages.columns if not aspects_of(n).binary]
+        binary = [(n, c) for n, c in stages.columns if aspects_of(n).binary]
+        table = indicator_table(prepared.algorithms, unary, stages.ranking)
         for alg, runs in prepared.algorithms.items():
             per_indicator: dict[str, list[float]] = {}
             for r in range(len(runs)):
                 for (name, cfg), value in zip(unary, table.values.get((alg, r), ())):
-                    profile = aspects_of(name)
-                    results.append(
-                        {
-                            "algorithm": alg,
-                            "run": r,
-                            "indicator": name,
-                            "value": value,
-                            "better": profile.better,
-                            "aspects": sorted(profile.aspects),
-                            "config": _config_snapshot(cfg, table),
-                        }
-                    )
+                    row = _result(name, cfg, value, table, algorithm=alg, run=r)
+                    results.append(row)
                     per_indicator.setdefault(name, []).append(value)
             for name, values in per_indicator.items():
                 aggregates.append(
@@ -813,23 +815,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if len(set_a) and len(set_b):
                 for name, cfg in binary:
                     for first, second in ((set_a, set_b), (set_b, set_a)):
-                        results.append(
-                            {
-                                "algorithm": first.name,
-                                "against": second.name,
-                                "indicator": name,
-                                "value": _PAIRWISE[name](first, second),
-                                "better": aspects_of(name).better,
-                                "aspects": sorted(aspects_of(name).aspects),
-                                "config": _config_snapshot(cfg, None),
-                            }
-                        )
+                        value = _PAIRWISE[name](first, second)
+                        where = dict(algorithm=first.name, against=second.name)
+                        results.append(_result(name, cfg, value, None, **where))
         if prefs.weights is not None:
             scal = {}
             # The table's bounds may lack a mode no column reads; built here
             # from the same runs, missing hard bounds fail the run.
             bounds = normalization_bounds(
-                config.normalization,
+                stages.config.normalization,
                 [r for runs in prepared.algorithms.values() for r in runs if len(r)],
             )
             for alg, runs in prepared.algorithms.items():
@@ -880,8 +874,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "findings": _findings_to_dict(findings),
         "exit_status": status,
     }
-    _write_report(report, args.out, manifest.output.report)
+    _write_report(report, args.out or manifest.resolve(manifest.output.report))
 
+    m = len(manifest.objectives)
     print(f"evaluated {len(manifest.algorithms)} algorithm(s) on {m} objectives")
     if doe_report.get("winner"):
         print(f"winner by {doe_report['kind']}: {doe_report['winner']}")
@@ -930,17 +925,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "forward": forward,
         "backward": backward,
     }
-    _write_report(report, args.out, None)
+    _write_report(report, args.out)
     print(f"{indicator}({first}, {second}) = {forward:.6g}")
     print(f"{indicator}({second}, {first}) = {backward:.6g}")
     return EXIT_OK
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    # Reads no runs, so each exactly_best objective is predicted dropped.
     manifest = load_manifest(args.manifest)
-    plan = _plan(manifest)
+    context = SetContext(set_count=len(manifest.algorithms))
+    plan = recommend(manifest.preferences, len(manifest.objectives), context)
     report = {"schema": "solution-set-plan/1", "plan": _plan_to_dict(plan)}
-    _write_report(report, args.out, None)
+    _write_report(report, args.out)
     print("preprocessing:")
     for step in plan.preprocessing:
         print(f"  {step.kind}: {step.description}")
@@ -956,18 +953,16 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.manifest)
-    prepared = prepare(manifest)
-    chosen = _planned(manifest, args)
-    findings = _lint_findings(prepared, chosen)
+    stages = _stages(args)
+    findings = stages.findings
     status = _exit_from_findings(findings, args.strict)
     report = {
         "schema": "solution-set-lint/1",
-        "chosen": [n for n, _ in chosen],
+        "chosen": [n for n, _ in stages.chosen],
         "findings": _findings_to_dict(findings),
         "exit_status": status,
     }
-    _write_report(report, args.out, None)
+    _write_report(report, args.out)
     if not findings:
         print("no findings")
     for f in findings:
@@ -997,7 +992,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 }
             )
     report = {"schema": "solution-set-stats/1", "stats": blocks}
-    _write_report(report, args.out, None)
+    _write_report(report, args.out)
     for b in blocks:
         print(f"{b['algorithm']} run {b['run']}:")
         for i, name in enumerate(b["objectives"]):
@@ -1013,18 +1008,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_data(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.manifest)
-    prepared = prepare(manifest)
-    out_dir = Path(args.out or manifest.output.plot_data or "plot-data")
+    stages = _stages(args)
+    prepared = stages.prepared
+    manifest = prepared.manifest
+    default = manifest.resolve(manifest.output.plot_data) or "plot-data"
+    out_dir = Path(args.out or default)
     out_dir.mkdir(parents=True, exist_ok=True)
     live_m = prepared.live_m
-    config = _configure(IndicatorConfig(), manifest, args)
 
-    # The same pick as evaluate: the run closest to the median hv.
+    # The same pick as evaluate: the run closest to the median of its ranking.
     representative: dict[str, int] = {}
     if live_m >= 2 and any(len(s) for s in prepared.all_sets):
-        column = _ranking_column(_planned(manifest, args), config)
-        representative = indicator_table(prepared.algorithms, [], column).representative
+        table = indicator_table(prepared.algorithms, [], stages.ranking)
+        representative = table.representative
 
     chosen_runs: dict[str, SolutionSet] = {}
     for alg, runs in prepared.algorithms.items():

@@ -352,19 +352,29 @@ def recommend(
     """Produce an evaluation plan for the declared preferences.
 
     The plan is a pure function of the preference specification, the
-    objective count, and the set context; it self-lints before being
-    returned and embeds the findings (notes included) in ``warnings``.
+    declared objective count ``m``, and the set context; it self-lints
+    before being returned and embeds the findings (notes included) in
+    ``warnings``.  Without the data, each ``exactly_best`` constraint is
+    predicted to drop its objective.
     """
+    best = sum(1 for c in prefs.clear if c.kind == EXACTLY_BEST)
+    return _plan(prefs, m, m - best, context or SetContext())
+
+
+def _plan(
+    prefs: PreferenceSpec, m: int, live_m: int, context: SetContext
+) -> EvaluationPlan:
+    """The plan for ``live_m`` objectives evaluated out of ``m`` declared."""
     if m < 2:
         raise ValueError("planning needs at least two objectives")
-    context = context or SetContext()
     _check_consistency(prefs)
+    if live_m < 1:
+        raise ValueError("clear constraints require best values on every objective")
 
     steps: list[PlanStep] = []
     plan_notes: list[LintWarning] = []
     doe_steps: list[str] = []
     indicators: list[PlannedIndicator] = []
-    effective_m = m
 
     if prefs.screen:
         steps.append(
@@ -380,14 +390,6 @@ def recommend(
                 "P2: filter by the hard constraints, then judge survivors",
             )
         )
-        best_drops = sum(1 for c in prefs.clear if c.kind == EXACTLY_BEST)
-        effective_m = m - best_drops
-        if effective_m < 1:
-            raise ValueError("clear constraints require best values on every objective")
-        if effective_m == 1:
-            doe_steps.append(
-                "best: compare the best surviving value on the remaining objective"
-            )
 
     if prefs.vague:
         steps.append(
@@ -397,8 +399,10 @@ def recommend(
             )
         )
 
-    if effective_m == 1:
-        pass  # single surviving objective: the best-value step already decides
+    if live_m == 1:
+        doe_steps.append(
+            "best: compare the best surviving value on the remaining objective"
+        )
     elif transferable and prefs.weights is not None:
         doe_steps.append(
             "scalarize: rank sets by their best weighted-sum solution"
@@ -424,20 +428,20 @@ def recommend(
         )
         doe_steps.append("best: report per-objective best values")
     else:
-        indicators.extend(_general_indicators(effective_m, context))
+        indicators.extend(_general_indicators(live_m, context))
 
     if any(aspects_of(p.name).needs_normalization for p in indicators):
         steps.append(
             PlanStep("normalize", "scale objectives to comparable ranges")
         )
 
-    plotting = "scatter" if effective_m <= 3 else "parallel-coordinates"
-    plan_notes.append(_finding("N-PLOT", f"D14: {plotting} for m={effective_m}"))
+    plotting = "scatter" if live_m <= 3 else "parallel-coordinates"
+    plan_notes.append(_finding("N-PLOT", f"D14: {plotting} for m={live_m}"))
     plan_notes.append(_finding("N-PSI", "D13"))
     if any(p.name == "spread" for p in indicators):
         plan_notes.append(_finding("N-EXTREMES-SUBSTITUTED"))
 
-    self_findings = lint([(p.name, p.config) for p in indicators], prefs, effective_m)
+    self_findings = lint([(p.name, p.config) for p in indicators], prefs, live_m)
     return EvaluationPlan(
         preprocessing=tuple(steps),
         indicators=tuple(indicators),

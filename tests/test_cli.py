@@ -1032,6 +1032,131 @@ class TestLint:
         assert report["exit_status"] == EXIT_WARNINGS
 
 
+F123 = [{"name": f"f{i}", "direction": "min"} for i in (1, 2, 3)]
+
+
+class TestPlannedOnLiveObjectives:
+    """evaluate, lint and plot-data plan on the objectives left after
+    preprocessing, not on the declared count less the exactly_best ones."""
+
+    @staticmethod
+    def _run(tmp_path, path, command, *flags):
+        """(exit status, report) of one command writing its report."""
+        out = tmp_path / f"{command}.json"
+        code = main([command, "--manifest", str(path), "--out", str(out), *flags])
+        return code, json.loads(out.read_text())
+
+    def test_disputed_third_objective_keeps_three(self, tmp_path):
+        # Each set agrees on its own best f3, but the sets disagree, so f3 stays.
+        path = write_manifest(
+            tmp_path,
+            F123,
+            {
+                "a": [[(1, 4, 0), (2, 3, 0), (4, 1, 0)]],
+                "b": [[(2, 5, 1), (3, 2, 1), (5, 1, 1)]],
+            },
+            preferences={"clear": [{"objective": "f3", "kind": "exactly_best"}]},
+        )
+        code, report = self._run(tmp_path, path, "evaluate")
+        lint_code, lint_report = self._run(tmp_path, path, "lint")
+        assert code == lint_code == EXIT_OK
+        assert report["preprocessing"]["dropped_objectives"] == []
+        planned = [p["name"] for p in report["plan"]["indicators"]]
+        assert "grid_diversity" in planned and "spread" not in planned
+        executed = {r["indicator"] for r in report["results"]}
+        assert executed == {"gd_plus", "ci", "grid_diversity", "unfr", "hv"}
+        (plot,) = [f for f in report["findings"] if f["code"] == "N-PLOT"]
+        assert "scatter for m=3" in plot["message"]
+        assert "L-SPREAD-DIM" not in {f["code"] for f in lint_report["findings"]}
+
+    def test_disputed_second_objective_takes_the_general_route(self, tmp_path):
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"a": [[(1, 0), (2, 0), (4, 0)]], "b": [[(0.5, 1), (3, 1)]]},
+            preferences={"clear": [{"objective": "f2", "kind": "exactly_best"}]},
+        )
+        code, report = self._run(tmp_path, path, "evaluate")
+        assert code == EXIT_OK
+        executed = {r["indicator"] for r in report["results"]}
+        assert executed == {"gd_plus", "ci", "spread", "unfr", "hv"}
+        assert report["doe"] == {}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evaluate"], ["lint", "--indicator", "hv"], ["plot-data", "--indicator", "hv"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_objective_cannot_be_planned(self, tmp_path, capsys, argv):
+        path = write_manifest(
+            tmp_path,
+            [{"name": "f1", "direction": "min"}],
+            {"a": [[(1,), (2,)]], "b": [[(3,)]]},
+        )
+        out = str(tmp_path / "out")
+        code = main([argv[0], "--manifest", str(path), "--out", out, *argv[1:]])
+        assert code == EXIT_ERROR
+        assert "planning needs at least two objectives" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "runs, dropped, disputed",
+        [
+            # A zero's sign does not make survivors disagree.
+            ({"a": [[(1, 4, 0.0), (4, 1, 0.0)]], "b": [[(2, 2, -0.0)]]}, (2,), ()),
+            # No survivor at all: nothing is disputed.
+            ({"a": [[(9, 4, 0.0)]], "b": [[(9, 2, 1.0)]]}, (2,), ()),
+        ],
+        ids=["signed-zeros", "all-empty"],
+    )
+    def test_best_value_objective_dropped_when_survivors_agree(
+        self, tmp_path, runs, dropped, disputed
+    ):
+        path = write_manifest(
+            tmp_path,
+            F123,
+            runs,
+            preferences={
+                "screen": [{"objective": "f1", "kind": "at_most", "threshold": 5}],
+                "clear": [{"objective": "f3", "kind": "exactly_best"}],
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            prepared = cli.prepare(load_manifest(path))
+        assert (prepared.dropped, prepared.disputed) == (dropped, disputed)
+        assert prepared.live_m == 3 - len(dropped)
+
+
+class TestManifestOutputPaths:
+    def test_relative_outputs_resolve_against_the_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        exp, elsewhere = tmp_path / "exp", tmp_path / "elsewhere"
+        exp.mkdir()
+        elsewhere.mkdir()
+        path = write_manifest(
+            exp,
+            MIN_2D,
+            {"alpha": [KNEE_A], "beta": [KNEE_B]},
+            output={"report": "out/report.json", "plot_data": "plots"},
+        )
+        monkeypatch.chdir(elsewhere)
+        assert main(["evaluate", "--manifest", str(path)]) == EXIT_OK
+        assert main(["plot-data", "--manifest", str(path)]) == EXIT_OK
+        assert (exp / "out" / "report.json").is_file()
+        assert sorted(p.name for p in (exp / "plots").iterdir()) == [
+            "alpha.csv",
+            "beta.csv",
+        ]
+        assert list(elsewhere.iterdir()) == []
+        # --out stays relative to the current directory.
+        argv = ["--manifest", str(path), "--out"]
+        assert main(["evaluate", *argv, "mine.json"]) == EXIT_OK
+        assert main(["plot-data", *argv, "my-plots"]) == EXIT_OK
+        assert sorted(p.name for p in elsewhere.iterdir()) == ["mine.json", "my-plots"]
+
+
 class TestStats:
     def test_natural_units_and_caveat(self, tmp_path, capsys):
         path = write_manifest(
@@ -1517,6 +1642,18 @@ def flag_lists(draw, names=tuple(sorted(FLAGS))):
     return argv
 
 
+def _only(argv, names):
+    """The flags of a drawn command line that are among ``names``, each with
+    its value."""
+    kept, i = [], 0
+    while i < len(argv):
+        width = 2 if FLAGS[argv[i]] else 1
+        if argv[i] in names:
+            kept += argv[i : i + width]
+        i += width
+    return kept
+
+
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(TestFlags.READS)))
@@ -1594,3 +1731,16 @@ class TestLintMatchesEvaluate:
         assert linted["findings"] == [
             f for f in report["findings"] if f["code"].startswith("L-")
         ]
+        # plot-data, given the drawn flags it reads, writes the run that
+        # evaluate names as each algorithm's representative.
+        plots = tmp_path / "plots"
+        argv = ["plot-data", "--manifest", "manifest.json", "--out", str(plots)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            assert main([*argv, *_only(flags, TestFlags.READS["plot-data"])]) == EXIT_OK
+            prepared = cli.prepare(load_manifest("manifest.json"))
+        capsys.readouterr()
+        for alg, r in report["representative_runs"].items():
+            write_solution_set(tmp_path / "expected.csv", prepared.algorithms[alg][r])
+            expected = (tmp_path / "expected.csv").read_bytes()
+            assert (plots / f"{alg}.csv").read_bytes() == expected
