@@ -323,16 +323,11 @@ def compare(a: Vector, b: Vector) -> DominanceOutcome:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _dominance(
-    X: np.ndarray, Y: np.ndarray, weak: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dominance between the rows of two ``(n, m)`` arrays, in one pass.
-
-    Returns ``(x_any, y_any)``: which rows of ``X`` dominate some row of
-    ``Y``, and which rows of ``Y`` some row of ``X`` dominates.  ``weak``
-    asks for weak dominance; otherwise equal rows do not dominate.
-    """
-    x_any = np.zeros(len(X), dtype=bool)
+def _dominance(X: np.ndarray, Y: np.ndarray, weak: bool = False) -> np.ndarray:
+    """Which rows of the ``(k, m)`` array ``Y`` some row of the ``(n, m)``
+    array ``X`` dominates, by comparing every pair, ``_BLOCK_PAIRS`` at a
+    time.  ``weak`` asks for weak dominance; otherwise equal rows do not
+    dominate."""
     y_any = np.zeros(len(Y), dtype=bool)
     cols = max(1, min(len(Y), _BLOCK_PAIRS))
     rows = max(1, _BLOCK_PAIRS // cols)
@@ -347,10 +342,8 @@ def _dominance(
                 le &= a[:, None] <= b
                 if not weak:
                     lt |= a[:, None] < b
-            rel = le & lt
-            x_any[i : i + rows] |= rel.any(axis=1)
-            y_any[j : j + cols] |= rel.any(axis=0)
-    return x_any, y_any
+            y_any[j : j + cols] |= (le & lt).any(axis=0)
+    return y_any
 
 
 def _chain(first, terms):
@@ -444,6 +437,137 @@ def _nearest(
     return row_min
 
 
+# Rows up to which ``_dominated_by`` compares every pair through
+# ``_dominance`` for m >= 4 instead of sorting and splitting them.  Of 64 to
+# 1024, 256 was within 20% of the fastest on m=4 and m=5 fronts and set
+# comparisons of 850 to 5000 rows.
+_SPLIT_ROWS = 256
+
+
+def _dominated_by(F: np.ndarray, X: np.ndarray, weak: bool = False) -> np.ndarray:
+    """Which rows of the ``(k, m)`` array ``X`` some row of the ``(n, m)``
+    array ``F`` dominates; ``weak`` asks for weak dominance, under which an
+    equal row counts.
+
+    The method follows ``m``: for m <= 2 a binary search in ``F`` sorted on
+    its first objective, with a running minimum of the last; for m >= 3 one
+    lexicographic sort of both arrays, in which an ``F`` row equal to an
+    ``X`` row goes first only when it counts, so that a row of ``X`` is
+    dominated exactly when an earlier row of ``F`` weakly dominates it.
+    Then a staircase sweep (m=3) or a split on the first objective (m >= 4,
+    see ``_split``) finds those rows; m >= 4 compares every pair instead up
+    to ``_SPLIT_ROWS`` rows in all.
+    """
+    m = X.shape[1]
+    if not len(F) or not len(X):
+        return np.zeros(len(X), dtype=bool)
+    if m <= 2:
+        return _dominated_by2(F, X, weak)
+    if m >= 4 and len(F) + len(X) <= _SPLIT_ROWS:
+        return _dominance(F, X, weak)
+    is_x = np.arange(len(F) + len(X)) >= len(F)
+    V = np.concatenate([F, X])
+    order = np.lexsort((is_x == weak, *V.T[::-1]))
+    S, is_x = V[order], is_x[order]
+    mask = np.empty(len(X), dtype=bool)
+    mask[order[is_x] - len(F)] = (
+        _sweep3(S, ~is_x)[is_x] if m == 3 else _split(S, is_x, weak)
+    )
+    return mask
+
+
+def _dominated_by2(F: np.ndarray, X: np.ndarray, weak: bool) -> np.ndarray:
+    """``_dominated_by`` for m <= 2.  A row (x, y) is weakly dominated when
+    the rows of ``F`` with first objective at most x reach y or below in the
+    last objective; strictly, when they reach below y, or those below x
+    reach y.  With one objective, x and y are the same column."""
+    order = np.argsort(F[:, 0])
+    first = F[order, 0]
+    low = np.empty(len(F) + 1)  # low[i]: least last objective of the i first rows
+    low[0] = math.inf
+    np.minimum.accumulate(F[order, -1], out=low[1:])
+    x, y = X[:, 0], X[:, -1]
+    upto = low[np.searchsorted(first, x, side="right")]
+    if weak:
+        return upto <= y
+    return (upto < y) | (low[np.searchsorted(first, x, side="left")] <= y)
+
+
+def _sweep3(S: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Which of the lexicographically sorted 3-column rows an earlier
+    ``src`` row weakly dominates.
+
+    ``ys``/``zs`` hold the staircase of the ``src`` rows so far in the last
+    two objectives (y ascending, z descending), closed by an ``(inf, -inf)``
+    sentinel.  An earlier row is no greater in the first objective, so it
+    weakly dominates the current row exactly when some step lies weakly
+    below it in the other two (Kung, Luccio & Preparata 1975).
+    """
+    hit: list[bool] = []
+    ys, zs = [math.inf], [-math.inf]
+    for y, z, s in zip(S[:, 1].tolist(), S[:, 2].tolist(), src.tolist()):
+        i = bisect_right(ys, y)
+        covered = i > 0 and zs[i - 1] <= z
+        hit.append(covered)
+        if s and not covered:
+            # Steps j to k - 1 lie weakly above (y, z) and leave the staircase.
+            j = k = bisect_left(ys, y, 0, i)
+            while zs[k] >= z:
+                k += 1
+            ys[j:k] = [y]
+            zs[j:k] = [z]
+    return np.array(hit, dtype=bool)
+
+
+def _split(S: np.ndarray, is_x: np.ndarray, weak: bool) -> np.ndarray:
+    """``_dominated_by`` for m >= 4 over its sorted rows, by divide and
+    conquer (Kung, Luccio & Preparata 1975; Jensen 2003): the mask over the
+    ``is_x`` rows of ``S``, in their order.
+
+    Up to ``_SPLIT_ROWS`` rows, every pair is compared.  Otherwise each half
+    of the rows is solved alone, then the open ``X`` rows of the second half
+    against the ``F`` rows of the first.  Those lie weakly below them in the
+    first objective, and an ``F`` row that must not count sorts after its
+    twin, so that step is a weak query on the other objectives, one column
+    fewer (ties as in Fortin, Grenier & Parizeau 2013).
+    """
+    if len(S) <= _SPLIT_ROWS:
+        return _dominance(S[~is_x], S[is_x], weak)
+    h = len(S) // 2
+    low, high = _split(S[:h], is_x[:h], weak), _split(S[h:], is_x[h:], weak)
+    open_ = np.flatnonzero(~high)
+    X = S[h:][is_x[h:]]
+    high[open_] = _dominated_by(S[:h][~is_x[:h], 1:], X[open_, 1:], weak=True)
+    return np.concatenate([low, high])
+
+
+def _front_hits(S: np.ndarray) -> np.ndarray:
+    """Which of the lexicographically sorted rows of ``S`` (m >= 4) another
+    row dominates.
+
+    Only an earlier row can, so the rows go in chunks: each chunk against
+    the front of the chunks before it by ``_dominated_by``, then its open
+    rows against each other.  A chunk is as long as that front, and at
+    least ``isqrt(_BLOCK_PAIRS // 4)`` rows, whose self-comparison a quarter
+    of ``_BLOCK_PAIRS`` bounds: a short front costs one pass of
+    ``_dominance`` per chunk, a long one few chunks.
+    """
+    least = max(1, math.isqrt(_BLOCK_PAIRS // 4))
+    if len(S) <= least:
+        return _dominance(S, S)
+    hit = np.zeros(len(S), dtype=bool)
+    front = S[:0]
+    i = 0
+    while i < len(S):
+        chunk = S[i : i + max(least, len(front))]
+        alive = ~_dominated_by(front, chunk)
+        alive[alive] = ~_front_hits(chunk[alive])
+        hit[i : i + len(chunk)] = ~alive
+        front = np.concatenate([front, chunk[alive]])
+        i += len(chunk)
+    return hit
+
+
 def _lex_sorted(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(order, V[order], repeat)``: the stable lexicographic order of the
     rows, so tied rows (``-0.0`` against ``0.0`` included) keep their input
@@ -455,6 +579,24 @@ def _lex_sorted(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, S, repeat
 
 
+def _row_counts(
+    first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(group, in_first, in_second)`` for the distinct rows of two
+    ``(n, m)`` arrays taken together, ``-0.0`` equal to ``0.0``: the
+    distinct row of each row of ``first`` then ``second``, numbered in
+    lexicographic order, and how often each distinct row occurs in each."""
+    order, _, repeat = _lex_sorted(np.concatenate([first, second]))
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(~repeat) - 1
+    distinct, n = int(np.count_nonzero(~repeat)), len(first)
+    return (
+        group,
+        np.bincount(group[:n], minlength=distinct),
+        np.bincount(group[n:], minlength=distinct),
+    )
+
+
 def _front_mask(V: np.ndarray, unique: bool = False) -> np.ndarray:
     """Which rows of the ``(n, m)`` array ``V`` no other row dominates.
 
@@ -462,16 +604,21 @@ def _front_mask(V: np.ndarray, unique: bool = False) -> np.ndarray:
     dominate each other; ``unique`` keeps only the first occurrence of each.
     A row can be dominated only by a row before it in lexicographic order,
     so the rows are sorted once and the method follows ``m``: a running
-    minimum for m=2 and a staircase sweep for m=3 (Kung, Luccio & Preparata
-    1975), and blocks of sorted rows through ``_dominance`` otherwise.
+    minimum for m <= 2, the staircase sweep of ``_dominated_by`` for m=3,
+    and for m >= 4 chunks of rows, each checked against the front before it
+    by ``_dominated_by`` (see ``_front_hits``).
     """
     order, S, repeat = _lex_sorted(V)
-    if V.shape[1] == 2:
+    if V.shape[1] <= 2:
         keep = _front_sweep2(S)
     elif V.shape[1] == 3:
-        keep = _front_sweep3(S, repeat)
+        # Only the last of equal rows joins the staircase, so none counts
+        # against its twins.
+        last = np.ones(len(S), dtype=bool)
+        last[:-1] = ~repeat[1:]
+        keep = ~_sweep3(S, last)
     else:
-        keep = _front_blocks(S)
+        keep = ~_front_hits(S)
     if unique:
         keep &= ~repeat
     mask = np.empty(len(V), dtype=bool)
@@ -503,10 +650,10 @@ def _limit_front_masks(L: np.ndarray) -> np.ndarray:
 
 
 def _front_sweep2(S: np.ndarray) -> np.ndarray:
-    """Front of lexicographically sorted 2-column rows: a row is kept when it
-    is the lowest of its group of equal first objective and lies strictly
-    below every row of the groups before it."""
-    x, y = S[:, 0], S[:, 1]
+    """Front of lexicographically sorted rows of one or two columns: a row is
+    kept when it is the lowest of its group of equal first objective and
+    lies strictly below every row of the groups before it in the last."""
+    x, y = S[:, 0], S[:, -1]
     start = np.ones(len(S), dtype=bool)
     start[1:] = x[1:] != x[:-1]
     group = np.cumsum(start) - 1
@@ -515,57 +662,6 @@ def _front_sweep2(S: np.ndarray) -> np.ndarray:
     below[:1] = np.inf
     np.minimum.accumulate(low[:-1], out=below[1:])
     return (low < below)[group] & (y == low[group])
-
-
-def _front_sweep3(S: np.ndarray, repeat: np.ndarray) -> np.ndarray:
-    """Front of lexicographically sorted 3-column rows.
-
-    ``ys``/``zs`` hold the staircase of the rows kept so far in the last two
-    objectives (y ascending, z descending), closed by an ``(inf, -inf)``
-    sentinel; an earlier row dominates the current one exactly when some
-    step lies weakly below it there.  A repeat of the previous row shares
-    its verdict.
-    """
-    keep: list[bool] = []
-    ys, zs = [math.inf], [-math.inf]
-    kept = True
-    for y, z, again in zip(S[:, 1].tolist(), S[:, 2].tolist(), repeat.tolist()):
-        if not again:
-            i = bisect_right(ys, y)
-            kept = not (i and zs[i - 1] <= z)
-            if kept:
-                # Steps j to k - 1 lie weakly above (y, z) and leave the staircase.
-                j = k = bisect_left(ys, y, 0, i)
-                while zs[k] >= z:
-                    k += 1
-                ys[j:k] = [y]
-                zs[j:k] = [z]
-        keep.append(kept)
-    return np.array(keep, dtype=bool)
-
-
-def _front_blocks(S: np.ndarray) -> np.ndarray:
-    """Front of lexicographically sorted rows, one block at a time.
-
-    Each block is compared with the front of the blocks before it, which
-    holds a dominator of every earlier row that has one, and its survivors
-    with each other.  That front is gathered in place at the head of ``S``,
-    a scratch copy, so no other array grows with it.  A block is sized so
-    that a quarter of ``_BLOCK_PAIRS`` bounds its self-comparison.
-    """
-    keep = np.zeros(len(S), dtype=bool)
-    size = max(1, math.isqrt(_BLOCK_PAIRS // 4))
-    found = 0
-    for i in range(0, len(S), size):
-        block = S[i : i + size]
-        alive = ~_dominance(S[:found], block)[1]
-        kept = block[alive]
-        alive[alive] = ~_dominance(kept, kept)[1]
-        keep[i : i + size] = alive
-        kept = block[alive]
-        S[found : found + len(kept)] = kept
-        found += len(kept)
-    return keep
 
 
 def _check_sets(first: SolutionSet, second: SolutionSet) -> None:
@@ -577,19 +673,24 @@ def _check_sets(first: SolutionSet, second: SolutionSet) -> None:
 
 
 def set_dominates(first: SolutionSet, second: SolutionSet) -> bool:
-    """True if every member of ``second`` is dominated by some member of ``first``."""
+    """True if every member of ``second`` is dominated by some member of ``first``.
+
+    One ``_dominated_by`` query: a binary search for m <= 2, a staircase
+    sweep for m=3 and a split on the first objective for m >= 4.
+    """
     _check_sets(first, second)
     if not len(second):
         raise EmptySetError("set dominance against an empty set is undefined")
-    return bool(_dominance(first.values(), second.values())[1].all())
+    return bool(_dominated_by(first.values(), second.values()).all())
 
 
 def set_weakly_dominates(first: SolutionSet, second: SolutionSet) -> bool:
-    """True if every member of ``second`` is weakly dominated by some member of ``first``."""
+    """True if every member of ``second`` is weakly dominated by some member
+    of ``first``, by one weak ``_dominated_by`` query (see ``set_dominates``)."""
     _check_sets(first, second)
     if not len(second):
         raise EmptySetError("weak set dominance against an empty set is undefined")
-    return bool(_dominance(first.values(), second.values(), weak=True)[1].all())
+    return bool(_dominated_by(first.values(), second.values(), weak=True).all())
 
 
 def better_relation(first: SolutionSet, second: SolutionSet) -> SetRelation:

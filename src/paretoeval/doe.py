@@ -21,6 +21,7 @@ from .core import (
     EmptySetError,
     Solution,
     SolutionSet,
+    _lex_sorted,
     set_dominates,
 )
 from .indicators import IndicatorConfig, aspects_of, canonical_name
@@ -286,7 +287,7 @@ def indicator_table(
             return [_ind.epsilon_additive(run, ref) for run in runs]
         if name == "sp":
             return [_ind.spacing(run) for run in runs]
-        ordered = sorted(ref.vectors())  # spread
+        _, ordered, _ = _lex_sorted(ref.values())  # spread
         return [_ind.spread_delta(run, [ordered[0], ordered[-1]]) for run in runs]
 
     computed = {col: column(*col) for col in dict.fromkeys(columns)}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -24,9 +23,11 @@ from .core import (
     EmptySetError,
     SolutionSet,
     _check_sets,
-    _dominance,
+    _dominated_by,
     _front_mask,
+    _lex_sorted,
     _nearest,
+    _row_counts,
     nondominated_front,
     unique_nondominated_front,
 )
@@ -239,25 +240,28 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     members that dominate something on the other side or that are
     incomparable to everything there.  Values lie in [0, 1], the two
     orderings sum to 1, and 0.5 means parity.
+
+    The shared vectors and twins come from one lexicographic sort of both
+    sets; wins and losses are four ``_dominated_by`` queries: a binary
+    search for m <= 2, a staircase sweep for m=3 and a split on the first
+    objective for m >= 4.
     """
     _check_sets(A, B)
     if not len(A) and not len(B):
         raise EmptySetError("contribution of two empty sets is undefined")
-    count_a = Counter(A.vectors())
-    count_b = Counter(B.vectors())
-    shared = sum(min(c, count_b[v]) for v, c in count_a.items() if v in count_b)
     va, vb = A.values(), B.values()
-    # A row dominates some row of the other set exactly when it dominates one
-    # that dominates no other row there (a row of the front of the negated
-    # set), and is dominated by some row exactly when a front row dominates it.
-    a_wins = _dominance(va, vb[_front_mask(-vb)])[0]
-    b_wins = _dominance(vb, va[_front_mask(-va)])[0]
-    a_loses = _dominance(vb[_front_mask(vb)], va)[1]
-    b_loses = _dominance(va[_front_mask(va)], vb)[1]
+    group, count_a, count_b = _row_counts(va, vb)
+    shared = int(np.minimum(count_a, count_b).sum())
+    # A row dominates some row of the other set exactly when its negation is
+    # dominated by the negation of that row.
+    a_wins = _dominated_by(-vb, -va)
+    b_wins = _dominated_by(-va, -vb)
+    a_loses = _dominated_by(vb, va)
+    b_loses = _dominated_by(va, vb)
     # A member that dominates nothing weakly dominates an opponent only by
     # equalling it, so "incomparable" means: no win, no loss, no twin.
-    a_twin = np.array([v in count_b for v in A.vectors()], dtype=bool)
-    b_twin = np.array([v in count_a for v in B.vectors()], dtype=bool)
+    a_twin = count_b[group[: len(va)]] > 0
+    b_twin = count_a[group[len(va) :]] > 0
     a_dom = int(a_wins.sum())
     b_dom = int(b_wins.sum())
     a_inc = int((~a_wins & ~a_loses & ~a_twin).sum())
@@ -269,14 +273,18 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
 
 
 def coverage(A: SolutionSet, B: SolutionSet) -> float:
-    """Fraction of B's distinct vectors weakly dominated by some member of A."""
+    """Fraction of B's distinct vectors weakly dominated by some member of A.
+
+    The distinct vectors come from one lexicographic sort of B, the covered
+    ones from one weak ``_dominated_by`` query: a binary search for m <= 2,
+    a staircase sweep for m=3 and a split on the first objective for m >= 4.
+    """
     _check_sets(A, B)
     if not len(A) or not len(B):
         raise EmptySetError("coverage needs two non-empty sets")
-    distinct_b = np.array(list(dict.fromkeys(B.vectors())))
-    # A row weakly dominated by some row of A is weakly dominated by a front row.
-    va = A.values()
-    _, covered = _dominance(va[_front_mask(va)], distinct_b, weak=True)
+    _, S, repeat = _lex_sorted(B.values())
+    distinct_b = S[~repeat]
+    covered = _dominated_by(A.values(), distinct_b, weak=True)
     return int(covered.sum()) / len(distinct_b)
 
 
@@ -398,7 +406,8 @@ def _front_share(A: SolutionSet, union: SolutionSet) -> float:
     A vector of A on the union front is nondominated within A as well, so
     counting A's distinct vectors on that front counts exactly those.
     """
-    return len(set(A.vectors()) & set(union.vectors())) / len(union)
+    _, in_a, in_union = _row_counts(A.values(), union.values())
+    return int(np.count_nonzero((in_a > 0) & (in_union > 0))) / len(union)
 
 
 def _hv2d(points: np.ndarray, ref: tuple[float, ...]) -> float:

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, settings
 
 from paretoeval import Direction, ObjectiveMeta, Solution, SolutionSet, core
 
-# Settings for properties that take ``block_pairs``: the block cap is patched
-# once per test, not per example.
+# Settings for properties that take ``block_pairs`` or ``split_rows``: the
+# cap or cutoff is patched once per test, not per example.
 kernel_settings = settings(
     max_examples=100,
     deadline=None,
@@ -22,6 +22,14 @@ def block_pairs(request, monkeypatch):
     split both operands into many blocks."""
     if request.param is not None:
         monkeypatch.setattr(core, "_BLOCK_PAIRS", request.param)
+
+
+@pytest.fixture(params=[None, 4], ids=["default-split", "tiny-split"])
+def split_rows(request, monkeypatch):
+    """Run at the default cutoff of the dominated-by query and at a tiny one,
+    so its m >= 4 recursion splits small inputs down to a few rows."""
+    if request.param is not None:
+        monkeypatch.setattr(core, "_SPLIT_ROWS", request.param)
 
 
 def make_set(name, points, directions=None, names=None, signs=None):

@@ -33,7 +33,6 @@ from paretoeval.core import (
     ObjectiveMeta,
     Solution,
     SolutionSet,
-    _dominance,
     _front_mask,
 )
 from paretoeval.preprocess import (
@@ -55,6 +54,13 @@ def strictly_dom(a, b) -> bool:
     return weakly_dom(a, b) and any(x < y for x, y in zip(a, b))
 
 
+def dominated_by_oracle(F, X, weak=False) -> list[bool]:
+    """Pairwise scan: whether each row of X is dominated (weakly, with
+    ``weak``) by some row of F."""
+    dom = weakly_dom if weak else strictly_dom
+    return [any(dom(f, x) for f in F) for x in X]
+
+
 def front_indices(points) -> list[int]:
     """O(n^2) pairwise filter: indices of members no other member dominates."""
     keep = []
@@ -70,9 +76,12 @@ def front_indices(points) -> list[int]:
 
 
 def kernel_front_mask(V: np.ndarray) -> np.ndarray:
-    """Front mask from one kernel self-comparison: every row against every
-    row, the quadratic step the sort-based front routine replaced."""
-    return ~_dominance(V, V)[1]
+    """Front mask from one ``(n, n, m)`` comparison of every row with every
+    row: the quadratic step the sort-based front routine replaced, whatever
+    the block cap."""
+    le = (V[:, None, :] <= V[None, :, :]).all(axis=2)
+    lt = (V[:, None, :] < V[None, :, :]).any(axis=2)
+    return ~(le & lt).any(axis=0)
 
 
 def front_points_oracle(points) -> list[tuple[float, ...]]:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import math
 import shutil
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1603,9 +1606,10 @@ def _slots(node):
 
 
 @st.composite
-def mutated_manifests(draw):
-    """A contract manifest with fields dropped, retyped, renamed or given NaN."""
-    doc = copy.deepcopy(draw(st.sampled_from(CONTRACT_MANIFESTS)))
+def mutated(draw, doc):
+    """A copy of the manifest ``doc`` with fields dropped, retyped, renamed or
+    given NaN."""
+    doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(0, 2))):
         slots = list(_slots(doc))
         if not slots:
@@ -1621,6 +1625,34 @@ def mutated_manifests(draw):
             value = math.nan if action == "nan" else draw(st.sampled_from(JUNK))
             node[key] = copy.deepcopy(value)
     return doc
+
+
+def mutated_manifests():
+    """A contract manifest, mutated."""
+    return st.sampled_from(CONTRACT_MANIFESTS).flatmap(mutated)
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_manifests(tmp_path_factory):
+    """``(manifest document, directory of its run files)`` for each benchmark
+    workload at seed 1, from ``bench/inputs.py`` loaded by path and only
+    read."""
+    spec = importlib.util.spec_from_file_location("contract_bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the class is built.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        generated = [
+            module.generate(w, 1, tmp_path_factory.mktemp(name))
+            for name, w in module.WORKLOADS.items()
+        ]
+    finally:
+        del sys.modules[spec.name]
+    return [(json.loads(g.manifest.read_text()), g.manifest.parent) for g in generated]
 
 
 def _empty(directory):
@@ -1667,11 +1699,19 @@ class TestExitCodeContract:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(doc=mutated_manifests(), argv=command_lines())
-    def test_exit_status_and_stderr(self, tmp_path, monkeypatch, capsys, doc, argv):
+    @given(data=st.data(), argv=command_lines())
+    def test_exit_status_and_stderr(
+        self, tmp_path, monkeypatch, capsys, bench_manifests, data, argv
+    ):
         monkeypatch.chdir(tmp_path)
         _empty(tmp_path)
         write_runs(tmp_path, ["f1", "f2"], CONTRACT_RUNS)
+        bases = [(doc, None) for doc in CONTRACT_MANIFESTS] + bench_manifests
+        base, runs = data.draw(st.sampled_from(bases))
+        if runs is not None:
+            for csv in runs.glob("*.csv"):
+                shutil.copy(csv, tmp_path)
+        doc = data.draw(mutated(base))
         (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         with warnings.catch_warnings():

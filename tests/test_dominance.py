@@ -4,7 +4,9 @@ Inputs are real-valued, of random size and dimension, with exact duplicates
 (within and across sets), coordinate ties and shifted copies that are
 strictly dominated.  Each property also runs with a tiny block cap, so the
 kernel splits both operands into many blocks and the sort-based front takes
-its m >= 4 rows in many blocks.
+its m >= 4 rows in many chunks.  The dominated-by query and the front also
+run with a tiny recursion cutoff, so the m >= 4 split recurses on small
+inputs.
 """
 
 from __future__ import annotations
@@ -99,6 +101,19 @@ def front_arrays(draw):
 
 
 @kernel_settings
+@given(V=front_arrays(), data=st.data())
+def test_dominated_by_matches_oracle(block_pairs, split_rows, V, data):
+    # F and X split one drawn array, so twins, ties and zeros of either sign
+    # fall across them; either may be empty.
+    cut = data.draw(st.integers(0, len(V)))
+    F, X = V[:cut], V[cut:]
+    for weak in (False, True):
+        expected = oracles.dominated_by_oracle(F.tolist(), X.tolist(), weak)
+        assert core._dominated_by(F, X, weak).tolist() == expected
+    assert (core._front_mask(V) == oracles.kernel_front_mask(V)).all()
+
+
+@kernel_settings
 @given(V=front_arrays())
 def test_front_mask_matches_kernel_oracle(block_pairs, V):
     assert (core._front_mask(V) == oracles.kernel_front_mask(V)).all()
@@ -162,3 +177,21 @@ def test_front_memory_is_bounded():
             tracemalloc.stop()
         assert 0 < len(front) < len(A)
         assert peak < 16e6, (n, m)
+
+
+def test_dominated_by_memory_is_bounded():
+    # The same 16 MB at 8e4 rows for m=4 and m=5: the chunked front and the
+    # split hold a few copies of the rows, never a mask of row pairs (one
+    # over all 8e4 x 8e4 pairs would take 6.4 GB).
+    for m in (4, 5):
+        V = np.random.default_rng(0).random((80_000, m))
+        F, X = V[:40_000], V[40_000:]
+        for query in (lambda: core._front_mask(V), lambda: core._dominated_by(F, X)):
+            tracemalloc.start()
+            try:
+                mask = query()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 0 < mask.sum() < len(mask)
+            assert peak < 16e6, m
