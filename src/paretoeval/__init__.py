@@ -5,164 +5,23 @@ relations between solutions and whole sets, quality indicators for
 convergence / spread / uniformity / cardinality, preference-aware
 preprocessing, and guidance that assembles an evaluation plan and flags
 common evaluation mistakes.
+
+The package exports the public names of its five library modules, as each
+module's ``__all__`` lists them; the command line lives in
+``paretoeval.cli`` and is not imported here.
 """
 
-from .core import (
-    DimensionMismatchError,
-    Direction,
-    DominanceOutcome,
-    EmptySetError,
-    EvaluationWarning,
-    ObjectiveMeta,
-    SetRelation,
-    Solution,
-    SolutionSet,
-    better_relation,
-    compare,
-    dominates,
-    nondominated_front,
-    set_dominates,
-    set_weakly_dominates,
-    unique_nondominated_front,
-    weakly_dominates,
-)
-from .preprocess import (
-    AT_LEAST,
-    AT_MOST,
-    EXACTLY_BEST,
-    ClearConstraint,
-    NormalizationBounds,
-    PreferenceSpec,
-    RegionOfInterest,
-    Removal,
-    VagueClamp,
-    apply_clear_preferences,
-    apply_vague_preferences,
-    build_reference_point,
-    build_reference_set,
-    compute_h,
-    normalize,
-    restore_orientation,
-    screen_trivial,
-    to_minimization,
-)
-from .indicators import (
-    ASPECTS,
-    IndicatorConfig,
-    IndicatorProfile,
-    aspects_of,
-    canonical_name,
-    contribution,
-    coverage,
-    epsilon_additive,
-    gd,
-    gd_plus,
-    grid_diversity,
-    hypervolume,
-    igd,
-    igd_plus,
-    nfs,
-    spacing,
-    spread_delta,
-    unfr,
-)
-from .doe import (
-    DoeComparison,
-    ObjectiveStats,
-    doe_compare,
-    per_objective_stats,
-    scalarize_best,
-)
-from .guidance import (
-    SEVERITIES,
-    WARNING_CODES,
-    EvaluationMode,
-    EvaluationPlan,
-    LintWarning,
-    PlannedIndicator,
-    PlanStep,
-    SetContext,
-    aspect_coverage,
-    lint,
-    recommend,
-)
+from . import core, doe, guidance, indicators, preprocess
+from .core import *  # noqa: F401,F403
+from .preprocess import *  # noqa: F401,F403
+from .indicators import *  # noqa: F401,F403
+from .doe import *  # noqa: F401,F403
+from .guidance import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Direction",
-    "DominanceOutcome",
-    "SetRelation",
-    "DimensionMismatchError",
-    "EmptySetError",
-    "EvaluationWarning",
-    "ObjectiveMeta",
-    "Solution",
-    "SolutionSet",
-    "weakly_dominates",
-    "dominates",
-    "compare",
-    "set_dominates",
-    "set_weakly_dominates",
-    "better_relation",
-    "nondominated_front",
-    "unique_nondominated_front",
-    # preprocess
-    "AT_LEAST",
-    "AT_MOST",
-    "EXACTLY_BEST",
-    "ClearConstraint",
-    "VagueClamp",
-    "RegionOfInterest",
-    "PreferenceSpec",
-    "Removal",
-    "NormalizationBounds",
-    "to_minimization",
-    "restore_orientation",
-    "screen_trivial",
-    "apply_clear_preferences",
-    "apply_vague_preferences",
-    "normalize",
-    "build_reference_set",
-    "build_reference_point",
-    "compute_h",
-    # indicators
-    "ASPECTS",
-    "IndicatorConfig",
-    "IndicatorProfile",
-    "canonical_name",
-    "aspects_of",
-    "contribution",
-    "coverage",
-    "gd",
-    "gd_plus",
-    "igd",
-    "igd_plus",
-    "spread_delta",
-    "spacing",
-    "nfs",
-    "unfr",
-    "hypervolume",
-    "epsilon_additive",
-    "grid_diversity",
-    # doe
-    "ObjectiveStats",
-    "DoeComparison",
-    "per_objective_stats",
-    "doe_compare",
-    "scalarize_best",
-    # guidance
-    "SEVERITIES",
-    "WARNING_CODES",
-    "EvaluationMode",
-    "EvaluationPlan",
-    "LintWarning",
-    "PlannedIndicator",
-    "PlanStep",
-    "SetContext",
-    "aspect_coverage",
-    "lint",
-    "recommend",
+__all__ = ["__version__"] + [
+    name
+    for module in (core, preprocess, indicators, doe, guidance)
+    for name in module.__all__
 ]

@@ -40,6 +40,7 @@ from .guidance import (
     SetContext,
     _finding,
     _plan,
+    _route,
     lint,
     recommend,
 )
@@ -516,6 +517,16 @@ class Prepared:
     def live_m(self) -> int:
         return self.all_sets[0].m
 
+    def pooled(self) -> dict[str, SolutionSet]:
+        """Each algorithm's non-empty runs as one set; an algorithm with no
+        surviving solution is left out."""
+        pooled = {}
+        for alg, runs in self.algorithms.items():
+            live = [r for r in runs if len(r)]
+            if live:
+                pooled[alg] = SolutionSet._concat(live, alg)
+        return pooled
+
 
 def _project(A: SolutionSet, keep: Sequence[int]) -> SolutionSet:
     meta = tuple(A.meta[i] for i in keep)
@@ -634,6 +645,7 @@ class _Stages(NamedTuple):
 
     prepared: Prepared
     plan: EvaluationPlan  # for the objectives left after preprocessing
+    route: str  # the plan's branch, as guidance._route names it
     config: IndicatorConfig  # the merged config
     chosen: list[tuple[str, IndicatorConfig]]  # what lint reports as chosen
     findings: list[LintWarning]  # lint findings on the chosen columns
@@ -651,10 +663,9 @@ def _stages(args: argparse.Namespace) -> _Stages:
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
+    prefs, live_m = manifest.preferences, prepared.live_m
     context = SetContext(set_count=len(manifest.algorithms))
-    plan = _plan(
-        manifest.preferences, len(manifest.objectives), prepared.live_m, context
-    )
+    plan = _plan(prefs, len(manifest.objectives), live_m, context)
     config = _configure(IndicatorConfig(), manifest, args)
     names = args.indicator or manifest.indicators
     chosen = (
@@ -666,7 +677,8 @@ def _stages(args: argparse.Namespace) -> _Stages:
     blocked = {_BLOCKS[f.code] for f in findings if f.code in _BLOCKS}
     columns = [(n, c) for n, c in chosen if n not in blocked]
     ranking = next(((n, c) for n, c in columns if n == "hv"), ("hv", config))
-    return _Stages(prepared, plan, config, chosen, findings, columns, ranking)
+    route = _route(prefs, live_m)
+    return _Stages(prepared, plan, route, config, chosen, findings, columns, ranking)
 
 
 # The pairwise indicators ``compare`` computes; evaluate's binary columns.
@@ -757,36 +769,61 @@ def _result(
     }
 
 
+def _doe_block(stages: _Stages) -> dict:
+    """The plan's doe step on each algorithm's pooled survivors: best values
+    on the one objective left, the best weighted sum, or each objective's
+    best value (natural units).  The knee and general routes have none."""
+    if stages.route in ("knee", "general"):
+        return {}
+    prepared, prefs = stages.prepared, stages.prepared.manifest.preferences
+    pooled = prepared.pooled()
+    if stages.route == "best-value":
+        best = {alg: min(s.values()[:, 0].tolist()) for alg, s in pooled.items()}
+        head = prepared.all_sets[0]
+        sign = head.signs[0] if head.signs is not None else 1.0
+        return {
+            "kind": "best-value",
+            "objective": head.meta[0].name,
+            "best": {alg: sign * v for alg, v in best.items()},
+            "winner": min(best, key=best.get) if best else None,
+        }
+    if not pooled:
+        return {}
+    if stages.route == "scalarize":
+        # The table's bounds may lack a mode no column reads; built here
+        # from the same runs, missing hard bounds fail the run.
+        bounds = normalization_bounds(stages.config.normalization, [*pooled.values()])
+        scal = {}
+        for alg, basis in pooled.items():
+            target = basis if bounds is None else normalize([basis], bounds)[0]
+            sol, score = scalarize_best(target, prefs.weights)
+            scal[alg] = {"score": score, "solution": list(sol.objectives)}
+        return {
+            "kind": "scalarize",
+            "weights": list(prefs.weights),
+            "by_algorithm": scal,
+            "winner": min(scal, key=lambda a: scal[a]["score"]),
+        }
+    return {  # extreme
+        "kind": "per-objective-best",
+        "objectives": [o.name for o in prepared.all_sets[0].meta],
+        "best": {a: list(per_objective_stats(s).best) for a, s in pooled.items()},
+    }
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     stages = _stages(args)
     prepared, plan = stages.prepared, stages.plan
     manifest = prepared.manifest
-    prefs = manifest.preferences
     # Carry the plan's advisory notes over without repeating its self-lint
     # findings.
     findings = stages.findings + [w for w in plan.warnings if w.code.startswith("N-")]
 
     results: list[dict] = []
     aggregates: list[dict] = []
-    doe_report: dict = {}
     representative: dict[str, int] = {}
 
-    if prepared.live_m == 1:
-        # A single objective survived preference transfer: compare best values.
-        best: dict[str, float] = {}
-        for alg, runs in prepared.algorithms.items():
-            values = [v for run in runs for v in run.values()[:, 0].tolist()]
-            if values:
-                best[alg] = min(values)
-        head = prepared.all_sets[0]
-        sign = head.signs[0] if head.signs is not None else 1.0
-        doe_report = {
-            "kind": "best-value",
-            "objective": head.meta[0].name,
-            "best": {alg: sign * v for alg, v in best.items()},
-            "winner": min(best, key=best.get) if best else None,
-        }
-    else:
+    if stages.route != "best-value":  # one objective left: no indicator columns
         unary = [(n, c) for n, c in stages.columns if not aspects_of(n).binary]
         binary = [(n, c) for n, c in stages.columns if aspects_of(n).binary]
         table = indicator_table(prepared.algorithms, unary, stages.ranking)
@@ -808,41 +845,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     }
                 )
         representative = table.representative
-        if binary and len(prepared.algorithms) == 2:
-            (name_a, runs_a), (name_b, runs_b) = prepared.algorithms.items()
-            set_a = SolutionSet._concat(runs_a, name_a)
-            set_b = SolutionSet._concat(runs_b, name_b)
-            if len(set_a) and len(set_b):
-                for name, cfg in binary:
-                    for first, second in ((set_a, set_b), (set_b, set_a)):
-                        value = _PAIRWISE[name](first, second)
-                        where = dict(algorithm=first.name, against=second.name)
-                        results.append(_result(name, cfg, value, None, **where))
-        if prefs.weights is not None:
-            scal = {}
-            # The table's bounds may lack a mode no column reads; built here
-            # from the same runs, missing hard bounds fail the run.
-            bounds = normalization_bounds(
-                stages.config.normalization,
-                [r for runs in prepared.algorithms.values() for r in runs if len(r)],
-            )
-            for alg, runs in prepared.algorithms.items():
-                live = [r for r in runs if len(r)]
-                if not live:
-                    continue
-                basis = SolutionSet._concat(live, alg)
-                target = basis
-                if bounds is not None:
-                    target = normalize([basis], bounds)[0]
-                sol, score = scalarize_best(target, prefs.weights)
-                scal[alg] = {"score": score, "solution": list(sol.objectives)}
-            if scal:
-                doe_report = {
-                    "kind": "scalarize",
-                    "weights": list(prefs.weights),
-                    "by_algorithm": scal,
-                    "winner": min(scal, key=lambda a: scal[a]["score"]),
-                }
+        pooled = prepared.pooled() if binary else {}
+        if len(prepared.algorithms) == len(pooled) == 2:
+            set_a, set_b = pooled.values()
+            for name, cfg in binary:
+                for first, second in ((set_a, set_b), (set_b, set_a)):
+                    value = _PAIRWISE[name](first, second)
+                    where = dict(algorithm=first.name, against=second.name)
+                    results.append(_result(name, cfg, value, None, **where))
+        elif binary:
+            names = ", ".join(n for n, _ in binary)
+            count = len(prepared.algorithms)
+            detail = f"{names}: {count} algorithm(s), {len(pooled)} with survivors"
+            findings.append(_finding("N-BINARY-SKIPPED", detail))
+    doe_report = _doe_block(stages)
 
     if prepared.disputed:
         findings.append(_finding("N-RENORM-SURVIVORS"))
@@ -1014,11 +1030,10 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     default = manifest.resolve(manifest.output.plot_data) or "plot-data"
     out_dir = Path(args.out or default)
     out_dir.mkdir(parents=True, exist_ok=True)
-    live_m = prepared.live_m
 
     # The same pick as evaluate: the run closest to the median of its ranking.
     representative: dict[str, int] = {}
-    if live_m >= 2 and any(len(s) for s in prepared.all_sets):
+    if stages.route != "best-value" and any(len(s) for s in prepared.all_sets):
         table = indicator_table(prepared.algorithms, [], stages.ranking)
         representative = table.representative
 
@@ -1037,7 +1052,8 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
         chosen_runs[alg] = live[0] if rep is None else runs[rep]
 
     written: list[str] = []
-    if live_m <= 3:
+    kind = stages.plan.plotting
+    if kind == "scatter":
         for alg, run in chosen_runs.items():
             path = out_dir / f"{alg}.csv"
             write_solution_set(path, run)
@@ -1055,7 +1071,6 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
         path = out_dir / "parallel-coordinates.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         written.append(str(path))
-    kind = "scatter" if live_m <= 3 else "parallel-coordinates"
     print(f"wrote {kind} data for {len(chosen_runs)} set(s):")
     for w in written:
         print(f"  {w}")

@@ -137,6 +137,12 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
         "survivor sets disagree on a best-value objective; evaluation keeps "
         "all objectives",
     ),
+    "N-BINARY-SKIPPED": (
+        None,
+        "info",
+        "pairwise indicators need exactly two algorithms, both with surviving "
+        "solutions; the chosen pairwise columns were skipped",
+    ),
 }
 
 
@@ -243,7 +249,7 @@ def lint(
     names = [canonical_name(name) for name, _ in chosen]
     findings: list[LintWarning] = []
 
-    if mode.plotting_only or (mode.scatter_requested and m > 3):
+    if mode.plotting_only or (mode.scatter_requested and _plot_kind(m) != "scatter"):
         detail = (
             "plotting is the sole evaluation method"
             if mode.plotting_only
@@ -361,6 +367,26 @@ def recommend(
     return _plan(prefs, m, m - best, context or SetContext())
 
 
+def _route(prefs: PreferenceSpec, live_m: int) -> str:
+    """The procedure's branch for ``live_m`` objectives left after the
+    transfers: ``best-value`` for one, ``scalarize`` with weights, ``knee``
+    or ``extreme`` with a region of interest, else ``general``.
+    Untransferable preferences take the general route."""
+    if live_m == 1:
+        return "best-value"
+    if prefs.untransferable:
+        return "general"
+    if prefs.weights is not None:
+        return "scalarize"
+    return prefs.roi.kind if prefs.roi is not None else "general"
+
+
+def _plot_kind(m: int) -> str:
+    """D14: a scatter plot for up to three objectives, else parallel
+    coordinates."""
+    return "scatter" if m <= 3 else "parallel-coordinates"
+
+
 def _plan(
     prefs: PreferenceSpec, m: int, live_m: int, context: SetContext
 ) -> EvaluationPlan:
@@ -381,8 +407,6 @@ def _plan(
             PlanStep("screen", "P1: drop trivially useless solutions before judging")
         )
 
-    transferable = not prefs.untransferable and not prefs.is_empty()
-
     if prefs.clear:
         steps.append(
             PlanStep(
@@ -399,15 +423,16 @@ def _plan(
             )
         )
 
-    if live_m == 1:
+    route = _route(prefs, live_m)
+    if route == "best-value":
         doe_steps.append(
             "best: compare the best surviving value on the remaining objective"
         )
-    elif transferable and prefs.weights is not None:
+    elif route == "scalarize":
         doe_steps.append(
             "scalarize: rank sets by their best weighted-sum solution"
         )
-    elif transferable and prefs.roi is not None and prefs.roi.kind == "knee":
+    elif route == "knee":
         indicators.append(
             PlannedIndicator(
                 "hv",
@@ -417,7 +442,7 @@ def _plan(
             )
         )
         plan_notes.append(_finding("N-IGD-EXCLUDED", "knee preference"))
-    elif transferable and prefs.roi is not None and prefs.roi.kind == "extreme":
+    elif route == "extreme":
         indicators.append(
             PlannedIndicator(
                 "hv",
@@ -435,7 +460,7 @@ def _plan(
             PlanStep("normalize", "scale objectives to comparable ranges")
         )
 
-    plotting = "scatter" if live_m <= 3 else "parallel-coordinates"
+    plotting = _plot_kind(live_m)
     plan_notes.append(_finding("N-PLOT", f"D14: {plotting} for m={live_m}"))
     plan_notes.append(_finding("N-PSI", "D13"))
     if any(p.name == "spread" for p in indicators):

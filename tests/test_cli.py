@@ -23,6 +23,7 @@ from paretoeval import (
     NormalizationBounds,
     ObjectiveMeta,
     normalize,
+    per_objective_stats,
     screen_trivial,
     to_minimization,
 )
@@ -38,7 +39,16 @@ from paretoeval.cli import (
     main,
     write_solution_set,
 )
-from conftest import COVERAGE_A, COVERAGE_B, KNEE_A, KNEE_B, make_set
+from conftest import (
+    COVERAGE_A,
+    COVERAGE_B,
+    DIAG_A,
+    DIAG_B,
+    DIAG_C,
+    KNEE_A,
+    KNEE_B,
+    make_set,
+)
 
 
 def write_runs(directory, columns, algorithms):
@@ -84,6 +94,9 @@ def write_manifest(
 
 
 MIN_2D = [{"name": "f1", "direction": "min"}, {"name": "f2", "direction": "min"}]
+# f2 <= 5.5 removes every alpha solution and keeps two of beta's.
+EMPTIED_ALPHA = {"alpha": [[(6, 6), (8, 7)]], "beta": [KNEE_B]}
+F2_AT_MOST = {"clear": [{"objective": "f2", "kind": "at_most", "threshold": 5.5}]}
 COST_COVERAGE = [
     {"name": "cost", "direction": "min"},
     {"name": "coverage", "direction": "max"},
@@ -339,6 +352,30 @@ class TestSolutionFiles:
         (normed,) = normalize([screened], NormalizationBounds.from_sets([screened]))
         assert [s.id for s in normed.solutions] == ["s1", "s3"]
         assert normed.vectors() == [(0.0, 0.0), (1.0, 1.0)]
+
+    def test_empty_header_line_exits_2(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
+        (tmp_path / "a_0.csv").write_text("\n1,2\n", encoding="utf-8")
+        assert main(["evaluate", "--manifest", str(path)]) == EXIT_ERROR
+        line = f"error: {tmp_path / 'a_0.csv'}:1: missing header row"
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_unreadable_run_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
+        run = tmp_path / "a_0.csv"
+        checked = cli.load_manifest
+
+        def replaced_after_check(manifest_path):
+            # The file passes the manifest check, then turns into a directory.
+            manifest = checked(manifest_path)
+            run.unlink()
+            run.mkdir()
+            return manifest
+
+        monkeypatch.setattr(cli, "load_manifest", replaced_after_check)
+        assert main(["evaluate", "--manifest", str(path)]) == EXIT_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot read {run}: ")
 
     def test_header_only_warns(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -739,6 +776,95 @@ class TestEvaluate:
         assert report["representative_runs"]["alg1"] in alg1_runs
 
 
+class TestDoeRoutes:
+    """evaluate's doe block follows the plan's route."""
+
+    @staticmethod
+    def _evaluate(tmp_path, objectives, runs, preferences, *flags):
+        path = write_manifest(tmp_path, objectives, runs, preferences=preferences)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            code = main(
+                ["evaluate", "--manifest", str(path), "--out", str(out), *flags]
+            )
+        return code, json.loads(out.read_text())
+
+    def test_untransferable_weights_take_the_general_route(self, tmp_path):
+        code, report = self._evaluate(
+            tmp_path,
+            MIN_2D,
+            {"alpha": [KNEE_A], "beta": [KNEE_B]},
+            {"weights": [0.5, 0.5], "untransferable": True},
+        )
+        assert code == EXIT_OK
+        assert report["plan"]["doe_steps"] == []
+        assert report["doe"] == {}
+        executed = {r["indicator"] for r in report["results"]}
+        assert executed == {"gd_plus", "ci", "spread", "unfr", "hv"}
+
+    def test_extreme_route_reports_per_objective_best(self, tmp_path):
+        # cost <= 400 empties alpha's second run; best values are natural units.
+        code, report = self._evaluate(
+            tmp_path,
+            COST_COVERAGE,
+            {"alpha": [COVERAGE_A, [(600, 0.5)]], "beta": [COVERAGE_B]},
+            {
+                "clear": [{"objective": "cost", "kind": "at_most", "threshold": 400}],
+                "roi": {"extreme": ["cost"]},
+            },
+        )
+        assert code == EXIT_OK
+        assert report["plan"]["doe_steps"] == ["best: report per-objective best values"]
+        assert report["doe"] == {
+            "kind": "per-objective-best",
+            "objectives": ["cost", "coverage"],
+            "best": {"alpha": [200.0, 0.6], "beta": [0.0, 0.9]},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            prepared = cli.prepare(load_manifest(tmp_path / "manifest.json"))
+        for alg, runs in prepared.algorithms.items():
+            # The best over the pooled runs is the best of each run's best.
+            bests = zip(*(per_objective_stats(r).best for r in runs if len(r)))
+            pick = (min, max)  # cost is minimized, coverage maximized
+            expected = [f(values) for f, values in zip(pick, bests)]
+            assert report["doe"]["best"][alg] == expected
+
+    def test_scalarize_skips_an_emptied_algorithm(self, tmp_path):
+        code, report = self._evaluate(
+            tmp_path, MIN_2D, EMPTIED_ALPHA, {**F2_AT_MOST, "weights": [0.5, 0.5]}
+        )
+        assert code == EXIT_OK
+        assert list(report["doe"]["by_algorithm"]) == ["beta"]
+        assert report["doe"]["winner"] == "beta"
+
+    def test_skipped_pairwise_columns_are_noted(self, tmp_path):
+        code, report = self._evaluate(
+            tmp_path,
+            MIN_2D,
+            {"a": [DIAG_A], "b": [DIAG_B], "c": [DIAG_C]},
+            None,
+            "--indicator",
+            "ci",
+            "--indicator",
+            "hv",
+        )
+        assert code == EXIT_OK
+        assert {r["indicator"] for r in report["results"]} == {"hv"}
+        (note,) = [f for f in report["findings"] if f["code"] == "N-BINARY-SKIPPED"]
+        assert note["severity"] == "info"
+        assert note["message"].endswith("(ci: 3 algorithm(s), 3 with survivors)")
+
+    def test_pairwise_against_an_emptied_algorithm_is_noted(self, tmp_path):
+        code, report = self._evaluate(tmp_path, MIN_2D, EMPTIED_ALPHA, F2_AT_MOST)
+        assert code == EXIT_OK
+        assert "ci" in [p["name"] for p in report["plan"]["indicators"]]
+        assert "ci" not in {r["indicator"] for r in report["results"]}
+        (note,) = [f for f in report["findings"] if f["code"] == "N-BINARY-SKIPPED"]
+        assert note["message"].endswith("(ci: 2 algorithm(s), 1 with survivors)")
+
+
 class TestCompare:
     def test_contribution_both_directions(self, knee_manifest, capsys):
         assert (
@@ -834,6 +960,20 @@ class TestCompare:
         assert report["schema"] == "solution-set-compare/1"
         assert report["forward"] == pytest.approx(0.4)
         assert report["backward"] == pytest.approx(0.6)
+
+    def test_one_indicator_only(self, knee_manifest, capsys):
+        argv = ["compare", "--manifest", str(knee_manifest), "alpha", "beta"]
+        code = main(argv + ["--indicator", "ci", "--indicator", "c"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: compare takes exactly one indicator\n"
+
+    def test_emptied_side_exits_2(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, MIN_2D, EMPTIED_ALPHA, preferences=F2_AT_MOST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            code = main(["compare", "--manifest", str(path), "alpha", "beta"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: cannot compare empty sets\n"
 
     def test_unknown_algorithm(self, knee_manifest, capsys):
         code = main(["compare", "--manifest", str(knee_manifest), "alpha", "zeta"])
@@ -1182,7 +1322,32 @@ class TestStats:
         assert block["worst"] == [450.0, 0.2]
 
 
+    def test_emptied_algorithm_skipped(self, tmp_path):
+        path = write_manifest(tmp_path, MIN_2D, EMPTIED_ALPHA, preferences=F2_AT_MOST)
+        out = tmp_path / "stats.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            code = main(["stats", "--manifest", str(path), "--out", str(out)])
+        assert code == EXIT_OK
+        blocks = json.loads(out.read_text())["stats"]
+        assert [(b["algorithm"], b["run"]) for b in blocks] == [("beta", 0)]
+        assert blocks[0]["best"] == [7.0, 1.5]
+
+
 class TestPlotData:
+    def test_algorithm_without_survivors_warns_and_writes(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, MIN_2D, EMPTIED_ALPHA, preferences=F2_AT_MOST)
+        out_dir = tmp_path / "plots"
+        argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+        with pytest.warns(EvaluationWarning) as caught:
+            assert main(argv) == EXIT_OK
+        messages = [str(w.message) for w in caught]
+        assert "algorithm 'alpha' has no surviving solutions to plot" in messages
+        assert (out_dir / "alpha.csv").read_text() == "f1,f2\n"
+        beta = load_solution_set(out_dir / "beta.csv", META_2D)
+        assert beta.vectors() == [(7.0, 5.0), (12.0, 1.5)]
+        assert "wrote scatter data for 2 set(s)" in capsys.readouterr().out
+
     def test_scatter_csvs(self, tmp_path):
         path = write_manifest(
             tmp_path,

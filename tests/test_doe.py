@@ -10,10 +10,13 @@ from paretoeval import (
     DimensionMismatchError,
     EmptySetError,
     IndicatorConfig,
+    NormalizationBounds,
     doe_compare,
+    normalize,
     per_objective_stats,
     scalarize_best,
     set_dominates,
+    spacing,
     to_minimization,
 )
 from paretoeval.doe import indicator_table
@@ -235,6 +238,20 @@ class TestRepresentativeRun:
 
 
 class TestIndicatorTableInputs:
+    def test_spacing_column_reads_normalized_runs(self):
+        runs = [
+            make_set("r0", [(0, 4), (1, 3), (4, 0)]),
+            make_set("r1", [(2, 2), (3, 0)]),
+        ]
+        column = ("sp", IndicatorConfig())
+        table = indicator_table({"alg": runs}, [column], ("nfs", IndicatorConfig()))
+        normed = normalize(runs, NormalizationBounds.from_sets(runs))
+        assert table.values == {
+            ("alg", 0): (spacing(normed[0]),),
+            ("alg", 1): (spacing(normed[1]),),
+        }
+        assert table.values[("alg", 1)] == (0.0,)  # two points: one distance
+
     def test_requires_runs(self):
         with pytest.raises(EmptySetError):
             _representative([])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from paretoeval import guidance
 from paretoeval import (
     ASPECTS,
     EXACTLY_BEST,
@@ -254,6 +256,27 @@ class TestRecommendGeneralRoute:
     def test_single_objective_rejected(self):
         with pytest.raises(ValueError):
             recommend(NO_PREFS, 1)
+
+
+class TestRoute:
+    """One route choice serves the planner and the commands."""
+
+    @pytest.mark.parametrize(
+        "prefs, live_m, route",
+        [
+            (NO_PREFS, 2, "general"),
+            (ONE_BEST, 1, "best-value"),
+            (WEIGHTED, 1, "best-value"),
+            (WEIGHTED, 2, "scalarize"),
+            (KNEE, 3, "knee"),
+            (EXTREME, 2, "extreme"),
+            (CAPACITY_CLAMP, 2, "general"),
+            (PreferenceSpec(weights=(0.7, 0.3), untransferable=True), 2, "general"),
+            (replace(KNEE, untransferable=True), 2, "general"),
+        ],
+    )
+    def test_routes(self, prefs, live_m, route):
+        assert guidance._route(prefs, live_m) == route
 
 
 class TestRecommendPreferenceRoutes:

@@ -261,6 +261,11 @@ class TestSpread:
         pinned = make_set("A", [(0, 1)])
         assert spread_delta(pinned, [(0, 1), (0, 1)]) == 0.0
 
+    def test_copies_of_one_point_at_both_extremes(self):
+        # No gap and no edge distance: the zero denominator reads as 0.
+        copies = make_set("A", [(0, 1), (0, 1), (0, 1)])
+        assert spread_delta(copies, [(0, 1), (0, 1)]) == 0.0
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 10), st.integers(0, 10)),
