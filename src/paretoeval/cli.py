@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -648,7 +648,7 @@ class _Stages(NamedTuple):
     route: str  # the plan's branch, as guidance._route names it
     config: IndicatorConfig  # the merged config
     chosen: list[tuple[str, IndicatorConfig]]  # what lint reports as chosen
-    findings: list[LintWarning]  # lint findings on the chosen columns
+    findings: list[LintWarning]  # lint findings on the columns that run
     columns: list[tuple[str, IndicatorConfig]]  # chosen, less the blocked
     ranking: tuple[str, IndicatorConfig]  # the column that picks runs
 
@@ -659,7 +659,8 @@ def _stages(args: argparse.Namespace) -> _Stages:
     An indicator list from the flags or the manifest runs with the merged
     config.  Otherwise each planned config takes the fields the manifest
     set, then the flags.  Runs are ranked by the hv column, else by hv with
-    the merged config (computed for the pick only).
+    the merged config (computed for the pick only).  On the best-value route
+    no column runs, so none is linted or kept.
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
@@ -673,42 +674,17 @@ def _stages(args: argparse.Namespace) -> _Stages:
         if names
         else [(p.name, _configure(p.config, manifest, args)) for p in plan.indicators]
     )
-    findings = _lint_findings(prepared, chosen)
-    blocked = {_BLOCKS[f.code] for f in findings if f.code in _BLOCKS}
-    columns = [(n, c) for n, c in chosen if n not in blocked]
-    ranking = next(((n, c) for n, c in columns if n == "hv"), ("hv", config))
     route = _route(prefs, live_m)
+    judged = [] if route == "best-value" else chosen
+    findings = _lint_findings(prepared, judged)
+    blocked = {_BLOCKS[f.code] for f in findings if f.code in _BLOCKS}
+    columns = [(n, c) for n, c in judged if n not in blocked]
+    ranking = next(((n, c) for n, c in columns if n == "hv"), ("hv", config))
     return _Stages(prepared, plan, route, config, chosen, findings, columns, ranking)
 
 
 # The pairwise indicators ``compare`` computes; evaluate's binary columns.
 _PAIRWISE = {"ci": ind.contribution, "c": ind.coverage, "epsilon": ind.epsilon_additive}
-
-
-def _config_snapshot(config: IndicatorConfig, table: IndicatorTable | None) -> dict:
-    snap = config.snapshot()
-    if table is not None:
-        snap["reference_set_size"] = len(table.reference)
-        point = table.points.get((config.hv_strategy, config.ref_point))
-        if point is not None:
-            snap["reference_point"] = list(point)
-        bounds = table.bounds.get(config.normalization)
-        if bounds is not None:
-            snap["bounds_ideal"] = list(bounds.ideal)
-            snap["bounds_nadir"] = list(bounds.nadir)
-    return snap
-
-
-def _findings_to_dict(findings: Sequence[LintWarning]) -> list[dict]:
-    return [
-        {
-            "code": f.code,
-            "severity": f.severity,
-            "issue": f.issue,
-            "message": f.message,
-        }
-        for f in findings
-    ]
 
 
 def _exit_from_findings(findings: Sequence[LintWarning], strict: bool) -> int:
@@ -719,25 +695,6 @@ def _exit_from_findings(findings: Sequence[LintWarning], strict: bool) -> int:
         if f.severity == "warning":
             worst = EXIT_ERROR if strict else max(worst, EXIT_WARNINGS)
     return worst
-
-
-def _plan_to_dict(plan: EvaluationPlan) -> dict:
-    return {
-        "preprocessing": [
-            {"kind": s.kind, "description": s.description} for s in plan.preprocessing
-        ],
-        "indicators": [
-            {
-                "name": p.name,
-                "rationale": p.rationale,
-                "config": p.config.snapshot(),
-            }
-            for p in plan.indicators
-        ],
-        "doe_steps": list(plan.doe_steps),
-        "plotting": plan.plotting,
-        "warnings": _findings_to_dict(plan.warnings),
-    }
 
 
 def _write_report(report: dict, target: str | Path | None) -> None:
@@ -754,25 +711,32 @@ def _write_report(report: dict, target: str | Path | None) -> None:
 # Commands
 
 
-def _result(
-    name: str, cfg: IndicatorConfig, value: float, table: IndicatorTable | None, **where
-) -> dict:
-    """One report row: where the indicator was measured, and its value."""
+def _column(name: str, cfg: IndicatorConfig, table: IndicatorTable | None) -> dict:
+    """The fields every report row of one column shares: the indicator, its
+    profile, and its config with the yardsticks the table built for it."""
     profile = aspects_of(name)
+    config = asdict(cfg)
+    if table is not None:
+        config["reference_set_size"] = len(table.reference)
+        point = table.points.get((cfg.hv_strategy, cfg.ref_point))
+        if point is not None:
+            config["reference_point"] = point
+        bounds = table.bounds.get(cfg.normalization)
+        if bounds is not None:
+            config.update(bounds_ideal=bounds.ideal, bounds_nadir=bounds.nadir)
     return {
-        **where,
         "indicator": name,
-        "value": value,
         "better": profile.better,
         "aspects": sorted(profile.aspects),
-        "config": _config_snapshot(cfg, table),
+        "config": config,
     }
 
 
 def _doe_block(stages: _Stages) -> dict:
     """The plan's doe step on each algorithm's pooled survivors: best values
-    on the one objective left, the best weighted sum, or each objective's
-    best value (natural units).  The knee and general routes have none."""
+    on the one objective left, the best sum weighted over the objectives
+    left, or each objective's best value (natural units).  The knee and
+    general routes have none."""
     if stages.route in ("knee", "general"):
         return {}
     prepared, prefs = stages.prepared, stages.prepared.manifest.preferences
@@ -787,20 +751,19 @@ def _doe_block(stages: _Stages) -> dict:
             "best": {alg: sign * v for alg, v in best.items()},
             "winner": min(best, key=best.get) if best else None,
         }
-    if not pooled:
-        return {}
     if stages.route == "scalarize":
         # The table's bounds may lack a mode no column reads; built here
         # from the same runs, missing hard bounds fail the run.
         bounds = normalization_bounds(stages.config.normalization, [*pooled.values()])
+        weights = [w for j, w in enumerate(prefs.weights) if j not in prepared.dropped]
         scal = {}
         for alg, basis in pooled.items():
             target = basis if bounds is None else normalize([basis], bounds)[0]
-            sol, score = scalarize_best(target, prefs.weights)
+            sol, score = scalarize_best(target, weights)
             scal[alg] = {"score": score, "solution": list(sol.objectives)}
         return {
             "kind": "scalarize",
-            "weights": list(prefs.weights),
+            "weights": weights,
             "by_algorithm": scal,
             "winner": min(scal, key=lambda a: scal[a]["score"]),
         }
@@ -823,17 +786,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     aggregates: list[dict] = []
     representative: dict[str, int] = {}
 
-    if stages.route != "best-value":  # one objective left: no indicator columns
+    if stages.route == "best-value":  # one objective left: no indicator columns
+        if stages.chosen:
+            names = ", ".join(n for n, _ in stages.chosen)
+            findings.append(_finding("N-BEST-VALUE-SKIPPED", names))
+    else:
         unary = [(n, c) for n, c in stages.columns if not aspects_of(n).binary]
         binary = [(n, c) for n, c in stages.columns if aspects_of(n).binary]
         table = indicator_table(prepared.algorithms, unary, stages.ranking)
+        shared = [_column(n, c, table) for n, c in unary]
         for alg, runs in prepared.algorithms.items():
             per_indicator: dict[str, list[float]] = {}
             for r in range(len(runs)):
-                for (name, cfg), value in zip(unary, table.values.get((alg, r), ())):
-                    row = _result(name, cfg, value, table, algorithm=alg, run=r)
+                for column, value in zip(shared, table.values.get((alg, r), ())):
+                    row = {**column, "algorithm": alg, "run": r, "value": value}
                     results.append(row)
-                    per_indicator.setdefault(name, []).append(value)
+                    per_indicator.setdefault(column["indicator"], []).append(value)
             for name, values in per_indicator.items():
                 aggregates.append(
                     {
@@ -849,10 +817,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if len(prepared.algorithms) == len(pooled) == 2:
             set_a, set_b = pooled.values()
             for name, cfg in binary:
+                column = _column(name, cfg, None)
                 for first, second in ((set_a, set_b), (set_b, set_a)):
                     value = _PAIRWISE[name](first, second)
-                    where = dict(algorithm=first.name, against=second.name)
-                    results.append(_result(name, cfg, value, None, **where))
+                    where = {"algorithm": first.name, "against": second.name}
+                    results.append({**column, **where, "value": value})
         elif binary:
             names = ", ".join(n for n, _ in binary)
             count = len(prepared.algorithms)
@@ -871,7 +840,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             for o in manifest.objectives
         ],
         "algorithms": [a.name for a in manifest.algorithms],
-        "plan": _plan_to_dict(plan),
+        "plan": asdict(plan),
         "preprocessing": {
             "removals": [
                 {"set": s, "index": rm.index, "rule": rm.rule,
@@ -887,7 +856,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "aggregates": aggregates,
         "doe": doe_report,
         "representative_runs": representative,
-        "findings": _findings_to_dict(findings),
+        "findings": [asdict(f) for f in findings],
         "exit_status": status,
     }
     _write_report(report, args.out or manifest.resolve(manifest.output.report))
@@ -952,7 +921,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     context = SetContext(set_count=len(manifest.algorithms))
     plan = recommend(manifest.preferences, len(manifest.objectives), context)
-    report = {"schema": "solution-set-plan/1", "plan": _plan_to_dict(plan)}
+    report = {"schema": "solution-set-plan/1", "plan": asdict(plan)}
     _write_report(report, args.out)
     print("preprocessing:")
     for step in plan.preprocessing:
@@ -975,7 +944,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     report = {
         "schema": "solution-set-lint/1",
         "chosen": [n for n, _ in stages.chosen],
-        "findings": _findings_to_dict(findings),
+        "findings": [asdict(f) for f in findings],
         "exit_status": status,
     }
     _write_report(report, args.out)

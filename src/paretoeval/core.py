@@ -603,14 +603,14 @@ def _front_mask(V: np.ndarray, unique: bool = False) -> np.ndarray:
     The mask is in input order and keeps exact duplicates, which do not
     dominate each other; ``unique`` keeps only the first occurrence of each.
     A row can be dominated only by a row before it in lexicographic order,
-    so the rows are sorted once and the method follows ``m``: a running
-    minimum for m <= 2, the staircase sweep of ``_dominated_by`` for m=3,
-    and for m >= 4 chunks of rows, each checked against the front before it
-    by ``_dominated_by`` (see ``_front_hits``).
+    so the rows are sorted once and the method follows ``m``: the m <= 2
+    query of ``_dominated_by`` of the rows against themselves, its
+    staircase sweep for m=3, and for m >= 4 chunks of rows, each checked
+    against the front before it by ``_dominated_by`` (see ``_front_hits``).
     """
     order, S, repeat = _lex_sorted(V)
     if V.shape[1] <= 2:
-        keep = _front_sweep2(S)
+        keep = ~_dominated_by2(S, S, weak=False)
     elif V.shape[1] == 3:
         # Only the last of equal rows joins the staircase, so none counts
         # against its twins.
@@ -647,21 +647,6 @@ def _limit_front_masks(L: np.ndarray) -> np.ndarray:
     # Row p knocks out row j when it dominates j or is an earlier equal row.
     knocked = le & (lt | (p[:, None] < p)) & member[:, :, None]
     return member & ~knocked.any(axis=1)
-
-
-def _front_sweep2(S: np.ndarray) -> np.ndarray:
-    """Front of lexicographically sorted rows of one or two columns: a row is
-    kept when it is the lowest of its group of equal first objective and
-    lies strictly below every row of the groups before it in the last."""
-    x, y = S[:, 0], S[:, -1]
-    start = np.ones(len(S), dtype=bool)
-    start[1:] = x[1:] != x[:-1]
-    group = np.cumsum(start) - 1
-    low = y[start]
-    below = np.empty_like(low)
-    below[:1] = np.inf
-    np.minimum.accumulate(low[:-1], out=below[1:])
-    return (low < below)[group] & (y == low[group])
 
 
 def _check_sets(first: SolutionSet, second: SolutionSet) -> None:

@@ -143,6 +143,12 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
         "pairwise indicators need exactly two algorithms, both with surviving "
         "solutions; the chosen pairwise columns were skipped",
     ),
+    "N-BEST-VALUE-SKIPPED": (
+        None,
+        "info",
+        "one objective is left after preprocessing, so the sets are compared "
+        "by their best value on it; the chosen indicator columns were skipped",
+    ),
 }
 
 

@@ -87,18 +87,11 @@ class IndicatorConfig:
             raise ValueError(f"unknown normalization mode {self.normalization!r}")
         if self.ref_point is not None:
             point = tuple(float(v) for v in self.ref_point)
+            if not point:
+                raise ValueError("ref_point must have at least one coordinate")
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"ref_point must be finite, got {point}")
             object.__setattr__(self, "ref_point", point)
-
-    def snapshot(self) -> dict:
-        return {
-            "gd_p": self.gd_p,
-            "hv_strategy": self.hv_strategy,
-            "ref_point": list(self.ref_point) if self.ref_point else None,
-            "grid_divisions": self.grid_divisions,
-            "normalization": self.normalization,
-        }
 
 
 @dataclass(frozen=True)

@@ -839,6 +839,34 @@ class TestDoeRoutes:
         assert list(report["doe"]["by_algorithm"]) == ["beta"]
         assert report["doe"]["winner"] == "beta"
 
+    def test_scalarize_weighs_the_objectives_left(self, tmp_path):
+        # f3 is exactly_best and every survivor has it at 0, so it is dropped
+        # and its weight with it.
+        preferences = {
+            "clear": [{"objective": "f3", "kind": "exactly_best"}],
+            "weights": [0.5, 0.25, 0.25],
+        }
+        runs = {
+            "alpha": [[(1, 4, 0), (2, 3, 0), (4, 1, 5)]],
+            "beta": [[(2.5, 5, 0), (3, 2, 0)]],
+        }
+        code, report = self._evaluate(tmp_path, F123, runs, preferences)
+        linted = main(["lint", "--manifest", str(tmp_path / "manifest.json")])
+        assert code == linted == EXIT_OK
+        assert report["preprocessing"]["dropped_objectives"] == ["f3"]
+        assert report["plan"]["doe_steps"] == [
+            "scalarize: rank sets by their best weighted-sum solution"
+        ]
+        doe = report["doe"]
+        assert (doe["kind"], doe["weights"]) == ("scalarize", [0.5, 0.25])
+        # Normalized on the survivors' bounds, f1 in [1, 3] and f2 in [2, 5]:
+        # alpha's (1, 4) scores 0.25 * 2/3 and beta's (3, 2) scores 0.5.
+        alpha, beta = doe["by_algorithm"]["alpha"], doe["by_algorithm"]["beta"]
+        assert alpha["solution"] == [0.0, 2 / 3]
+        assert alpha["score"] == pytest.approx(1 / 6)
+        assert (beta["solution"], beta["score"]) == ([1.0, 0.0], 0.5)
+        assert doe["winner"] == "alpha"
+
     def test_skipped_pairwise_columns_are_noted(self, tmp_path):
         code, report = self._evaluate(
             tmp_path,
@@ -1226,6 +1254,34 @@ class TestPlannedOnLiveObjectives:
         assert report["doe"] == {}
 
     @pytest.mark.parametrize(
+        "flags", [("--indicator", "spread"), ("--indicator", "hv"), ()],
+        ids=["spread", "hv", "planned"],
+    )
+    def test_best_value_route_judges_no_column(self, tmp_path, flags):
+        # f2 is exactly_best and every survivor has it at 0: one objective is
+        # left, so no indicator column runs and none is linted.
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"a": [[(1, 0), (2, 0), (4, 1)]], "b": [[(0.5, 0), (3, 2)]]},
+            preferences={"clear": [{"objective": "f2", "kind": "exactly_best"}]},
+        )
+        code, report = self._run(tmp_path, path, "evaluate", *flags)
+        lint_code, lint_report = self._run(tmp_path, path, "lint", *flags)
+        assert code == lint_code == report["exit_status"] == EXIT_OK
+        assert lint_report["chosen"] == list(flags[1:])
+        assert lint_report["findings"] == []
+        assert report["results"] == report["aggregates"] == []
+        assert (report["doe"]["kind"], report["doe"]["winner"]) == ("best-value", "b")
+        notes = [f for f in report["findings"] if f["code"] == "N-BEST-VALUE-SKIPPED"]
+        if flags:
+            (note,) = notes
+            assert note["severity"] == "info"
+            assert note["message"].endswith(f"({flags[1]})")
+        else:
+            assert notes == []
+
+    @pytest.mark.parametrize(
         "argv",
         [["evaluate"], ["lint", "--indicator", "hv"], ["plot-data", "--indicator", "hv"]],
         ids=lambda argv: argv[0],
@@ -1581,6 +1637,14 @@ class TestMainErrors:
                 "indicator_overrides: ref_point needs hv_strategy 'explicit', "
                 "got 'worst_values'",
             ),
+            (
+                lambda d: d.update(indicator_overrides={"ref_point": []}),
+                "indicator_overrides: ref_point must have at least one coordinate",
+            ),
+            (
+                lambda d: d["algorithms"].append(dict(d["algorithms"][0])),
+                "algorithm names must be unique",
+            ),
         ],
         ids=[
             "indicators-string",
@@ -1609,6 +1673,8 @@ class TestMainErrors:
             "algorithms-missing",
             "algorithm-name-empty",
             "ref-point-beside-a-strategy",
+            "ref-point-empty",
+            "algorithm-names-duplicate",
         ],
     )
     def test_misshapen_manifest_exits_2(self, tmp_path, capsys, mutate, message):
