@@ -46,7 +46,6 @@ from .guidance import (
 )
 from .indicators import IndicatorConfig, aspects_of, canonical_name
 from .preprocess import (
-    EXACTLY_BEST,
     ClearConstraint,
     NormalizationBounds,
     PreferenceSpec,
@@ -54,6 +53,7 @@ from .preprocess import (
     RegionOfInterest,
     Removal,
     VagueClamp,
+    _signs,
     apply_clear_preferences,
     apply_vague_preferences,
     build_reference_set,
@@ -362,8 +362,7 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError("algorithm names must be unique")
 
     preferences = _preferences(raw.get("preferences", {}), names)
-    best = {c.objective for c in preferences.clear if c.kind == EXACTLY_BEST}
-    if len(best) == len(names):
+    if len(preferences.best_value_objectives) == len(names):
         raise ManifestError(
             "preferences.clear: exactly_best on every objective leaves no "
             "objective to compare the sets on"
@@ -546,7 +545,6 @@ def prepare(manifest: Manifest) -> Prepared:
     removals: list[tuple[str, Removal]] = []
     notes: list[str] = []
     algorithms: dict[str, list[SolutionSet]] = {}
-    dropped_per_set: tuple[int, ...] | None = None
 
     for entry in manifest.algorithms:
         runs: list[SolutionSet] = []
@@ -557,16 +555,15 @@ def prepare(manifest: Manifest) -> Prepared:
             work = to_minimization(raw)
             log: list[Removal] = []
             work = screen_trivial(work, prefs.screen, log=log)
-            work, dropped = apply_clear_preferences(work, prefs, log=log)
+            work, _ = apply_clear_preferences(work, prefs, log=log)
             work = apply_vague_preferences(work, prefs, log=log)
             removals.extend((run_name, rm) for rm in log)
             if not len(work):
                 notes.append(f"set {run_name!r} is empty after preprocessing")
-            dropped_per_set = dropped  # same constraints => same candidates
             runs.append(work)
         algorithms[entry.name] = runs
 
-    candidates = list(dropped_per_set or ())
+    candidates = list(prefs.best_value_objectives)
     disputed: tuple[int, ...] = ()
     if candidates:  # as floats, so -0.0 agrees with 0.0; no survivor, no dispute
         sets = [run for runs in algorithms.values() for run in runs]
@@ -744,7 +741,7 @@ def _doe_block(stages: _Stages) -> dict:
     if stages.route == "best-value":
         best = {alg: min(s.values()[:, 0].tolist()) for alg, s in pooled.items()}
         head = prepared.all_sets[0]
-        sign = head.signs[0] if head.signs is not None else 1.0
+        sign = _signs(head)[0]
         return {
             "kind": "best-value",
             "objective": head.meta[0].name,
@@ -887,15 +884,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(chosen) > 1:
         raise ValueError("compare takes exactly one indicator")
     indicator = canonical_name(chosen[0])
-    set_a = SolutionSet._concat(prepared.algorithms[first], first)
-    set_b = SolutionSet._concat(prepared.algorithms[second], second)
-    if not len(set_a) or not len(set_b):
+    pooled = prepared.pooled()
+    if first not in pooled or second not in pooled:
         raise EmptySetError("cannot compare empty sets")
+    set_a, set_b = pooled[first], pooled[second]
     if indicator not in _PAIRWISE:
         raise ValueError(
             f"{indicator} is not a pairwise indicator; use ci, c, or epsilon"
         )
-    if indicator == "epsilon":
+    if aspects_of(indicator).needs_normalization:
         config = _configure(IndicatorConfig(), manifest, args)
         bounds = normalization_bounds(config.normalization, [set_a, set_b])
         if bounds is not None:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     DimensionMismatchError,
-    Direction,
     EmptySetError,
     Solution,
     SolutionSet,
@@ -28,6 +27,7 @@ from .indicators import IndicatorConfig, aspects_of, canonical_name
 from . import indicators as _ind
 from .preprocess import (
     NormalizationBounds,
+    _maximized,
     build_reference_point,
     build_reference_set,
     normalization_bounds,
@@ -85,17 +85,11 @@ def per_objective_stats(A: SolutionSet) -> ObjectiveStats:
     if not len(A):
         raise EmptySetError(f"set {A.name!r} is empty")
     natural = A.natural_values()
-    signs = A.signs if A.signs is not None else (1.0,) * A.m
-    best = []
-    worst = []
-    for j, sign in enumerate(signs):
-        col = natural[:, j]
-        if sign < 0:  # stored negated, natural direction is maximize
-            best.append(float(col.max()))
-            worst.append(float(col.min()))
-        else:
-            best.append(float(col.min()))
-            worst.append(float(col.max()))
+    best, worst = [], []
+    for col, maximized in zip(natural.T, _maximized(A)):
+        low, high = float(col.min()), float(col.max())
+        best.append(high if maximized else low)
+        worst.append(low if maximized else high)
     return ObjectiveStats(
         names=tuple(o.name for o in A.meta),
         mean=tuple(float(v) for v in natural.mean(axis=0)),
@@ -131,13 +125,8 @@ def doe_compare(A: SolutionSet, B: SolutionSet, stat: str = "mean") -> DoeCompar
     sb = per_objective_stats(B)
     va = getattr(sa, stat)
     vb = getattr(sb, stat)
-    maximized = tuple(o.direction is Direction.MAXIMIZE for o in A.meta)
-    # Stats are in natural units; when the set was converted for
-    # minimization the original direction is encoded in its signs.
-    if A.signs is not None:
-        maximized = tuple(s < 0 for s in A.signs)
     winners = tuple(
-        _direction_aware_winner(x, y, mx) for x, y, mx in zip(va, vb, maximized)
+        _direction_aware_winner(x, y, mx) for x, y, mx in zip(va, vb, _maximized(A))
     )
     misleading = False
     if set_dominates(A, B) and any(w < 0 for w in winners):
@@ -211,9 +200,9 @@ def indicator_table(
     the grid cells; the ``spread`` extremes.  Each algorithm's
     representative run is the one whose ``rank_by`` value is closest to the
     median of its runs' values (Knowles, Thiele & Zitzler 2006).  A
-    ``rank_by`` that is not a column is computed for the pick only; if that
-    fails (hv beyond its objective limit), only algorithms with one
-    non-empty run get a representative.
+    ``rank_by`` that is not a column is computed for the pick only.  When
+    it is hv at an objective count hv does not support, only algorithms
+    with one non-empty run get a representative; any other error propagates.
     """
     columns = tuple((canonical_name(n), c) for n, c in columns)
     rank_by = (canonical_name(rank_by[0]), rank_by[1])
@@ -294,11 +283,9 @@ def indicator_table(
     reported = dict(points)  # the hv columns' points, not one built for the pick
     live_runs = {alg: [r for a, r in slots if a == alg] for alg in algorithms}
     rank: dict[tuple[str, int], float] = {}
-    if any(len(runs) > 1 for runs in live_runs.values()):
-        try:
-            rank = dict(zip(slots, computed.get(rank_by) or column(*rank_by)))
-        except ValueError:
-            pass  # not a column, so only the pick goes without it
+    undefined = rank_by[0] == "hv" and not 2 <= reference.m <= _ind._HV_MAX_OBJECTIVES
+    if any(len(runs) > 1 for runs in live_runs.values()) and not undefined:
+        rank = dict(zip(slots, computed.get(rank_by) or column(*rank_by)))
     representative: dict[str, int] = {}
     for alg, runs in live_runs.items():
         if len(runs) == 1:

@@ -30,7 +30,7 @@ from typing import Sequence
 from .indicators import (
     _HV_MAX_OBJECTIVES, ASPECTS, IndicatorConfig, aspects_of, canonical_name,
 )
-from .preprocess import EXACTLY_BEST, PreferenceSpec
+from .preprocess import PreferenceSpec
 
 __all__ = [
     "SEVERITIES",
@@ -369,8 +369,8 @@ def recommend(
     ``warnings``.  Without the data, each ``exactly_best`` constraint is
     predicted to drop its objective.
     """
-    best = sum(1 for c in prefs.clear if c.kind == EXACTLY_BEST)
-    return _plan(prefs, m, m - best, context or SetContext())
+    live_m = m - len(prefs.best_value_objectives)
+    return _plan(prefs, m, live_m, context or SetContext())
 
 
 def _route(prefs: PreferenceSpec, live_m: int) -> str:
@@ -399,7 +399,6 @@ def _plan(
     """The plan for ``live_m`` objectives evaluated out of ``m`` declared."""
     if m < 2:
         raise ValueError("planning needs at least two objectives")
-    _check_consistency(prefs)
     if live_m < 1:
         raise ValueError("clear constraints require best values on every objective")
 
@@ -481,23 +480,3 @@ def _plan(
         warnings=tuple(self_findings) + tuple(plan_notes),
     )
 
-
-def _check_consistency(prefs: PreferenceSpec) -> None:
-    """Reject preference specifications that cannot be satisfied together."""
-    clear_by_obj = {c.objective: c for c in prefs.clear}
-    for clamp in prefs.vague:
-        c = clear_by_obj.get(clamp.objective)
-        if c is None or c.threshold is None:
-            continue
-        if c.kind == "at_least" and clamp.saturation < c.threshold:
-            raise ValueError(
-                f"vague clamp saturates objective {clamp.objective} at "
-                f"{clamp.saturation}, below the clear at_least threshold "
-                f"{c.threshold}; every clamped solution would violate it"
-            )
-        if c.kind == "at_most" and clamp.saturation > c.threshold:
-            raise ValueError(
-                f"vague clamp saturates objective {clamp.objective} at "
-                f"{clamp.saturation}, above the clear at_most threshold "
-                f"{c.threshold}; every clamped solution would violate it"
-            )

@@ -259,9 +259,8 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     b_dom = int(b_wins.sum())
     a_inc = int((~a_wins & ~a_loses & ~a_twin).sum())
     b_inc = int((~b_wins & ~b_loses & ~b_twin).sum())
+    # Never zero: each row is shared, a win, incomparable, or lost to a win.
     denom = shared + a_dom + a_inc + b_dom + b_inc
-    if denom == 0:
-        raise EmptySetError("contribution denominator is empty")
     return (shared / 2.0 + a_dom + a_inc) / denom
 
 
@@ -340,8 +339,6 @@ def spread_delta(
             f"spread is only defined for two objectives, set has {A.m}"
         )
     pts = sorted(_values(A).tolist())
-    if not pts:
-        raise EmptySetError(f"set {A.name!r} is empty")
     ext = sorted([tuple(float(v) for v in e) for e in extremes])
     if len(ext) != 2 or any(len(e) != 2 for e in ext):
         raise ValueError("exactly two bi-objective extreme points are required")

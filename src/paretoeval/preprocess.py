@@ -157,7 +157,9 @@ class PreferenceSpec:
     preference transfer and never dropping objectives); ``clear`` holds hard
     constraints transferred onto the data; ``vague`` holds saturation clamps.
     ``untransferable`` marks qualitative preference statements that cannot be
-    encoded; planning then falls back to the no-preference route.
+    encoded; planning then falls back to the no-preference route.  A clamp
+    that saturates an objective beyond what its clear threshold allows is
+    rejected: every clamped solution would violate the threshold.
     """
 
     clear: tuple[ClearConstraint, ...] = ()
@@ -171,18 +173,27 @@ class PreferenceSpec:
         object.__setattr__(self, "clear", tuple(self.clear))
         object.__setattr__(self, "vague", tuple(self.vague))
         object.__setattr__(self, "screen", tuple(self.screen))
-        seen: set[int] = set()
-        for c in self.clear:
-            if c.objective in seen:
-                raise ValueError(
-                    f"multiple clear constraints on objective {c.objective}"
-                )
-            seen.add(c.objective)
-        seen = set()
-        for v in self.vague:
-            if v.objective in seen:
-                raise ValueError(f"multiple vague clamps on objective {v.objective}")
-            seen.add(v.objective)
+        named = (("clear constraints", self.clear), ("vague clamps", self.vague))
+        for what, parts in named:
+            seen: set[int] = set()
+            for part in parts:
+                if part.objective in seen:
+                    raise ValueError(f"multiple {what} on objective {part.objective}")
+                seen.add(part.objective)
+        clear = {c.objective: c for c in self.clear}
+        for clamp in self.vague:
+            c, s = clear.get(clamp.objective), clamp.saturation
+            if c is not None and c.kind == AT_LEAST and s < c.threshold:
+                side = "below"
+            elif c is not None and c.kind == AT_MOST and s > c.threshold:
+                side = "above"
+            else:
+                continue
+            raise ValueError(
+                f"vague clamp saturates objective {clamp.objective} at {s}, "
+                f"{side} the clear {c.kind} threshold {c.threshold}; every "
+                "clamped solution would violate it"
+            )
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             if any(x < 0 for x in w):
@@ -190,6 +201,12 @@ class PreferenceSpec:
             if abs(sum(w) - 1.0) > 1e-9:
                 raise ValueError("weights must sum to 1")
             object.__setattr__(self, "weights", w)
+
+    @property
+    def best_value_objectives(self) -> tuple[int, ...]:
+        """The objectives with an ``exactly_best`` constraint, ascending: the
+        transfer leaves every survivor equal on each of them."""
+        return tuple(sorted(c.objective for c in self.clear if c.kind == EXACTLY_BEST))
 
     def is_empty(self) -> bool:
         """True when no transferable preference information is present.
@@ -218,6 +235,14 @@ def _signs(A: SolutionSet) -> tuple[float, ...]:
     return A.signs if A.signs is not None else (1.0,) * A.m
 
 
+def _maximized(A: SolutionSet) -> tuple[bool, ...]:
+    """Which objectives are maximized in natural units: by the signs once
+    the set is converted, otherwise by the declared directions."""
+    if A.signs is not None:
+        return tuple(s < 0 for s in A.signs)
+    return tuple(o.direction is Direction.MAXIMIZE for o in A.meta)
+
+
 def _check_indices(A: SolutionSet, items: Iterable[int], what: str) -> None:
     for i in items:
         if not 0 <= i < A.m:
@@ -233,9 +258,7 @@ def to_minimization(A: SolutionSet) -> SolutionSet:
     """
     if A.signs is not None:
         raise ValueError(f"set {A.name!r} already carries an orientation transform")
-    signs = tuple(
-        -1.0 if o.direction is Direction.MAXIMIZE else 1.0 for o in A.meta
-    )
+    signs = tuple(-1.0 if mx else 1.0 for mx in _maximized(A))
     meta = tuple(
         ObjectiveMeta(o.name, Direction.MINIMIZE, o.units, o.hard_bounds)
         for o in A.meta
@@ -272,6 +295,18 @@ def _drop(
     return A._select(culprit < 0, values=values)
 
 
+def _warn_if_emptied(A: SolutionSet, out: SolutionSet, what: str) -> SolutionSet:
+    """``out``; when ``what`` removed every solution of the non-empty ``A``,
+    a warning that names the caller of the public function."""
+    if not len(out) and len(A):
+        warnings.warn(
+            f"{what} removed every solution of set {A.name!r}",
+            EvaluationWarning,
+            stacklevel=3,
+        )
+    return out
+
+
 def _filter_by_rules(
     A: SolutionSet,
     rules: Sequence[ClearConstraint],
@@ -306,14 +341,7 @@ def screen_trivial(
     if not rules:
         return A
     _check_indices(A, (r.objective for r in rules), "screening rule")
-    out = _filter_by_rules(A, rules, log)
-    if not len(out) and len(A):
-        warnings.warn(
-            f"screening removed every solution of set {A.name!r}",
-            EvaluationWarning,
-            stacklevel=2,
-        )
-    return out
+    return _warn_if_emptied(A, _filter_by_rules(A, rules, log), "screening")
 
 
 def apply_clear_preferences(
@@ -333,16 +361,7 @@ def apply_clear_preferences(
     if not spec.clear:
         return A, ()
     out = _filter_by_rules(A, spec.clear, log)
-    if not len(out) and len(A):
-        warnings.warn(
-            f"clear constraints removed every solution of set {A.name!r}",
-            EvaluationWarning,
-            stacklevel=2,
-        )
-    dropped = tuple(
-        sorted(c.objective for c in spec.clear if c.kind == EXACTLY_BEST)
-    )
-    return out, dropped
+    return _warn_if_emptied(A, out, "clear constraints"), spec.best_value_objectives
 
 
 def apply_vague_preferences(
@@ -375,13 +394,7 @@ def apply_vague_preferences(
         saturation = signs[j] * clamp.saturation
         clamped[stored < saturation, j] = saturation
     out = _drop(A, short, reasons, log, values=clamped)
-    if not len(out) and len(A):
-        warnings.warn(
-            f"vague clamps removed every solution of set {A.name!r}",
-            EvaluationWarning,
-            stacklevel=2,
-        )
-    return out
+    return _warn_if_emptied(A, out, "vague clamps")
 
 
 @dataclass(frozen=True)
@@ -390,15 +403,12 @@ class NormalizationBounds:
 
     ideal: tuple[float, ...]
     nadir: tuple[float, ...]
-    source: str = "combined_front"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ideal", tuple(float(v) for v in self.ideal))
         object.__setattr__(self, "nadir", tuple(float(v) for v in self.nadir))
         if len(self.ideal) != len(self.nadir):
             raise DimensionMismatchError("ideal and nadir must have equal length")
-        if self.source not in ("combined_front", "hard_bounds"):
-            raise ValueError(f"unknown bounds source {self.source!r}")
         for lo, hi in zip(self.ideal, self.nadir):
             if lo > hi:
                 raise ValueError("ideal must not exceed nadir componentwise")
@@ -411,11 +421,7 @@ class NormalizationBounds:
         stacked = SolutionSet._concat(sets, "union").values()
         if not len(stacked):
             raise EmptySetError("all sets are empty")
-        return cls(
-            ideal=tuple(stacked.min(axis=0)),
-            nadir=tuple(stacked.max(axis=0)),
-            source="combined_front",
-        )
+        return cls(ideal=tuple(stacked.min(axis=0)), nadir=tuple(stacked.max(axis=0)))
 
     @classmethod
     def from_hard_bounds(cls, A: SolutionSet) -> "NormalizationBounds":
@@ -429,7 +435,7 @@ class NormalizationBounds:
             lo, hi = sorted((sign * o.hard_bounds[0], sign * o.hard_bounds[1]))
             ideal.append(lo)
             nadir.append(hi)
-        return cls(ideal=tuple(ideal), nadir=tuple(nadir), source="hard_bounds")
+        return cls(ideal=tuple(ideal), nadir=tuple(nadir))
 
 
 def normalization_bounds(

@@ -1046,6 +1046,22 @@ class TestRecommend:
         assert "N-IGD-EXCLUDED" in {w["code"] for w in plan["warnings"]}
 
 
+    def test_plan_prints_preprocessing_and_doe_steps(self, tmp_path, capsys):
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"alpha": [KNEE_A], "beta": [KNEE_B]},
+            preferences={**F2_AT_MOST, "weights": [0.5, 0.5]},
+        )
+        assert main(["recommend", "--manifest", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "preprocessing:",
+            "  clear-transfer: P2: filter by the hard constraints, then judge survivors",
+        ]
+        assert "  doe scalarize: rank sets by their best weighted-sum solution" in lines
+
+
 class TestLint:
     def test_spread_dimension_manifest(self, tmp_path, capsys):
         objectives = [
@@ -1460,6 +1476,48 @@ class TestMainErrors:
         code = main(["evaluate", "--manifest", str(tmp_path / "none.json")])
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "lint", "recommend", "stats", "compare", "plot-data"]
+    )
+    def test_contradictory_preferences_exit_2_at_load(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # Saturating f2 at 0.5 while requiring f2 >= 0.8 leaves no solution
+        # that both keeps its clamped value and meets the threshold.
+        monkeypatch.chdir(tmp_path)
+        prefs = {
+            "clear": [{"objective": "f2", "kind": "at_least", "threshold": 0.8}],
+            "vague": [{"objective": "f2", "saturation": 0.5}],
+        }
+        path = write_manifest(
+            tmp_path, MIN_2D, {"alpha": [KNEE_A], "beta": [KNEE_B]}, preferences=prefs
+        )
+        argv = [command, "--manifest", str(path)]
+        code = main(argv + (["alpha", "beta"] if command == "compare" else []))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: preferences: vague clamp saturates objective 1 at 0.5, below "
+            "the clear at_least threshold 0.8; every clamped solution would "
+            "violate it\n"
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "plot-data"])
+    def test_ranking_point_inside_the_nadir_exits_2(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # No hv column, so the point only ranks the runs; it must still be
+        # checked rather than the pick quietly skipped.
+        monkeypatch.chdir(tmp_path)
+        path = write_manifest(
+            tmp_path, MIN_2D, {"alpha": [KNEE_A, KNEE_B], "beta": [DIAG_B, DIAG_C]}
+        )
+        argv = ["--manifest", str(path), "--indicator", "gd_plus", "--ref-point", "0,0"]
+        assert main([command, *argv]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: reference point (0.0, 0.0) does not weakly exceed the basis nadir"
+        )
 
     def test_malformed_csv_surfaces_line(self, tmp_path, capsys):
         path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from paretoeval import (
     DimensionMismatchError,
+    Direction,
     EmptySetError,
     IndicatorConfig,
     NormalizationBounds,
@@ -50,6 +51,17 @@ class TestPerObjectiveStats:
         assert stats.best == (200.0, 1.0)
         assert stats.worst == (450.0, 0.2)
         assert stats.names == ("cost", "coverage")
+
+    def test_unconverted_set_follows_declared_direction(self):
+        raw = make_set(
+            "A",
+            [(1, 10), (2, 30)],
+            directions=[Direction.MINIMIZE, Direction.MAXIMIZE],
+            names=["cost", "gain"],
+        )
+        stats = per_objective_stats(raw)
+        assert (stats.best, stats.worst) == ((1.0, 30.0), (2.0, 10.0))
+        assert per_objective_stats(to_minimization(raw)) == stats
 
     def test_empty_set_rejected(self):
         empty = make_set("A", [(1, 1)]).with_solutions(())

@@ -1,11 +1,15 @@
-"""Golden reports: ``evaluate``, ``lint``, ``recommend`` and ``stats`` on
-the benchmark's three workloads write the same bytes as before.
+"""Golden reports: ``evaluate``, ``lint``, ``recommend`` and ``stats``,
+the files ``plot-data`` writes and ``compare alg0 alg1`` with each pairwise
+indicator, on the benchmark's three workloads, write the same bytes as
+before.
 
 The inputs come from ``bench/inputs.py``, loaded by path and only read, at
 seed 1.  The ``evaluate`` hashes were recorded before the hypervolume
 sweeps took raw rows and the nearest-distance kernel dropped its column
 minima, both of which promise unchanged values; the others before the
-reports were serialized from their dataclasses.  A report byte that moves,
+reports were serialized from their dataclasses; the ``plot-data`` and
+``compare`` ones before the preprocessing rules moved into ``preprocess``
+and ``compare`` read the pooled runs.  A report byte that moves,
 the last bit of a value included, fails here.
 """
 
@@ -44,6 +48,53 @@ GOLDEN_SHA256 = {
         "stats": "f8e8b470a314d330fbb6f29b89fab1f19149df0b4cad924ee948bb559e183fba",
     },
 }
+
+# plot-data: each written file's name and hash.
+GOLDEN_PLOT_SHA256 = {
+    "pair-2d": {
+        "alg0.csv": "e34772117a0c94cfb9a5390192002860f5c64b3cd974ba1bc452cfa894b37c4d",
+        "alg1.csv": "0fdf04f0131920a38dc028112482f175c23d226af8361a9a9a146cba4dd6983f",
+    },
+    "runs-3d": {
+        "alg0.csv": "c3f4fb07013aa131078e901fc90a14ab6c6b448898dd6ad40d7d41c102e19ae1",
+        "alg1.csv": "67cad7106fbfe485467796fbdb40a12be9db172875c56dfb3536466f821c12a1",
+        "alg2.csv": "6f1a86cb11bc6297b6412ad2a9aec8d4e638e4aa8d3735327b49ed667b55376e",
+        "alg3.csv": "f0f909fcedeb3fab26296c7a46e13f90583b448a47489e3c9d70d56b87d3f725",
+    },
+    "prefs-5d": {
+        "parallel-coordinates.csv": (
+            "c7c8f52dee9b2f830b9abb51e84b12c033e7aa3e6a1700214d76a58458ea6de6"
+        ),
+    },
+}
+
+# compare alg0 alg1: the report per pairwise indicator.
+GOLDEN_COMPARE_SHA256 = {
+    "pair-2d": {
+        "ci": "f3f7d3b4a788841b8609fb16f46753453de67b160b31d8945b096ab222d99e61",
+        "c": "a8315d1a5791cb18b1724a14b41400e1e85acdec41b296f103aad0e3bd899ddd",
+        "epsilon": "7eaf653f0916e85d5a32ebd1be81bd2a8ffe555fcf8d7554e08e832cde5f0d10",
+    },
+    "runs-3d": {
+        "ci": "3386a9e5f44ac49b8b4794b3624035a72599db2c54585c90e7f08d402709e333",
+        "c": "2728bf66b4e46e83acaebe26165ae0c649d90e26ecb06454fe624bbf423f1fe2",
+        "epsilon": "490f4d34724a271b4a63f6389a40ceb39637a9b6c9dbac940302567ee3487e38",
+    },
+    "prefs-5d": {
+        "ci": "6521dd2d4eaee46ac717270e58c1da595839b39fe9b904c63c317ae71f9c4ce6",
+        "c": "249aacd3d7f046188f76ea8bf5368cdbd36d57789bef303c0c8a5a9ca0b8eb2a",
+        "epsilon": "574a51ba7ec8975a2f0c39a38a907f921ce89817fc991878befae4b4a49982bf",
+    },
+}
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +137,29 @@ def manifests(bench_inputs, tmp_path_factory):
 )
 def test_report_bytes_unchanged(manifests, tmp_path, name, command):
     report = tmp_path / "report.json"
-    argv = [command, "--manifest", str(manifests(name)), "--out", str(report)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == cli.EXIT_OK
-    digest = hashlib.sha256(report.read_bytes()).hexdigest()
-    assert digest == GOLDEN_SHA256[name][command]
+    _run([command, "--manifest", str(manifests(name)), "--out", str(report)])
+    assert _sha256(report) == GOLDEN_SHA256[name][command]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PLOT_SHA256))
+def test_plot_data_bytes_unchanged(manifests, tmp_path, name):
+    plots = tmp_path / "plots"
+    _run(["plot-data", "--manifest", str(manifests(name)), "--out", str(plots)])
+    written = {p.name: _sha256(p) for p in sorted(plots.iterdir())}
+    assert written == GOLDEN_PLOT_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "name, indicator",
+    [
+        pytest.param(name, indicator, id=f"{name}-{indicator}")
+        for name, hashes in GOLDEN_COMPARE_SHA256.items()
+        for indicator in hashes
+    ],
+)
+def test_compare_bytes_unchanged(manifests, tmp_path, name, indicator):
+    report = tmp_path / "report.json"
+    manifest = str(manifests(name))
+    argv = ["compare", "--manifest", manifest, "--indicator", indicator]
+    _run([*argv, "--out", str(report), "alg0", "alg1"])
+    assert _sha256(report) == GOLDEN_COMPARE_SHA256[name][indicator]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -395,21 +396,21 @@ class TestPlanHygiene:
 
 
 class TestConsistencyChecks:
+    """A contradictory spec is rejected when it is built, before any plan."""
+
     def test_clamp_below_at_least_threshold(self):
-        spec = PreferenceSpec(
-            clear=(ClearConstraint(1, "at_least", 0.8),),
-            vague=(VagueClamp(1, saturation=0.5, hard_floor=0.2),),
-        )
         with pytest.raises(ValueError, match="at_least"):
-            recommend(spec, 2)
+            PreferenceSpec(
+                clear=(ClearConstraint(1, "at_least", 0.8),),
+                vague=(VagueClamp(1, saturation=0.5, hard_floor=0.2),),
+            )
 
     def test_clamp_above_at_most_threshold(self):
-        spec = PreferenceSpec(
-            clear=(ClearConstraint(0, "at_most", 100),),
-            vague=(VagueClamp(0, saturation=150, hard_floor=200),),
-        )
         with pytest.raises(ValueError, match="at_most"):
-            recommend(spec, 2)
+            PreferenceSpec(
+                clear=(ClearConstraint(0, "at_most", 100),),
+                vague=(VagueClamp(0, saturation=150, hard_floor=200),),
+            )
 
     def test_compatible_clamp_and_threshold(self):
         spec = PreferenceSpec(
@@ -418,3 +419,18 @@ class TestConsistencyChecks:
         )
         plan = recommend(spec, 2)
         assert plan.preprocessing[0].kind == "clear-transfer"
+
+
+def test_readme_lists_every_warning_code_with_its_severity():
+    """The README's finding table names exactly the codes and severities of
+    ``WARNING_CODES``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Code | Severity | Fires when |") + 2
+    listed = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        code, severity = (cell.strip() for cell in line.split("|")[1:3])
+        listed[code.strip("`")] = severity
+    assert listed == {code: sev for code, (_, sev, _) in WARNING_CODES.items()}

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from paretoeval import (
@@ -12,21 +17,53 @@ from paretoeval import (
     ObjectiveMeta,
     PreferenceSpec,
     RegionOfInterest,
+    SetContext,
+    Solution,
     SolutionSet,
     VagueClamp,
     apply_clear_preferences,
     apply_vague_preferences,
+    better_relation,
     build_reference_point,
+    build_reference_set,
     compute_h,
+    contribution,
+    coverage,
+    gd,
+    grid_diversity,
+    normalize,
+    restore_orientation,
     screen_trivial,
+    set_weakly_dominates,
+    spread_delta,
+    to_minimization,
+    unfr,
 )
+from paretoeval.cli import ManifestError, load_manifest
 from conftest import KNEE_A, make_set
 
 META_2D = (ObjectiveMeta("f1"), ObjectiveMeta("f2"))
+UNIT_10 = NormalizationBounds((0.0, 0.0), (10.0, 10.0))
 
 
 def _knee():
     return make_set("knee", KNEE_A)
+
+
+def _empty():
+    return make_set("none", [])
+
+
+def _cube():
+    return make_set("cube", [(1, 2, 3)])
+
+
+def _load(doc):
+    """Load ``doc`` as a manifest file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps(doc))
+        return load_manifest(path)
 
 
 CASES = {
@@ -109,11 +146,6 @@ CASES = {
         DimensionMismatchError,
         "ideal and nadir must have equal length",
     ),
-    "bounds-source": (
-        lambda: NormalizationBounds((0.0,), (1.0,), source="data"),
-        ValueError,
-        "unknown bounds source 'data'",
-    ),
     "bounds-ideal-above-nadir": (
         lambda: NormalizationBounds((0.0, 3.0), (1.0, 2.0)),
         ValueError,
@@ -138,6 +170,136 @@ CASES = {
         lambda: SolutionSet("a", META_2D, signs=(1.0, 2.0)),
         ValueError,
         "signs entries must be +1 or -1",
+    ),
+    "objective-empty-name": (
+        lambda: ObjectiveMeta(""),
+        ValueError,
+        "objective name must be non-empty",
+    ),
+    "objective-bounds-infinite": (
+        lambda: ObjectiveMeta("f1", hard_bounds=(0.0, math.inf)),
+        ValueError,
+        "hard_bounds of 'f1' must be finite",
+    ),
+    "objective-bounds-unordered": (
+        lambda: ObjectiveMeta("f1", hard_bounds=(1.0, 0.0)),
+        ValueError,
+        "hard_bounds of 'f1' need lower < upper, got (1.0, 0.0)",
+    ),
+    "solution-no-values": (
+        lambda: Solution(()),
+        ValueError,
+        "a solution needs at least one objective value",
+    ),
+    "sets-objective-count": (
+        lambda: gd(_knee(), _cube()),
+        DimensionMismatchError,
+        "sets 'knee' and 'cube' disagree on objective count (2 vs 3)",
+    ),
+    "weak-dominance-empty": (
+        lambda: set_weakly_dominates(_knee(), _empty()),
+        EmptySetError,
+        "weak set dominance against an empty set is undefined",
+    ),
+    "better-relation-empty": (
+        lambda: better_relation(_empty(), _knee()),
+        EmptySetError,
+        "better relation needs two non-empty sets",
+    ),
+    "gd-power-below-one": (
+        lambda: gd(_knee(), _knee(), p=0.5),
+        ValueError,
+        "p must be >= 1",
+    ),
+    "gd-empty": (
+        lambda: gd(_empty(), _knee()),
+        EmptySetError,
+        "set 'none' is empty",
+    ),
+    "contribution-both-empty": (
+        lambda: contribution(_empty(), _empty()),
+        EmptySetError,
+        "contribution of two empty sets is undefined",
+    ),
+    "coverage-empty": (
+        lambda: coverage(_knee(), _empty()),
+        EmptySetError,
+        "coverage needs two non-empty sets",
+    ),
+    "spread-extremes": (
+        lambda: spread_delta(_knee(), [(0.0, 0.0)]),
+        ValueError,
+        "exactly two bi-objective extreme points are required",
+    ),
+    "unfr-empty": (
+        lambda: unfr(_empty(), [_empty()]),
+        EmptySetError,
+        "union of sets is empty",
+    ),
+    "grid-no-sets": (
+        lambda: grid_diversity([]),
+        EmptySetError,
+        "need at least one solution set",
+    ),
+    "grid-one-division": (
+        lambda: grid_diversity([_knee()], 1),
+        ValueError,
+        "divisions must be >= 2",
+    ),
+    "grid-empty-set": (
+        lambda: grid_diversity([_knee(), _empty()]),
+        EmptySetError,
+        "set 'none' is empty",
+    ),
+    "restore-unconverted": (
+        lambda: restore_orientation(_knee(), META_2D),
+        ValueError,
+        "set carries no orientation transform to undo",
+    ),
+    "restore-meta-length": (
+        lambda: restore_orientation(to_minimization(_knee()), META_2D[:1]),
+        DimensionMismatchError,
+        "original metadata length must match",
+    ),
+    "bounds-no-sets": (
+        lambda: NormalizationBounds.from_sets([]),
+        EmptySetError,
+        "need at least one solution set",
+    ),
+    "bounds-empty-sets": (
+        lambda: NormalizationBounds.from_sets([_empty()]),
+        EmptySetError,
+        "all sets are empty",
+    ),
+    "normalize-bounds-length": (
+        lambda: normalize([_knee()], NormalizationBounds((0.0,), (1.0,))),
+        DimensionMismatchError,
+        "bounds do not match objective count",
+    ),
+    "normalize-objective-count": (
+        lambda: normalize([_knee(), _cube()], UNIT_10),
+        DimensionMismatchError,
+        "sets disagree on objective count",
+    ),
+    "reference-set-no-sets": (
+        lambda: build_reference_set([]),
+        EmptySetError,
+        "need at least one solution set",
+    ),
+    "ref-point-explicit-length": (
+        lambda: build_reference_point(_knee(), "explicit", explicit=(20.0,)),
+        DimensionMismatchError,
+        "explicit point length must match",
+    ),
+    "context-no-sets": (
+        lambda: SetContext(0),
+        ValueError,
+        "set_count must be at least 1",
+    ),
+    "manifest-no-objectives": (
+        lambda: _load({"objectives": [], "algorithms": []}),
+        ManifestError,
+        "manifest needs a non-empty 'objectives' list",
     ),
 }
 

@@ -174,6 +174,13 @@ def test_ranking_column_failure_leaves_multi_run_algorithms_unpicked():
         indicator_table(algorithms, [hv], hv)
 
 
+def test_ranking_failure_at_a_supported_count_propagates():
+    algorithms = {"a": [make_set("a0", [(1.0, 2.0)]), make_set("a1", [(2.0, 1.0)])]}
+    inside = ("hv", IndicatorConfig(hv_strategy="explicit", ref_point=(0.0, 0.0)))
+    with pytest.raises(ValueError, match="does not weakly exceed the basis nadir"):
+        indicator_table(algorithms, [("nfs", IndicatorConfig())], inside)
+
+
 def test_binary_indicator_is_not_a_column():
     algorithms = {"a": [make_set("a", [(1.0, 2.0)])]}
     ci, nfs_column = ("ci", IndicatorConfig()), ("nfs", IndicatorConfig())
