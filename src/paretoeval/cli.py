@@ -367,6 +367,11 @@ def load_manifest(path: str | Path) -> Manifest:
             "preferences.clear: exactly_best on every objective leaves no "
             "objective to compare the sets on"
         )
+    if preferences.weights is not None and len(preferences.weights) != len(names):
+        raise ManifestError(
+            f"preferences.weights: expected one weight per objective ({len(names)}), "
+            f"got {len(preferences.weights)}"
+        )
     where = "indicator_overrides"
     raw_overrides = raw.get(where, {})
     indicators = tuple(raw_overrides.get("indicators", ()))
@@ -632,11 +637,6 @@ def _lint_findings(
     )
 
 
-# An error-severity finding that makes an indicator mathematically
-# unreliable here blocks it: the report records why instead of a value.
-_BLOCKS = {"L-SPREAD-DIM": "spread", "L-HV-DIM": "hv"}
-
-
 class _Stages(NamedTuple):
     """What evaluate, lint and plot-data share, built once and in order."""
 
@@ -646,12 +646,14 @@ class _Stages(NamedTuple):
     config: IndicatorConfig  # the merged config
     chosen: list[tuple[str, IndicatorConfig]]  # what lint reports as chosen
     findings: list[LintWarning]  # lint findings on the columns that run
-    columns: list[tuple[str, IndicatorConfig]]  # chosen, less the blocked
+    columns: list[tuple[str, IndicatorConfig]]  # chosen, defined at live_m
     ranking: tuple[str, IndicatorConfig]  # the column that picks runs
 
 
 def _stages(args: argparse.Namespace) -> _Stages:
-    """Load, prepare, plan, configure, lint and block.
+    """Load, prepare, plan, configure, lint, and keep the columns whose
+    profile defines them at the objective count left; lint reports each
+    other one as an error.
 
     An indicator list from the flags or the manifest runs with the merged
     config.  Otherwise each planned config takes the fields the manifest
@@ -674,8 +676,7 @@ def _stages(args: argparse.Namespace) -> _Stages:
     route = _route(prefs, live_m)
     judged = [] if route == "best-value" else chosen
     findings = _lint_findings(prepared, judged)
-    blocked = {_BLOCKS[f.code] for f in findings if f.code in _BLOCKS}
-    columns = [(n, c) for n, c in judged if n not in blocked]
+    columns = [(n, c) for n, c in judged if live_m in aspects_of(n).objectives]
     ranking = next(((n, c) for n, c in columns if n == "hv"), ("hv", config))
     return _Stages(prepared, plan, route, config, chosen, findings, columns, ranking)
 

@@ -201,7 +201,7 @@ def indicator_table(
     representative run is the one whose ``rank_by`` value is closest to the
     median of its runs' values (Knowles, Thiele & Zitzler 2006).  A
     ``rank_by`` that is not a column is computed for the pick only.  When
-    it is hv at an objective count hv does not support, only algorithms
+    its profile does not define it at the objective count, only algorithms
     with one non-empty run get a representative; any other error propagates.
     """
     columns = tuple((canonical_name(n), c) for n, c in columns)
@@ -283,8 +283,8 @@ def indicator_table(
     reported = dict(points)  # the hv columns' points, not one built for the pick
     live_runs = {alg: [r for a, r in slots if a == alg] for alg in algorithms}
     rank: dict[tuple[str, int], float] = {}
-    undefined = rank_by[0] == "hv" and not 2 <= reference.m <= _ind._HV_MAX_OBJECTIVES
-    if any(len(runs) > 1 for runs in live_runs.values()) and not undefined:
+    defined = reference.m in aspects_of(rank_by[0]).objectives
+    if any(len(runs) > 1 for runs in live_runs.values()) and defined:
         rank = dict(zip(slots, computed.get(rank_by) or column(*rank_by)))
     representative: dict[str, int] = {}
     for alg, runs in live_runs.items():

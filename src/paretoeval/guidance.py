@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .indicators import (
-    _HV_MAX_OBJECTIVES, ASPECTS, IndicatorConfig, aspects_of, canonical_name,
-)
+from .indicators import ASPECTS, IndicatorConfig, aspects_of, canonical_name
 from .preprocess import PreferenceSpec
 
 __all__ = [
@@ -76,7 +74,8 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
     "L-HV-DIM": (
         "III",
         "error",
-        "exact hypervolume beyond ten objectives is computationally infeasible",
+        "exact hypervolume is defined for two to ten objectives; beyond ten "
+        "it is computationally infeasible",
     ),
     "L-IGD-REFSET": (
         "III",
@@ -275,10 +274,9 @@ def lint(
         if missing:
             findings.append(_finding("L-ASPECT-GAP", "missing " + ", ".join(missing)))
 
-    if "spread" in names and m != 2:
-        findings.append(_finding("L-SPREAD-DIM", f"m={m}"))
-    if "hv" in names and m > _HV_MAX_OBJECTIVES:
-        findings.append(_finding("L-HV-DIM", f"m={m}"))
+    for name, code in (("spread", "L-SPREAD-DIM"), ("hv", "L-HV-DIM")):
+        if name in names and m not in aspects_of(name).objectives:
+            findings.append(_finding(code, f"m={m}"))
 
     if mode.combined_front_reference and any(
         n in names for n in ("igd", "igd_plus", "spread")
@@ -327,7 +325,7 @@ def _general_indicators(m: int, context: SetContext) -> list[PlannedIndicator]:
                 "D2: two sets, so also report their pairwise dominance share",
             )
         )
-    if m == 2:
+    if m in aspects_of("spread").objectives:
         chosen.append(
             PlannedIndicator(
                 "spread",

@@ -10,6 +10,7 @@ and the distance-based indicators simply consume what they are given.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -31,7 +32,9 @@ from .core import (
     nondominated_front,
     unique_nondominated_front,
 )
-from .preprocess import NORMALIZATION_MODES, REF_STRATEGIES
+from .preprocess import (
+    NORMALIZATION_MODES, REF_STRATEGIES, NormalizationBounds, normalize,
+)
 
 __all__ = [
     "ASPECTS",
@@ -102,85 +105,76 @@ class IndicatorProfile:
     (partially reflected).  ``compliant`` is "+" when a weakly dominating set
     is never ranked worse, "-" when that holds only conditionally, and None
     when the indicator can contradict set dominance outright.
+    ``objectives`` holds the objective counts the indicator is defined for.
     """
 
-    name: str
     aspects: Mapping[str, str]
     compliant: str | None
     better: str  # "higher" | "lower"
     binary: bool = False
     needs_normalization: bool = False
+    objectives: range = range(1, sys.maxsize)
 
 
 _PROFILES: dict[str, IndicatorProfile] = {
     "ci": IndicatorProfile(
-        "ci",
         {"convergence": "-", "cardinality": "-"},
         compliant="+",
         better="higher",
         binary=True,
     ),
     "c": IndicatorProfile(
-        "c",
         {"convergence": "-", "cardinality": "-"},
         compliant="+",
         better="higher",
         binary=True,
     ),
     "gd": IndicatorProfile(
-        "gd", {"convergence": "+"}, compliant=None, better="lower",
+        {"convergence": "+"}, compliant=None, better="lower",
         needs_normalization=True,
     ),
     "gd_plus": IndicatorProfile(
-        "gd_plus", {"convergence": "+"}, compliant="+", better="lower",
+        {"convergence": "+"}, compliant="+", better="lower",
         needs_normalization=True,
     ),
     "igd": IndicatorProfile(
-        "igd",
         {"convergence": "+", "spread": "+", "uniformity": "-", "cardinality": "-"},
         compliant=None,
         better="lower",
         needs_normalization=True,
     ),
     "igd_plus": IndicatorProfile(
-        "igd_plus",
         {"convergence": "+", "spread": "+", "uniformity": "-", "cardinality": "-"},
         compliant="+",
         better="lower",
         needs_normalization=True,
     ),
     "spread": IndicatorProfile(
-        "spread",
         {"spread": "+", "uniformity": "+"},
         compliant=None,
         better="lower",
         needs_normalization=True,
+        objectives=range(2, 3),
     ),
     "sp": IndicatorProfile(
-        "sp", {"uniformity": "+"}, compliant=None, better="lower",
+        {"uniformity": "+"}, compliant=None, better="lower",
         needs_normalization=True,
     ),
-    "nfs": IndicatorProfile(
-        "nfs", {"cardinality": "+"}, compliant=None, better="higher",
-    ),
-    "unfr": IndicatorProfile(
-        "unfr", {"cardinality": "+"}, compliant="+", better="higher",
-    ),
+    "nfs": IndicatorProfile({"cardinality": "+"}, compliant=None, better="higher"),
+    "unfr": IndicatorProfile({"cardinality": "+"}, compliant="+", better="higher"),
     "hv": IndicatorProfile(
-        "hv",
         {"convergence": "+", "spread": "+", "uniformity": "-", "cardinality": "+"},
         compliant="+",
         better="higher",
+        objectives=range(2, _HV_MAX_OBJECTIVES + 1),
     ),
     "epsilon": IndicatorProfile(
-        "epsilon",
         {"convergence": "+", "spread": "+", "uniformity": "-", "cardinality": "-"},
         compliant="+",
         better="lower",
         needs_normalization=True,
     ),
     "grid_diversity": IndicatorProfile(
-        "grid_diversity",
         {"spread": "+", "uniformity": "-", "cardinality": "-"},
         compliant="-",
         better="higher",
@@ -598,30 +592,24 @@ def grid_diversity(
 ) -> list[float]:
     """Fraction of the union's occupied grid cells each set touches.
 
-    The union of all sets fixes shared normalization bounds; each objective
-    is split into ``divisions`` equal cells.  A set's value is the number of
-    cells it occupies divided by the number of cells the union occupies, so
-    identical sets score identically and a single set scores 1.0.
+    The union of all sets fixes shared normalization bounds, and the sets
+    are scaled by ``normalize`` (an objective with zero range maps to cell 0,
+    with its warning); each objective is split into ``divisions`` equal
+    cells.  A set's value is the number of cells it occupies divided by the
+    number of cells the union occupies, so identical sets score identically
+    and a single set scores 1.0.
     """
-    if not sets:
-        raise EmptySetError("need at least one solution set")
     if divisions < 2:
         raise ValueError("divisions must be >= 2")
     for s in sets:
         if not len(s):
             raise EmptySetError(f"set {s.name!r} is empty")
-    stacked = SolutionSet._concat(sets, "union").values()
-    lo = stacked.min(axis=0)
-    hi = stacked.max(axis=0)
-    if (hi == lo).any():
-        raise ValueError("degenerate bounds: an objective has zero range")
-
-    def _cells(v: np.ndarray) -> set[tuple[int, ...]]:
-        scaled = (v - lo) / (hi - lo) * divisions
-        idx = np.minimum(scaled.astype(int), divisions - 1)
-        return set(map(tuple, idx.tolist()))
-
-    per_set = [_cells(s.values()) for s in sets]
+    bounds = NormalizationBounds.from_sets(sets)
+    # The union is scaled as one set: normalize builds a set per input set.
+    scaled = normalize([SolutionSet._concat(sets, "union")], bounds)[0].values()
+    idx = np.minimum((scaled * divisions).astype(int), divisions - 1).tolist()
+    ends = np.cumsum([len(s) for s in sets]).tolist()
+    per_set = [set(map(tuple, idx[e - len(s) : e])) for s, e in zip(sets, ends)]
     union: set[tuple[int, ...]] = set()
     for cells in per_set:
         union |= cells

@@ -94,6 +94,7 @@ def write_manifest(
 
 
 MIN_2D = [{"name": "f1", "direction": "min"}, {"name": "f2", "direction": "min"}]
+MIN_3D = [*MIN_2D, {"name": "f3", "direction": "min"}]
 # f2 <= 5.5 removes every alpha solution and keeps two of beta's.
 EMPTIED_ALPHA = {"alpha": [[(6, 6), (8, 7)]], "beta": [KNEE_B]}
 F2_AT_MOST = {"clear": [{"objective": "f2", "kind": "at_most", "threshold": 5.5}]}
@@ -293,6 +294,25 @@ class TestManifestLoading:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ManifestError, match="object"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "lint", "recommend", "stats", "plot-data", "compare"]
+    )
+    def test_weights_of_the_wrong_length_exit_2(self, tmp_path, capsys, command):
+        path = write_manifest(
+            tmp_path,
+            MIN_3D,
+            {"alpha": [[(1, 2, 3)]], "beta": [[(3, 2, 1)]]},
+            preferences={"weights": [0.5, 0.5]},
+        )
+        extra = {
+            "plot-data": ["--out", str(tmp_path / "plots")],
+            "compare": ["alpha", "beta"],
+        }.get(command, [])
+        assert main([command, "--manifest", str(path), *extra]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: preferences.weights: expected one weight per objective (3), got 2\n"
+        )
 
     def test_bad_weights_reported_as_manifest_error(self, tmp_path):
         path = write_manifest(
@@ -556,6 +576,24 @@ class TestEvaluate:
             f["code"] for f in report["findings"] if f["severity"] != "info"
         }
         assert worst == {"L-SPREAD-DIM"}
+
+    def test_constant_objective_gets_grid_diversity(self, tmp_path, capsys):
+        # grid_diversity scales as normalize does: the constant f3 falls in
+        # cell 0 instead of failing the run, so evaluate exits as lint does.
+        path = write_manifest(
+            tmp_path,
+            MIN_3D,
+            {"alpha": [[(1, 5, 2), (2, 3, 2)]], "beta": [[(1.5, 4, 2), (3, 1, 2)]]},
+            output={"report": str(tmp_path / "r.json")},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            code = main(["evaluate", "--manifest", str(path)])
+            assert code == main(["lint", "--manifest", str(path)]) == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        rows = report["results"]
+        grid = [r["value"] for r in rows if r["indicator"] == "grid_diversity"]
+        assert grid == [0.5, 0.5]
 
     def test_best_value_route(self, tmp_path):
         path = write_manifest(

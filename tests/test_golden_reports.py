@@ -11,6 +11,9 @@ reports were serialized from their dataclasses; the ``plot-data`` and
 ``compare`` ones before the preprocessing rules moved into ``preprocess``
 and ``compare`` read the pooled runs.  A report byte that moves,
 the last bit of a value included, fails here.
+
+On the same workloads, and on two small manifests that once split them,
+``lint`` exits with the status ``evaluate`` reports.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from paretoeval import cli
+from paretoeval import EvaluationWarning, cli
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -163,3 +168,44 @@ def test_compare_bytes_unchanged(manifests, tmp_path, name, indicator):
     argv = ["compare", "--manifest", manifest, "--indicator", indicator]
     _run([*argv, "--out", str(report), "alg0", "alg1"])
     assert _sha256(report) == GOLDEN_COMPARE_SHA256[name][indicator]
+
+
+# Three objectives, f3 constant: a grid_diversity column once failed
+# evaluate while lint found nothing.  Weights of the wrong length once
+# passed every command but evaluate.
+PROBES = {
+    "constant-f3": {},
+    "short-weights": {"preferences": {"weights": [0.5, 0.5]}},
+}
+
+
+def _probe(directory, extra):
+    runs = {"alg0": "1,5,2\n2,3,2\n", "alg1": "1.5,4,2\n3,1,2\n"}
+    for alg, rows in runs.items():
+        (directory / f"{alg}.csv").write_text("f1,f2,f3\n" + rows, encoding="utf-8")
+    doc = {
+        "objectives": [{"name": f"f{j}"} for j in (1, 2, 3)],
+        "algorithms": [{"name": alg, "runs": [f"{alg}.csv"]} for alg in runs],
+        **extra,
+    }
+    path = directory / "manifest.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", [*GOLDEN_SHA256, *PROBES])
+def test_lint_exits_as_evaluate_reports(manifests, tmp_path, capsys, name):
+    """``lint`` exits with the ``exit_status`` of ``evaluate``'s report; a
+    manifest ``evaluate`` writes no report for makes both exit 2."""
+    path = manifests(name) if name in GOLDEN_SHA256 else _probe(tmp_path, PROBES[name])
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EvaluationWarning)
+        argv = ["--manifest", str(path)]
+        evaluated = cli.main(["evaluate", *argv, "--out", str(report)])
+        linted = cli.main(["lint", *argv])
+    capsys.readouterr()
+    if report.exists():
+        assert linted == evaluated == json.loads(report.read_text())["exit_status"]
+    else:
+        assert linted == evaluated == cli.EXIT_ERROR

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,9 +24,13 @@ from paretoeval import (
     SetContext,
     VagueClamp,
     aspect_coverage,
+    hypervolume,
     lint,
     recommend,
+    spread_delta,
 )
+from paretoeval.indicators import _PROFILES
+from conftest import make_set
 
 CFG = IndicatorConfig()
 
@@ -138,6 +143,21 @@ class TestLintRules:
         finding = next(f for f in out if f.code == "L-HV-DIM")
         assert finding.severity == "error"
         assert "L-HV-DIM" not in codes(lint(chosen("hv"), KNEE, 10))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_dimension_findings_match_where_the_indicators_raise(self, m):
+        found = codes(lint(chosen("spread", "hv"), KNEE, m))
+        A = make_set("A", [tuple(range(m))])
+        for code, defined, compute in (
+            ("L-SPREAD-DIM", range(2, 3), lambda: spread_delta(A, [(0, 1), (1, 0)])),
+            ("L-HV-DIM", range(2, 11), lambda: hypervolume(A, [m] * m)),
+        ):
+            assert (code in found) == (m not in defined)
+            if m in defined:
+                compute()
+            else:
+                with pytest.raises(ValueError):
+                    compute()
 
     def test_igd_against_combined_front(self):
         out = lint(chosen("igd"), KNEE, 4)
@@ -421,16 +441,52 @@ class TestConsistencyChecks:
         assert plan.preprocessing[0].kind == "clear-transfer"
 
 
-def test_readme_lists_every_warning_code_with_its_severity():
-    """The README's finding table names exactly the codes and severities of
-    ``WARNING_CODES``."""
+def _readme_table(header):
+    """The cells of each row of the README table under ``header``."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| Code | Severity | Fires when |") + 2
-    listed = {}
+    start = lines.index(header) + 2
+    rows = []
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        code, severity = (cell.strip() for cell in line.split("|")[1:3])
-        listed[code.strip("`")] = severity
+        rows.append([cell.strip() for cell in line.split("|")[1:-1]])
+    return rows
+
+
+def test_readme_lists_every_warning_code_with_its_severity():
+    """The README's finding table names exactly the codes and severities of
+    ``WARNING_CODES``."""
+    listed = {
+        code.strip("`"): severity
+        for code, severity, _ in _readme_table("| Code | Severity | Fires when |")
+    }
     assert listed == {code: sev for code, (_, sev, _) in WARNING_CODES.items()}
+
+
+def test_readme_indicator_table_matches_the_profiles():
+    """Each row of the README's indicator table states its profile's
+    aspects and grades, compliance, direction and objective counts."""
+    header = (
+        "| Name | Aspects (+ full, − partial) | Dominance-compliant | Better "
+        "| Objectives |"
+    )
+    compliance = {"yes": "+", "conditionally": "-", "no": None}
+    listed = {}
+    for name, aspects, compliant, better, objectives in _readme_table(header):
+        low, _, high = objectives.partition("–")
+        domain = (
+            range(1, sys.maxsize)
+            if low == "any"
+            else range(int(low), int(high or low) + 1)
+        )
+        listed[name.split("`")[1]] = (
+            {a[:-1]: "+" if a[-1] == "+" else "-" for a in aspects.split(", ")},
+            compliance[compliant],
+            better,
+            domain,
+        )
+    assert listed == {
+        name: (dict(p.aspects), p.compliant, p.better, p.objectives)
+        for name, p in _PROFILES.items()
+    }

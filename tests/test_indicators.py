@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretoeval import (
+    EvaluationWarning,
     IndicatorConfig,
     apply_vague_preferences,
     aspects_of,
@@ -656,10 +658,38 @@ class TestGridDiversity:
         values = grid_diversity([A, B], divisions=2)
         assert values == [0.75, 0.5]
 
-    def test_degenerate_bounds_rejected(self):
-        A = make_set("A", [(1, 1), (1, 1)])
-        with pytest.raises(ValueError):
-            grid_diversity([A])
+    def test_constant_objective_maps_to_cell_zero(self):
+        # normalize's rule: a zero-range objective maps to 0, with its warning.
+        A = make_set("A", [(1, 5), (1, 5)])
+        B = make_set("B", [(1, 7)])
+        with pytest.warns(EvaluationWarning, match="degenerate .* range on f1"):
+            assert grid_diversity([A, B], divisions=2) == [0.5, 0.5]
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.floats(-1e3, 1e3),
+        st.integers(0, 2),
+        st.integers(2, 6),
+    )
+    def test_constant_column_changes_nothing(self, points, constant, at, divisions):
+        plain = [make_set(f"S{i}", p) for i, p in enumerate(points)]
+        padded = [
+            make_set(f"S{i}", [(*q[:at], constant, *q[at:]) for q in p])
+            for i, p in enumerate(points)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            expected = grid_diversity(plain, divisions)
+        with pytest.warns(EvaluationWarning, match="degenerate normalization range"):
+            assert grid_diversity(padded, divisions) == expected
 
     def test_scale_invariance(self):
         A = make_set("A", [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9)])
