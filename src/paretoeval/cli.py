@@ -32,7 +32,13 @@ from .core import (
     SolutionSet,
 )
 from . import indicators as ind
-from .doe import IndicatorTable, indicator_table, per_objective_stats, scalarize_best
+from .doe import (
+    IndicatorTable,
+    _ranks_runs,
+    indicator_table,
+    per_objective_stats,
+    scalarize_best,
+)
 from .guidance import (
     EvaluationMode,
     EvaluationPlan,
@@ -53,6 +59,7 @@ from .preprocess import (
     RegionOfInterest,
     Removal,
     VagueClamp,
+    _explicit_point,
     _signs,
     apply_clear_preferences,
     apply_vague_preferences,
@@ -611,30 +618,51 @@ def _configure(
 
 
 def _lint_findings(
-    prepared: Prepared, planned: Sequence[tuple[str, IndicatorConfig]]
+    prepared: Prepared,
+    route: str,
+    chosen: Sequence[str],
+    columns: Sequence[str],
+    config: IndicatorConfig,
 ) -> list[LintWarning]:
-    """Lint what evaluate computes: the planned columns at the objective
-    count left after preprocessing.  An hv column's explicit point is at the
-    nadir when it equals the nadir of the union front of the non-empty runs,
-    and inside it when it is below that nadir on some objective."""
-    points = {
-        c.ref_point
-        for n, c in planned
-        if n == "hv" and c.hv_strategy == "explicit" and c.ref_point is not None
-    }
-    live = [s for s in prepared.all_sets if len(s)]
+    """Lint what evaluate computes: the chosen columns under ``config`` at
+    the objective count left after preprocessing, then each yardstick that
+    evaluate would fail to build, from the rule it fails on.
+
+    The hv point is read by an hv column and by the run ranking.  An
+    explicit one is at the nadir when it equals the nadir of the union front
+    of the non-empty runs, and inside it when it is below that nadir on some
+    objective.
+    """
+    live_m, live = prepared.live_m, [s for s in prepared.all_sets if len(s)]
+    found: list[LintWarning] = []
+    if not live and route != "best-value":
+        found.append(_finding("L-ALL-EMPTY"))
+    normalizing = any(aspects_of(n).needs_normalization for n in columns)
+    if live and (normalizing or route == "scalarize"):
+        try:
+            normalization_bounds(config.normalization, live)
+        except ValueError as exc:
+            found.append(_finding("L-NO-HARD-BOUNDS", str(exc)))
+    for name in columns:
+        need = aspects_of(name).min_size
+        short = [s.name for s in live if len(s) < need]
+        if short:
+            detail = f"{name} needs {need}; {', '.join(short)} keep fewer"
+            found.append(_finding("L-RUN-TOO-SMALL", detail))
     at_nadir = inside = False
-    if points and live:
-        front = build_reference_set(live)
-        nadir = tuple(float(v) for v in front.values().max(axis=0))
-        at_nadir = nadir in points
-        inside = any(p < v for point in points for p, v in zip(point, nadir))
-    return lint(
-        planned,
-        prepared.manifest.preferences,
-        prepared.live_m,
-        EvaluationMode(hv_ref_at_nadir=at_nadir, hv_ref_inside=inside),
-    )
+    reads_point = "hv" in columns or _ranks_runs(prepared.algorithms)
+    if live and reads_point and config.hv_strategy == "explicit":
+        try:
+            point = _explicit_point(config.ref_point, live_m)
+        except ValueError as exc:
+            found.append(_finding("L-HV-REF-INVALID", str(exc)))
+        else:
+            front = build_reference_set(live)
+            nadir = tuple(float(v) for v in front.values().max(axis=0))
+            at_nadir = point == nadir
+            inside = any(p < v for p, v in zip(point, nadir))
+    mode = EvaluationMode(hv_ref_at_nadir=at_nadir, hv_ref_inside=inside)
+    return lint(chosen, config, prepared.manifest.preferences, live_m, mode) + found
 
 
 class _Stages(NamedTuple):
@@ -643,11 +671,10 @@ class _Stages(NamedTuple):
     prepared: Prepared
     plan: EvaluationPlan  # for the objectives left after preprocessing
     route: str  # the plan's branch, as guidance._route names it
-    config: IndicatorConfig  # the merged config
-    chosen: list[tuple[str, IndicatorConfig]]  # what lint reports as chosen
+    config: IndicatorConfig  # the one merged config every column runs with
+    chosen: list[str]  # what lint reports as chosen
     findings: list[LintWarning]  # lint findings on the columns that run
-    columns: list[tuple[str, IndicatorConfig]]  # chosen, defined at live_m
-    ranking: tuple[str, IndicatorConfig]  # the column that picks runs
+    columns: list[str]  # chosen, defined at live_m
 
 
 def _stages(args: argparse.Namespace) -> _Stages:
@@ -655,30 +682,26 @@ def _stages(args: argparse.Namespace) -> _Stages:
     profile defines them at the objective count left; lint reports each
     other one as an error.
 
-    An indicator list from the flags or the manifest runs with the merged
-    config.  Otherwise each planned config takes the fields the manifest
-    set, then the flags.  Runs are ranked by the hv column, else by hv with
-    the merged config (computed for the pick only).  On the best-value route
-    no column runs, so none is linted or kept.
+    The columns are the indicators the flags or the manifest name, else the
+    plan's.  One config serves them all and ranks the runs by hv: the plan's
+    when the plan picks the columns (its indicators share one), else the
+    default, with the fields the manifest sets and then those the flags set
+    on top.  On the best-value route no column runs, so none is linted or
+    kept.
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
     prefs, live_m = manifest.preferences, prepared.live_m
     context = SetContext(set_count=len(manifest.algorithms))
     plan = _plan(prefs, len(manifest.objectives), live_m, context)
-    config = _configure(IndicatorConfig(), manifest, args)
     names = args.indicator or manifest.indicators
-    chosen = (
-        [(canonical_name(n), config) for n in names]
-        if names
-        else [(p.name, _configure(p.config, manifest, args)) for p in plan.indicators]
-    )
+    chosen = [canonical_name(n) for n in names] or [p.name for p in plan.indicators]
+    config = _configure(IndicatorConfig() if names else plan.config, manifest, args)
     route = _route(prefs, live_m)
     judged = [] if route == "best-value" else chosen
-    findings = _lint_findings(prepared, judged)
-    columns = [(n, c) for n, c in judged if live_m in aspects_of(n).objectives]
-    ranking = next(((n, c) for n, c in columns if n == "hv"), ("hv", config))
-    return _Stages(prepared, plan, route, config, chosen, findings, columns, ranking)
+    columns = [n for n in judged if live_m in aspects_of(n).objectives]
+    findings = _lint_findings(prepared, route, judged, columns, config)
+    return _Stages(prepared, plan, route, config, chosen, findings, columns)
 
 
 # The pairwise indicators ``compare`` computes; evaluate's binary columns.
@@ -711,15 +734,14 @@ def _write_report(report: dict, target: str | Path | None) -> None:
 
 def _column(name: str, cfg: IndicatorConfig, table: IndicatorTable | None) -> dict:
     """The fields every report row of one column shares: the indicator, its
-    profile, and its config with the yardsticks the table built for it."""
+    profile, and its config with the yardsticks the table built."""
     profile = aspects_of(name)
     config = asdict(cfg)
     if table is not None:
         config["reference_set_size"] = len(table.reference)
-        point = table.points.get((cfg.hv_strategy, cfg.ref_point))
+        point, bounds = table.point, table.bounds
         if point is not None:
             config["reference_point"] = point
-        bounds = table.bounds.get(cfg.normalization)
         if bounds is not None:
             config.update(bounds_ideal=bounds.ideal, bounds_nadir=bounds.nadir)
     return {
@@ -750,8 +772,8 @@ def _doe_block(stages: _Stages) -> dict:
             "winner": min(best, key=best.get) if best else None,
         }
     if stages.route == "scalarize":
-        # The table's bounds may lack a mode no column reads; built here
-        # from the same runs, missing hard bounds fail the run.
+        # The table leaves out missing hard bounds that no column reads;
+        # built here from the same runs, they fail the run.
         bounds = normalization_bounds(stages.config.normalization, [*pooled.values()])
         weights = [w for j, w in enumerate(prefs.weights) if j not in prepared.dropped]
         scal = {}
@@ -786,13 +808,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if stages.route == "best-value":  # one objective left: no indicator columns
         if stages.chosen:
-            names = ", ".join(n for n, _ in stages.chosen)
+            names = ", ".join(stages.chosen)
             findings.append(_finding("N-BEST-VALUE-SKIPPED", names))
     else:
-        unary = [(n, c) for n, c in stages.columns if not aspects_of(n).binary]
-        binary = [(n, c) for n, c in stages.columns if aspects_of(n).binary]
-        table = indicator_table(prepared.algorithms, unary, stages.ranking)
-        shared = [_column(n, c, table) for n, c in unary]
+        unary = [n for n in stages.columns if not aspects_of(n).binary]
+        binary = [n for n in stages.columns if aspects_of(n).binary]
+        table = indicator_table(prepared.algorithms, unary, stages.config)
+        shared = [_column(n, stages.config, table) for n in unary]
         for alg, runs in prepared.algorithms.items():
             per_indicator: dict[str, list[float]] = {}
             for r in range(len(runs)):
@@ -814,14 +836,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pooled = prepared.pooled() if binary else {}
         if len(prepared.algorithms) == len(pooled) == 2:
             set_a, set_b = pooled.values()
-            for name, cfg in binary:
-                column = _column(name, cfg, None)
+            for name in binary:
+                column = _column(name, stages.config, None)
                 for first, second in ((set_a, set_b), (set_b, set_a)):
                     value = _PAIRWISE[name](first, second)
                     where = {"algorithm": first.name, "against": second.name}
                     results.append({**column, **where, "value": value})
         elif binary:
-            names = ", ".join(n for n, _ in binary)
+            names = ", ".join(binary)
             count = len(prepared.algorithms)
             detail = f"{names}: {count} algorithm(s), {len(pooled)} with survivors"
             findings.append(_finding("N-BINARY-SKIPPED", detail))
@@ -941,7 +963,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     status = _exit_from_findings(findings, args.strict)
     report = {
         "schema": "solution-set-lint/1",
-        "chosen": [n for n, _ in stages.chosen],
+        "chosen": stages.chosen,
         "findings": [asdict(f) for f in findings],
         "exit_status": status,
     }
@@ -998,10 +1020,10 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     out_dir = Path(args.out or default)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # The same pick as evaluate: the run closest to the median of its ranking.
+    # The same pick as evaluate: the run whose hv is closest to the median.
     representative: dict[str, int] = {}
     if stages.route != "best-value" and any(len(s) for s in prepared.all_sets):
-        table = indicator_table(prepared.algorithms, [], stages.ranking)
+        table = indicator_table(prepared.algorithms, [], stages.config)
         representative = table.representative
 
     chosen_runs: dict[str, SolutionSet] = {}

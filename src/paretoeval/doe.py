@@ -167,15 +167,15 @@ class IndicatorTable:
 
     ``values[(algorithm, run)]`` holds one value per column for each
     non-empty run.  ``reference`` is the union front of the non-empty runs
-    (raw units); ``bounds`` maps each normalization mode that has bounds to
-    them and ``points`` each ``hv`` column's ``(hv_strategy, ref_point)`` to
-    its reference point.
+    (raw units); ``bounds`` are the config's normalization bounds, None for
+    ``none`` or for missing hard bounds that no column reads; ``point`` is
+    the hv column's reference point, None without one.
     """
 
     values: dict[tuple[str, int], tuple[float, ...]]
     reference: SolutionSet
-    bounds: dict[str, NormalizationBounds]
-    points: dict[tuple[str, tuple[float, ...] | None], tuple[float, ...]]
+    bounds: NormalizationBounds | None
+    point: tuple[float, ...] | None
     representative: dict[str, int]
 
 
@@ -186,29 +186,36 @@ def _closest_to_median(values: Mapping[int, float]) -> int:
     return min(values, key=lambda k: (abs(values[k] - median), k))
 
 
+def _ranks_runs(algorithms: Mapping[str, Sequence[SolutionSet]]) -> bool:
+    """Whether picking representative runs reads hv: some algorithm has more
+    than one non-empty run, at an objective count hv is defined for."""
+    m = next(run.m for runs in algorithms.values() for run in runs)
+    many = any(sum(len(run) > 0 for run in runs) > 1 for runs in algorithms.values())
+    return many and m in aspects_of("hv").objectives
+
+
 def indicator_table(
     algorithms: Mapping[str, Sequence[SolutionSet]],
-    columns: Sequence[tuple[str, IndicatorConfig]],
-    rank_by: tuple[str, IndicatorConfig],
+    columns: Sequence[str],
+    config: IndicatorConfig,
 ) -> IndicatorTable:
-    """Evaluate unary indicator columns on every run, each yardstick built once.
+    """Evaluate unary indicator columns on every run under one config, each
+    yardstick built once.
 
     The yardsticks come from the non-empty runs of all algorithms: the
-    reference set, raw and per normalization mode; the bounds, where
-    missing hard bounds are an error only for a mode that a normalizing
-    column reads; one hv reference point per ``(hv_strategy, ref_point)``;
-    the grid cells; the ``spread`` extremes.  Each algorithm's
-    representative run is the one whose ``rank_by`` value is closest to the
-    median of its runs' values (Knowles, Thiele & Zitzler 2006).  A
-    ``rank_by`` that is not a column is computed for the pick only.  When
-    its profile does not define it at the objective count, only algorithms
-    with one non-empty run get a representative; any other error propagates.
+    reference set, raw and normalized; the bounds, where missing hard bounds
+    are an error only when a normalizing column reads them; the hv reference
+    point; the grid cells; the ``spread`` extremes.  Each algorithm's
+    representative run is the one whose hv is closest to the median of its
+    runs' hv values (Knowles, Thiele & Zitzler 2006), computed for the pick
+    only when hv is not a column.  Where hv is undefined at the objective
+    count, only algorithms with one non-empty run get a representative; any
+    other error propagates.
     """
-    columns = tuple((canonical_name(n), c) for n, c in columns)
-    rank_by = (canonical_name(rank_by[0]), rank_by[1])
-    for name, _ in columns + (rank_by,):
+    columns = tuple(canonical_name(n) for n in columns)
+    for name in columns:
         if aspects_of(name).binary:
-            raise ValueError(f"{name} is a binary indicator; it cannot rank runs")
+            raise ValueError(f"{name} is a binary indicator, not a per-run column")
     if "" in algorithms:
         raise ValueError("algorithm names must be non-empty")
     slots = [
@@ -221,84 +228,64 @@ def indicator_table(
     if not live:
         raise EmptySetError("every set is empty after preprocessing")
     reference = build_reference_set(live)
-    read = {
-        c.normalization
-        for n, c in columns + (rank_by,)
-        if aspects_of(n).needs_normalization
-    }
-    bounds: dict[str, NormalizationBounds] = {}
-    for mode in dict.fromkeys(c.normalization for _, c in columns + (rank_by,)):
-        try:
-            found = normalization_bounds(mode, live)
-        except ValueError:
-            if mode in read:
-                raise
-            continue
-        if found is not None:
-            bounds[mode] = found
-    spaces = {"none": (live, reference)}
-    points: dict[tuple[str, tuple[float, ...] | None], tuple[float, ...]] = {}
+    scaled = any(aspects_of(n).needs_normalization for n in columns)
+    try:
+        bounds = normalization_bounds(config.normalization, live)
+    except ValueError:
+        if scaled:
+            raise
+        bounds = None
+    space, front = live, reference  # what the normalizing columns read
+    if scaled and bounds is not None:
+        space = normalize(live, bounds)
+        front = build_reference_set(space)
+    ranked = _ranks_runs(algorithms)
+    point = None
+    if "hv" in columns or ranked:
+        point = build_reference_point(
+            reference, config.hv_strategy, explicit=config.ref_point
+        )
 
-    def space(mode: str) -> tuple[list[SolutionSet], SolutionSet]:
-        if mode not in spaces:
-            normed = normalize(live, bounds[mode])
-            spaces[mode] = (normed, build_reference_set(normed))
-        return spaces[mode]
-
-    def point(cfg: IndicatorConfig) -> tuple[float, ...]:
-        key = (cfg.hv_strategy, cfg.ref_point)
-        if key not in points:
-            points[key] = build_reference_point(
-                reference, cfg.hv_strategy, explicit=cfg.ref_point
-            )
-        return points[key]
-
-    def column(name: str, cfg: IndicatorConfig) -> list[float]:
+    def column(name: str) -> list[float]:
         if name == "nfs":
             return [float(_ind.nfs(run)) for run in live]
         if name == "unfr":
             return [_ind._front_share(run, reference) for run in live]
         if name == "hv":
-            ref_point = point(cfg)
-            return [_ind.hypervolume(run, ref_point) for run in live]
+            return [_ind.hypervolume(run, point) for run in live]
         if name == "grid_diversity":
-            return _ind.grid_diversity(live, cfg.grid_divisions)
-        runs, ref = space(cfg.normalization)
+            return _ind.grid_diversity(live, config.grid_divisions)
         if name == "gd":
-            return [_ind.gd(run, ref, p=cfg.gd_p) for run in runs]
+            return [_ind.gd(run, front, p=config.gd_p) for run in space]
         if name == "gd_plus":
-            return [_ind.gd_plus(run, ref) for run in runs]
+            return [_ind.gd_plus(run, front) for run in space]
         if name == "igd":
-            return [_ind.igd(run, ref) for run in runs]
+            return [_ind.igd(run, front) for run in space]
         if name == "igd_plus":
-            return [_ind.igd_plus(run, ref) for run in runs]
+            return [_ind.igd_plus(run, front) for run in space]
         if name == "epsilon":
-            return [_ind.epsilon_additive(run, ref) for run in runs]
+            return [_ind.epsilon_additive(run, front) for run in space]
         if name == "sp":
-            return [_ind.spacing(run) for run in runs]
-        _, ordered, _ = _lex_sorted(ref.values())  # spread
-        return [_ind.spread_delta(run, [ordered[0], ordered[-1]]) for run in runs]
+            return [_ind.spacing(run) for run in space]
+        _, ordered, _ = _lex_sorted(front.values())  # spread
+        return [_ind.spread_delta(run, [ordered[0], ordered[-1]]) for run in space]
 
-    computed = {col: column(*col) for col in dict.fromkeys(columns)}
-    reported = dict(points)  # the hv columns' points, not one built for the pick
-    live_runs = {alg: [r for a, r in slots if a == alg] for alg in algorithms}
-    rank: dict[tuple[str, int], float] = {}
-    defined = reference.m in aspects_of(rank_by[0]).objectives
-    if any(len(runs) > 1 for runs in live_runs.values()) and defined:
-        rank = dict(zip(slots, computed.get(rank_by) or column(*rank_by)))
+    computed = {name: column(name) for name in dict.fromkeys(columns)}
+    rank = dict(zip(slots, computed.get("hv") or column("hv"))) if ranked else {}
     representative: dict[str, int] = {}
-    for alg, runs in live_runs.items():
+    for alg in algorithms:
+        runs = [r for a, r in slots if a == alg]
         if len(runs) == 1:
             representative[alg] = runs[0]
         elif runs and rank:
             representative[alg] = _closest_to_median({r: rank[(alg, r)] for r in runs})
     return IndicatorTable(
         values={
-            slot: tuple(computed[col][i] for col in columns)
+            slot: tuple(computed[name][i] for name in columns)
             for i, slot in enumerate(slots)
         },
         reference=reference,
         bounds=bounds,
-        points=reported,
+        point=point if "hv" in columns else None,
         representative=representative,
     )

@@ -24,7 +24,7 @@ D14 plotting recommendation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .indicators import ASPECTS, IndicatorConfig, aspects_of, canonical_name
@@ -95,6 +95,30 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
         "error",
         "an explicit hypervolume reference point does not weakly exceed the "
         "nadir of the union front, so evaluate rejects it",
+    ),
+    "L-HV-REF-INVALID": (
+        "III",
+        "error",
+        "the explicit hypervolume reference strategy has no point, or one "
+        "whose length is not the objective count, so evaluate rejects it",
+    ),
+    "L-NO-HARD-BOUNDS": (
+        "III",
+        "error",
+        "normalization reads declared hard bounds, but an objective declares "
+        "none, so evaluate rejects it",
+    ),
+    "L-RUN-TOO-SMALL": (
+        "III",
+        "error",
+        "a chosen indicator needs more solutions than a run keeps after "
+        "preprocessing, so evaluate rejects it",
+    ),
+    "L-ALL-EMPTY": (
+        None,
+        "error",
+        "every run is empty after preprocessing, so there is nothing to "
+        "evaluate",
     ),
     "L-PREF-IGNORED": (
         "IV",
@@ -194,6 +218,11 @@ class EvaluationPlan:
     plotting: str
     warnings: tuple[LintWarning, ...]
 
+    @property
+    def config(self) -> IndicatorConfig:
+        """The config the planned indicators share; the default without any."""
+        return self.indicators[0].config if self.indicators else IndicatorConfig()
+
 
 @dataclass(frozen=True)
 class SetContext:
@@ -235,23 +264,25 @@ def aspect_coverage(names: Sequence[str]) -> dict[str, str]:
 
 
 def lint(
-    chosen: Sequence[tuple[str, IndicatorConfig]],
+    chosen: Sequence[str],
+    config: IndicatorConfig,
     prefs: PreferenceSpec,
     m: int,
     mode: EvaluationMode | None = None,
 ) -> list[LintWarning]:
     """Check an evaluation setup against the documented misuse patterns.
 
-    ``chosen`` holds the indicators the experimenter intends to report (with
-    their configurations); ``mode`` describes everything else about the
+    ``chosen`` names the indicators the experimenter intends to report, all
+    computed under ``config``; ``mode`` describes everything else about the
     setup that matters: whether plots or summary statistics stand alone,
-    whether declared clear preferences are actually transferred, and what
-    reference material the distance indicators use.
+    whether declared clear preferences are actually transferred, what
+    reference material the distance indicators use, and where the explicit
+    hv reference point lies.
     """
     mode = mode or EvaluationMode()
     if m < 1:
         raise ValueError("m must be positive")
-    names = [canonical_name(name) for name, _ in chosen]
+    names = [canonical_name(name) for name in chosen]
     findings: list[LintWarning] = []
 
     if mode.plotting_only or (mode.scatter_requested and _plot_kind(m) != "scatter"):
@@ -283,13 +314,11 @@ def lint(
     ):
         findings.append(_finding("L-IGD-REFSET"))
 
-    for name, config in chosen:
-        if canonical_name(name) == "hv" and (
-            config.hv_strategy == "worst_values" or mode.hv_ref_at_nadir
-        ):
-            findings.append(_finding("L-HV-REFPOINT", config.hv_strategy))
-            break
-    if "hv" in names and mode.hv_ref_inside:
+    if "hv" in names and (
+        config.hv_strategy == "worst_values" or mode.hv_ref_at_nadir
+    ):
+        findings.append(_finding("L-HV-REFPOINT", config.hv_strategy))
+    if mode.hv_ref_inside:
         findings.append(_finding("L-HV-REF-INSIDE"))
 
     if prefs.clear and not mode.clear_transfer_planned:
@@ -469,12 +498,13 @@ def _plan(
     if any(p.name == "spread" for p in indicators):
         plan_notes.append(_finding("N-EXTREMES-SUBSTITUTED"))
 
-    self_findings = lint([(p.name, p.config) for p in indicators], prefs, live_m)
-    return EvaluationPlan(
+    plan = EvaluationPlan(
         preprocessing=tuple(steps),
         indicators=tuple(indicators),
         doe_steps=tuple(doe_steps),
         plotting=plotting,
-        warnings=tuple(self_findings) + tuple(plan_notes),
+        warnings=tuple(plan_notes),
     )
+    self_findings = lint([p.name for p in indicators], plan.config, prefs, live_m)
+    return replace(plan, warnings=tuple(self_findings) + plan.warnings)
 

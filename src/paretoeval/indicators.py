@@ -105,7 +105,8 @@ class IndicatorProfile:
     (partially reflected).  ``compliant`` is "+" when a weakly dominating set
     is never ranked worse, "-" when that holds only conditionally, and None
     when the indicator can contradict set dominance outright.
-    ``objectives`` holds the objective counts the indicator is defined for.
+    ``objectives`` holds the objective counts the indicator is defined for,
+    and ``min_size`` the fewest solutions a set needs for it.
     """
 
     aspects: Mapping[str, str]
@@ -114,6 +115,7 @@ class IndicatorProfile:
     binary: bool = False
     needs_normalization: bool = False
     objectives: range = range(1, sys.maxsize)
+    min_size: int = 1
 
 
 _PROFILES: dict[str, IndicatorProfile] = {
@@ -158,7 +160,7 @@ _PROFILES: dict[str, IndicatorProfile] = {
     ),
     "sp": IndicatorProfile(
         {"uniformity": "+"}, compliant=None, better="lower",
-        needs_normalization=True,
+        needs_normalization=True, min_size=2,
     ),
     "nfs": IndicatorProfile({"cardinality": "+"}, compliant=None, better="higher"),
     "unfr": IndicatorProfile({"cardinality": "+"}, compliant="+", better="higher"),
@@ -357,8 +359,9 @@ def spacing(A: SolutionSet) -> float:
     Needs at least two solutions.
     """
     v = _values(A)
-    if len(v) < 2:
-        raise ValueError("spacing needs at least two solutions")
+    need = _PROFILES["sp"].min_size
+    if len(v) < need:
+        raise ValueError(f"spacing needs at least {need} solutions")
     d = _nearest(v, v, "l1", skip_self=True)
     return float(d.std(ddof=1))
 

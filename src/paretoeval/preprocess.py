@@ -535,6 +535,17 @@ def compute_h(n: int, m: int) -> int:
     return h
 
 
+def _explicit_point(explicit: Sequence[float] | None, m: int) -> tuple[float, ...]:
+    """The explicit strategy's point for ``m`` objectives; there must be one,
+    with one coordinate per objective."""
+    if explicit is None:
+        raise ValueError("explicit strategy requires a point")
+    point = tuple(float(v) for v in explicit)
+    if len(point) != m:
+        raise DimensionMismatchError("explicit point length must match")
+    return point
+
+
 def build_reference_point(
     basis: SolutionSet,
     strategy: str,
@@ -563,11 +574,7 @@ def build_reference_point(
     fv = fv[_front_mask(fv, unique=True)]
     nadir = fv.max(axis=0)
     if strategy == "explicit":
-        if explicit is None:
-            raise ValueError("explicit strategy requires a point")
-        point = tuple(float(v) for v in explicit)
-        if len(point) != basis.m:
-            raise DimensionMismatchError("explicit point length must match")
+        point = _explicit_point(explicit, basis.m)
         if any(p < nv for p, nv in zip(point, nadir)):
             raise ValueError(
                 f"reference point {point} does not weakly exceed the basis nadir "

@@ -195,9 +195,8 @@ def test_criterion_07_misleading_statistics_flagged():
     assert outcome.winners == (-1, -1)
     assert outcome.misleading_flag
 
-    findings = lint(
-        [], PreferenceSpec(), 2, EvaluationMode(doe_only=True, doe_stats=("mean",))
-    )
+    mode = EvaluationMode(doe_only=True, doe_stats=("mean",))
+    findings = lint([], IndicatorConfig(), PreferenceSpec(), 2, mode)
     assert {f.code for f in findings} == {"L-DOE-SOLE"}
     _pass(7, "dominated set wins the mean; flag raised and setup linted")
 

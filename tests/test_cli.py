@@ -1224,6 +1224,66 @@ class TestLint:
         assert [f["code"] for f in report["findings"]] == ["L-HV-REF-INSIDE"]
         assert report["exit_status"] == EXIT_ERROR
 
+    HARD_BOUNDS = {"normalization": "hard_bounds"}
+
+    @pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")
+    @pytest.mark.parametrize(
+        "algorithms, preferences, overrides, flags, code, error",
+        [
+            pytest.param(
+                {"a": [KNEE_A], "b": [KNEE_B]}, None, HARD_BOUNDS, [],
+                "L-NO-HARD-BOUNDS", "objective 'f1' declares no hard bounds",
+                id="hard-bounds-column",
+            ),
+            pytest.param(
+                {"a": [KNEE_A], "b": [KNEE_B]}, {"weights": [0.5, 0.5]},
+                HARD_BOUNDS, [],
+                "L-NO-HARD-BOUNDS", "objective 'f1' declares no hard bounds",
+                id="hard-bounds-scalarize",
+            ),
+            pytest.param(
+                {"a": [KNEE_A], "b": [[(5, 5)]]}, None, None, ["--indicator", "sp"],
+                "L-RUN-TOO-SMALL", "spacing needs at least 2 solutions",
+                id="spacing-one-solution",
+            ),
+            pytest.param(
+                {"a": [KNEE_A], "b": [KNEE_B]}, None, None,
+                ["--ref-point", "10,10,10"],
+                "L-HV-REF-INVALID", "explicit point length must match",
+                id="point-length",
+            ),
+            pytest.param(
+                {"a": [KNEE_A, KNEE_B]}, None, None, ["--ref-strategy", "explicit"],
+                "L-HV-REF-INVALID", "explicit strategy requires a point",
+                id="point-missing",
+            ),
+            pytest.param(
+                {"a": [KNEE_A, KNEE_B]}, None, None,
+                ["--indicator", "gd_plus", "--ref-point", "2,2"],
+                "L-HV-REF-INSIDE", "does not weakly exceed the basis nadir",
+                id="ranking-point-inside",
+            ),
+            pytest.param(
+                {"a": [[(6, 6), (8, 7)]], "b": [[(7, 6)]]}, F2_AT_MOST, None, [],
+                "L-ALL-EMPTY", "every set is empty after preprocessing",
+                id="all-emptied",
+            ),
+        ],
+    )
+    def test_lint_refuses_what_evaluate_rejects(
+        self, tmp_path, capsys, algorithms, preferences, overrides, flags, code, error
+    ):
+        path = write_manifest(
+            tmp_path, MIN_2D, algorithms, preferences=preferences, overrides=overrides
+        )
+        argv = ["--manifest", str(path), *flags]
+        assert main(["evaluate", *argv]) == EXIT_ERROR
+        assert error in capsys.readouterr().err
+        out = tmp_path / "lint.json"
+        assert main(["lint", *argv, "--out", str(out)]) == EXIT_ERROR
+        assert f"[error] {code}" in capsys.readouterr().out
+        assert code in [f["code"] for f in json.loads(out.read_text())["findings"]]
+
     def test_malformed_run_file_exits_2(self, tmp_path, capsys):
         path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
         (tmp_path / "a_0.csv").write_text("f1,f2\n1,x\n", encoding="utf-8")
@@ -2090,11 +2150,13 @@ class TestLintMatchesEvaluate:
                     codes[command] = exc.code
         capsys.readouterr()
         event(f"evaluate exits {codes['evaluate']}")
+        # Also when evaluate fails before it writes a report.
+        assert codes["lint"] == codes["evaluate"]
         if not reports["evaluate"].exists():
             return
         report = json.loads(reports["evaluate"].read_text())
         linted = json.loads(reports["lint"].read_text())
-        assert codes["lint"] == codes["evaluate"] == report["exit_status"]
+        assert codes["lint"] == report["exit_status"]
         assert linted["findings"] == [
             f for f in report["findings"] if f["code"].startswith("L-")
         ]

@@ -12,7 +12,9 @@ from paretoeval import (
     EmptySetError,
     IndicatorConfig,
     NormalizationBounds,
+    build_reference_set,
     doe_compare,
+    gd,
     normalize,
     per_objective_stats,
     scalarize_best,
@@ -205,48 +207,59 @@ def _staircase_run(name, size):
     return make_set(name, [(float(i), float(size - i)) for i in range(size)])
 
 
-def _representative(runs, indicator="hv", config=None):
-    """The representative run of one algorithm's runs, ranked by `indicator`."""
-    column = (indicator, config or IndicatorConfig())
-    return indicator_table({"alg": runs}, [column], column).representative["alg"]
+def _representative(runs, config=None):
+    """The representative run of one algorithm's runs, ranked by hv."""
+    table = indicator_table({"alg": runs}, [], config or IndicatorConfig())
+    return table.representative["alg"]
+
+
+# Single-point runs whose hv against (2, 2) grows with k.
+POINT = IndicatorConfig(hv_strategy="explicit", ref_point=(2.0, 2.0))
+
+
+def _box(k):
+    return make_set(f"r{k}", [(1.0 - 0.2 * k, 1.0 - 0.2 * k)])
 
 
 class TestRepresentativeRun:
     def test_odd_count_picks_median(self):
-        runs = [_staircase_run(f"r{k}", k) for k in (1, 2, 3)]
-        assert _representative(runs, "nfs") == 1
+        runs = [_box(k) for k in (1, 2, 3)]
+        assert _representative(runs, POINT) == 1
 
     def test_even_count_picks_lower_middle(self):
-        runs = [_staircase_run(f"r{k}", k) for k in (1, 2, 3, 4)]
-        assert _representative(runs, "nfs") == 1
+        runs = [_box(k) for k in (1, 2, 3, 4)]
+        assert _representative(runs, POINT) == 1
 
     def test_order_permutation_tracks_same_run(self):
-        runs = [_staircase_run(f"r{k}", k) for k in (3, 1, 2)]
-        assert _representative(runs, "nfs") == 2
+        runs = [_box(k) for k in (3, 1, 2)]
+        assert _representative(runs, POINT) == 2
 
     def test_single_run(self):
         assert _representative([_staircase_run("only", 3)]) == 0
 
     def test_default_indicator_is_dominated_volume(self):
-        boxes = [make_set(f"r{k}", [(1.0 - 0.2 * k, 1.0 - 0.2 * k)]) for k in (0, 1, 2)]
-        config = IndicatorConfig(hv_strategy="explicit", ref_point=(2.0, 2.0))
-        assert _representative(boxes, config=config) == 1
+        boxes = [_box(k) for k in (0, 1, 2)]
+        assert _representative(boxes, POINT) == 1
 
     def test_binary_indicator_rejected(self):
         runs = [_staircase_run("r", 2)]
-        with pytest.raises(ValueError):
-            _representative(runs, "ci")
-        with pytest.raises(ValueError):
-            _representative(runs, "c")
+        for name in ("ci", "c"):
+            with pytest.raises(ValueError):
+                indicator_table({"alg": runs}, [name], IndicatorConfig())
 
     def test_gd_p_setting_reaches_indicator(self):
         runs = [
             make_set("r0", [(0.0, 3.0), (4.0, 0.0)]),
             make_set("r1", [(0.0, 0.0)]),
         ]
-        # with the combined-front reference r1 sits on the front, so the
-        # indicator order is stable across p; this just exercises the path
-        assert _representative(runs, "gd", IndicatorConfig(gd_p=2.0)) in (0, 1)
+        # One run each, so no hv is computed to pick a representative.
+        algorithms = {"a": runs[:1], "b": runs[1:]}
+        table = indicator_table(algorithms, ["gd"], IndicatorConfig(gd_p=2.0))
+        normed = normalize(runs, NormalizationBounds.from_sets(runs))
+        ref = build_reference_set(normed)
+        # r0's two points are each 1 from the front: p=2 gives sqrt(2)/2.
+        assert table.values[("a", 0)] == (gd(normed[0], ref, p=2.0),)
+        assert table.values[("a", 0)] != (gd(normed[0], ref, p=1.0),)
 
 
 class TestIndicatorTableInputs:
@@ -255,8 +268,7 @@ class TestIndicatorTableInputs:
             make_set("r0", [(0, 4), (1, 3), (4, 0)]),
             make_set("r1", [(2, 2), (3, 0)]),
         ]
-        column = ("sp", IndicatorConfig())
-        table = indicator_table({"alg": runs}, [column], ("nfs", IndicatorConfig()))
+        table = indicator_table({"alg": runs}, ["sp"], IndicatorConfig())
         normed = normalize(runs, NormalizationBounds.from_sets(runs))
         assert table.values == {
             ("alg", 0): (spacing(normed[0]),),
@@ -269,9 +281,8 @@ class TestIndicatorTableInputs:
             _representative([])
 
     def test_requires_name(self):
-        column = ("nfs", IndicatorConfig())
         with pytest.raises(ValueError):
-            indicator_table({"": [_staircase_run("r", 1)]}, [column], column)
+            indicator_table({"": [_staircase_run("r", 1)]}, ["nfs"], IndicatorConfig())
 
     def test_dimension_agreement(self):
         with pytest.raises(DimensionMismatchError):

@@ -36,8 +36,8 @@ CFG = IndicatorConfig()
 
 
 def chosen(*names, **overrides):
-    cfg = IndicatorConfig(**overrides) if overrides else CFG
-    return [(n, cfg) for n in names]
+    """The names and the one config ``lint`` takes."""
+    return list(names), IndicatorConfig(**overrides) if overrides else CFG
 
 
 NO_PREFS = PreferenceSpec()
@@ -86,22 +86,22 @@ class TestAspectCoverage:
 
 class TestLintRules:
     def test_plotting_only(self):
-        out = lint([], NO_PREFS, 2, EvaluationMode(plotting_only=True))
+        out = lint([], CFG, NO_PREFS, 2, EvaluationMode(plotting_only=True))
         assert codes(out) == {"L-SSP-ONLY"}
 
     def test_scatter_beyond_three_objectives(self):
         out = lint(
-            chosen("hv"), NO_PREFS, 5, EvaluationMode(scatter_requested=True)
+            *chosen("hv"), NO_PREFS, 5, EvaluationMode(scatter_requested=True)
         )
         assert "L-SSP-ONLY" in codes(out)
         ok = lint(
-            chosen("hv"), NO_PREFS, 3, EvaluationMode(scatter_requested=True)
+            *chosen("hv"), NO_PREFS, 3, EvaluationMode(scatter_requested=True)
         )
         assert "L-SSP-ONLY" not in codes(ok)
 
     def test_doe_sole_with_misleading_stat(self):
         mode = EvaluationMode(doe_only=True, doe_stats=("mean", "worst"))
-        out = lint([], NO_PREFS, 2, mode)
+        out = lint([], CFG, NO_PREFS, 2, mode)
         assert codes(out) == {"L-DOE-SOLE"}
         finding = next(f for f in out if f.code == "L-DOE-SOLE")
         assert finding.issue == "II"
@@ -109,15 +109,15 @@ class TestLintRules:
 
     def test_doe_best_statistic_is_safe(self):
         mode = EvaluationMode(doe_only=True, doe_stats=("best",))
-        assert codes(lint([], NO_PREFS, 2, mode)) == set()
+        assert codes(lint([], CFG, NO_PREFS, 2, mode)) == set()
 
     def test_doe_alongside_indicators_is_fine(self):
         mode = EvaluationMode(doe_stats=("mean",))
-        out = lint(chosen("hv", "gd_plus", "spread", "unfr"), NO_PREFS, 2, mode)
+        out = lint(*chosen("hv", "gd_plus", "spread", "unfr"), NO_PREFS, 2, mode)
         assert "L-DOE-SOLE" not in codes(out)
 
     def test_aspect_gap_without_preferences(self):
-        out = lint(chosen("gd_plus"), NO_PREFS, 2)
+        out = lint(*chosen("gd_plus"), NO_PREFS, 2)
         gap = next(f for f in out if f.code == "L-ASPECT-GAP")
         assert gap.severity == "warning"
         assert gap.issue == "III"
@@ -125,28 +125,28 @@ class TestLintRules:
             assert aspect in gap.message
 
     def test_no_aspect_gap_with_preferences(self):
-        assert "L-ASPECT-GAP" not in codes(lint(chosen("gd_plus"), KNEE, 2))
+        assert "L-ASPECT-GAP" not in codes(lint(*chosen("gd_plus"), KNEE, 2))
 
     def test_no_aspect_gap_when_covered(self):
-        out = lint(chosen("gd_plus", "spread", "unfr"), NO_PREFS, 2)
+        out = lint(*chosen("gd_plus", "spread", "unfr"), NO_PREFS, 2)
         assert "L-ASPECT-GAP" not in codes(out)
 
     def test_spread_dimension_error(self):
-        out = lint(chosen("spread"), KNEE, 3)
+        out = lint(*chosen("spread"), KNEE, 3)
         finding = next(f for f in out if f.code == "L-SPREAD-DIM")
         assert finding.severity == "error"
         assert "m=3" in finding.message
-        assert "L-SPREAD-DIM" not in codes(lint(chosen("spread"), KNEE, 2))
+        assert "L-SPREAD-DIM" not in codes(lint(*chosen("spread"), KNEE, 2))
 
     def test_hv_dimension_error(self):
-        out = lint(chosen("hv"), KNEE, 11)
+        out = lint(*chosen("hv"), KNEE, 11)
         finding = next(f for f in out if f.code == "L-HV-DIM")
         assert finding.severity == "error"
-        assert "L-HV-DIM" not in codes(lint(chosen("hv"), KNEE, 10))
+        assert "L-HV-DIM" not in codes(lint(*chosen("hv"), KNEE, 10))
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_dimension_findings_match_where_the_indicators_raise(self, m):
-        found = codes(lint(chosen("spread", "hv"), KNEE, m))
+        found = codes(lint(*chosen("spread", "hv"), KNEE, m))
         A = make_set("A", [tuple(range(m))])
         for code, defined, compute in (
             ("L-SPREAD-DIM", range(2, 3), lambda: spread_delta(A, [(0, 1), (1, 0)])),
@@ -160,59 +160,59 @@ class TestLintRules:
                     compute()
 
     def test_igd_against_combined_front(self):
-        out = lint(chosen("igd"), KNEE, 4)
+        out = lint(*chosen("igd"), KNEE, 4)
         finding = next(f for f in out if f.code == "L-IGD-REFSET")
         assert finding.severity == "info"
         assert finding.issue == "III"
 
     def test_igd_against_external_reference(self):
         mode = EvaluationMode(combined_front_reference=False)
-        assert "L-IGD-REFSET" not in codes(lint(chosen("igd"), KNEE, 4, mode))
+        assert "L-IGD-REFSET" not in codes(lint(*chosen("igd"), KNEE, 4, mode))
 
     def test_spread_uses_reference_extremes_too(self):
-        out = lint(chosen("spread"), KNEE, 2)
+        out = lint(*chosen("spread"), KNEE, 2)
         assert "L-IGD-REFSET" in codes(out)
 
     def test_hv_reference_at_worst_values(self):
-        out = lint(chosen("hv", hv_strategy="worst_values"), KNEE, 2)
+        out = lint(*chosen("hv", hv_strategy="worst_values"), KNEE, 2)
         finding = next(f for f in out if f.code == "L-HV-REFPOINT")
         assert finding.severity == "warning"
         assert "worst_values" in finding.message
 
     def test_hv_reference_at_exact_nadir(self):
         mode = EvaluationMode(hv_ref_at_nadir=True)
-        out = lint(chosen("hv", hv_strategy="explicit", ref_point=(1.0, 1.0)),
+        out = lint(*chosen("hv", hv_strategy="explicit", ref_point=(1.0, 1.0)),
                    KNEE, 2, mode)
         assert "L-HV-REFPOINT" in codes(out)
 
     def test_hv_reference_beyond_nadir_is_fine(self):
-        out = lint(chosen("hv"), KNEE, 2)
+        out = lint(*chosen("hv"), KNEE, 2)
         assert "L-HV-REFPOINT" not in codes(out)
 
     def test_clear_preferences_ignored(self):
         mode = EvaluationMode(clear_transfer_planned=False)
-        out = lint(chosen("hv"), ONE_BEST, 2, mode)
+        out = lint(*chosen("hv"), ONE_BEST, 2, mode)
         finding = next(f for f in out if f.code == "L-PREF-IGNORED")
         assert finding.issue == "IV"
-        assert "L-PREF-IGNORED" not in codes(lint(chosen("hv"), ONE_BEST, 2))
+        assert "L-PREF-IGNORED" not in codes(lint(*chosen("hv"), ONE_BEST, 2))
 
     def test_knee_clashes(self):
-        out = lint(chosen("igd", "gd", "ci", "hv"), KNEE, 2)
+        out = lint(*chosen("igd", "gd", "ci", "hv"), KNEE, 2)
         finding = next(f for f in out if f.code == "L-KNEE-MISMATCH")
         assert finding.issue == "V"
         assert "ci" in finding.message
         assert "gd" in finding.message
         assert "igd" in finding.message
-        assert "L-KNEE-MISMATCH" not in codes(lint(chosen("hv"), KNEE, 2))
+        assert "L-KNEE-MISMATCH" not in codes(lint(*chosen("hv"), KNEE, 2))
 
     def test_extreme_clashes_with_igd(self):
-        out = lint(chosen("igd"), EXTREME, 2)
+        out = lint(*chosen("igd"), EXTREME, 2)
         assert "L-EXTREME-MISMATCH" in codes(out)
-        assert "L-EXTREME-MISMATCH" not in codes(lint(chosen("hv"), EXTREME, 2))
+        assert "L-EXTREME-MISMATCH" not in codes(lint(*chosen("hv"), EXTREME, 2))
 
     def test_objective_count_validated(self):
         with pytest.raises(ValueError):
-            lint(chosen("hv"), NO_PREFS, 0)
+            lint(*chosen("hv"), NO_PREFS, 0)
 
     def test_severity_values_validated(self):
         with pytest.raises(ValueError):

@@ -293,7 +293,9 @@ class TestSpacing:
         assert spacing(A) == 0.0
 
     def test_single_point_rejected(self):
-        with pytest.raises(ValueError):
+        # The bound is the profile's, which lint's L-RUN-TOO-SMALL reads.
+        assert aspects_of("sp").min_size == 2
+        with pytest.raises(ValueError, match="at least 2 solutions"):
             spacing(make_set("A", [(1, 1)]))
 
     @given(

@@ -102,8 +102,8 @@ def test_table_equals_public_calls(algorithms, divisions):
     m = algorithms["alg0"][0].m
     names = ["nfs", "unfr", "grid_diversity", "hv", "gd", "gd_plus", "igd"]
     names += ["igd_plus", "epsilon"] + (["spread"] if m == 2 else [])
-    columns = [(n, cfg) for n in names] + [("gd_plus", raw_cfg)]
-    table = indicator_table(algorithms, columns, ("hv", cfg))
+    table = indicator_table(algorithms, names, cfg)
+    raw = indicator_table(algorithms, ["gd_plus"], raw_cfg)
 
     all_sets = [run for runs in algorithms.values() for run in runs]
     slots = [
@@ -135,13 +135,15 @@ def test_table_equals_public_calls(algorithms, divisions):
         ]
         if m == 2:
             expected.append(spread_delta(normed[i], extremes))
-        expected.append(gd_plus(run, reference))
         assert table.values[slot] == tuple(expected)
+        assert raw.values[slot] == (gd_plus(run, reference),)
         assert expected[1] == oracles.unfr_oracle(
             run.vectors(), [s.vectors() for s in all_sets]
         )
 
-    assert table.points == {(cfg.hv_strategy, None): point}
+    assert table.point == point
+    assert table.bounds == NormalizationBounds.from_sets(live)
+    assert raw.point is None and raw.bounds is None
     hv = names.index("hv")
     for alg, runs in algorithms.items():
         values = {
@@ -152,11 +154,12 @@ def test_table_equals_public_calls(algorithms, divisions):
         else:
             assert alg not in table.representative
 
-    # Ranking by an hv column that is not reported picks the same runs and
-    # reports no reference point.
-    unranked = indicator_table(algorithms, columns[:2], ("hv", cfg))
+    # Without an hv column, hv computed for the pick alone picks the same
+    # runs, under either config, and no reference point is reported.
+    unranked = indicator_table(algorithms, names[:2], cfg)
     assert unranked.representative == table.representative
-    assert unranked.points == {}
+    assert raw.representative == table.representative
+    assert unranked.point is None
 
 
 @pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")
@@ -167,25 +170,23 @@ def test_ranking_column_failure_leaves_multi_run_algorithms_unpicked():
         "many": [make_set("m0", [corner]), make_set("m1", [other])],
         "one": [make_set("o0", [corner])],
     }
-    hv = ("hv", IndicatorConfig())
-    table = indicator_table(algorithms, [("nfs", IndicatorConfig())], hv)
+    table = indicator_table(algorithms, ["nfs"], IndicatorConfig())
     assert table.representative == {"one": 0}
     with pytest.raises(ValueError, match="beyond 10 objectives"):
-        indicator_table(algorithms, [hv], hv)
+        indicator_table(algorithms, ["hv"], IndicatorConfig())
 
 
 def test_ranking_failure_at_a_supported_count_propagates():
     algorithms = {"a": [make_set("a0", [(1.0, 2.0)]), make_set("a1", [(2.0, 1.0)])]}
-    inside = ("hv", IndicatorConfig(hv_strategy="explicit", ref_point=(0.0, 0.0)))
+    inside = IndicatorConfig(hv_strategy="explicit", ref_point=(0.0, 0.0))
     with pytest.raises(ValueError, match="does not weakly exceed the basis nadir"):
-        indicator_table(algorithms, [("nfs", IndicatorConfig())], inside)
+        indicator_table(algorithms, ["nfs"], inside)
 
 
 def test_binary_indicator_is_not_a_column():
     algorithms = {"a": [make_set("a", [(1.0, 2.0)])]}
-    ci, nfs_column = ("ci", IndicatorConfig()), ("nfs", IndicatorConfig())
     with pytest.raises(ValueError, match="binary"):
-        indicator_table(algorithms, [ci], nfs_column)
+        indicator_table(algorithms, ["ci"], IndicatorConfig())
 
 
 def test_missing_reference_point_raises_without_asserts():
@@ -199,7 +200,7 @@ def test_missing_reference_point_raises_without_asserts():
         "meta = (ObjectiveMeta('f1'), ObjectiveMeta('f2'))\n"
         "run = SolutionSet('a', meta, (Solution((1.0, 2.0)), Solution((2.0, 1.0))))\n"
         "try:\n"
-        "    indicator_table({'a': [run]}, [('hv', cfg)], ('hv', cfg))\n"
+        "    indicator_table({'a': [run]}, ['hv'], cfg)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
