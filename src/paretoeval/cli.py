@@ -412,55 +412,29 @@ def load_solution_set(
 ) -> SolutionSet:
     """Read one run: a CSV whose header names the objectives.
 
-    A leading ``id`` column is optional.  Values are natural units; decimal
-    parsing round-trips exactly with :func:`write_solution_set`.
+    The first column holds ids only when the header is ``id`` followed by
+    exactly the objective names, so an objective may itself be named
+    ``id``.  Each cell reads as :func:`float` reads it, so values round-trip
+    exactly with :func:`write_solution_set`; blank lines are skipped.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SolutionFileError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise SolutionFileError(f"{path}:1: missing header row")
     header = [h.strip() for h in lines[0].split(",")]
-    has_id = header and header[0] == "id"
     expected = [o.name for o in meta]
-    value_columns = header[1:] if has_id else header
-    if value_columns != expected:
+    has_id = header == ["id", *expected]
+    if not has_id and header != expected:
+        shown = header[1:] if header[0] == "id" else header
         raise SolutionFileError(
-            f"{path}:1: header {value_columns} does not match objectives {expected}"
+            f"{path}:1: header {shown} does not match objectives {expected}"
         )
-    cells: list[list[str]] = []
-    ids: list[str | None] = []
-    linenos: list[int] = []
-    short = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        row = [c.strip() for c in line.split(",")]
-        if len(row) != len(header):
-            short = SolutionFileError(
-                f"{path}:{lineno}: expected {len(header)} columns, found {len(row)}"
-            )
-            break
-        cells.append(row[1:] if has_id else row)
-        ids.append(row[0] if has_id else None)
-        linenos.append(lineno)
-    # One numpy parse of every cell, which reads a cell as float() does; on
-    # a bad value the lines are parsed again in order to name the first.
-    try:
-        rows = np.array(cells, dtype=float).reshape(len(cells), len(meta))
-        clean = bool(np.isfinite(rows).all())
-    except ValueError:
-        clean = False
-    if not clean:
-        rows = [
-            _row_values(path, lineno, value_columns, row)
-            for lineno, row in zip(linenos, cells)
-        ]
-    if short is not None:
-        raise short
+    parsed = _parse_body(lines[1:], has_id, len(expected))
+    rows, ids = parsed or _walk_body(path, lines[1:], expected, has_id)
     if not len(rows):
         warnings.warn(
             f"{path} contains a header but no solutions",
@@ -468,6 +442,52 @@ def load_solution_set(
             stacklevel=2,
         )
     return SolutionSet._from_array(name or path.stem, meta, rows, ids=ids)
+
+
+def _parse_body(
+    body: list[str], has_id: bool, m: int
+) -> tuple[np.ndarray, list[str] | None] | None:
+    """A run file's rows and ids from one numpy parse of its body, or
+    ``None`` when that parse fails or reads the wrong shape or a non-finite
+    value, which leaves the body to :func:`_walk_body`."""
+    if not any(body):  # loadtxt warns on a body with no rows
+        return np.empty((0, m)), None
+    ids = None
+    if has_id:  # one split per line; a line with nothing after its id goes to the walk
+        cut = [line.split(",", 1) for line in body if line]
+        if not all(len(c) == 2 and c[1] for c in cut):
+            return None
+        ids = [c[0].strip() for c in cut]
+        body = [c[1] for c in cut]
+    try:
+        # A "#" in a cell is not a comment.
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if rows.shape[1] != m or not np.isfinite(rows).all():
+        return None
+    return rows, ids
+
+
+def _walk_body(
+    path: Path, body: list[str], columns: list[str], has_id: bool
+) -> tuple[list[list[float]], list[str | None]]:
+    """A run file's rows and ids line by line, each cell read by
+    :func:`float`; the first bad line in file order raises."""
+    width = len(columns) + has_id
+    rows: list[list[float]] = []
+    ids: list[str | None] = []
+    for lineno, line in enumerate(body, start=2):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != width:
+            raise SolutionFileError(
+                f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
+            )
+        rows.append(_row_values(path, lineno, columns, cells[1:] if has_id else cells))
+        ids.append(cells[0] if has_id else None)
+    return rows, ids
 
 
 def _row_values(
@@ -1104,19 +1124,17 @@ def build_parser() -> argparse.ArgumentParser:
     # The flags each subcommand reads; lint reads what evaluate computes.
     only_out = ["--manifest", "--out"]
     commands = [
-        ("evaluate", cmd_evaluate, "run the evaluation plan over all runs", [*flags]),
+        ("evaluate", "run the evaluation plan over all runs", [*flags]),
         (
             "compare",
-            cmd_compare,
             "pairwise indicator between two algorithms",
             ["--manifest", "--indicator", "--no-normalize", "--out"],
         ),
-        ("recommend", cmd_recommend, "print the evaluation plan", only_out),
-        ("lint", cmd_lint, "check the setup for documented misuse", [*flags]),
-        ("stats", cmd_stats, "per-objective summary statistics", only_out),
+        ("recommend", "print the evaluation plan", only_out),
+        ("lint", "check the setup for documented misuse", [*flags]),
+        ("stats", "per-objective summary statistics", only_out),
         (
             "plot-data",
-            cmd_plot_data,
             "write plot-ready CSV files",
             ["--manifest", "--indicator", "--ref-point", "--ref-strategy", "--out"],
         ),
@@ -1126,22 +1144,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate, compare, and lint Pareto solution-set experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, summary, reads in commands:
+    for name, summary, reads in commands:
         p = sub.add_parser(name, help=summary)
         for flag in reads:
             p.add_argument(flag, **flags[flag])
-        p.set_defaults(func=func)
     compare = sub.choices["compare"]
     compare.add_argument("first", help="first algorithm name")
     compare.add_argument("second", help="second algorithm name")
     return parser
 
 
+# Built once per process: parsing leaves the parser as it was.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # Looked up at each call, so a rebound ``cmd_*`` is the one that runs.
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

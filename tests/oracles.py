@@ -12,6 +12,8 @@ sort-based routine replaced, the ``*_matrix`` distance indicators are the
 (bit-exact references), and the
 ``*_oracle`` preprocessing transforms are the per-row versions the array
 transforms replaced: each rebuilds every surviving row as a new ``Solution``.
+The run-file oracle is the per-line CSV walk that one numpy parse of the
+body replaced: each cell goes through ``float()`` on its own.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from itertools import product
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +38,7 @@ from paretoeval.core import (
     SolutionSet,
     _front_mask,
 )
+from paretoeval.cli import SolutionFileError
 from paretoeval.preprocess import (
     AT_LEAST,
     AT_MOST,
@@ -606,3 +610,56 @@ def build_reference_set_oracle(sets: Sequence[SolutionSet]) -> SolutionSet:
         raise EmptySetError("cannot build a reference set from empty sets")
     union = SolutionSet("reference", sets[0].meta, tuple(merged), signs=sets[0].signs)
     return unique_front_oracle(union)
+
+
+def load_solution_set_oracle(
+    path, meta: Sequence[ObjectiveMeta], name: str | None = None
+) -> SolutionSet:
+    """One run file, line by line: the header names the objectives, with a
+    leading ``id`` column only when ``id`` is followed by exactly the
+    objective names; blank lines are skipped, every other line needs one
+    cell per column, and each cell is read by ``float()`` and must be
+    finite.  The first bad line in file order raises."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SolutionFileError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise SolutionFileError(f"{path}:1: missing header row")
+    header = [h.strip() for h in lines[0].split(",")]
+    names = [o.name for o in meta]
+    has_id = header == ["id", *names]
+    if not has_id and header != names:
+        shown = header[1:] if header[0] == "id" else header
+        raise SolutionFileError(
+            f"{path}:1: header {shown} does not match objectives {names}"
+        )
+    solutions = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise SolutionFileError(
+                f"{path}:{lineno}: expected {len(header)} columns, found {len(cells)}"
+            )
+        values = []
+        for col, cell in zip(names, cells[1:] if has_id else cells):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise SolutionFileError(
+                    f"{path}:{lineno}: column {col!r} has non-numeric value {cell!r}"
+                ) from None
+        for v in values:
+            if not math.isfinite(v):
+                raise SolutionFileError(
+                    f"{path}:{lineno}: objective values must be finite, got {v!r}"
+                )
+        solutions.append(Solution(tuple(values), id=cells[0] if has_id else None))
+    if not solutions:
+        message = f"{path} contains a header but no solutions"
+        warnings.warn(message, EvaluationWarning, stacklevel=2)
+    return SolutionSet(name or path.stem, tuple(meta), tuple(solutions))

@@ -6,14 +6,16 @@ import copy
 import importlib.util
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from paretoeval import (
@@ -39,6 +41,7 @@ from paretoeval.cli import (
     main,
     write_solution_set,
 )
+import oracles
 from conftest import (
     COVERAGE_A,
     COVERAGE_B,
@@ -327,6 +330,70 @@ class TestManifestLoading:
 
 META_2D = tuple(ObjectiveMeta(n, Direction.MINIMIZE) for n in ("f1", "f2"))
 
+# Run-file cells numpy's parse of a body may read differently from float():
+# underscores and non-ASCII digits (float() reads them), a comment or quote
+# character, empty and non-numeric cells, and values that are not finite.
+ODD_CELLS = [
+    "1_0", "1_000.5", "\u0663", "\uff11\uff12", "\u0663.5", "#1", "1#2", "#", '"1"', "",
+    "x", "nan", "-inf", "inf", "Infinity", "1e400", "-1e400", "0x10", "1e5j",
+]
+PADS = ["", " ", "\t", "  ", "\xa0", "\u3000"]
+BLANKS = ["", " ", "\t", "\u3000"]
+IDS = ["s1", " a ", "#x", '"q"', "", "id", "\u0663"]
+
+
+@st.composite
+def run_files(draw):
+    """``(text, meta)`` of a run file: cells in any of three formats with
+    padding, odd cells, short and long rows, blank lines, an ``id`` column,
+    CRLF endings and a missing final newline, or a header alone."""
+    names = draw(
+        st.sampled_from([("f1", "f2"), ("id", "f2"), ("f1",), ("f1", "f2", "f3")])
+    )
+    meta = tuple(ObjectiveMeta(n) for n in names)
+    with_ids = draw(st.booleans())
+    header = ["id", *names] if with_ids else list(names)
+    odd, ragged = draw(st.booleans()), draw(st.booleans())
+    # Non-finite values come from the odd cells.
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    number = value.map(repr) | st.builds(
+        lambda fmt, v: fmt % v, st.sampled_from(["%.17g", "%.6g"]), value
+    )
+    lines = [",".join(draw(st.sampled_from(["", " "])) + h for h in header)]
+    for _ in range(draw(st.integers(0, 6))):
+        width = len(names) + (draw(st.sampled_from([0, 0, -1, 1])) if ragged else 0)
+        cells = []
+        for _ in range(max(width, 0)):
+            # Mostly numbers, so a lone odd cell is often the only one.
+            rare = odd and draw(st.integers(0, 5)) == 0
+            text = draw(st.sampled_from(ODD_CELLS) if rare else number)
+            pad = st.sampled_from(PADS)
+            cells.append(draw(pad) + text + draw(pad))
+        if with_ids:
+            cells.insert(0, draw(st.sampled_from(IDS)))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(BLANKS)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, meta
+
+
+def _outcome(loader, path, meta):
+    """What ``loader`` makes of a file: the values' bytes and shape and the
+    ids, or the error message; and every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loaded = loader(path, meta)
+        except SolutionFileError as exc:
+            result = ("error", str(exc))
+        else:
+            values = loaded.values()
+            ids = [s.id for s in loaded.solutions]
+            result = (values.tobytes(), values.shape, ids)
+    return result, [(w.category, str(w.message)) for w in caught]
+
 
 class TestSolutionFiles:
     def test_header_must_match(self, tmp_path):
@@ -466,6 +533,70 @@ class TestSolutionFiles:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(SolutionFileError, match=where):
                 load_solution_set(path, META_2D)
+
+    META_ID = (ObjectiveMeta("id"), ObjectiveMeta("f2"))
+
+    def test_objective_named_id_is_not_an_id_column(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("id,f2\n1,2\n3,4\n", encoding="utf-8")
+        loaded = load_solution_set(path, self.META_ID)
+        assert [s.id for s in loaded.solutions] == [None, None]
+        assert loaded.vectors() == [(1.0, 2.0), (3.0, 4.0)]
+
+    def test_id_column_before_an_objective_named_id(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("id,id,f2\ns1,1,2\ns2,3,4\n", encoding="utf-8")
+        loaded = load_solution_set(path, self.META_ID)
+        assert [s.id for s in loaded.solutions] == ["s1", "s2"]
+        assert loaded.vectors() == [(1.0, 2.0), (3.0, 4.0)]
+
+    @pytest.mark.parametrize("ids", [None, ("a", "b")], ids=["no-ids", "ids"])
+    def test_round_trip_with_an_objective_named_id(self, tmp_path, ids):
+        original = make_set("run", [(1, 2), (0.1, 1 / 3)], names=["id", "f2"])
+        if ids is not None:
+            original = original.with_solutions(
+                tuple(
+                    s.__class__(s.objectives, id=i)
+                    for s, i in zip(original.solutions, ids)
+                )
+            )
+        path = tmp_path / "out.csv"
+        write_solution_set(path, original)
+        loaded = load_solution_set(path, original.meta)
+        assert loaded.values().tobytes() == original.values().tobytes()
+        assert [s.id for s in loaded.solutions] == [s.id for s in original.solutions]
+
+    def test_evaluate_with_an_objective_named_id(self, tmp_path):
+        objectives = [{"name": "id"}, {"name": "f2"}]
+        path = write_manifest(tmp_path, objectives, {"a": [KNEE_A], "b": [KNEE_B]})
+        assert main(["evaluate", "--manifest", str(path)]) != EXIT_ERROR
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(run=run_files())
+    # A "#" loadtxt would read as a comment, bodies with no rows (loadtxt
+    # warns on them), an id with no cells after it, cells only float()
+    # reads, rows one cell short throughout, and values numpy reads but that
+    # are not finite.
+    @example(run=("f1,f2\n1,2#3\n#4,5\n", META_2D))
+    @example(run=("f1,f2\n\n \t\n", META_2D))
+    @example(run=("id,f1,f2\r\n\r\n", META_2D))
+    @example(run=("id,f1,f2\ns1,\n", META_2D))
+    @example(run=("id,f1,f2\r\ns1,1_0,\u0663\r\n \r\ns2,3,4", META_2D))
+    @example(run=("f1,f2\n1\n2\n", META_2D))
+    @example(run=("f1,f2\n1,1e400\nnan,2\n", META_2D))
+    def test_loader_matches_the_per_line_oracle(self, tmp_path, run):
+        # The same values to the bit and the same ids, or the same error, and
+        # the same warnings: numpy's parse of the body adds none.
+        text, meta = run
+        path = tmp_path / "run.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _outcome(load_solution_set, path, meta)
+        assert fast == _outcome(oracles.load_solution_set_oracle, path, meta)
+        event("error" if fast[0][0] == "error" else f"{fast[0][1][0]} row(s)")
 
     def test_round_trip_keeps_ids(self, tmp_path):
         original = make_set("run", [(1, 2)]).with_solutions(
@@ -1844,6 +1975,31 @@ class TestMainErrors:
         assert err == f"error: {message}\n"
 
 
+class TestParserReuse:
+    def test_repeated_main_calls_match_separate_processes(self, knee_manifest, tmp_path):
+        # One parser serves every call in a process: a repeated --indicator
+        # must not pile up, and a --ref-point must not outlive its call.
+        runs = {
+            "first": ["--indicator", "hv", "--indicator", "igd", "--ref-point", "14,12"],
+            "second": ["--indicator", "ci"],
+        }
+        argv = ["evaluate", "--manifest", str(knee_manifest), "--out"]
+        codes = {
+            name: main([*argv, str(tmp_path / f"{name}.json"), *flags])
+            for name, flags in runs.items()
+        }
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for name, flags in runs.items():
+            alone = tmp_path / f"{name}-alone.json"
+            command = [sys.executable, "-m", "paretoeval.cli", *argv, str(alone), *flags]
+            done = subprocess.run(command, env=env, capture_output=True, timeout=120)
+            assert done.returncode == codes[name]
+            assert alone.read_bytes() == (tmp_path / f"{name}.json").read_bytes()
+        indicators = {r["indicator"] for r in json.loads(alone.read_text())["results"]}
+        assert indicators == {"ci"}
+
+
 class TestFlags:
     READS = {
         "evaluate": {
@@ -1926,16 +2082,17 @@ class TestFlags:
 
 # Manifests the exit-code property mutates: every manifest object appears.
 CONTRACT_RUNS = {"alpha": [KNEE_A, KNEE_B], "beta": [KNEE_B]}
+CONTRACT_ALGORITHMS = [
+    {"name": alg, "runs": [f"{alg}_{r}.csv" for r in range(len(runs))]}
+    for alg, runs in CONTRACT_RUNS.items()
+]
 CONTRACT_MANIFESTS = [
     {
         "objectives": [
             {"name": "f1", "direction": "min", "units": "s", "hard_bounds": [0, 20]},
             {"name": "f2", "direction": "max", "hard_bounds": [-20, 20]},
         ],
-        "algorithms": [
-            {"name": alg, "runs": [f"{alg}_{r}.csv" for r in range(len(runs))]}
-            for alg, runs in CONTRACT_RUNS.items()
-        ],
+        "algorithms": CONTRACT_ALGORITHMS,
         "preferences": {
             "screen": [{"objective": "f1", "kind": "at_most", "threshold": 11}],
             "clear": [{"objective": 1, "kind": "at_least", "threshold": 0}],
@@ -1955,10 +2112,7 @@ CONTRACT_MANIFESTS = [
     },
     {
         "objectives": [{"name": "f1"}, {"name": "f2"}],
-        "algorithms": [
-            {"name": alg, "runs": [f"{alg}_{r}.csv" for r in range(len(runs))]}
-            for alg, runs in CONTRACT_RUNS.items()
-        ],
+        "algorithms": CONTRACT_ALGORITHMS,
         "preferences": {
             "roi": "knee",
             "clear": [{"objective": 0, "kind": "exactly_best"}],
@@ -2121,6 +2275,17 @@ class TestExitCodeContract:
             assert len(errors) == (code == EXIT_ERROR), err
 
 
+def _contract(extra):
+    """The contract runs under two plain objectives, with ``extra`` fields."""
+    objectives = [{"name": "f1"}, {"name": "f2"}]
+    return {"objectives": objectives, "algorithms": CONTRACT_ALGORITHMS, **extra}
+
+
+# f2 <= 2 keeps one solution per contract run; f2 <= 1 keeps none.
+F2_AT_MOST_2 = {"clear": [{"objective": "f2", "kind": "at_most", "threshold": 2}]}
+F2_AT_MOST_1 = {"clear": [{"objective": "f2", "kind": "at_most", "threshold": 1}]}
+
+
 class TestLintMatchesEvaluate:
     @settings(
         max_examples=200,
@@ -2131,6 +2296,11 @@ class TestLintMatchesEvaluate:
         doc=mutated_manifests(),
         flags=flag_lists(tuple(sorted(set(FLAGS) - {"--out"}))),
     )
+    # Inputs only one lint rule refuses, which the generator rarely reaches.
+    @example(doc=_contract({"indicator_overrides": TestLint.HARD_BOUNDS}), flags=[])
+    @example(doc=_contract({"preferences": F2_AT_MOST_2}), flags=["--indicator", "sp"])
+    @example(doc=_contract({}), flags=["--ref-point", "1"])
+    @example(doc=_contract({"preferences": F2_AT_MOST_1}), flags=[])
     def test_lint_reports_what_evaluate_reports(
         self, tmp_path, monkeypatch, capsys, doc, flags
     ):
