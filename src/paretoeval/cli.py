@@ -34,7 +34,8 @@ from .core import (
 from . import indicators as ind
 from .doe import (
     IndicatorTable,
-    _ranks_runs,
+    _Yardsticks,
+    _yardsticks,
     indicator_table,
     per_objective_stats,
     scalarize_best,
@@ -59,11 +60,9 @@ from .preprocess import (
     RegionOfInterest,
     Removal,
     VagueClamp,
-    _explicit_point,
     _signs,
     apply_clear_preferences,
     apply_vague_preferences,
-    build_reference_set,
     normalization_bounds,
     normalize,
     screen_trivial,
@@ -639,50 +638,30 @@ def _configure(
 
 def _lint_findings(
     prepared: Prepared,
-    route: str,
     chosen: Sequence[str],
     columns: Sequence[str],
     config: IndicatorConfig,
+    built: _Yardsticks | None,
 ) -> list[LintWarning]:
     """Lint what evaluate computes: the chosen columns under ``config`` at
-    the objective count left after preprocessing, then each yardstick that
-    evaluate would fail to build, from the rule it fails on.
-
-    The hv point is read by an hv column and by the run ranking.  An
-    explicit one is at the nadir when it equals the nadir of the union front
-    of the non-empty runs, and inside it when it is below that nadir on some
-    objective.
-    """
-    live_m, live = prepared.live_m, [s for s in prepared.all_sets if len(s)]
-    found: list[LintWarning] = []
-    if not live and route != "best-value":
-        found.append(_finding("L-ALL-EMPTY"))
-    normalizing = any(aspects_of(n).needs_normalization for n in columns)
-    if live and (normalizing or route == "scalarize"):
-        try:
-            normalization_bounds(config.normalization, live)
-        except ValueError as exc:
-            found.append(_finding("L-NO-HARD-BOUNDS", str(exc)))
+    the objective count left, an explicit hv point at the union front's
+    nadir, each failure of evaluate's own yardstick build ``built`` (None
+    when no column runs) with its error, and each run too small."""
+    at_nadir = False
+    if built is not None and built.point is not None:
+        nadir = tuple(built.reference.values().max(axis=0).tolist())
+        at_nadir = config.hv_strategy == "explicit" and built.point == nadir
+    mode = EvaluationMode(hv_ref_at_nadir=at_nadir)
+    found = lint(chosen, config, prepared.manifest.preferences, prepared.live_m, mode)
+    if built is not None:
+        found += [_finding(code, str(exc)) for code, exc in built.failures.items()]
     for name in columns:
         need = aspects_of(name).min_size
-        short = [s.name for s in live if len(s) < need]
+        short = [s.name for s in prepared.all_sets if 0 < len(s) < need]
         if short:
             detail = f"{name} needs {need}; {', '.join(short)} keep fewer"
             found.append(_finding("L-RUN-TOO-SMALL", detail))
-    at_nadir = inside = False
-    reads_point = "hv" in columns or _ranks_runs(prepared.algorithms)
-    if live and reads_point and config.hv_strategy == "explicit":
-        try:
-            point = _explicit_point(config.ref_point, live_m)
-        except ValueError as exc:
-            found.append(_finding("L-HV-REF-INVALID", str(exc)))
-        else:
-            front = build_reference_set(live)
-            nadir = tuple(float(v) for v in front.values().max(axis=0))
-            at_nadir = point == nadir
-            inside = any(p < v for p, v in zip(point, nadir))
-    mode = EvaluationMode(hv_ref_at_nadir=at_nadir, hv_ref_inside=inside)
-    return lint(chosen, config, prepared.manifest.preferences, live_m, mode) + found
+    return found
 
 
 class _Stages(NamedTuple):
@@ -695,19 +674,20 @@ class _Stages(NamedTuple):
     chosen: list[str]  # what lint reports as chosen
     findings: list[LintWarning]  # lint findings on the columns that run
     columns: list[str]  # chosen, defined at live_m
+    yardsticks: _Yardsticks | None  # what the columns read; None on best-value
 
 
 def _stages(args: argparse.Namespace) -> _Stages:
-    """Load, prepare, plan, configure, lint, and keep the columns whose
-    profile defines them at the objective count left; lint reports each
-    other one as an error.
+    """Load, prepare, plan, configure, build the yardsticks, lint, and keep
+    the columns whose profile defines them at the objective count left; lint
+    reports each other one as an error.
 
     The columns are the indicators the flags or the manifest name, else the
     plan's.  One config serves them all and ranks the runs by hv: the plan's
     when the plan picks the columns (its indicators share one), else the
     default, with the fields the manifest sets and then those the flags set
     on top.  On the best-value route no column runs, so none is linted or
-    kept.
+    kept and no yardstick is built.
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
@@ -720,8 +700,11 @@ def _stages(args: argparse.Namespace) -> _Stages:
     route = _route(prefs, live_m)
     judged = [] if route == "best-value" else chosen
     columns = [n for n in judged if live_m in aspects_of(n).objectives]
-    findings = _lint_findings(prepared, route, judged, columns, config)
-    return _Stages(prepared, plan, route, config, chosen, findings, columns)
+    built = None
+    if route != "best-value":
+        built = _yardsticks(prepared.algorithms, columns, config, route == "scalarize")
+    findings = _lint_findings(prepared, judged, columns, config, built)
+    return _Stages(prepared, plan, route, config, chosen, findings, columns, built)
 
 
 # The pairwise indicators ``compare`` computes; evaluate's binary columns.
@@ -792,9 +775,9 @@ def _doe_block(stages: _Stages) -> dict:
             "winner": min(best, key=best.get) if best else None,
         }
     if stages.route == "scalarize":
-        # The table leaves out missing hard bounds that no column reads;
-        # built here from the same runs, they fail the run.
-        bounds = normalization_bounds(stages.config.normalization, [*pooled.values()])
+        failures, bounds = stages.yardsticks.failures, stages.yardsticks.bounds
+        if "L-NO-HARD-BOUNDS" in failures:
+            raise failures["L-NO-HARD-BOUNDS"]
         weights = [w for j, w in enumerate(prefs.weights) if j not in prepared.dropped]
         scal = {}
         for alg, basis in pooled.items():
@@ -833,7 +816,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         unary = [n for n in stages.columns if not aspects_of(n).binary]
         binary = [n for n in stages.columns if aspects_of(n).binary]
-        table = indicator_table(prepared.algorithms, unary, stages.config)
+        table = indicator_table(
+            prepared.algorithms, unary, stages.config, stages.yardsticks
+        )
         shared = [_column(n, stages.config, table) for n in unary]
         for alg, runs in prepared.algorithms.items():
             per_indicator: dict[str, list[float]] = {}
@@ -1043,7 +1028,9 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     # The same pick as evaluate: the run whose hv is closest to the median.
     representative: dict[str, int] = {}
     if stages.route != "best-value" and any(len(s) for s in prepared.all_sets):
-        table = indicator_table(prepared.algorithms, [], stages.config)
+        table = indicator_table(
+            prepared.algorithms, [], stages.config, stages.yardsticks
+        )
         representative = table.representative
 
     chosen_runs: dict[str, SolutionSet] = {}

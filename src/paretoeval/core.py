@@ -186,13 +186,17 @@ class SolutionSet:
                 raise ValueError("signs entries must be +1 or -1")
         values.flags.writeable = False
         n = len(values)
+        ids = tuple(ids) if ids is not None else (None,) * n
+        sources = tuple(sources) if sources is not None else (None,) * n
+        if len(ids) != n or len(sources) != n:
+            raise ValueError(f"{n} rows, {len(ids)} ids and {len(sources)} sources")
         self.__dict__.update(
             name=name,
             meta=meta,
             signs=signs,
             _values=values,
-            _ids=tuple(ids) if ids is not None else (None,) * n,
-            _sources=tuple(sources) if sources is not None else (None,) * n,
+            _ids=ids,
+            _sources=sources,
             _rows=None,
         )
 
@@ -206,24 +210,24 @@ class SolutionSet:
         out._store(name, meta, values, ids, sources, signs)
         return out
 
-    def _select(self, rows=slice(None), values=None, meta=None, signs=None) -> "SolutionSet":
-        """The rows picked by a mask, index list or slice, in their order.
+    def _select(self, rows=None, values=None, meta=None, signs=None) -> "SolutionSet":
+        """The rows picked by a mask, index list or slice, in their order;
+        every row, its tags passed through, without ``rows``.
 
         ``values`` replaces the stored values (same row count) before the
         pick.  ``meta`` and ``signs`` travel together: without ``meta`` both
         are kept, with it ``signs`` is taken as given.
         """
-        picked = np.arange(len(self))[rows].tolist()
+        values = self._values if values is None else values
+        ids, sources = self._ids, self._sources
+        if rows is not None:
+            picked = np.arange(len(self))[rows].tolist()
+            values = values[rows]
+            ids = [ids[i] for i in picked]
+            sources = [sources[i] for i in picked]
         if meta is None:
             meta, signs = self.meta, self.signs
-        return SolutionSet._from_array(
-            self.name,
-            meta,
-            (self._values if values is None else values)[rows],
-            [self._ids[i] for i in picked],
-            [self._sources[i] for i in picked],
-            signs,
-        )
+        return SolutionSet._from_array(self.name, meta, values, ids, sources, signs)
 
     @classmethod
     def _concat(cls, sets: Sequence["SolutionSet"], name: str) -> "SolutionSet":

@@ -11,7 +11,7 @@ say so loudly instead of silently misleading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .indicators import IndicatorConfig, aspects_of, canonical_name
 from . import indicators as _ind
 from .preprocess import (
     NormalizationBounds,
+    _explicit_point,
     _maximized,
     build_reference_point,
     build_reference_set,
@@ -186,31 +187,72 @@ def _closest_to_median(values: Mapping[int, float]) -> int:
     return min(values, key=lambda k: (abs(values[k] - median), k))
 
 
-def _ranks_runs(algorithms: Mapping[str, Sequence[SolutionSet]]) -> bool:
-    """Whether picking representative runs reads hv: some algorithm has more
-    than one non-empty run, at an objective count hv is defined for."""
-    m = next(run.m for runs in algorithms.values() for run in runs)
+class _Yardsticks(NamedTuple):
+    """The union front (raw units), bounds and hv point of an experiment's
+    non-empty runs, each built once (None if failed or unread); whether the
+    run ranking reads hv; each failure by lint code, in evaluate's order."""
+
+    reference: SolutionSet | None
+    bounds: NormalizationBounds | None
+    point: tuple[float, ...] | None
+    ranked: bool
+    failures: dict[str, ValueError]
+
+
+def _yardsticks(
+    algorithms: Mapping[str, Sequence[SolutionSet]],
+    columns: Sequence[str],
+    config: IndicatorConfig,
+    scalarize: bool = False,
+) -> _Yardsticks:
+    """The yardsticks ``columns`` and the run ranking read under ``config``.
+    Runs are ranked when an algorithm has more than one non-empty run, at an
+    objective count hv is defined for.  The bounds are built for the report
+    in every mode; their failure counts when a normalizing column or the
+    scalarize route reads them.  An hv point :func:`_explicit_point` rejects
+    is invalid, one :func:`build_reference_point` rejects inside the front."""
+    live = [run for runs in algorithms.values() for run in runs if len(run)]
+    if not live:
+        empty = EmptySetError("every set is empty after preprocessing")
+        return _Yardsticks(None, None, None, False, {"L-ALL-EMPTY": empty})
     many = any(sum(len(run) > 0 for run in runs) > 1 for runs in algorithms.values())
-    return many and m in aspects_of("hv").objectives
+    ranked = many and live[0].m in aspects_of("hv").objectives
+    reference, bounds, point, failures = build_reference_set(live), None, None, {}
+    try:
+        bounds = normalization_bounds(config.normalization, live)
+    except ValueError as exc:
+        if scalarize or any(aspects_of(n).needs_normalization for n in columns):
+            failures["L-NO-HARD-BOUNDS"] = exc
+    if "hv" in columns or ranked:
+        strategy, explicit = config.hv_strategy, config.ref_point
+        code = "L-HV-REF-INVALID"
+        try:
+            if strategy == "explicit":
+                _explicit_point(explicit, reference.m)
+            code = "L-HV-REF-INSIDE"
+            point = build_reference_point(reference, strategy, explicit)
+        except ValueError as exc:
+            failures[code] = exc
+    return _Yardsticks(reference, bounds, point, ranked, failures)
 
 
 def indicator_table(
     algorithms: Mapping[str, Sequence[SolutionSet]],
     columns: Sequence[str],
     config: IndicatorConfig,
+    yardsticks: _Yardsticks | None = None,
 ) -> IndicatorTable:
     """Evaluate unary indicator columns on every run under one config, each
     yardstick built once.
 
-    The yardsticks come from the non-empty runs of all algorithms: the
-    reference set, raw and normalized; the bounds, where missing hard bounds
-    are an error only when a normalizing column reads them; the hv reference
-    point; the grid cells; the ``spread`` extremes.  Each algorithm's
-    representative run is the one whose hv is closest to the median of its
-    runs' hv values (Knowles, Thiele & Zitzler 2006), computed for the pick
-    only when hv is not a column.  Where hv is undefined at the objective
-    count, only algorithms with one non-empty run get a representative; any
-    other error propagates.
+    The yardsticks come from the non-empty runs of all algorithms, built here
+    or passed as ``yardsticks``: the reference set, raw and normalized; the
+    bounds; the hv point; the grid cells; the ``spread`` extremes.  A failed
+    one raises only when read.  Each algorithm's representative run is the
+    one whose hv is closest to the median of its runs' hv values (Knowles,
+    Thiele & Zitzler 2006), computed for the pick only when hv is not a
+    column.  Where hv is undefined at the objective count, only algorithms
+    with one non-empty run get a representative; any other error propagates.
     """
     columns = tuple(canonical_name(n) for n in columns)
     for name in columns:
@@ -218,6 +260,12 @@ def indicator_table(
             raise ValueError(f"{name} is a binary indicator, not a per-run column")
     if "" in algorithms:
         raise ValueError("algorithm names must be non-empty")
+    built = yardsticks or _yardsticks(algorithms, columns, config)
+    scaled = any(aspects_of(n).needs_normalization for n in columns)
+    read = {"L-ALL-EMPTY": True, "L-NO-HARD-BOUNDS": scaled}
+    for code, error in built.failures.items():
+        if read.get(code, "hv" in columns or built.ranked):  # else a point failure
+            raise error
     slots = [
         (alg, r)
         for alg, runs in algorithms.items()
@@ -225,34 +273,18 @@ def indicator_table(
         if len(run)
     ]
     live = [algorithms[alg][r] for alg, r in slots]
-    if not live:
-        raise EmptySetError("every set is empty after preprocessing")
-    reference = build_reference_set(live)
-    scaled = any(aspects_of(n).needs_normalization for n in columns)
-    try:
-        bounds = normalization_bounds(config.normalization, live)
-    except ValueError:
-        if scaled:
-            raise
-        bounds = None
-    space, front = live, reference  # what the normalizing columns read
-    if scaled and bounds is not None:
-        space = normalize(live, bounds)
+    space, front = live, built.reference  # what the normalizing columns read
+    if scaled and built.bounds is not None:
+        space = normalize(live, built.bounds)
         front = build_reference_set(space)
-    ranked = _ranks_runs(algorithms)
-    point = None
-    if "hv" in columns or ranked:
-        point = build_reference_point(
-            reference, config.hv_strategy, explicit=config.ref_point
-        )
 
     def column(name: str) -> list[float]:
         if name == "nfs":
             return [float(_ind.nfs(run)) for run in live]
         if name == "unfr":
-            return [_ind._front_share(run, reference) for run in live]
+            return [_ind._front_share(run, built.reference) for run in live]
         if name == "hv":
-            return [_ind.hypervolume(run, point) for run in live]
+            return [_ind.hypervolume(run, built.point) for run in live]
         if name == "grid_diversity":
             return _ind.grid_diversity(live, config.grid_divisions)
         if name == "gd":
@@ -271,7 +303,7 @@ def indicator_table(
         return [_ind.spread_delta(run, [ordered[0], ordered[-1]]) for run in space]
 
     computed = {name: column(name) for name in dict.fromkeys(columns)}
-    rank = dict(zip(slots, computed.get("hv") or column("hv"))) if ranked else {}
+    rank = dict(zip(slots, computed.get("hv") or column("hv"))) if built.ranked else {}
     representative: dict[str, int] = {}
     for alg in algorithms:
         runs = [r for a, r in slots if a == alg]
@@ -284,8 +316,8 @@ def indicator_table(
             slot: tuple(computed[name][i] for name in columns)
             for i, slot in enumerate(slots)
         },
-        reference=reference,
-        bounds=bounds,
-        point=point if "hv" in columns else None,
+        reference=built.reference,
+        bounds=built.bounds,
+        point=built.point if "hv" in columns else None,
         representative=representative,
     )

@@ -90,36 +90,16 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
         "a hypervolume reference at the worst observed values (or exactly at "
         "the nadir) over-rewards boundary solutions",
     ),
-    "L-HV-REF-INSIDE": (
-        "III",
-        "error",
-        "an explicit hypervolume reference point does not weakly exceed the "
-        "nadir of the union front, so evaluate rejects it",
-    ),
-    "L-HV-REF-INVALID": (
-        "III",
-        "error",
-        "the explicit hypervolume reference strategy has no point, or one "
-        "whose length is not the objective count, so evaluate rejects it",
-    ),
-    "L-NO-HARD-BOUNDS": (
-        "III",
-        "error",
-        "normalization reads declared hard bounds, but an objective declares "
-        "none, so evaluate rejects it",
-    ),
+    "L-HV-REF-INSIDE": ("III", "error", "evaluate finds the hv point inside the front"),
+    "L-HV-REF-INVALID": ("III", "error", "evaluate rejects the explicit hv point"),
+    "L-NO-HARD-BOUNDS": ("III", "error", "evaluate cannot read the hard bounds"),
     "L-RUN-TOO-SMALL": (
         "III",
         "error",
         "a chosen indicator needs more solutions than a run keeps after "
         "preprocessing, so evaluate rejects it",
     ),
-    "L-ALL-EMPTY": (
-        None,
-        "error",
-        "every run is empty after preprocessing, so there is nothing to "
-        "evaluate",
-    ),
+    "L-ALL-EMPTY": (None, "error", "evaluate has no solution left to evaluate"),
     "L-PREF-IGNORED": (
         "IV",
         "warning",
@@ -246,7 +226,6 @@ class EvaluationMode:
     clear_transfer_planned: bool = True
     combined_front_reference: bool = True
     hv_ref_at_nadir: bool = False
-    hv_ref_inside: bool = False
 
 
 def aspect_coverage(names: Sequence[str]) -> dict[str, str]:
@@ -318,8 +297,6 @@ def lint(
         config.hv_strategy == "worst_values" or mode.hv_ref_at_nadir
     ):
         findings.append(_finding("L-HV-REFPOINT", config.hv_strategy))
-    if mode.hv_ref_inside:
-        findings.append(_finding("L-HV-REF-INSIDE"))
 
     if prefs.clear and not mode.clear_transfer_planned:
         findings.append(_finding("L-PREF-IGNORED"))

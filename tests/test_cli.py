@@ -1356,6 +1356,10 @@ class TestLint:
         assert report["exit_status"] == EXIT_ERROR
 
     HARD_BOUNDS = {"normalization": "hard_bounds"}
+    # The codes of evaluate's yardstick build, whose errors lint reports.
+    YARDSTICK_CODES = (
+        "L-ALL-EMPTY", "L-NO-HARD-BOUNDS", "L-HV-REF-INVALID", "L-HV-REF-INSIDE"
+    )
 
     @pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")
     @pytest.mark.parametrize(
@@ -1409,11 +1413,17 @@ class TestLint:
         )
         argv = ["--manifest", str(path), *flags]
         assert main(["evaluate", *argv]) == EXIT_ERROR
-        assert error in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert error in err
         out = tmp_path / "lint.json"
         assert main(["lint", *argv, "--out", str(out)]) == EXIT_ERROR
         assert f"[error] {code}" in capsys.readouterr().out
-        assert code in [f["code"] for f in json.loads(out.read_text())["findings"]]
+        findings = json.loads(out.read_text())["findings"]
+        assert code in [f["code"] for f in findings]
+        if code in self.YARDSTICK_CODES:  # evaluate's own error, not a copy
+            message = err.strip().splitlines()[-1].removeprefix("error: ")
+            (finding,) = [f for f in findings if f["code"] == code]
+            assert finding["message"].endswith(f"({message})")
 
     def test_malformed_run_file_exits_2(self, tmp_path, capsys):
         path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
@@ -1677,6 +1687,50 @@ class TestPlotData:
         assert len(lines) == 1 + (3 + 2) * 5
         values = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
         assert min(values) >= 0.0 and max(values) <= 1.0
+
+
+class TestYardsticksBuiltOnce:
+    """evaluate, lint and plot-data build the union front of the runs once,
+    in ``_stages``; evaluate builds one more, in normalized units, for its
+    distance columns."""
+
+    @pytest.mark.parametrize(
+        "command, builds", [("evaluate", 2), ("lint", 1), ("plot-data", 1)]
+    )
+    def test_union_front_builds_per_command(
+        self, tmp_path, monkeypatch, command, builds
+    ):
+        path = write_manifest(
+            tmp_path, MIN_2D, {"a": [[(1, 4), (4, 1)]], "b": [[(2, 5), (5, 2)]]}
+        )
+        calls = []
+        for name, module in list(sys.modules.items()):
+            build = getattr(module, "build_reference_set", None)
+            if name.startswith("paretoeval") and build is not None:
+
+                def counted(sets, build=build):
+                    calls.append(len(sets))
+                    return build(sets)
+
+                monkeypatch.setattr(module, "build_reference_set", counted)
+        out = str(tmp_path / "out")
+        argv = ["--manifest", str(path), "--ref-point", "10,10", "--out", out]
+        assert main([command, *argv]) in (EXIT_OK, EXIT_WARNINGS)
+        assert len(calls) == builds
+
+    def test_plot_data_ignores_a_yardstick_it_does_not_read(self, tmp_path, capsys):
+        # igd reads the hard bounds that no objective declares; plot-data
+        # reads only the ranking's hv point.
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"alpha": [KNEE_A, KNEE_B], "beta": [KNEE_B]},
+            overrides={"indicators": ["hv", "igd"], "normalization": "hard_bounds"},
+        )
+        assert main(["evaluate", "--manifest", str(path)]) == EXIT_ERROR
+        assert "'f1' declares no hard bounds" in capsys.readouterr().err
+        plots = str(tmp_path / "plots")
+        assert main(["plot-data", "--manifest", str(path), "--out", plots]) == EXIT_OK
 
 
 class TestMainErrors:

@@ -76,6 +76,21 @@ class TestStorage:
         assert A.vectors() == [(1.0, 2.0)]
         assert A.solutions[0].id == "s"
 
+    @pytest.mark.parametrize("values", [np.ones((2, 2)), np.empty((0, 2))])
+    def test_array_constructor_takes_one_tag_per_row(self, values):
+        with pytest.raises(ValueError, match=f"{len(values)} rows, 1 ids"):
+            SolutionSet._from_array("A", META_2D, values, ids=["s1"])
+        with pytest.raises(ValueError, match=f"{len(values)} rows, .* 1 sources"):
+            SolutionSet._from_array("A", META_2D, values, sources=["s1"])
+
+    def test_value_rewrites_pass_the_row_tags_through(self):
+        A = make_set("A", COVERAGE_A, [Direction.MINIMIZE, Direction.MAXIMIZE])
+        A = SolutionSet._concat([A], "union")  # every row gets a source tag
+        converted = to_minimization(A)
+        (scaled,) = normalize([converted], NormalizationBounds.from_sets([converted]))
+        for out in (converted, scaled, restore_orientation(converted, A.meta)):
+            assert out._ids is A._ids and out._sources is A._sources
+
 
 # Cells drawn from a small pool so that duplicate rows, ties and -0.0/0.0
 # pairs are common, mixed with arbitrary real values.
