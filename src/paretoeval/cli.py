@@ -44,7 +44,6 @@ from .guidance import (
     EvaluationMode,
     EvaluationPlan,
     LintWarning,
-    SetContext,
     _finding,
     _plan,
     _route,
@@ -102,32 +101,20 @@ class SolutionFileError(ValueError):
 
 
 @dataclass(frozen=True)
-class AlgorithmEntry:
-    name: str
-    runs: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("algorithm name must be non-empty")
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    report: str | None = None
-    plot_data: str | None = None
-
-
-@dataclass(frozen=True)
 class Manifest:
-    """A checked manifest.  ``overrides`` holds only the ``IndicatorConfig``
-    fields that ``indicator_overrides`` sets, reference-point rule applied."""
+    """A checked manifest.  ``algorithms`` maps each algorithm's name to its
+    run files, in manifest order; ``overrides`` holds only the
+    ``IndicatorConfig`` fields that ``indicator_overrides`` sets,
+    reference-point rule applied; ``report`` and ``plot_data`` are the
+    ``output`` paths."""
 
     objectives: tuple[ObjectiveMeta, ...]
-    algorithms: tuple[AlgorithmEntry, ...]
+    algorithms: Mapping[str, tuple[str, ...]]
     preferences: PreferenceSpec = field(default_factory=PreferenceSpec)
     indicators: tuple[str, ...] = ()
     overrides: Mapping[str, object] = field(default_factory=dict)
-    output: OutputSpec = field(default_factory=OutputSpec)
+    report: str | None = None
+    plot_data: str | None = None
     base_dir: str = "."
 
     def resolve(self, rel: str | None) -> Path | None:
@@ -287,15 +274,18 @@ def _objective_index(ref: str | int, names: list[str]) -> int:
 
 
 def _preferences(raw: dict, names: list[str]) -> PreferenceSpec:
+    """The walked ``preferences`` object as a spec, each objective named by
+    its index."""
+
     def index(ref: str | int, where: str) -> int:
         return _at(where, _objective_index, ref, names)
 
-    def parts(key: str, build: Callable, *rest: str) -> tuple:
+    def parts(key: str, build: Callable) -> tuple:
         built = []
         for i, item in enumerate(raw.get(key, [])):
             where = f"preferences.{key}[{i}]"
             objective = index(item["objective"], f"{where}.objective")
-            built.append(_at(where, build, objective, *(item.get(k) for k in rest)))
+            built.append(_at(where, build, **{**item, "objective": objective}))
         return tuple(built)
 
     roi = raw.get("roi")
@@ -304,16 +294,13 @@ def _preferences(raw: dict, names: list[str]) -> PreferenceSpec:
         roi = RegionOfInterest("extreme", tuple(extreme))
     elif roi is not None:
         roi = RegionOfInterest(roi)
-    return _at(
-        "preferences",
-        PreferenceSpec,
-        clear=parts("clear", ClearConstraint, "kind", "threshold"),
-        vague=parts("vague", VagueClamp, "saturation", "hard_floor"),
-        roi=roi,
-        weights=raw.get("weights"),
-        screen=parts("screen", ClearConstraint, "kind", "threshold"),
-        untransferable=raw.get("untransferable", False),
-    )
+    typed = {
+        "roi": roi,
+        "clear": parts("clear", ClearConstraint),
+        "vague": parts("vague", VagueClamp),
+        "screen": parts("screen", ClearConstraint),
+    }
+    return _at("preferences", PreferenceSpec, **{**raw, **typed})
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(IndicatorConfig))
@@ -347,24 +334,17 @@ def load_manifest(path: str | Path) -> Manifest:
             raise ManifestError(f"manifest needs a non-empty {key!r} list")
 
     objectives = tuple(
-        _at(
-            f"objectives[{i}]",
-            ObjectiveMeta,
-            o["name"],
-            o.get("direction", "min"),
-            o.get("units"),
-            o.get("hard_bounds"),
-        )
+        _at(f"objectives[{i}]", ObjectiveMeta, **o)
         for i, o in enumerate(raw["objectives"])
     )
     names = [o.name for o in objectives]
     if len(set(names)) != len(names):
         raise ManifestError("objective names must be unique")
-    algorithms = tuple(
-        _at(f"algorithms[{i}]", AlgorithmEntry, a["name"], tuple(a["runs"]))
-        for i, a in enumerate(raw["algorithms"])
-    )
-    if len({a.name for a in algorithms}) != len(algorithms):
+    for i, a in enumerate(raw["algorithms"]):
+        if not a["name"]:
+            raise ManifestError(f"algorithms[{i}]: algorithm name must be non-empty")
+    algorithms = {a["name"]: tuple(a["runs"]) for a in raw["algorithms"]}
+    if len(algorithms) != len(raw["algorithms"]):
         raise ManifestError("algorithm names must be unique")
 
     preferences = _preferences(raw.get("preferences", {}), names)
@@ -379,28 +359,24 @@ def load_manifest(path: str | Path) -> Manifest:
             f"got {len(preferences.weights)}"
         )
     where = "indicator_overrides"
-    raw_overrides = raw.get(where, {})
-    indicators = tuple(raw_overrides.get("indicators", ()))
+    given = dict(raw.get(where, {}))
+    indicators = tuple(given.pop("indicators", ()))
     for name in indicators:
         _at(where, canonical_name, name)
-    given = {k: v for k in _CONFIG_FIELDS if (v := raw_overrides.get(k)) is not None}
-    level = _at(where, _config_level, given)
+    level = _at(where, _config_level, {k: v for k, v in given.items() if v is not None})
     config = _at(where, IndicatorConfig, **level)
-    out = raw.get("output", {})
-    for a in algorithms:
-        for rel in a.runs:
+    for alg, runs in algorithms.items():
+        for rel in runs:
             if not (path.parent / rel).is_file():
-                raise ManifestError(
-                    f"algorithms[{a.name!r}]: run file {rel!r} not found"
-                )
+                raise ManifestError(f"algorithms[{alg!r}]: run file {rel!r} not found")
     return Manifest(
         objectives=objectives,
         algorithms=algorithms,
         preferences=preferences,
         indicators=indicators,
         overrides={k: getattr(config, k) for k in level},
-        output=OutputSpec(report=out.get("report"), plot_data=out.get("plot_data")),
         base_dir=str(path.parent),
+        **raw.get("output", {}),
     )
 
 
@@ -534,7 +510,8 @@ class Prepared:
     manifest: Manifest
     algorithms: dict[str, list[SolutionSet]]
     dropped: tuple[int, ...]
-    removals: list[tuple[str, Removal]]
+    # Each removal with its run's name and signs (natural = sign * stored).
+    removals: list[tuple[str, Removal, tuple[float, ...]]]
     notes: list[str]
     # Exactly-best objectives kept because best-value survivors disagree.
     disputed: tuple[int, ...]
@@ -573,14 +550,14 @@ def prepare(manifest: Manifest) -> Prepared:
     on its value; otherwise it stays in play and a note records why.
     """
     prefs = manifest.preferences
-    removals: list[tuple[str, Removal]] = []
+    removals: list[tuple[str, Removal, tuple[float, ...]]] = []
     notes: list[str] = []
     algorithms: dict[str, list[SolutionSet]] = {}
 
-    for entry in manifest.algorithms:
+    for alg, files in manifest.algorithms.items():
         runs: list[SolutionSet] = []
-        for r, rel in enumerate(entry.runs):
-            run_name = entry.name if len(entry.runs) == 1 else f"{entry.name}#{r}"
+        for r, rel in enumerate(files):
+            run_name = alg if len(files) == 1 else f"{alg}#{r}"
             path = manifest.resolve(rel)
             raw = load_solution_set(path, manifest.objectives, name=run_name)
             work = to_minimization(raw)
@@ -588,11 +565,11 @@ def prepare(manifest: Manifest) -> Prepared:
             work = screen_trivial(work, prefs.screen, log=log)
             work, _ = apply_clear_preferences(work, prefs, log=log)
             work = apply_vague_preferences(work, prefs, log=log)
-            removals.extend((run_name, rm) for rm in log)
+            removals.extend((run_name, rm, work.signs) for rm in log)
             if not len(work):
                 notes.append(f"set {run_name!r} is empty after preprocessing")
             runs.append(work)
-        algorithms[entry.name] = runs
+        algorithms[alg] = runs
 
     candidates = list(prefs.best_value_objectives)
     disputed: tuple[int, ...] = ()
@@ -692,8 +669,7 @@ def _stages(args: argparse.Namespace) -> _Stages:
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
     prefs, live_m = manifest.preferences, prepared.live_m
-    context = SetContext(set_count=len(manifest.algorithms))
-    plan = _plan(prefs, len(manifest.objectives), live_m, context)
+    plan = _plan(prefs, len(manifest.objectives), live_m, len(manifest.algorithms))
     names = args.indicator or manifest.indicators
     chosen = [canonical_name(n) for n in names] or [p.name for p in plan.indicators]
     config = _configure(IndicatorConfig() if names else plan.config, manifest, args)
@@ -864,13 +840,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             {"name": o.name, "direction": o.direction.value}
             for o in manifest.objectives
         ],
-        "algorithms": [a.name for a in manifest.algorithms],
+        "algorithms": list(manifest.algorithms),
         "plan": asdict(plan),
         "preprocessing": {
             "removals": [
                 {"set": s, "index": rm.index, "rule": rm.rule,
-                 "objectives": list(rm.solution.objectives)}
-                for s, rm in prepared.removals
+                 "objectives": [k * v for k, v in zip(signs, rm.solution.objectives)]}
+                for s, rm, signs in prepared.removals
             ],
             "dropped_objectives": [
                 manifest.objectives[j].name for j in prepared.dropped
@@ -884,7 +860,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "findings": [asdict(f) for f in findings],
         "exit_status": status,
     }
-    _write_report(report, args.out or manifest.resolve(manifest.output.report))
+    _write_report(report, args.out or manifest.resolve(manifest.report))
 
     m = len(manifest.objectives)
     print(f"evaluated {len(manifest.algorithms)} algorithm(s) on {m} objectives")
@@ -903,10 +879,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
-    names = {a.name for a in manifest.algorithms}
     first, second = args.first, args.second
     for n in (first, second):
-        if n not in names:
+        if n not in manifest.algorithms:
             raise ManifestError(f"unknown algorithm {n!r}")
     chosen = args.indicator or ["ci"]
     if len(chosen) > 1:
@@ -944,8 +919,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_recommend(args: argparse.Namespace) -> int:
     # Reads no runs, so each exactly_best objective is predicted dropped.
     manifest = load_manifest(args.manifest)
-    context = SetContext(set_count=len(manifest.algorithms))
-    plan = recommend(manifest.preferences, len(manifest.objectives), context)
+    plan = recommend(
+        manifest.preferences, len(manifest.objectives), len(manifest.algorithms)
+    )
     report = {"schema": "solution-set-plan/1", "plan": asdict(plan)}
     _write_report(report, args.out)
     print("preprocessing:")
@@ -1021,7 +997,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     stages = _stages(args)
     prepared = stages.prepared
     manifest = prepared.manifest
-    default = manifest.resolve(manifest.output.plot_data) or "plot-data"
+    default = manifest.resolve(manifest.plot_data) or "plot-data"
     out_dir = Path(args.out or default)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -29,7 +29,7 @@ from .preprocess import (
     NormalizationBounds,
     _explicit_point,
     _maximized,
-    build_reference_point,
+    _point_beyond,
     build_reference_set,
     normalization_bounds,
     normalize,
@@ -209,8 +209,9 @@ def _yardsticks(
     Runs are ranked when an algorithm has more than one non-empty run, at an
     objective count hv is defined for.  The bounds are built for the report
     in every mode; their failure counts when a normalizing column or the
-    scalarize route reads them.  An hv point :func:`_explicit_point` rejects
-    is invalid, one :func:`build_reference_point` rejects inside the front."""
+    scalarize route reads them.  The hv point is read off the union front,
+    which is its own unique front; one :func:`_explicit_point` rejects is
+    invalid, any other failure is a point inside the front."""
     live = [run for runs in algorithms.values() for run in runs if len(run)]
     if not live:
         empty = EmptySetError("every set is empty after preprocessing")
@@ -230,7 +231,7 @@ def _yardsticks(
             if strategy == "explicit":
                 _explicit_point(explicit, reference.m)
             code = "L-HV-REF-INSIDE"
-            point = build_reference_point(reference, strategy, explicit)
+            point = _point_beyond(reference.values(), strategy, explicit)
         except ValueError as exc:
             failures[code] = exc
     return _Yardsticks(reference, bounds, point, ranked, failures)

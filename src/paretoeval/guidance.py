@@ -37,7 +37,6 @@ __all__ = [
     "PlannedIndicator",
     "PlanStep",
     "EvaluationPlan",
-    "SetContext",
     "EvaluationMode",
     "aspect_coverage",
     "lint",
@@ -205,17 +204,6 @@ class EvaluationPlan:
 
 
 @dataclass(frozen=True)
-class SetContext:
-    """What the planner may assume about the data without seeing it."""
-
-    set_count: int = 2
-
-    def __post_init__(self) -> None:
-        if self.set_count < 1:
-            raise ValueError("set_count must be at least 1")
-
-
-@dataclass(frozen=True)
 class EvaluationMode:
     """How an evaluation is conducted, for lint purposes."""
 
@@ -312,69 +300,43 @@ def lint(
     return findings
 
 
-def _general_indicators(m: int, context: SetContext) -> list[PlannedIndicator]:
+def _general_indicators(m: int, set_count: int) -> list[PlannedIndicator]:
     """No-preference route: convergence, diversity, cardinality, and a
-    comprehensive indicator."""
-    config = IndicatorConfig()
-    chosen = [
-        PlannedIndicator(
-            "gd_plus",
-            config,
-            "D2: dominance-compliant convergence measure",
-        )
-    ]
-    if context.set_count == 2:
-        chosen.append(
-            PlannedIndicator(
-                "ci",
-                config,
-                "D2: two sets, so also report their pairwise dominance share",
-            )
-        )
+    comprehensive indicator, hv where it is defined, else additive ε."""
+    picks = [("gd_plus", "D2: dominance-compliant convergence measure")]
+    if set_count == 2:
+        share = "D2: two sets, so also report their pairwise dominance share"
+        picks.append(("ci", share))
     if m in aspects_of("spread").objectives:
-        chosen.append(
-            PlannedIndicator(
-                "spread",
-                config,
-                "D3: spread and uniformity in two objectives",
-            )
-        )
+        picks.append(("spread", "D3: spread and uniformity in two objectives"))
     else:
-        chosen.append(
-            PlannedIndicator(
-                "grid_diversity",
-                config,
-                "D3: grid-based diversity beyond two objectives",
-            )
-        )
-    chosen.append(
-        PlannedIndicator("unfr", config, "D4: cardinality against the union front")
-    )
-    chosen.append(
-        PlannedIndicator(
-            "hv",
-            config,
-            "D5: comprehensive indicator covering all four aspects",
-        )
-    )
-    return chosen
+        grid = "D3: grid-based diversity beyond two objectives"
+        picks.append(("grid_diversity", grid))
+    picks.append(("unfr", "D4: cardinality against the union front"))
+    if m in aspects_of("hv").objectives:
+        picks.append(("hv", "D5: comprehensive indicator covering all four aspects"))
+    else:
+        d5 = "D5: dominance-compliant comprehensive indicator where hv is undefined"
+        picks.append(("epsilon", d5))
+    config = IndicatorConfig()
+    return [PlannedIndicator(name, config, why) for name, why in picks]
 
 
 def recommend(
     prefs: PreferenceSpec,
     m: int,
-    context: SetContext | None = None,
+    set_count: int = 2,
 ) -> EvaluationPlan:
     """Produce an evaluation plan for the declared preferences.
 
     The plan is a pure function of the preference specification, the
-    declared objective count ``m``, and the set context; it self-lints
-    before being returned and embeds the findings (notes included) in
-    ``warnings``.  Without the data, each ``exactly_best`` constraint is
-    predicted to drop its objective.
+    declared objective count ``m``, and the number of sets compared,
+    ``set_count``; it self-lints before being returned and embeds the
+    findings (notes included) in ``warnings``.  Without the data, each
+    ``exactly_best`` constraint is predicted to drop its objective.
     """
     live_m = m - len(prefs.best_value_objectives)
-    return _plan(prefs, m, live_m, context or SetContext())
+    return _plan(prefs, m, live_m, set_count)
 
 
 def _route(prefs: PreferenceSpec, live_m: int) -> str:
@@ -398,9 +360,12 @@ def _plot_kind(m: int) -> str:
 
 
 def _plan(
-    prefs: PreferenceSpec, m: int, live_m: int, context: SetContext
+    prefs: PreferenceSpec, m: int, live_m: int, set_count: int
 ) -> EvaluationPlan:
-    """The plan for ``live_m`` objectives evaluated out of ``m`` declared."""
+    """The plan for ``live_m`` objectives evaluated out of ``m`` declared,
+    for ``set_count`` sets."""
+    if set_count < 1:
+        raise ValueError("set_count must be at least 1")
     if m < 2:
         raise ValueError("planning needs at least two objectives")
     if live_m < 1:
@@ -462,7 +427,7 @@ def _plan(
         )
         doe_steps.append("best: report per-objective best values")
     else:
-        indicators.extend(_general_indicators(live_m, context))
+        indicators.extend(_general_indicators(live_m, set_count))
 
     if any(aspects_of(p.name).needs_normalization for p in indicators):
         steps.append(

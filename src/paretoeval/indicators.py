@@ -468,23 +468,14 @@ def _hv3d(rows: list[list[float]], ref: tuple[float, ...]) -> float:
 
 def _group_front(rows: list[list[float]]) -> list[list[float]]:
     """The rows no other row dominates in the first two objectives, only the
-    first of equal ones, in input order.
-
-    A staircase like the sweep's holds the rows kept so far with their
-    positions: a row it weakly dominates is dropped, and a row that enters
-    drops the steps it weakly dominates.
-    """
-    xs, ys, kept = [-math.inf, math.inf], [math.inf, -math.inf], [-1, -1]
-    for k, (x, y, _) in enumerate(rows):
-        i = bisect_right(xs, x)
-        if ys[i - 1] > y:
-            if xs[i - 1] == x:
-                i -= 1
-            j = i
-            while ys[j] >= y:
-                j += 1
-            xs[i:j], ys[i:j], kept[i:j] = [x], [y], [k]
-    return [rows[k] for k in sorted(kept[1:-1])]
+    first of equal ones, in input order: in a stable sort on the first two,
+    a row is kept when its second lies below every second before it."""
+    kept, low = [], math.inf
+    for k in sorted(range(len(rows)), key=lambda k: rows[k][:2]):
+        if rows[k][1] < low:
+            low = rows[k][1]
+            kept.append(k)
+    return [rows[k] for k in sorted(kept)]
 
 
 def _hv_wfg(points: np.ndarray, ref: tuple[float, ...]) -> float:

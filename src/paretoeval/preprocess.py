@@ -567,14 +567,25 @@ def build_reference_point(
         raise ValueError(f"unknown reference strategy {strategy!r}")
     if not len(basis):
         raise EmptySetError("cannot derive a reference point from an empty basis")
-    if strategy == "worst_values":
-        return tuple(float(v) for v in basis.values().max(axis=0))
     # Only the front's values are needed, so no front set is built.
     fv = basis.values()
-    fv = fv[_front_mask(fv, unique=True)]
+    if strategy != "worst_values":
+        fv = fv[_front_mask(fv, unique=True)]
+    return _point_beyond(fv, strategy, explicit)
+
+
+def _point_beyond(
+    fv: np.ndarray, strategy: str, explicit: Sequence[float] | None
+) -> tuple[float, ...]:
+    """:func:`build_reference_point`'s point for a known ``strategy``, read
+    off the non-empty rows ``fv``: the raw basis for ``worst_values``, else
+    its unique front.  A basis that is its own unique front serves as it is
+    for every strategy."""
     nadir = fv.max(axis=0)
+    if strategy == "worst_values":
+        return tuple(float(v) for v in nadir)
     if strategy == "explicit":
-        point = _explicit_point(explicit, basis.m)
+        point = _explicit_point(explicit, fv.shape[1])
         if any(p < nv for p, nv in zip(point, nadir)):
             raise ValueError(
                 f"reference point {point} does not weakly exceed the basis nadir "
@@ -587,14 +598,14 @@ def build_reference_point(
         warnings.warn(
             "degenerate objective range in reference basis; stepping by 1",
             EvaluationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if strategy == "nadir_plus_tenth":
         step = span / 10.0
     elif strategy == "doubled_range":
         step = span.copy()
     else:  # nadir_plus_l_over_h
-        h = compute_h(len(fv), basis.m)
+        h = compute_h(len(fv), fv.shape[1])
         step = span / float(h)
     step = np.where(degenerate, 1.0, step)
     return tuple(float(v) for v in (nadir + step))

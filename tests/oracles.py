@@ -13,14 +13,16 @@ sort-based routine replaced, the ``*_matrix`` distance indicators are the
 ``*_oracle`` preprocessing transforms are the per-row versions the array
 transforms replaced: each rebuilds every surviving row as a new ``Solution``.
 The run-file oracle is the per-line CSV walk that one numpy parse of the
-body replaced: each cell goes through ``float()`` on its own.
+body replaced: each cell goes through ``float()`` on its own.  The group
+staircase is the bisect-based 2-D front of one HV3D group that a stable
+sort with a running minimum replaced.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -204,6 +206,25 @@ def _hv3d_front(points: np.ndarray, ref) -> float:
             ys[i:j] = [y]
         vol += area * ((ordered[k + 1][2] if k + 1 < len(ordered) else rz) - z)
     return vol
+
+
+def group_front_staircase(rows: list) -> list:
+    """The rows no other row dominates in the first two objectives, only the
+    first of equal ones, in input order, the way ``_group_front`` found them
+    before: a staircase holds the rows kept so far with their positions; a
+    row it weakly dominates is dropped, and a row that enters drops the
+    steps it weakly dominates."""
+    xs, ys, kept = [-math.inf, math.inf], [math.inf, -math.inf], [-1, -1]
+    for k, (x, y, _) in enumerate(rows):
+        i = bisect_right(xs, x)
+        if ys[i - 1] > y:
+            if xs[i - 1] == x:
+                i -= 1
+            j = i
+            while ys[j] >= y:
+                j += 1
+            xs[i:j], ys[i:j], kept[i:j] = [x], [y], [k]
+    return [rows[k] for k in sorted(kept[1:-1])]
 
 
 def _hv_wfg_front(points: np.ndarray, ref) -> float:

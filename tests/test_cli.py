@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -22,14 +23,18 @@ from paretoeval import (
     ClearConstraint,
     Direction,
     EvaluationWarning,
+    IndicatorConfig,
     NormalizationBounds,
     ObjectiveMeta,
+    PreferenceSpec,
+    VagueClamp,
+    build_reference_point,
     normalize,
     per_objective_stats,
     screen_trivial,
     to_minimization,
 )
-from paretoeval import cli
+from paretoeval import cli, preprocess
 from paretoeval.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -123,6 +128,20 @@ def knee_manifest(tmp_path):
 
 
 class TestManifestLoading:
+    def test_field_tables_match_their_dataclasses(self):
+        # Each object is built from its walked fields, so a field declared
+        # in a table and not in its dataclass would fail, and one the other
+        # way round would never be read; the two must list the same names.
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert set(cli._OBJECTIVE) == names(ObjectiveMeta)
+        assert set(cli._CONSTRAINT) == names(ClearConstraint)
+        assert set(cli._CLAMP) == names(VagueClamp)
+        assert set(cli._PREFERENCES) == names(PreferenceSpec)
+        assert set(cli._OVERRIDES) - {"indicators"} == names(IndicatorConfig)
+        assert set(cli._OUTPUT) <= names(cli.Manifest)
+
     def test_round_trip(self, tmp_path):
         path = write_manifest(
             tmp_path,
@@ -145,13 +164,14 @@ class TestManifestLoading:
         manifest = load_manifest(path)
         assert [o.name for o in manifest.objectives] == ["cost", "coverage"]
         assert manifest.objectives[1].direction is Direction.MAXIMIZE
-        assert [a.name for a in manifest.algorithms] == ["alpha", "beta"]
+        assert list(manifest.algorithms) == ["alpha", "beta"]
         assert manifest.preferences.screen[0].threshold == 0.4
         assert manifest.preferences.clear[0].objective == 0
         assert manifest.preferences.vague[0].saturation == 0.9
         assert manifest.indicators == ("hv",)
         assert manifest.overrides == {"gd_p": 2.0}
-        assert manifest.output.plot_data == "out/plots"
+        assert manifest.report == "out/report.json"
+        assert manifest.plot_data == "out/plots"
         assert manifest.base_dir == str(tmp_path)
 
     def test_unknown_root_field(self, tmp_path):
@@ -642,6 +662,29 @@ class TestEvaluate:
         assert "L-IGD-REFSET" in codes
         assert report["exit_status"] == EXIT_OK
         assert "evaluated 2 algorithm(s)" in capsys.readouterr().out
+
+    def test_removed_rows_are_in_natural_units(self, tmp_path):
+        # coverage is maximised, so it is stored negated; the screen drops
+        # one row of each algorithm, and the report shows it as the run file
+        # holds it.
+        screen = {"objective": "coverage", "kind": "at_least", "threshold": 0.4}
+        path = write_manifest(
+            tmp_path,
+            COST_COVERAGE,
+            {
+                "alpha": [[(100, 0.2), (200, 0.8), (300, 0.9)]],
+                "beta": [[(150, 0.6), (250, 0.3), (350, 0.95)]],
+            },
+            preferences={"screen": [screen]},
+        )
+        out = tmp_path / "r.json"
+        main(["evaluate", "--manifest", str(path), "--out", str(out)])
+        removals = json.loads(out.read_text())["preprocessing"]["removals"]
+        rule = "coverage >= 0.4"
+        assert removals == [
+            {"set": "alpha", "index": 0, "rule": rule, "objectives": [100.0, 0.2]},
+            {"set": "beta", "index": 1, "rule": rule, "objectives": [250.0, 0.3]},
+        ]
 
     def test_reports_are_byte_stable(self, knee_manifest, tmp_path):
         out1 = tmp_path / "r1.json"
@@ -1718,6 +1761,30 @@ class TestYardsticksBuiltOnce:
         assert main([command, *argv]) in (EXIT_OK, EXIT_WARNINGS)
         assert len(calls) == builds
 
+    def test_point_is_read_off_the_built_front(self, tmp_path, monkeypatch):
+        # The hv point comes from the union front the stage already holds,
+        # so the point build filters no front of its own.
+        a, b = [(1, 4), (4, 1), (5, 5)], [(2, 5), (5, 2), (6, 6)]
+        path = write_manifest(
+            tmp_path, MIN_2D, {"a": [a], "b": [b]}, overrides={"indicators": ["hv"]}
+        )
+        calls = []
+
+        def counted(V, unique=False, mask=preprocess._front_mask):
+            calls.append(len(V))
+            return mask(V, unique)
+
+        monkeypatch.setattr(preprocess, "_front_mask", counted)
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(path), "--out", str(out)]) == EXIT_OK
+        assert calls == []
+        point = json.loads(out.read_text())["results"][0]["config"]["reference_point"]
+        # The public builder filters its raw basis, and agrees.
+        assert tuple(point) == build_reference_point(
+            make_set("union", a + b), "nadir_plus_tenth"
+        )
+        assert calls == [6]
+
     def test_plot_data_ignores_a_yardstick_it_does_not_read(self, tmp_path, capsys):
         # igd reads the hard bounds that no objective declares; plot-data
         # reads only the ranking's hv point.
@@ -1731,6 +1798,43 @@ class TestYardsticksBuiltOnce:
         assert "'f1' declares no hard bounds" in capsys.readouterr().err
         plots = str(tmp_path / "plots")
         assert main(["plot-data", "--manifest", str(path), "--out", plots]) == EXIT_OK
+
+
+class TestBeyondTenObjectives:
+    """At m = 11 hv is undefined: the general plan takes additive ε as its
+    comprehensive indicator, and no run ranking picks a representative."""
+
+    OBJECTIVES = [{"name": f"f{j}", "direction": "min"} for j in range(11)]
+
+    def manifest(self, tmp_path, rows=(6, 6)):
+        rng = np.random.default_rng(11)
+        runs = {
+            alg: [rng.random((n, 11)).round(3).tolist() for n in rows]
+            for alg in ("a", "b")
+        }
+        return write_manifest(tmp_path, self.OBJECTIVES, runs)
+
+    def test_evaluate_and_lint_pass_their_own_plan(self, tmp_path):
+        path = self.manifest(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        planned = [p["name"] for p in report["plan"]["indicators"]]
+        assert planned == ["gd_plus", "ci", "grid_diversity", "unfr", "epsilon"]
+        assert {r["indicator"] for r in report["results"]} == set(planned)
+        assert report["representative_runs"] == {}
+        assert main(["lint", "--manifest", str(path)]) == EXIT_OK
+
+    def test_plot_data_falls_back_to_the_first_surviving_run(self, tmp_path):
+        # Run 0 keeps 6 rows and run 1 keeps 5, so the row count shows
+        # which run each algorithm's plot holds.
+        path = self.manifest(tmp_path, rows=(6, 5))
+        out_dir = tmp_path / "plots"
+        argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        lines = (out_dir / "parallel-coordinates.csv").read_text().splitlines()[1:]
+        sets = [line.split(",", 1)[0] for line in lines]
+        assert (sets.count("a"), sets.count("b")) == (6 * 11, 6 * 11)
 
 
 class TestMainErrors:

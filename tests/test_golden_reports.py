@@ -6,7 +6,9 @@ before.
 The inputs come from ``bench/inputs.py``, loaded by path and only read, at
 seed 1.  The ``evaluate`` hashes were recorded before the hypervolume
 sweeps took raw rows and the nearest-distance kernel dropped its column
-minima, both of which promise unchanged values; the others before the
+minima, both of which promise unchanged values (``prefs-5d``'s again when
+its removed rows turned to natural units: only the signs of its maximised
+f4 and f5 in ``preprocessing.removals`` moved); the others before the
 reports were serialized from their dataclasses; the ``plot-data`` and
 ``compare`` ones before the preprocessing rules moved into ``preprocess``
 and ``compare`` read the pooled runs.  A report byte that moves,
@@ -47,7 +49,7 @@ GOLDEN_SHA256 = {
         "stats": "d8276fb3137a432507b3165e6d77d04441ccf99a370e32d831b95bb417d4c0ec",
     },
     "prefs-5d": {
-        "evaluate": "0c04ddf3c60a6e2cc6adc1aaf8b5a2d9a1ac54b273aa7a5246d4f0ce834c83d5",
+        "evaluate": "2c45acc17b198b64e7234892868305a14b74495945a2eb80709be7508f9394a9",
         "lint": "ae17bea7abae9ae9fbe8102e2eb169b9c7770869cc871866f2a439e1da50f779",
         "recommend": "6729248a0628787a56440ebaa727847bebd8249b854a484f4c88c7077b57caa5",
         "stats": "f8e8b470a314d330fbb6f29b89fab1f19149df0b4cad924ee948bb559e183fba",

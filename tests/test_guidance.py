@@ -21,7 +21,6 @@ from paretoeval import (
     LintWarning,
     PreferenceSpec,
     RegionOfInterest,
-    SetContext,
     VagueClamp,
     aspect_coverage,
     hypervolume,
@@ -250,8 +249,14 @@ class TestRecommendGeneralRoute:
         assert "grid_diversity" in names
         assert plan.plotting == "parallel-coordinates"
 
+    def test_beyond_ten_objectives_swap_comprehensive_measure(self):
+        # hv is defined up to ten objectives; beyond, additive ε stands in.
+        assert [p.name for p in recommend(NO_PREFS, 10).indicators][-1] == "hv"
+        names = [p.name for p in recommend(NO_PREFS, 11).indicators]
+        assert names == ["gd_plus", "ci", "grid_diversity", "unfr", "epsilon"]
+
     def test_three_sets_drop_pairwise_share(self):
-        plan = recommend(NO_PREFS, 2, SetContext(set_count=3))
+        plan = recommend(NO_PREFS, 2, set_count=3)
         assert "ci" not in [p.name for p in plan.indicators]
 
     def test_untransferable_falls_back(self):
@@ -384,15 +389,17 @@ class TestPlanHygiene:
 
     def test_plans_never_self_flag(self):
         """Every recommended plan passes its own lint at warning level."""
-        contexts = [SetContext(set_count=n) for n in (1, 2, 3)]
-        for spec, m, ctx in itertools.product(self.SPECS, (2, 3, 4, 10), contexts):
-            plan = recommend(spec, m, ctx)
+        general = [NO_PREFS, ONE_BEST, CAPACITY_CLAMP]
+        cases = [*itertools.product(self.SPECS, (2, 3, 4, 10))]
+        cases += itertools.product(general, (11, 12))
+        for (spec, m), set_count in itertools.product(cases, (1, 2, 3)):
+            plan = recommend(spec, m, set_count)
             flagged = {
                 f.code
                 for f in plan.warnings
                 if f.severity != "info" and f.issue in ("III", "IV", "V")
             }
-            assert not flagged, (spec, m, ctx.set_count, flagged)
+            assert not flagged, (spec, m, set_count, flagged)
 
     def test_plan_names_resolve_and_note_codes_are_known(self):
         for spec, m in itertools.product(self.SPECS, (2, 4)):

@@ -35,6 +35,7 @@ from paretoeval import (
     unfr,
     VagueClamp,
 )
+from paretoeval import indicators as ind
 from conftest import (
     BOUNDARY_A,
     DIAG_A,
@@ -502,6 +503,20 @@ def test_hypervolume_matches_filter_sweep_oracle(block_pairs, case):
     X, ref = case
     value = hypervolume(make_set("A", X.tolist()), ref)
     assert repr(value) == repr(oracles.hv_filter_sweep_oracle(X, ref))
+
+
+GROUP_COORD = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-1e3, 1e3)
+
+
+@given(st.lists(st.tuples(GROUP_COORD, GROUP_COORD), min_size=1, max_size=12))
+def test_group_front_matches_staircase_oracle(heads):
+    # One HV3D group: every row shares its last objective.  Ties and zeros
+    # of either sign must keep the same row objects in the same order.
+    rows = [[x, y, 1.0] for x, y in heads]
+    kept = ind._group_front(rows)
+    expected = oracles.group_front_staircase(rows)
+    assert len(kept) == len(expected)
+    assert all(a is b for a, b in zip(kept, expected))
 
 
 @st.composite

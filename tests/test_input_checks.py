@@ -17,7 +17,6 @@ from paretoeval import (
     ObjectiveMeta,
     PreferenceSpec,
     RegionOfInterest,
-    SetContext,
     Solution,
     SolutionSet,
     VagueClamp,
@@ -32,6 +31,7 @@ from paretoeval import (
     gd,
     grid_diversity,
     normalize,
+    recommend,
     restore_orientation,
     screen_trivial,
     set_weakly_dominates,
@@ -292,7 +292,7 @@ CASES = {
         "explicit point length must match",
     ),
     "context-no-sets": (
-        lambda: SetContext(0),
+        lambda: recommend(PreferenceSpec(), 2, set_count=0),
         ValueError,
         "set_count must be at least 1",
     ),
