@@ -683,8 +683,19 @@ def _stages(args: argparse.Namespace) -> _Stages:
     return _Stages(prepared, plan, route, config, chosen, findings, columns, built)
 
 
-# The pairwise indicators ``compare`` computes; evaluate's binary columns.
-_PAIRWISE = {"ci": ind.contribution, "c": ind.coverage, "epsilon": ind.epsilon_additive}
+def _both_orders(indicator):
+    """The pairwise ``indicator`` as one function of two sets that returns
+    its value in each order."""
+    return lambda first, second: (indicator(first, second), indicator(second, first))
+
+
+# The pairwise indicators ``compare`` computes, evaluate's binary columns:
+# each gives its value in both orders.  ci's two shares come from one pass.
+_PAIRWISE = {
+    "ci": ind._contributions,
+    "c": _both_orders(ind.coverage),
+    "epsilon": _both_orders(ind.epsilon_additive),
+}
 
 
 def _exit_from_findings(findings: Sequence[LintWarning], strict: bool) -> int:
@@ -819,8 +830,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             set_a, set_b = pooled.values()
             for name in binary:
                 column = _column(name, stages.config, None)
-                for first, second in ((set_a, set_b), (set_b, set_a)):
-                    value = _PAIRWISE[name](first, second)
+                forward, backward = _PAIRWISE[name](set_a, set_b)
+                for first, second, value in (
+                    (set_a, set_b, forward), (set_b, set_a, backward)
+                ):
                     where = {"algorithm": first.name, "against": second.name}
                     results.append({**column, **where, "value": value})
         elif binary:
@@ -900,8 +913,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         bounds = normalization_bounds(config.normalization, [set_a, set_b])
         if bounds is not None:
             set_a, set_b = normalize([set_a, set_b], bounds)
-    forward = _PAIRWISE[indicator](set_a, set_b)
-    backward = _PAIRWISE[indicator](set_b, set_a)
+    forward, backward = _PAIRWISE[indicator](set_a, set_b)
     report = {
         "schema": "solution-set-compare/1",
         "indicator": indicator,

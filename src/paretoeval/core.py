@@ -653,6 +653,40 @@ def _limit_front_masks(L: np.ndarray) -> np.ndarray:
     return member & ~knocked.any(axis=1)
 
 
+# Rows per head of ``_sparse_front_mask``, and the share of the rows decided
+# past which its heads stop.
+_HEAD_ROWS = 32
+_HANDOFF_SHARE = 0.25
+
+
+def _sparse_front_mask(V: np.ndarray) -> np.ndarray:
+    """``_front_mask(V, unique=True)`` at a cost that follows the front, for
+    sets that keep few of their rows, such as large WFG limit sets.
+
+    A row never has a larger float sum than a row it weakly dominates, and
+    equal rows have equal sums, so the rows are taken in a stable order by
+    sum, ``_HEAD_ROWS`` at a time.  Each head drops every later row that one
+    of its rows weakly dominates: such a row is dominated, or repeats an
+    earlier row.  The heads and the rows left standing then hold the whole
+    unique front, and ``_front_hits`` cuts it from them.  The heads stop
+    once they pass ``_HANDOFF_SHARE`` of the rows decided, so a set that is
+    mostly front costs about one head more than ``_front_mask``.
+    """
+    order = np.argsort(V.sum(axis=1), kind="stable")
+    S = V[order]
+    heads, rest = order[:0], np.arange(len(S))  # positions in S
+    while len(rest) and len(heads) <= _HANDOFF_SHARE * (len(S) - len(rest)):
+        head, rest = rest[:_HEAD_ROWS], rest[_HEAD_ROWS:]
+        heads = np.concatenate([heads, head])
+        rest = rest[~_dominance(S[head], S[rest], weak=True)]
+    # Positions stay ascending, so equal rows keep their input order.
+    rows = order[np.concatenate([heads, rest])]
+    sub, T, repeat = _lex_sorted(V[rows])
+    mask = np.zeros(len(V), dtype=bool)
+    mask[rows[sub[~_front_hits(T) & ~repeat]]] = True
+    return mask
+
+
 def _check_sets(first: SolutionSet, second: SolutionSet) -> None:
     if first.m != second.m:
         raise DimensionMismatchError(

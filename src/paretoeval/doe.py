@@ -22,6 +22,7 @@ from .core import (
     SolutionSet,
     _lex_sorted,
     set_dominates,
+    unique_nondominated_front,
 )
 from .indicators import IndicatorConfig, aspects_of, canonical_name
 from . import indicators as _ind
@@ -190,13 +191,15 @@ def _closest_to_median(values: Mapping[int, float]) -> int:
 class _Yardsticks(NamedTuple):
     """The union front (raw units), bounds and hv point of an experiment's
     non-empty runs, each built once (None if failed or unread); whether the
-    run ranking reads hv; each failure by lint code, in evaluate's order."""
+    run ranking reads hv; each failure by lint code, in evaluate's order;
+    and, where WFG reads them, each non-empty run's unique front."""
 
     reference: SolutionSet | None
     bounds: NormalizationBounds | None
     point: tuple[float, ...] | None
     ranked: bool
     failures: dict[str, ValueError]
+    fronts: list[SolutionSet] | None = None
 
 
 def _yardsticks(
@@ -211,20 +214,29 @@ def _yardsticks(
     in every mode; their failure counts when a normalizing column or the
     scalarize route reads them.  The hv point is read off the union front,
     which is its own unique front; one :func:`_explicit_point` rejects is
-    invalid, any other failure is a point inside the front."""
+    invalid, any other failure is a point inside the front.  When hv is
+    read at m >= 4, where WFG needs each run's unique front, those fronts
+    are cut once here, and the union front is cut from them: the same rows,
+    tags and order as from the raw runs (see :func:`build_reference_set`).
+    At m <= 3 the sweeps read raw rows, so no front is cut for them."""
     live = [run for runs in algorithms.values() for run in runs if len(run)]
     if not live:
         empty = EmptySetError("every set is empty after preprocessing")
         return _Yardsticks(None, None, None, False, {"L-ALL-EMPTY": empty})
     many = any(sum(len(run) > 0 for run in runs) > 1 for runs in algorithms.values())
     ranked = many and live[0].m in aspects_of("hv").objectives
-    reference, bounds, point, failures = build_reference_set(live), None, None, {}
+    hv_read = "hv" in columns or ranked
+    fronts = None
+    if hv_read and live[0].m >= 4:
+        fronts = [unique_nondominated_front(run) for run in live]
+    reference = build_reference_set(fronts or live)
+    bounds, point, failures = None, None, {}
     try:
         bounds = normalization_bounds(config.normalization, live)
     except ValueError as exc:
         if scalarize or any(aspects_of(n).needs_normalization for n in columns):
             failures["L-NO-HARD-BOUNDS"] = exc
-    if "hv" in columns or ranked:
+    if hv_read:
         strategy, explicit = config.hv_strategy, config.ref_point
         code = "L-HV-REF-INVALID"
         try:
@@ -234,7 +246,7 @@ def _yardsticks(
             point = _point_beyond(reference.values(), strategy, explicit)
         except ValueError as exc:
             failures[code] = exc
-    return _Yardsticks(reference, bounds, point, ranked, failures)
+    return _Yardsticks(reference, bounds, point, ranked, failures, fronts)
 
 
 def indicator_table(
@@ -274,6 +286,7 @@ def indicator_table(
         if len(run)
     ]
     live = [algorithms[alg][r] for alg, r in slots]
+    fronts = built.fronts or live
     space, front = live, built.reference  # what the normalizing columns read
     if scaled and built.bounds is not None:
         space = normalize(live, built.bounds)
@@ -282,9 +295,11 @@ def indicator_table(
     def column(name: str) -> list[float]:
         if name == "nfs":
             return [float(_ind.nfs(run)) for run in live]
-        if name == "unfr":
-            return [_ind._front_share(run, built.reference) for run in live]
+        if name == "unfr":  # a run's front keeps the run's rows on the union front
+            return [_ind._front_share(run, built.reference) for run in fronts]
         if name == "hv":
+            if built.fronts:
+                return [_ind._hypervolume(f, built.point, cut=False) for f in fronts]
             return [_ind.hypervolume(run, built.point) for run in live]
         if name == "grid_diversity":
             return _ind.grid_diversity(live, config.grid_divisions)

@@ -289,15 +289,21 @@ def lint(
     if prefs.clear and not mode.clear_transfer_planned:
         findings.append(_finding("L-PREF-IGNORED"))
 
-    if prefs.roi is not None and prefs.roi.kind == "knee":
-        clash = sorted(set(names) & {"igd", "gd", "ci"})
+    if prefs.roi is not None:
+        code, clashing = _ROI_CLASHES[prefs.roi.kind]
+        clash = sorted(set(names) & clashing)
         if clash:
-            findings.append(_finding("L-KNEE-MISMATCH", ", ".join(clash)))
-    if prefs.roi is not None and prefs.roi.kind == "extreme":
-        if "igd" in names:
-            findings.append(_finding("L-EXTREME-MISMATCH", "igd"))
+            findings.append(_finding(code, ", ".join(clash)))
 
     return findings
+
+
+# Each region-of-interest preference: the finding that names the
+# indicators it clashes with, and those indicators.
+_ROI_CLASHES = {
+    "knee": ("L-KNEE-MISMATCH", frozenset({"igd", "gd", "ci"})),
+    "extreme": ("L-EXTREME-MISMATCH", frozenset({"igd"})),
+}
 
 
 def _general_indicators(m: int, set_count: int) -> list[PlannedIndicator]:
@@ -406,6 +412,12 @@ def _plan(
         doe_steps.append(
             "scalarize: rank sets by their best weighted-sum solution"
         )
+    elif route in _ROI_CLASHES and live_m not in aspects_of("hv").objectives:
+        # hv is undefined: the general route's indicators stand in, less
+        # those the region of interest clashes with.
+        clashing = _ROI_CLASHES[route][1]
+        general = _general_indicators(live_m, set_count)
+        indicators.extend(p for p in general if p.name not in clashing)
     elif route == "knee":
         indicators.append(
             PlannedIndicator(
@@ -425,9 +437,10 @@ def _plan(
                 "amplifies credit for boundary solutions",
             )
         )
-        doe_steps.append("best: report per-objective best values")
     else:
         indicators.extend(_general_indicators(live_m, set_count))
+    if route == "extreme":
+        doe_steps.append("best: report per-objective best values")
 
     if any(aspects_of(p.name).needs_normalization for p in indicators):
         steps.append(

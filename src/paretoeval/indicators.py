@@ -235,6 +235,12 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     search for m <= 2, a staircase sweep for m=3 and a split on the first
     objective for m >= 4.
     """
+    return _contributions(A, B)[0]
+
+
+def _contributions(A: SolutionSet, B: SolutionSet) -> tuple[float, float]:
+    """``(contribution(A, B), contribution(B, A))`` from one pass: both
+    shares read the same counts over the same integer denominator."""
     _check_sets(A, B)
     if not len(A) and not len(B):
         raise EmptySetError("contribution of two empty sets is undefined")
@@ -257,7 +263,8 @@ def contribution(A: SolutionSet, B: SolutionSet) -> float:
     b_inc = int((~b_wins & ~b_loses & ~b_twin).sum())
     # Never zero: each row is shared, a win, incomparable, or lost to a win.
     denom = shared + a_dom + a_inc + b_dom + b_inc
-    return (shared / 2.0 + a_dom + a_inc) / denom
+    half = shared / 2.0
+    return (half + a_dom + a_inc) / denom, (half + b_dom + b_inc) / denom
 
 
 def coverage(A: SolutionSet, B: SolutionSet) -> float:
@@ -493,7 +500,8 @@ def _hv_wfg(points: np.ndarray, ref: tuple[float, ...]) -> float:
     dominated and repeated rows.  A wider one is cut to its unique front:
     for the whole block by one ``(b, n, n)`` comparison when
     ``b * n * n`` fits ``_BLOCK_PAIRS``, else row by row with
-    ``_front_mask``.
+    ``_sparse_front_mask``, whose cost follows the few rows a large node's
+    limit set keeps.
     """
     ordered = points[np.argsort(-points[:, -1], kind="stable")]
     heads = ordered[:, :-1]
@@ -518,25 +526,10 @@ def _hv_wfg(points: np.ndarray, ref: tuple[float, ...]) -> float:
             elif sweep:
                 shadow = _hv3d(limit.tolist(), head_ref)
             else:
-                mask = keep[t, t:] if batched else _front_mask(limit, unique=True)
+                mask = keep[t, t:] if batched else _core._sparse_front_mask(limit)
                 shadow = _hv_wfg(limit[mask], head_ref)
             total += (boxes[i + t] - shadow) * depths[i + t]
     return total
-
-
-def _hv_front(points: np.ndarray, ref: tuple[float, ...]) -> float:
-    """Exact hypervolume of the raw rows of an ``(n, m)`` array, each
-    strictly better than ``ref`` on every objective.  Duplicated and
-    dominated rows are allowed and need no filter first: the 2-D and 3-D
-    sweeps skip them inside, and WFG gets the unique front, cut here; it
-    cuts its own limit sets."""
-    if not len(points):
-        return 0.0
-    if len(ref) == 2:
-        return _hv2d(points, ref)
-    if len(ref) == 3:
-        return _hv3d(points.tolist(), ref)
-    return _hv_wfg(points[_front_mask(points, unique=True)], ref)
 
 
 def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
@@ -555,6 +548,16 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     row.  Supports 2..10 objectives; beyond that the exact computation is
     rejected as impractical.
     """
+    return _hypervolume(A, refpoint, cut=True)
+
+
+def _hypervolume(A: SolutionSet, refpoint: Sequence[float], cut: bool) -> float:
+    """:func:`hypervolume`; ``cut=False`` says the rows of A are their own
+    unique front, as :func:`unique_nondominated_front` leaves them, so WFG
+    takes them without cutting them again.  The value is the same, bit for
+    bit: a row that weakly dominates an unclipped row is unclipped too, so
+    the clipped rows of the front are the front of the clipped rows, in the
+    same order."""
     if A.m < 2:
         raise ValueError("hypervolume needs at least two objectives")
     if A.m > _HV_MAX_OBJECTIVES:
@@ -565,7 +568,14 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     if len(ref) != A.m:
         raise DimensionMismatchError("reference point length must match")
     pts = A.values()
-    return _hv_front(pts[(pts < ref).all(axis=1)], ref)
+    pts = pts[(pts < ref).all(axis=1)]
+    if not len(pts):
+        return 0.0
+    if A.m == 2:
+        return _hv2d(pts, ref)
+    if A.m == 3:
+        return _hv3d(pts.tolist(), ref)
+    return _hv_wfg(pts[_front_mask(pts, unique=True)] if cut else pts, ref)
 
 
 def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:

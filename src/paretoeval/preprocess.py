@@ -501,6 +501,12 @@ def build_reference_set(sets: Sequence[SolutionSet]) -> SolutionSet:
     Each retained point remembers which set it came from via its ``source``
     tag (pre-existing tags are preserved).  The result is order-insensitive
     as a set of vectors; duplicated vectors keep their first occurrence.
+    The sets may be replaced by their own unique fronts without changing
+    the result: the same rows, ids, sources and order.  A row on the union
+    front is nondominated within its own set and the first occurrence of
+    its vector there, so it is on that set's front; and every other row of
+    a set is dominated by, or repeats, a row of the set's front, so the
+    fronts knock out of their union what the raw rows knock out of theirs.
     """
     if not sets:
         raise EmptySetError("need at least one solution set")

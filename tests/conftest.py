@@ -32,6 +32,14 @@ def split_rows(request, monkeypatch):
         monkeypatch.setattr(core, "_SPLIT_ROWS", request.param)
 
 
+@pytest.fixture(params=[None, 2], ids=["default-head", "tiny-head"])
+def head_rows(request, monkeypatch):
+    """Run the output-sensitive front filter with its default head and with
+    a two-row one, so it takes many heads before it stops or hands off."""
+    if request.param is not None:
+        monkeypatch.setattr(core, "_HEAD_ROWS", request.param)
+
+
 def make_set(name, points, directions=None, names=None, signs=None):
     """Build a SolutionSet from plain tuples with minimal ceremony."""
     m = len(points[0]) if points else 2

@@ -348,10 +348,10 @@ def test_criterion_10_plans_and_mismatch_manifests(tmp_path):
         filename="spread.json",
     )
     out = str(tmp_path / "spread-lint.json")
-    assert (
-        main(["lint", "--manifest", str(spread_manifest), "--out", out])
-        == EXIT_ERROR
-    )
+    # The one run's two rows tie on f2, so the hv point steps by 1 there.
+    with pytest.warns(EvaluationWarning, match="degenerate objective range"):
+        code = main(["lint", "--manifest", str(spread_manifest), "--out", out])
+    assert code == EXIT_ERROR
     found = json.loads((tmp_path / "spread-lint.json").read_text())["findings"]
     hard = {f["code"] for f in found if f["severity"] != "info"}
     assert hard == {"L-SPREAD-DIM"}

@@ -1290,7 +1290,9 @@ class TestLint:
             },
             overrides={"indicators": ["spread", "hv"]},
         )
-        assert main(["lint", "--manifest", str(path)]) == EXIT_ERROR
+        # A one-row union front has zero range: the hv point steps by 1.
+        with pytest.warns(EvaluationWarning, match="degenerate objective range"):
+            assert main(["lint", "--manifest", str(path)]) == EXIT_ERROR
         out = capsys.readouterr().out
         assert "L-SPREAD-DIM" in out
         assert "misuse III" in out
@@ -1724,7 +1726,10 @@ class TestPlotData:
             tmp_path, objectives, {"a": [points], "b": [other]}
         )
         out_dir = tmp_path / "plots"
-        main(["plot-data", "--manifest", str(path), "--out", str(out_dir)])
+        # (0, 1, 2, 3, 4), in both algorithms, dominates every other row:
+        # the union front is that one row, so the hv point steps by 1.
+        with pytest.warns(EvaluationWarning, match="degenerate objective range"):
+            main(["plot-data", "--manifest", str(path), "--out", str(out_dir)])
         lines = (out_dir / "parallel-coordinates.csv").read_text().splitlines()
         assert lines[0] == "set,solution,objective,value"
         assert len(lines) == 1 + (3 + 2) * 5
@@ -1806,13 +1811,13 @@ class TestBeyondTenObjectives:
 
     OBJECTIVES = [{"name": f"f{j}", "direction": "min"} for j in range(11)]
 
-    def manifest(self, tmp_path, rows=(6, 6)):
+    def manifest(self, tmp_path, rows=(6, 6), preferences=None):
         rng = np.random.default_rng(11)
         runs = {
             alg: [rng.random((n, 11)).round(3).tolist() for n in rows]
             for alg in ("a", "b")
         }
-        return write_manifest(tmp_path, self.OBJECTIVES, runs)
+        return write_manifest(tmp_path, self.OBJECTIVES, runs, preferences)
 
     def test_evaluate_and_lint_pass_their_own_plan(self, tmp_path):
         path = self.manifest(tmp_path)
@@ -1823,6 +1828,28 @@ class TestBeyondTenObjectives:
         assert planned == ["gd_plus", "ci", "grid_diversity", "unfr", "epsilon"]
         assert {r["indicator"] for r in report["results"]} == set(planned)
         assert report["representative_runs"] == {}
+        assert main(["lint", "--manifest", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "roi, planned",
+        [
+            ("knee", ["gd_plus", "grid_diversity", "unfr", "epsilon"]),
+            ({"extreme": ["f0"]}, ["gd_plus", "ci", "grid_diversity", "unfr", "epsilon"]),
+        ],
+        ids=["knee", "extreme"],
+    )
+    def test_region_of_interest_plans_pass_themselves(self, tmp_path, roi, planned):
+        # Without hv, a region of interest takes the general route's
+        # indicators less those it clashes with (ci for a knee); the extreme
+        # route still reports each objective's best value.
+        path = self.manifest(tmp_path, preferences={"roi": roi})
+        out = tmp_path / "r.json"
+        assert main(["evaluate", "--manifest", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert [p["name"] for p in report["plan"]["indicators"]] == planned
+        assert {r["indicator"] for r in report["results"]} == set(planned)
+        if "extreme" in roi:
+            assert report["doe"]["kind"] == "per-objective-best"
         assert main(["lint", "--manifest", str(path)]) == EXIT_OK
 
     def test_plot_data_falls_back_to_the_first_surviving_run(self, tmp_path):

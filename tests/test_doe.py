@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,16 +13,22 @@ from paretoeval import (
     EmptySetError,
     IndicatorConfig,
     NormalizationBounds,
+    ObjectiveMeta,
+    SolutionSet,
     build_reference_set,
     doe_compare,
     gd,
+    hypervolume,
     normalize,
     per_objective_stats,
     scalarize_best,
     set_dominates,
     spacing,
     to_minimization,
+    unique_nondominated_front,
 )
+from paretoeval import core, preprocess
+from paretoeval import indicators as ind
 from paretoeval.doe import indicator_table
 from conftest import make_set
 import oracles
@@ -287,3 +294,84 @@ class TestIndicatorTableInputs:
     def test_dimension_agreement(self):
         with pytest.raises(DimensionMismatchError):
             _representative([make_set("a", [(1, 2)]), make_set("b", [(1, 2, 3)])])
+
+
+@st.composite
+def experiment_runs(draw):
+    """One to four runs at m in 2..6, each of 0 to 40 rows with ids, some
+    with sources: real rows at three scales with rounded ties, exact repeats
+    within and across runs, strictly worse copies, and zeros of either
+    sign, so equal rows can differ in their sign bits."""
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    meta = tuple(ObjectiveMeta(f"f{j}") for j in range(m))
+    pool, runs = np.empty((0, m)), []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 40))
+        X = rng.normal(size=(n, m)) * rng.choice([0.1, 1.0, 100.0])
+        ties = rng.random((n, m)) < 0.3
+        X[ties] = np.round(X[ties])
+        pool = np.vstack([pool, X])
+        repeats = rng.random(n) < 0.25
+        X[repeats] = pool[rng.integers(len(pool), size=repeats.sum())]
+        worse = rng.random(n) < 0.2
+        shift = rng.random((worse.sum(), m)) * (rng.random((worse.sum(), m)) < 0.5)
+        X[worse] = pool[rng.integers(len(pool), size=worse.sum())] + shift
+        X[(X == 0) & (rng.random((n, m)) < 0.5)] = -0.0
+        pool = np.vstack([pool, X])
+        ids = [f"r{k}-{i}" for i in range(n)]
+        sources = [f"s{k}"] * n if rng.random() < 0.5 else None
+        runs.append(SolutionSet._from_array(f"r{k}", meta, X, ids, sources))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=experiment_runs())
+def test_union_front_of_run_fronts_is_union_front_of_runs(runs):
+    # A row on the union front lies on its own run's front, at its first
+    # occurrence there, so the fronts give the union front of the raw rows:
+    # the same bytes, ids and sources, in the same order.
+    if not any(len(run) for run in runs):
+        return
+    expected = build_reference_set(runs)
+    got = build_reference_set([unique_nondominated_front(run) for run in runs])
+    assert got.values().tobytes() == expected.values().tobytes()
+    assert [(s.id, s.source) for s in got] == [(s.id, s.source) for s in expected]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_hv_table_cuts_each_run_front_once(monkeypatch, m):
+    # At m >= 4 the table cuts each live run's unique front once and the
+    # union from those fronts: one front filter per live run plus one for
+    # the union, and none inside an hv call.
+    rng = np.random.default_rng(m)
+    meta = tuple(ObjectiveMeta(f"f{j}") for j in range(m))
+
+    def run(name, n):
+        return SolutionSet._from_array(name, meta, rng.random((n, m)).round(2))
+
+    algorithms = {"a": [run("a0", 30), run("a1", 25)], "b": [run("b0", 0), run("b1", 30)]}
+    calls, depth = [], [0]
+    for module in (core, ind, preprocess):
+        mask = module._front_mask
+
+        def counted(V, unique=False, mask=mask):
+            calls.append(depth[0])
+            return mask(V, unique)
+
+        monkeypatch.setattr(module, "_front_mask", counted)
+    for name in ("hypervolume", "_hypervolume"):
+        hv = getattr(ind, name)
+
+        def inside(*args, hv=hv, **kwargs):
+            depth[0] += 1
+            try:
+                return hv(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ind, name, inside)
+    table = indicator_table(algorithms, ["hv"], IndicatorConfig())
+    assert calls == [0] * (3 + 1)
+    for (alg, r), (value,) in table.values.items():
+        assert repr(value) == repr(hypervolume(algorithms[alg][r], table.point))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from paretoeval import (
     set_dominates,
     set_weakly_dominates,
 )
-from paretoeval import core
+from paretoeval import core, indicators
 from conftest import kernel_settings, make_set
 import oracles
 
@@ -119,6 +120,52 @@ def test_front_mask_matches_kernel_oracle(block_pairs, V):
     assert (core._front_mask(V) == oracles.kernel_front_mask(V)).all()
 
 
+@st.composite
+def limit_sets(draw):
+    """One WFG limit set, m in 4..6: rows at three scales with rounded ties,
+    exact twins and zeros of either sign, pushed up to one row, so a few
+    rows dominate many and sums tie often."""
+    m = draw(st.integers(4, 6))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.normal(size=(n, m)) * rng.choice([0.1, 1.0, 100.0])
+    ties = rng.random((n, m)) < 0.4
+    V[ties] = np.round(V[ties])
+    twins = rng.random(n) < 0.3
+    V[twins] = V[rng.integers(n, size=twins.sum())]
+    V = np.maximum(V, V[rng.integers(n)])
+    V[(V == 0) & (rng.random((n, m)) < 0.5)] = -0.0
+    return V
+
+
+@kernel_settings
+@given(V=st.one_of(front_arrays(), limit_sets()))
+def test_sparse_front_mask_matches_front_mask(block_pairs, head_rows, V):
+    # Tiny, random, all-front (the plane rows) and limit-set inputs; of
+    # equal rows, zeros of either sign included, the first must be kept.
+    assert (core._sparse_front_mask(V) == core._front_mask(V, unique=True)).all()
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_sparse_front_mask_on_a_sphere_hands_off(monkeypatch, m):
+    # Every row of a sphere is on the front: the heads stop after the first
+    # one and the standing rows go to the chunked front.
+    V = np.abs(np.random.default_rng(m).normal(size=(3000, m)))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    calls = []
+    for name in ("_dominance", "_front_hits"):
+        kernel = getattr(core, name)
+
+        def counted(*args, name=name, kernel=kernel, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, counted)
+    mask = core._sparse_front_mask(V)
+    assert mask.all()
+    assert calls[:2] == ["_dominance", "_front_hits"]
+
+
 @kernel_settings
 @given(V=st.one_of(point_lists(1).map(lambda d: np.array(d[1][0])), front_arrays()))
 def test_front_points_match_oracle(block_pairs, V):
@@ -153,6 +200,20 @@ def test_contribution_matches_oracle(block_pairs, drawn):
     if a or b:
         assert contribution(A, B) == oracles.contribution_oracle(a, b)
         assert contribution(B, A) == oracles.contribution_oracle(b, a)
+
+
+@kernel_settings
+@given(drawn=point_lists(2, min_size=0), data=st.data())
+def test_contributions_equal_both_orders(block_pairs, drawn, data):
+    # Both shares from one pass, bit for bit, also at m=1 (the first
+    # column alone) and with one set empty; the sets share rows.
+    (A, B), _ = drawn
+    if data.draw(st.booleans()):
+        A, B = (s._select(values=s.values()[:, :1], meta=s.meta[:1]) for s in (A, B))
+    if len(A) or len(B):
+        forward, backward = indicators._contributions(A, B)
+        assert repr(forward) == repr(contribution(A, B))
+        assert repr(backward) == repr(contribution(B, A))
 
 
 @kernel_settings

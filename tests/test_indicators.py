@@ -33,8 +33,10 @@ from paretoeval import (
     spread_delta,
     to_minimization,
     unfr,
+    unique_nondominated_front,
     VagueClamp,
 )
+from paretoeval import core
 from paretoeval import indicators as ind
 from conftest import (
     BOUNDARY_A,
@@ -546,6 +548,44 @@ def test_hypervolume_matches_filter_sweep_oracle_beyond_tiny_cap(block_pairs, X)
     ref = (1.1,) * 5
     value = hypervolume(make_set("A", X.tolist()), ref)
     assert repr(value) == repr(oracles.hv_filter_sweep_oracle(X, ref))
+
+
+@settings(kernel_settings, max_examples=25)
+@given(X=sphere_fronts_5d())
+def test_hypervolume_with_two_row_heads_matches_filter_sweep_oracle(monkeypatch, X):
+    # At the tiny cap every node of more than six rows cuts its limit sets
+    # by the output-sensitive filter, here in two-row heads; the oracle
+    # cuts them by _front_mask.
+    monkeypatch.setattr(core, "_BLOCK_PAIRS", 37)
+    monkeypatch.setattr(core, "_HEAD_ROWS", 2)
+    ref = (1.1,) * 5
+    value = hypervolume(make_set("A", X.tolist()), ref)
+    assert repr(value) == repr(oracles.hv_filter_sweep_oracle(X, ref))
+
+
+@pytest.mark.parametrize("n", [300, 420])
+def test_hypervolume_of_a_large_node_matches_filter_sweep_oracle(n):
+    # A front of more than 256 rows at m=5: at the default cap the top WFG
+    # node is too large for the batched masks, so each of its limit sets
+    # goes through the output-sensitive filter.  Rounded rows tie in sums.
+    rng = np.random.default_rng(n)
+    X = np.abs(rng.normal(size=(n, 5)))
+    X = np.round(X / np.linalg.norm(X, axis=1, keepdims=True), 2)
+    X = np.vstack([X, X[: n // 2] + rng.random((n // 2, 5)) * 0.1])
+    ref = (1.2,) * 5
+    value = hypervolume(make_set("A", X.tolist()), ref)
+    assert repr(value) == repr(oracles.hv_filter_sweep_oracle(X, ref))
+
+
+@kernel_settings
+@given(case=hv_cases())
+def test_hypervolume_of_the_unique_front_is_the_run_hypervolume(block_pairs, case):
+    # What the evaluate table computes at m >= 4: hv of a run's unique front,
+    # cut once and not again inside hv, equals hv of the raw run to the bit.
+    X, ref = case
+    A = make_set("A", X.tolist())
+    front = unique_nondominated_front(A)
+    assert repr(ind._hypervolume(front, ref, cut=False)) == repr(hypervolume(A, ref))
 
 
 DOMINATED_SHIFT = st.integers(2, 4).flatmap(
