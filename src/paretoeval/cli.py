@@ -664,7 +664,8 @@ def _stages(args: argparse.Namespace) -> _Stages:
     when the plan picks the columns (its indicators share one), else the
     default, with the fields the manifest sets and then those the flags set
     on top.  On the best-value route no column runs, so none is linted or
-    kept and no yardstick is built.
+    kept and no yardstick is built.  lint computes no column, so its
+    yardsticks cut no run front.
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
@@ -678,7 +679,8 @@ def _stages(args: argparse.Namespace) -> _Stages:
     columns = [n for n in judged if live_m in aspects_of(n).objectives]
     built = None
     if route != "best-value":
-        built = _yardsticks(prepared.algorithms, columns, config, route == "scalarize")
+        scalarize, computed = route == "scalarize", args.command != "lint"
+        built = _yardsticks(prepared.algorithms, columns, config, scalarize, computed)
     findings = _lint_findings(prepared, judged, columns, config, built)
     return _Stages(prepared, plan, route, config, chosen, findings, columns, built)
 

@@ -192,7 +192,7 @@ class _Yardsticks(NamedTuple):
     """The union front (raw units), bounds and hv point of an experiment's
     non-empty runs, each built once (None if failed or unread); whether the
     run ranking reads hv; each failure by lint code, in evaluate's order;
-    and, where WFG reads them, each non-empty run's unique front."""
+    and, where hv is computed at m >= 4, each non-empty run's unique front."""
 
     reference: SolutionSet | None
     bounds: NormalizationBounds | None
@@ -207,6 +207,7 @@ def _yardsticks(
     columns: Sequence[str],
     config: IndicatorConfig,
     scalarize: bool = False,
+    computed: bool = True,
 ) -> _Yardsticks:
     """The yardsticks ``columns`` and the run ranking read under ``config``.
     Runs are ranked when an algorithm has more than one non-empty run, at an
@@ -215,10 +216,12 @@ def _yardsticks(
     scalarize route reads them.  The hv point is read off the union front,
     which is its own unique front; one :func:`_explicit_point` rejects is
     invalid, any other failure is a point inside the front.  When hv is
-    read at m >= 4, where WFG needs each run's unique front, those fronts
-    are cut once here, and the union front is cut from them: the same rows,
-    tags and order as from the raw runs (see :func:`build_reference_set`).
-    At m <= 3 the sweeps read raw rows, so no front is cut for them."""
+    ``computed`` at m >= 4, where WFG reads each run's unique front, those
+    fronts are cut once here, and the union front is cut from them: the same
+    rows, tags and order as from the raw runs (see
+    :func:`build_reference_set`).  At m <= 3 the sweeps read raw rows, and
+    lint, which only checks the yardsticks, passes ``computed=False``, so no
+    run front is cut for them."""
     live = [run for runs in algorithms.values() for run in runs if len(run)]
     if not live:
         empty = EmptySetError("every set is empty after preprocessing")
@@ -227,7 +230,7 @@ def _yardsticks(
     ranked = many and live[0].m in aspects_of("hv").objectives
     hv_read = "hv" in columns or ranked
     fronts = None
-    if hv_read and live[0].m >= 4:
+    if computed and hv_read and live[0].m >= 4:
         fronts = [unique_nondominated_front(run) for run in live]
     reference = build_reference_set(fronts or live)
     bounds, point, failures = None, None, {}
@@ -286,7 +289,6 @@ def indicator_table(
         if len(run)
     ]
     live = [algorithms[alg][r] for alg, r in slots]
-    fronts = built.fronts or live
     space, front = live, built.reference  # what the normalizing columns read
     if scaled and built.bounds is not None:
         space = normalize(live, built.bounds)
@@ -295,12 +297,10 @@ def indicator_table(
     def column(name: str) -> list[float]:
         if name == "nfs":
             return [float(_ind.nfs(run)) for run in live]
-        if name == "unfr":  # a run's front keeps the run's rows on the union front
-            return [_ind._front_share(run, built.reference) for run in fronts]
-        if name == "hv":
-            if built.fronts:
-                return [_ind._hypervolume(f, built.point, cut=False) for f in fronts]
-            return [_ind.hypervolume(run, built.point) for run in live]
+        if name == "unfr":
+            return [_ind._front_share(run, built.reference) for run in live]
+        if name == "hv":  # a run's unique front has the run's hv
+            return [_ind.hypervolume(f, built.point) for f in built.fronts or live]
         if name == "grid_diversity":
             return _ind.grid_diversity(live, config.grid_divisions)
         if name == "gd":

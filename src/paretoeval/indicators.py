@@ -532,6 +532,21 @@ def _hv_wfg(points: np.ndarray, ref: tuple[float, ...]) -> float:
     return total
 
 
+def _hv_front(points: np.ndarray, ref: tuple[float, ...]) -> float:
+    """Exact hypervolume of the raw rows of an ``(n, m)`` array, each
+    strictly better than ``ref`` on every objective.  Duplicated and
+    dominated rows are allowed and need no filter first: the 2-D and 3-D
+    sweeps skip them inside, and WFG gets the unique front, cut here; it
+    cuts its own limit sets."""
+    if not len(points):
+        return 0.0
+    if len(ref) == 2:
+        return _hv2d(points, ref)
+    if len(ref) == 3:
+        return _hv3d(points.tolist(), ref)
+    return _hv_wfg(points[_front_mask(points, unique=True)], ref)
+
+
 def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     """Lebesgue measure of the region dominated by A and bounded by refpoint.
 
@@ -548,16 +563,6 @@ def hypervolume(A: SolutionSet, refpoint: Sequence[float]) -> float:
     row.  Supports 2..10 objectives; beyond that the exact computation is
     rejected as impractical.
     """
-    return _hypervolume(A, refpoint, cut=True)
-
-
-def _hypervolume(A: SolutionSet, refpoint: Sequence[float], cut: bool) -> float:
-    """:func:`hypervolume`; ``cut=False`` says the rows of A are their own
-    unique front, as :func:`unique_nondominated_front` leaves them, so WFG
-    takes them without cutting them again.  The value is the same, bit for
-    bit: a row that weakly dominates an unclipped row is unclipped too, so
-    the clipped rows of the front are the front of the clipped rows, in the
-    same order."""
     if A.m < 2:
         raise ValueError("hypervolume needs at least two objectives")
     if A.m > _HV_MAX_OBJECTIVES:
@@ -568,14 +573,7 @@ def _hypervolume(A: SolutionSet, refpoint: Sequence[float], cut: bool) -> float:
     if len(ref) != A.m:
         raise DimensionMismatchError("reference point length must match")
     pts = A.values()
-    pts = pts[(pts < ref).all(axis=1)]
-    if not len(pts):
-        return 0.0
-    if A.m == 2:
-        return _hv2d(pts, ref)
-    if A.m == 3:
-        return _hv3d(pts.tolist(), ref)
-    return _hv_wfg(pts[_front_mask(pts, unique=True)] if cut else pts, ref)
+    return _hv_front(pts[(pts < ref).all(axis=1)], ref)
 
 
 def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:

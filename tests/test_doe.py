@@ -29,7 +29,7 @@ from paretoeval import (
 )
 from paretoeval import core, preprocess
 from paretoeval import indicators as ind
-from paretoeval.doe import indicator_table
+from paretoeval.doe import _yardsticks, indicator_table
 from conftest import make_set
 import oracles
 
@@ -339,39 +339,68 @@ def test_union_front_of_run_fronts_is_union_front_of_runs(runs):
     assert [(s.id, s.source) for s in got] == [(s.id, s.source) for s in expected]
 
 
-@pytest.mark.parametrize("m", [4, 5])
-def test_hv_table_cuts_each_run_front_once(monkeypatch, m):
-    # At m >= 4 the table cuts each live run's unique front once and the
-    # union from those fronts: one front filter per live run plus one for
-    # the union, and none inside an hv call.
+def _front_cuts(monkeypatch):
+    """Record each ``_front_mask`` call as (inside hv, rows in, rows kept)."""
+    calls, depth = [], [0]
+    for module in (core, ind, preprocess):
+        mask = module._front_mask
+
+        def counted(V, unique=False, mask=mask):
+            kept = mask(V, unique)
+            calls.append((depth[0] > 0, len(V), int(kept.sum())))
+            return kept
+
+        monkeypatch.setattr(module, "_front_mask", counted)
+    hv = ind.hypervolume
+
+    def inside(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return hv(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ind, "hypervolume", inside)
+    return calls
+
+
+def _hv_experiment(m):
     rng = np.random.default_rng(m)
     meta = tuple(ObjectiveMeta(f"f{j}") for j in range(m))
 
     def run(name, n):
         return SolutionSet._from_array(name, meta, rng.random((n, m)).round(2))
 
-    algorithms = {"a": [run("a0", 30), run("a1", 25)], "b": [run("b0", 0), run("b1", 30)]}
-    calls, depth = [], [0]
-    for module in (core, ind, preprocess):
-        mask = module._front_mask
+    return {"a": [run("a0", 30), run("a1", 25)], "b": [run("b0", 0), run("b1", 30)]}
 
-        def counted(V, unique=False, mask=mask):
-            calls.append(depth[0])
-            return mask(V, unique)
 
-        monkeypatch.setattr(module, "_front_mask", counted)
-    for name in ("hypervolume", "_hypervolume"):
-        hv = getattr(ind, name)
-
-        def inside(*args, hv=hv, **kwargs):
-            depth[0] += 1
-            try:
-                return hv(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(ind, name, inside)
+@pytest.mark.parametrize("m", [4, 5])
+def test_hv_table_cuts_each_run_front_once(monkeypatch, m):
+    # At m >= 4 the table cuts each live run's unique front once and the
+    # union from those fronts: one front filter per live run plus one for
+    # the union.  hv gets the fronts, so its own cut drops no row.
+    algorithms = _hv_experiment(m)
+    calls = _front_cuts(monkeypatch)
     table = indicator_table(algorithms, ["hv"], IndicatorConfig())
-    assert calls == [0] * (3 + 1)
+    outside = [(n, kept) for inner, n, kept in calls if not inner]
+    assert [n for n, _ in outside] == [30, 25, 30, sum(kept for _, kept in outside[:3])]
+    inner = [(n, kept) for inner, n, kept in calls if inner]
+    assert len(inner) <= 3 and all(n == kept for n, kept in inner)
     for (alg, r), (value,) in table.values.items():
         assert repr(value) == repr(hypervolume(algorithms[alg][r], table.point))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_checked_yardsticks_cut_no_run_front(monkeypatch, m):
+    # lint only checks the yardsticks: one front filter over the raw rows
+    # builds the same union, tags and point, and no run front is kept.
+    algorithms = _hv_experiment(m)
+    computed = _yardsticks(algorithms, ["hv"], IndicatorConfig())
+    calls = _front_cuts(monkeypatch)
+    checked = _yardsticks(algorithms, ["hv"], IndicatorConfig(), computed=False)
+    assert [(inner, n) for inner, n, _ in calls] == [(False, 85)]
+    assert checked.fronts is None and len(computed.fronts) == 3
+    assert checked.point == computed.point and not checked.failures
+    got, want = checked.reference, computed.reference
+    assert got.values().tobytes() == want.values().tobytes()
+    assert [(s.id, s.source) for s in got] == [(s.id, s.source) for s in want]

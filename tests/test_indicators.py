@@ -580,12 +580,12 @@ def test_hypervolume_of_a_large_node_matches_filter_sweep_oracle(n):
 @kernel_settings
 @given(case=hv_cases())
 def test_hypervolume_of_the_unique_front_is_the_run_hypervolume(block_pairs, case):
-    # What the evaluate table computes at m >= 4: hv of a run's unique front,
-    # cut once and not again inside hv, equals hv of the raw run to the bit.
+    # What the evaluate table computes at m >= 4: hv of a run's unique front
+    # equals hv of the raw run to the bit.
     X, ref = case
     A = make_set("A", X.tolist())
     front = unique_nondominated_front(A)
-    assert repr(ind._hypervolume(front, ref, cut=False)) == repr(hypervolume(A, ref))
+    assert repr(hypervolume(front, ref)) == repr(hypervolume(A, ref))
 
 
 DOMINATED_SHIFT = st.integers(2, 4).flatmap(
