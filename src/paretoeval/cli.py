@@ -6,7 +6,8 @@ preferences, optional indicator overrides, and output paths.  Unknown
 manifest fields are rejected so typos fail fast, and each subcommand takes
 only the flags it reads.  Machine-readable reports
 are byte-stable: the same manifest and data always serialize to the same
-bytes (keys sorted, no timestamps).
+bytes (keys sorted, no timestamps), and a report file is replaced only once
+the new one is whole.
 
 Exit status: 0 clean, 1 completed with warning-level findings, 2 on
 error-level findings or failure.
@@ -17,11 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -323,7 +327,7 @@ def load_manifest(path: str | Path) -> Manifest:
     """Parse and validate an experiment manifest (strict JSON object)."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -394,7 +398,7 @@ def load_solution_set(
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SolutionFileError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
@@ -710,14 +714,51 @@ def _exit_from_findings(findings: Sequence[LintWarning], strict: bool) -> int:
     return worst
 
 
+# The encoder of ``json.dumps(value, sort_keys=True, indent=2)``.  With an
+# indent it yields small tokens, so they go out joined a batch at a time.
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
+_TOKENS_PER_WRITE = 512
+
+
+def _stream(report: dict, out: TextIO) -> None:
+    tokens = _INDENTED.iterencode(report)
+    while batch := "".join(islice(tokens, _TOKENS_PER_WRITE)):
+        out.write(batch)
+    out.write("\n")
+
+
 def _write_report(report: dict, target: str | Path | None) -> None:
+    """Write ``json.dumps(report, sort_keys=True, indent=2)`` and a newline to
+    ``target`` as the encoder streams it.  A report file, or a path with no
+    file yet, is written beside itself and then replaced, keeping its mode,
+    so a render that fails leaves it as it was; through a symlink, the file
+    the link names is replaced.  Anything else, such as a pipe or a device,
+    is written straight through."""
     if not target:
         return
     path = Path(target)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    try:
+        mode = path.stat().st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with path.open("w", encoding="utf-8") as out:
+            _stream(report, out)
+        return
+    if path.is_symlink():
+        path = path.resolve()
+    if mode is None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with partial.open("w", encoding="utf-8") as out:
+            _stream(report, out)
+        if mode is not None:
+            partial.chmod(stat.S_IMODE(mode))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ transforms replaced: each rebuilds every surviving row as a new ``Solution``.
 The run-file oracle is the per-line CSV walk that one numpy parse of the
 body replaced: each cell goes through ``float()`` on its own.  The group
 staircase is the bisect-based 2-D front of one HV3D group that a stable
-sort with a running minimum replaced.
+sort with a running minimum replaced.  The report text is the one-shot
+``json.dumps`` that the streaming report writer replaced.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -640,10 +642,11 @@ def load_solution_set_oracle(
     leading ``id`` column only when ``id`` is followed by exactly the
     objective names; blank lines are skipped, every other line needs one
     cell per column, and each cell is read by ``float()`` and must be
-    finite.  The first bad line in file order raises."""
+    finite; a leading byte-order mark is not part of the header.  The first
+    bad line in file order raises."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SolutionFileError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
@@ -684,3 +687,9 @@ def load_solution_set_oracle(
         message = f"{path} contains a header but no solutions"
         warnings.warn(message, EvaluationWarning, stacklevel=2)
     return SolutionSet(name or path.stem, tuple(meta), tuple(solutions))
+
+
+def report_text(value) -> str:
+    """A report's file text: the whole value rendered in one call, keys
+    sorted, two-space indent, and a final newline."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"

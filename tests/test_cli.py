@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import copy
 import dataclasses
 import importlib.util
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -318,6 +320,15 @@ class TestManifestLoading:
         with pytest.raises(ManifestError, match="object"):
             load_manifest(path)
 
+    def test_manifest_with_a_byte_order_mark(self, knee_manifest, tmp_path):
+        # Some editors save JSON as UTF-8 that starts with U+FEFF.
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        args = ["evaluate", "--manifest", str(knee_manifest), "--out"]
+        status = main([*args, str(plain)])
+        knee_manifest.write_bytes(codecs.BOM_UTF8 + knee_manifest.read_bytes())
+        assert main([*args, str(marked)]) == status != EXIT_ERROR
+        assert marked.read_bytes() == plain.read_bytes()
+
     @pytest.mark.parametrize(
         "command", ["evaluate", "lint", "recommend", "stats", "plot-data", "compare"]
     )
@@ -366,7 +377,8 @@ IDS = ["s1", " a ", "#x", '"q"', "", "id", "\u0663"]
 def run_files(draw):
     """``(text, meta)`` of a run file: cells in any of three formats with
     padding, odd cells, short and long rows, blank lines, an ``id`` column,
-    CRLF endings and a missing final newline, or a header alone."""
+    CRLF endings, a missing final newline and a byte-order mark, or a header
+    alone."""
     names = draw(
         st.sampled_from([("f1", "f2"), ("id", "f2"), ("f1",), ("f1", "f2", "f3")])
     )
@@ -396,7 +408,7 @@ def run_files(draw):
             lines.append(draw(st.sampled_from(BLANKS)))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join(lines) + (end if draw(st.booleans()) else "")
-    return text, meta
+    return draw(st.sampled_from(["", "\ufeff"])) + text, meta
 
 
 def _outcome(loader, path, meta):
@@ -483,6 +495,16 @@ class TestSolutionFiles:
         assert main(["evaluate", "--manifest", str(path)]) == EXIT_ERROR
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot read {run}: ")
+
+    def test_run_file_with_a_byte_order_mark(self, knee_manifest, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        args = ["evaluate", "--manifest", str(knee_manifest), "--out"]
+        status = main([*args, str(plain)])
+        run = tmp_path / "alpha_0.csv"
+        run.write_bytes(codecs.BOM_UTF8 + run.read_bytes())
+        assert main([*args, str(marked)]) == status != EXIT_ERROR
+        assert marked.read_bytes() == plain.read_bytes()
 
     def test_header_only_warns(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -692,6 +714,76 @@ class TestEvaluate:
         main(["evaluate", "--manifest", str(knee_manifest), "--out", str(out1)])
         main(["evaluate", "--manifest", str(knee_manifest), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_failed_render_leaves_no_partial_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A numpy scalar in the last result row is not JSON, so the write
+        # fails after the fields that sort before results have gone out.
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"alpha": [KNEE_A], "beta": [KNEE_B]},
+            overrides={"indicators": ["hv", "igd"]},
+        )
+        built = cli.indicator_table
+
+        def leaky(*args, **kwargs):
+            table = built(*args, **kwargs)
+            *_, last = table.values
+            *head, value = table.values[last]
+            table.values[last] = (*head, np.float32(value))
+            return table
+
+        monkeypatch.setattr(cli, "indicator_table", leaky)
+        out = tmp_path / "report.json"
+        out.write_bytes(b"the previous report\n")
+        before = sorted(os.listdir(tmp_path))
+        args = ["evaluate", "--manifest", str(path), "--out", str(out)]
+        assert main(args) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "error: TypeError: Object of type float32 is not JSON serializable"
+        ]
+        assert out.read_bytes() == b"the previous report\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_report_through_a_symlink_replaces_the_file_it_names(
+        self, knee_manifest, tmp_path
+    ):
+        plain = tmp_path / "plain.json"
+        args = ["evaluate", "--manifest", str(knee_manifest), "--out"]
+        main([*args, str(plain)])
+        real, link = tmp_path / "kept" / "report.json", tmp_path / "link.json"
+        real.parent.mkdir()
+        real.write_bytes(b"the previous report\n")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        main([*args, str(link)])
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_bytes() == plain.read_bytes()
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert os.listdir(real.parent) == ["report.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_report_to_a_pipe_is_written_through(self, knee_manifest, tmp_path):
+        # As ``--out /dev/stdout`` or ``--out >(jq .)`` are: the pipe stays a
+        # pipe and nothing is written beside it.
+        plain, pipe = tmp_path / "plain.json", tmp_path / "pipe"
+        args = ["evaluate", "--manifest", str(knee_manifest), "--out"]
+        main([*args, str(plain)])
+        before = sorted(os.listdir(tmp_path))
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            main([*args, str(pipe)])
+            received = b""
+            while chunk := os.read(reader, 1 << 16):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert received == plain.read_bytes()
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, "pipe"])
 
     def test_default_plan_is_clean(self, tmp_path):
         path = write_manifest(
