@@ -611,10 +611,13 @@ def _configure(
     """``base`` with the fields the manifest sets, then those the flags set.
 
     A config flag stores its value under the field it sets; a subcommand
-    without that flag leaves the field alone.
+    without that flag leaves the field alone.  A level that sets a strategy
+    other than ``explicit`` leaves no ``ref_point`` of a level below.
     """
     flags = {k: v for k in _CONFIG_FIELDS if (v := getattr(args, k, None)) is not None}
-    return replace(base, **{**manifest.overrides, **_config_level(flags)})
+    config = replace(base, **{**manifest.overrides, **_config_level(flags)})
+    explicit = config.hv_strategy == "explicit"
+    return config if explicit else replace(config, ref_point=None)
 
 
 def _lint_findings(
@@ -832,8 +835,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     prepared, plan = stages.prepared, stages.plan
     manifest = prepared.manifest
     # Carry the plan's advisory notes over without repeating its self-lint
-    # findings.
-    findings = stages.findings + [w for w in plan.warnings if w.code.startswith("N-")]
+    # findings, and only where the columns bear them out: the substituted
+    # spread extremes when spread runs, the excluded distance columns when
+    # the columns are the plan's.
+    holds = {
+        "N-EXTREMES-SUBSTITUTED": "spread" in stages.columns,
+        "N-IGD-EXCLUDED": stages.chosen == [p.name for p in plan.indicators],
+    }
+    findings = stages.findings + [
+        w for w in plan.warnings if w.code.startswith("N-") and holds.get(w.code, True)
+    ]
 
     results: list[dict] = []
     aggregates: list[dict] = []
@@ -934,7 +945,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    prepared = prepare(manifest)
     first, second = args.first, args.second
     for n in (first, second):
         if n not in manifest.algorithms:
@@ -943,14 +953,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(chosen) > 1:
         raise ValueError("compare takes exactly one indicator")
     indicator = canonical_name(chosen[0])
-    pooled = prepared.pooled()
-    if first not in pooled or second not in pooled:
-        raise EmptySetError("cannot compare empty sets")
-    set_a, set_b = pooled[first], pooled[second]
     if indicator not in _PAIRWISE:
         raise ValueError(
             f"{indicator} is not a pairwise indicator; use ci, c, or epsilon"
         )
+    pooled = prepare(manifest).pooled()
+    if first not in pooled or second not in pooled:
+        raise EmptySetError("cannot compare empty sets")
+    set_a, set_b = pooled[first], pooled[second]
     if aspects_of(indicator).needs_normalization:
         config = _configure(IndicatorConfig(), manifest, args)
         bounds = normalization_bounds(config.normalization, [set_a, set_b])

@@ -168,10 +168,11 @@ class IndicatorTable:
     """Per-run indicator values of one experiment, from shared yardsticks.
 
     ``values[(algorithm, run)]`` holds one value per column for each
-    non-empty run.  ``reference`` is the union front of the non-empty runs
-    (raw units); ``bounds`` are the config's normalization bounds, None for
-    ``none`` or for missing hard bounds that no column reads; ``point`` is
-    the hv column's reference point, None without one.
+    non-empty run.  ``reference`` is the union front of the non-empty runs in
+    raw units, the one front every column reads (mapped by ``bounds`` in the
+    normalizing ones); ``bounds`` are the config's normalization bounds, None
+    for ``none`` or for missing hard bounds that no column reads; ``point``
+    is the hv column's reference point, None without one.
     """
 
     values: dict[tuple[str, int], tuple[float, ...]]
@@ -262,13 +263,16 @@ def indicator_table(
     yardstick built once.
 
     The yardsticks come from the non-empty runs of all algorithms, built here
-    or passed as ``yardsticks``: the reference set, raw and normalized; the
-    bounds; the hv point; the grid cells; the ``spread`` extremes.  A failed
-    one raises only when read.  Each algorithm's representative run is the
-    one whose hv is closest to the median of its runs' hv values (Knowles,
-    Thiele & Zitzler 2006), computed for the pick only when hv is not a
-    column.  Where hv is undefined at the objective count, only algorithms
-    with one non-empty run get a representative; any other error propagates.
+    or passed as ``yardsticks``: the reference set, the union front decided on
+    raw values and normalized with the runs when a column normalizes; the
+    bounds; the hv point; the grid cells; the ``spread`` extremes, the
+    reference set's first and last rows in the lexicographic order of its raw
+    values.  A failed one raises only when read.  Each algorithm's
+    representative run is the one whose hv is closest to the median of its
+    runs' hv values (Knowles, Thiele & Zitzler 2006), computed for the pick
+    only when hv is not a column.  Where hv is undefined at the objective
+    count, only algorithms with one non-empty run get a representative; any
+    other error propagates.
     """
     columns = tuple(canonical_name(n) for n in columns)
     for name in columns:
@@ -291,8 +295,7 @@ def indicator_table(
     live = [algorithms[alg][r] for alg, r in slots]
     space, front = live, built.reference  # what the normalizing columns read
     if scaled and built.bounds is not None:
-        space = normalize(live, built.bounds)
-        front = build_reference_set(space)
+        *space, front = normalize([*live, built.reference], built.bounds)
 
     def column(name: str) -> list[float]:
         if name == "nfs":
@@ -315,8 +318,9 @@ def indicator_table(
             return [_ind.epsilon_additive(run, front) for run in space]
         if name == "sp":
             return [_ind.spacing(run) for run in space]
-        _, ordered, _ = _lex_sorted(front.values())  # spread
-        return [_ind.spread_delta(run, [ordered[0], ordered[-1]]) for run in space]
+        order, _, _ = _lex_sorted(built.reference.values())  # spread
+        ends = front.values()[[order[0], order[-1]]]
+        return [_ind.spread_delta(run, ends) for run in space]
 
     computed = {name: column(name) for name in dict.fromkeys(columns)}
     rank = dict(zip(slots, computed.get("hv") or column("hv"))) if built.ranked else {}

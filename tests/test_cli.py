@@ -935,6 +935,51 @@ class TestEvaluate:
             assert main(["evaluate", "--manifest", read]) == EXIT_ERROR
             assert "'f1' declares no hard bounds" in capsys.readouterr().err
 
+    def test_hard_bounds_flag_a_reference_set_outside_them(self, tmp_path):
+        # The union front is normalized in the runs' own call, so when it
+        # lies outside the declared bounds it is flagged beside them.
+        objectives = [{**o, "hard_bounds": [0, 2]} for o in MIN_2D]
+        path = write_manifest(
+            tmp_path,
+            objectives,
+            {"a": [[(1, 4), (4, 1)]], "b": [[(2, 5), (5, 2)]]},
+            overrides={"indicators": ["igd"], "normalization": "hard_bounds"},
+        )
+        argv = ["evaluate", "--manifest", str(path), "--out", str(tmp_path / "r.json")]
+        with pytest.warns(EvaluationWarning) as caught:
+            main(argv)
+        assert [str(w.message) for w in caught] == [
+            f"set {name!r} has values outside the normalization bounds"
+            for name in ("a", "b", "reference")
+        ]
+
+    @pytest.mark.parametrize(
+        "preferences, indicators, dropped, kept",
+        [
+            ({"roi": "knee"}, ["igd"], "N-IGD-EXCLUDED", "L-KNEE-MISMATCH"),
+            (None, ["hv"], "N-EXTREMES-SUBSTITUTED", "N-PSI"),
+        ],
+        ids=["knee-igd", "hv-without-spread"],
+    )
+    def test_plan_notes_follow_the_columns(
+        self, tmp_path, preferences, indicators, dropped, kept
+    ):
+        # A plan note on columns that did not run stays in the plan block
+        # and out of the findings.
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"alpha": [KNEE_A], "beta": [KNEE_B]},
+            preferences=preferences,
+            overrides={"indicators": indicators},
+        )
+        out = tmp_path / "r.json"
+        main(["evaluate", "--manifest", str(path), "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert dropped in [w["code"] for w in report["plan"]["warnings"]]
+        found = [f["code"] for f in report["findings"]]
+        assert dropped not in found and kept in found
+
     def test_weights_route_reports_winner(self, tmp_path, capsys):
         path = write_manifest(
             tmp_path,
@@ -1306,6 +1351,16 @@ class TestCompare:
             code = main(["compare", "--manifest", str(path), "alpha", "beta"])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: cannot compare empty sets\n"
+
+    def test_pairwise_check_precedes_the_runs(self, tmp_path, capsys):
+        # hv is rejected from the manifest alone, before an emptied
+        # algorithm could be found.
+        path = write_manifest(tmp_path, MIN_2D, EMPTIED_ALPHA, preferences=F2_AT_MOST)
+        argv = ["compare", "--manifest", str(path), "--indicator", "hv"]
+        assert main([*argv, "alpha", "beta"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: hv is not a pairwise indicator; use ci, c, or epsilon\n"
+        )
 
     def test_unknown_algorithm(self, knee_manifest, capsys):
         code = main(["compare", "--manifest", str(knee_manifest), "alpha", "zeta"])
@@ -1831,11 +1886,11 @@ class TestPlotData:
 
 class TestYardsticksBuiltOnce:
     """evaluate, lint and plot-data build the union front of the runs once,
-    in ``_stages``; evaluate builds one more, in normalized units, for its
-    distance columns."""
+    in ``_stages``, on raw values; evaluate's distance columns read that
+    front normalized, not one cut again from the normalized runs."""
 
     @pytest.mark.parametrize(
-        "command, builds", [("evaluate", 2), ("lint", 1), ("plot-data", 1)]
+        "command, builds", [("evaluate", 1), ("lint", 1), ("plot-data", 1)]
     )
     def test_union_front_builds_per_command(
         self, tmp_path, monkeypatch, command, builds
@@ -2355,6 +2410,7 @@ class TestFlags:
         (row, _) = json.loads(out.read_text())["results"]
         assert row["config"]["hv_strategy"] == "worst_values"
         assert row["config"]["reference_point"] == [12.0, 10.0]
+        assert row["config"]["ref_point"] is None
 
 
 # Manifests the exit-code property mutates: every manifest object appears.

@@ -283,6 +283,29 @@ class TestIndicatorTableInputs:
         }
         assert table.values[("alg", 1)] == (0.0,)  # two points: one distance
 
+    def test_normalizing_columns_read_the_raw_front(self, monkeypatch):
+        # The runs' second rows differ by one float, so both are on the raw
+        # union front; normalizing over a range of 3 rounds them together.
+        # The columns read that four-row front mapped, so each run's rows
+        # lie on it and gd_plus charges neither run anything.
+        x1 = 0.10280140070035018
+        x2 = float(np.nextafter(x1, 1.0))
+        a = make_set("a", [(0.0, 3.0), (x1, 2.0)])
+        b = make_set("b", [(x2, 1.0), (3.0, 0.0)])
+        read = []
+        for name in ("igd", "gd_plus"):
+
+            def counted(run, front, column=getattr(ind, name)):
+                read.append(len(front))
+                return column(run, front)
+
+            monkeypatch.setattr(ind, name, counted)
+        columns = ["igd", "gd_plus"]
+        table = indicator_table({"a": [a], "b": [b]}, columns, IndicatorConfig())
+        assert len(table.reference) == 4
+        assert read == [len(table.reference)] * 4
+        assert [gd_plus for _, gd_plus in table.values.values()] == [0.0, 0.0]
+
     def test_requires_runs(self):
         with pytest.raises(EmptySetError):
             _representative([])

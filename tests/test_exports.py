@@ -27,9 +27,19 @@ def test_every_export_resolves_to_its_module_object():
 
 
 def test_import_leaves_the_cli_out():
-    code = "import sys, paretoeval; print('paretoeval.cli' in sys.modules)"
+    # Importing the package loads numpy, the standard library and the five
+    # library modules, nothing else: every other import it gains is paid on
+    # each start of the command line.
+    code = (
+        "import sys; before = set(sys.modules); import paretoeval; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
     src = Path(paretoeval.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     argv = [sys.executable, "-c", code]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    added = set(out.stdout.split())
+    library = {f"paretoeval.{m.__name__.rpartition('.')[2]}" for m in MODULES}
+    assert {n for n in added if n.startswith("paretoeval")} == {"paretoeval", *library}
+    others = {n.partition(".")[0] for n in added if not n.startswith("paretoeval")}
+    assert others <= {"numpy", *sys.stdlib_module_names}

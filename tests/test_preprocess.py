@@ -81,6 +81,9 @@ class TestScreening:
         assert log[0].index == 0
         assert log[0].solution.objectives[0] == 0.0
         assert "coverage" in log[0].rule
+        # Without the objective's name the rule names its index.
+        for meta in (None, work.meta[:1]):
+            assert rule.describe(meta) == "objective[1] >= 0.4"
 
     def test_empty_rules_identity(self):
         A = make_set("A", KNEE_A)
@@ -220,6 +223,7 @@ class TestNormalization:
         bounds = NormalizationBounds(ideal=(0.0, 0.0), nadir=(10.0, 10.0))
         out = normalize([A], bounds)[0]
         assert out.solutions[0].objectives == (0.5, 0.5)
+        assert normalize([], bounds) == []
 
     def test_boundaries(self):
         A = make_set("A", [(0, 10), (10, 0)])
