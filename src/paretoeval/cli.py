@@ -16,6 +16,7 @@ error-level findings or failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -38,7 +39,6 @@ from .core import (
 from . import indicators as ind
 from .doe import (
     IndicatorTable,
-    _Yardsticks,
     _yardsticks,
     indicator_table,
     per_objective_stats,
@@ -620,34 +620,6 @@ def _configure(
     return config if explicit else replace(config, ref_point=None)
 
 
-def _lint_findings(
-    prepared: Prepared,
-    chosen: Sequence[str],
-    columns: Sequence[str],
-    config: IndicatorConfig,
-    built: _Yardsticks | None,
-) -> list[LintWarning]:
-    """Lint what evaluate computes: the chosen columns under ``config`` at
-    the objective count left, an explicit hv point at the union front's
-    nadir, each failure of evaluate's own yardstick build ``built`` (None
-    when no column runs) with its error, and each run too small."""
-    at_nadir = False
-    if built is not None and built.point is not None:
-        nadir = tuple(built.reference.values().max(axis=0).tolist())
-        at_nadir = config.hv_strategy == "explicit" and built.point == nadir
-    mode = EvaluationMode(hv_ref_at_nadir=at_nadir)
-    found = lint(chosen, config, prepared.manifest.preferences, prepared.live_m, mode)
-    if built is not None:
-        found += [_finding(code, str(exc)) for code, exc in built.failures.items()]
-    for name in columns:
-        need = aspects_of(name).min_size
-        short = [s.name for s in prepared.all_sets if 0 < len(s) < need]
-        if short:
-            detail = f"{name} needs {need}; {', '.join(short)} keep fewer"
-            found.append(_finding("L-RUN-TOO-SMALL", detail))
-    return found
-
-
 class _Stages(NamedTuple):
     """What evaluate, lint and plot-data share, built once and in order."""
 
@@ -656,23 +628,20 @@ class _Stages(NamedTuple):
     route: str  # the plan's branch, as guidance._route names it
     config: IndicatorConfig  # the one merged config every column runs with
     chosen: list[str]  # what lint reports as chosen
-    findings: list[LintWarning]  # lint findings on the columns that run
-    columns: list[str]  # chosen, defined at live_m
-    yardsticks: _Yardsticks | None  # what the columns read; None on best-value
+    columns: list[str]  # chosen, defined at live_m; none on best-value
 
 
 def _stages(args: argparse.Namespace) -> _Stages:
-    """Load, prepare, plan, configure, build the yardsticks, lint, and keep
-    the columns whose profile defines them at the objective count left; lint
-    reports each other one as an error.
+    """Load, prepare, plan, configure, and keep the columns whose profile
+    defines them at the objective count left; lint reports each other one as
+    an error.  No yardstick is built here: each command builds those it
+    reads.
 
     The columns are the indicators the flags or the manifest name, else the
     plan's.  One config serves them all and ranks the runs by hv: the plan's
     when the plan picks the columns (its indicators share one), else the
     default, with the fields the manifest sets and then those the flags set
-    on top.  On the best-value route no column runs, so none is linted or
-    kept and no yardstick is built.  lint computes no column, so its
-    yardsticks cut no run front.
+    on top.  On the best-value route no column runs, so none is kept.
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
@@ -684,12 +653,36 @@ def _stages(args: argparse.Namespace) -> _Stages:
     route = _route(prefs, live_m)
     judged = [] if route == "best-value" else chosen
     columns = [n for n in judged if live_m in aspects_of(n).objectives]
-    built = None
-    if route != "best-value":
-        scalarize, computed = route == "scalarize", args.command != "lint"
-        built = _yardsticks(prepared.algorithms, columns, config, scalarize, computed)
-    findings = _lint_findings(prepared, judged, columns, config, built)
-    return _Stages(prepared, plan, route, config, chosen, findings, columns, built)
+    return _Stages(prepared, plan, route, config, chosen, columns)
+
+
+def _lint_findings(
+    stages: _Stages,
+    point: tuple[float, ...] | None,
+    reference: SolutionSet | None,
+    failures: Mapping[str, ValueError],
+) -> list[LintWarning]:
+    """Lint what evaluate computes: the chosen columns (none on the
+    best-value route) under the stages' config at the objective count left,
+    an explicit hv ``point`` at the nadir of the union front ``reference``,
+    each yardstick failure by its lint code with its error, and each run too
+    small."""
+    prepared, config = stages.prepared, stages.config
+    judged = [] if stages.route == "best-value" else stages.chosen
+    at_nadir = False
+    if point is not None:
+        nadir = tuple(reference.values().max(axis=0).tolist())
+        at_nadir = config.hv_strategy == "explicit" and point == nadir
+    mode = EvaluationMode(hv_ref_at_nadir=at_nadir)
+    found = lint(judged, config, prepared.manifest.preferences, prepared.live_m, mode)
+    found += [_finding(code, str(exc)) for code, exc in failures.items()]
+    for name in stages.columns:
+        need = aspects_of(name).min_size
+        short = [s.name for s in prepared.all_sets if 0 < len(s) < need]
+        if short:
+            detail = f"{name} needs {need}; {', '.join(short)} keep fewer"
+            found.append(_finding("L-RUN-TOO-SMALL", detail))
+    return found
 
 
 def _both_orders(indicator):
@@ -808,9 +801,7 @@ def _doe_block(stages: _Stages) -> dict:
             "winner": min(best, key=best.get) if best else None,
         }
     if stages.route == "scalarize":
-        failures, bounds = stages.yardsticks.failures, stages.yardsticks.bounds
-        if "L-NO-HARD-BOUNDS" in failures:
-            raise failures["L-NO-HARD-BOUNDS"]
+        bounds = normalization_bounds(stages.config.normalization, [*pooled.values()])
         weights = [w for j, w in enumerate(prefs.weights) if j not in prepared.dropped]
         scal = {}
         for alg, basis in pooled.items():
@@ -842,24 +833,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "N-EXTREMES-SUBSTITUTED": "spread" in stages.columns,
         "N-IGD-EXCLUDED": stages.chosen == [p.name for p in plan.indicators],
     }
-    findings = stages.findings + [
+    notes = [
         w for w in plan.warnings if w.code.startswith("N-") and holds.get(w.code, True)
     ]
 
     results: list[dict] = []
     aggregates: list[dict] = []
     representative: dict[str, int] = {}
+    point = reference = None
 
     if stages.route == "best-value":  # one objective left: no indicator columns
         if stages.chosen:
             names = ", ".join(stages.chosen)
-            findings.append(_finding("N-BEST-VALUE-SKIPPED", names))
+            notes.append(_finding("N-BEST-VALUE-SKIPPED", names))
     else:
         unary = [n for n in stages.columns if not aspects_of(n).binary]
         binary = [n for n in stages.columns if aspects_of(n).binary]
-        table = indicator_table(
-            prepared.algorithms, unary, stages.config, stages.yardsticks
-        )
+        table = indicator_table(prepared.algorithms, unary, stages.config)
+        point, reference = table.point, table.reference
         shared = [_column(n, stages.config, table) for n in unary]
         for alg, runs in prepared.algorithms.items():
             per_indicator: dict[str, list[float]] = {}
@@ -894,8 +885,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             names = ", ".join(binary)
             count = len(prepared.algorithms)
             detail = f"{names}: {count} algorithm(s), {len(pooled)} with survivors"
-            findings.append(_finding("N-BINARY-SKIPPED", detail))
+            notes.append(_finding("N-BINARY-SKIPPED", detail))
     doe_report = _doe_block(stages)
+    # Each yardstick failure the table or the doe step reads has raised.
+    findings = _lint_findings(stages, point, reference, {}) + notes
 
     if prepared.disputed:
         findings.append(_finding("N-RENORM-SURVIVORS"))
@@ -1005,7 +998,15 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     stages = _stages(args)
-    findings = stages.findings
+    point = reference = None
+    failures: Mapping[str, ValueError] = {}
+    if stages.route != "best-value":  # what evaluate reads, with no run front cut
+        built = _yardsticks(
+            stages.prepared.algorithms, stages.columns, stages.config,
+            stages.route == "scalarize", computed=False,
+        )
+        point, reference, failures = built.point, built.reference, built.failures
+    findings = _lint_findings(stages, point, reference, failures)
     status = _exit_from_findings(findings, args.strict)
     report = {
         "schema": "solution-set-lint/1",
@@ -1058,6 +1059,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# A scatter file is named after its algorithm with these percent-encoded, so
+# each name gives its own file inside the output directory.
+_FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C"})
+
+
 def cmd_plot_data(args: argparse.Namespace) -> int:
     stages = _stages(args)
     prepared = stages.prepared
@@ -1069,9 +1075,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     # The same pick as evaluate: the run whose hv is closest to the median.
     representative: dict[str, int] = {}
     if stages.route != "best-value" and any(len(s) for s in prepared.all_sets):
-        table = indicator_table(
-            prepared.algorithms, [], stages.config, stages.yardsticks
-        )
+        table = indicator_table(prepared.algorithms, [], stages.config)
         representative = table.representative
 
     chosen_runs: dict[str, SolutionSet] = {}
@@ -1092,21 +1096,22 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     kind = stages.plan.plotting
     if kind == "scatter":
         for alg, run in chosen_runs.items():
-            path = out_dir / f"{alg}.csv"
+            path = out_dir / f"{alg.translate(_FILE_NAME_ESCAPES)}.csv"
             write_solution_set(path, run)
             written.append(str(path))
     else:
         live = [s for s in chosen_runs.values() if len(s)]
         bounds = NormalizationBounds.from_sets(live)
-        rows = ["set,solution,objective,value"]
-        for alg, run in chosen_runs.items():
-            normed = normalize([run], bounds)[0] if len(run) else run
-            for i, sol in enumerate(normed.solutions):
-                label = sol.id or str(i)
-                for name, v in zip((o.name for o in normed.meta), sol.objectives):
-                    rows.append(f"{alg},{label},{name},{v!r}")
         path = out_dir / "parallel-coordinates.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8", newline="") as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["set", "solution", "objective", "value"])
+            for alg, run in chosen_runs.items():
+                normed = normalize([run], bounds)[0] if len(run) else run
+                for i, sol in enumerate(normed.solutions):
+                    label = sol.id or str(i)
+                    for name, v in zip((o.name for o in normed.meta), sol.objectives):
+                        writer.writerow([alg, label, name, repr(v)])
         written.append(str(path))
     print(f"wrote {kind} data for {len(chosen_runs)} set(s):")
     for w in written:

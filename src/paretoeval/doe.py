@@ -257,22 +257,22 @@ def indicator_table(
     algorithms: Mapping[str, Sequence[SolutionSet]],
     columns: Sequence[str],
     config: IndicatorConfig,
-    yardsticks: _Yardsticks | None = None,
 ) -> IndicatorTable:
     """Evaluate unary indicator columns on every run under one config, each
     yardstick built once.
 
-    The yardsticks come from the non-empty runs of all algorithms, built here
-    or passed as ``yardsticks``: the reference set, the union front decided on
-    raw values and normalized with the runs when a column normalizes; the
-    bounds; the hv point; the grid cells; the ``spread`` extremes, the
-    reference set's first and last rows in the lexicographic order of its raw
-    values.  A failed one raises only when read.  Each algorithm's
-    representative run is the one whose hv is closest to the median of its
-    runs' hv values (Knowles, Thiele & Zitzler 2006), computed for the pick
-    only when hv is not a column.  Where hv is undefined at the objective
-    count, only algorithms with one non-empty run get a representative; any
-    other error propagates.
+    The yardsticks come from the non-empty runs of all algorithms, built
+    here by :func:`_yardsticks` for what the columns and the run ranking
+    read: the reference set, the union front decided on raw values and
+    normalized with the runs when a column normalizes; the bounds; the hv
+    point; the grid cells; the ``spread`` extremes, the reference set's first
+    and last rows in the lexicographic order of its raw values.  The first
+    failure that build records raises.  Each algorithm's representative run
+    is the one whose hv is closest to the median of its runs' hv values
+    (Knowles, Thiele & Zitzler 2006), computed for the pick only when hv is
+    not a column.  Where hv is undefined at the objective count, only
+    algorithms with one non-empty run get a representative; any other error
+    propagates.
     """
     columns = tuple(canonical_name(n) for n in columns)
     for name in columns:
@@ -280,12 +280,10 @@ def indicator_table(
             raise ValueError(f"{name} is a binary indicator, not a per-run column")
     if "" in algorithms:
         raise ValueError("algorithm names must be non-empty")
-    built = yardsticks or _yardsticks(algorithms, columns, config)
+    built = _yardsticks(algorithms, columns, config)
+    for error in built.failures.values():
+        raise error
     scaled = any(aspects_of(n).needs_normalization for n in columns)
-    read = {"L-ALL-EMPTY": True, "L-NO-HARD-BOUNDS": scaled}
-    for code, error in built.failures.items():
-        if read.get(code, "hv" in columns or built.ranked):  # else a point failure
-            raise error
     slots = [
         (alg, r)
         for alg, runs in algorithms.items()

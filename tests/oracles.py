@@ -158,14 +158,14 @@ def hv_slicer_oracle(points, ref) -> float:
     if len(ref) == 2:
         # Sweep left to right; each front point adds a rectangle.
         best_y = ref[1]
-        vol = 0.0
+        vol = 0
         for x, y in sorted(points):
             if y < best_y:
                 vol += (ref[0] - x) * (best_y - y)
                 best_y = y
         return vol
     ordered = sorted(points, key=lambda p: p[-1])
-    total = 0.0
+    total = 0
     for i, p in enumerate(ordered):
         depth = (ordered[i + 1][-1] if i + 1 < len(ordered) else ref[-1]) - p[-1]
         if depth == 0:

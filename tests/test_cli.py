@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import copy
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -1873,21 +1874,63 @@ class TestPlotData:
             tmp_path, objectives, {"a": [points], "b": [other]}
         )
         out_dir = tmp_path / "plots"
-        # (0, 1, 2, 3, 4), in both algorithms, dominates every other row:
-        # the union front is that one row, so the hv point steps by 1.
-        with pytest.warns(EvaluationWarning, match="degenerate objective range"):
-            main(["plot-data", "--manifest", str(path), "--out", str(out_dir)])
+        argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
         lines = (out_dir / "parallel-coordinates.csv").read_text().splitlines()
         assert lines[0] == "set,solution,objective,value"
         assert len(lines) == 1 + (3 + 2) * 5
         values = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
         assert min(values) >= 0.0 and max(values) <= 1.0
 
+    @staticmethod
+    def _named(directory, objectives, runs, names):
+        """A manifest whose algorithms run ``runs`` under ``names``, which
+        need not be usable as run file names."""
+        path = write_manifest(directory, objectives, dict(zip("abcd", runs)))
+        doc = json.loads(path.read_text())
+        for entry, name in zip(doc["algorithms"], names):
+            entry["name"] = name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_scatter_file_names_escape_separators(self, tmp_path):
+        names = ["MOEA/D", "50%\\x"]
+        path = self._named(tmp_path, MIN_2D, [[KNEE_A], [KNEE_B]], names)
+        out_dir = tmp_path / "plots"
+        argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        written = sorted(p.name for p in out_dir.iterdir())
+        assert written == ["50%25%5Cx.csv", "MOEA%2FD.csv"]
+        moead = load_solution_set(out_dir / "MOEA%2FD.csv", META_2D)
+        assert moead.vectors() == [tuple(map(float, p)) for p in KNEE_A]
+
+    def test_scatter_files_stay_in_the_output_directory(self, tmp_path):
+        path = self._named(tmp_path, MIN_2D, [[KNEE_A], [KNEE_B]], ["../escape", "b"])
+        out_dir = tmp_path / "plots"
+        argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == ["..%2Fescape.csv", "b.csv"]
+        assert not (tmp_path / "escape.csv").exists()
+
+    def test_parallel_coordinates_quote_a_comma_in_a_name(self, tmp_path):
+        objectives = [{"name": f"o{i}", "direction": "min"} for i in range(4)]
+        runs = [[[[1, 2, 3, 4], [4, 3, 2, 1]]], [[[2, 2, 2, 2]]]]
+        path = self._named(tmp_path, objectives, runs, ["NSGA-II, tuned", "b"])
+        out_dir = tmp_path / "plots"
+        argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        text = (out_dir / "parallel-coordinates.csv").read_text(encoding="utf-8")
+        assert '\n"NSGA-II, tuned",0,o0,0.0\n' in text
+        rows = list(csv.reader(text.splitlines()))
+        assert {len(row) for row in rows} == {4}
+        assert [row[0] for row in rows[1:]] == ["NSGA-II, tuned"] * 8 + ["b"] * 4
+
 
 class TestYardsticksBuiltOnce:
-    """evaluate, lint and plot-data build the union front of the runs once,
-    in ``_stages``, on raw values; evaluate's distance columns read that
-    front normalized, not one cut again from the normalized runs."""
+    """evaluate, lint and plot-data each build the union front of the runs
+    once, on raw values, in the command that reads it; evaluate's distance
+    columns read that front normalized, not one cut again from the
+    normalized runs."""
 
     @pytest.mark.parametrize(
         "command, builds", [("evaluate", 1), ("lint", 1), ("plot-data", 1)]

@@ -14,8 +14,10 @@ reports were serialized from their dataclasses; the ``plot-data`` and
 and ``compare`` read the pooled runs.  A report byte that moves,
 the last bit of a value included, fails here.
 
-On the same workloads, and on two small manifests that once split them,
-``lint`` exits with the status ``evaluate`` reports.
+On the same workloads, ``evaluate``'s reference-set size, hv reference
+point, hv values and representative runs match the ones rebuilt from
+``tests/oracles.py`` and plain numpy; and on them and on two small manifests
+that once split them, ``lint`` exits with the status ``evaluate`` reports.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from paretoeval import EvaluationWarning, cli
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
@@ -170,6 +174,45 @@ def test_compare_bytes_unchanged(manifests, tmp_path, name, indicator):
     argv = ["compare", "--manifest", manifest, "--indicator", indicator]
     _run([*argv, "--out", str(report), "alg0", "alg1"])
     assert _sha256(report) == GOLDEN_COMPARE_SHA256[name][indicator]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SHA256))
+def test_evaluate_yardsticks_match_oracles(manifests, tmp_path, name):
+    path = manifests(name)
+    report = tmp_path / "report.json"
+    _run(["evaluate", "--manifest", str(path), "--out", str(report)])
+    results = json.loads(report.read_text())
+    runs = cli.prepare(cli.load_manifest(path)).algorithms
+    live = {
+        (alg, r): run.values()
+        for alg, alg_runs in runs.items()
+        for r, run in enumerate(alg_runs)
+        if len(run)
+    }
+    union = np.vstack(list(live.values()))
+    front = np.unique(union[oracles.kernel_front_mask(union)], axis=0)
+    nadir = front.max(axis=0)
+    point = [float(v) for v in nadir + (nadir - front.min(axis=0)) / 10.0]
+    per_run = [row for row in results["results"] if "run" in row]
+    assert {row["config"]["reference_set_size"] for row in per_run} == {len(front)}
+    hv = {
+        (row["algorithm"], row["run"]): row
+        for row in per_run
+        if row["indicator"] == "hv"
+    }
+    assert hv.keys() == live.keys()
+    for slot, row in hv.items():
+        assert row["config"]["reference_point"] == point
+        expected = oracles.hv_filter_sweep_oracle(live[slot], point)
+        assert repr(row["value"]) == repr(expected)
+    # Each algorithm's run closest to the lower median of its hv values,
+    # the lowest run on a tie.
+    picked = {}
+    for alg in runs:
+        values = {r: row["value"] for (a, r), row in hv.items() if a == alg}
+        median = sorted(values.values())[(len(values) - 1) // 2]
+        picked[alg] = min(values, key=lambda r: (abs(values[r] - median), r))
+    assert results["representative_runs"] == picked
 
 
 # Three objectives, f3 constant: a grid_diversity column once failed

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import paretoeval
 from paretoeval import EvaluationWarning
-from paretoeval.doe import _yardsticks, indicator_table
+from paretoeval.doe import indicator_table
 from paretoeval.indicators import (
     IndicatorConfig,
     epsilon_additive,
@@ -160,32 +160,6 @@ def test_table_equals_public_calls(algorithms, divisions):
     assert unranked.representative == table.representative
     assert raw.representative == table.representative
     assert unranked.point is None
-
-
-def _fields(table):
-    return (
-        table.values,
-        table.reference.vectors(),
-        table.bounds,
-        table.point,
-        table.representative,
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(experiments(), st.integers(2, 6), st.booleans())
-def test_table_on_prebuilt_yardsticks(algorithms, divisions, scalarize):
-    # The table reads yardsticks built once for the columns, also when it
-    # reads fewer of them (no column, as plot-data asks for the ranking).
-    cfg = IndicatorConfig(gd_p=2.0, grid_divisions=divisions)
-    m = algorithms["alg0"][0].m
-    names = ["nfs", "unfr", "grid_diversity", "hv", "gd", "gd_plus", "igd"]
-    names += ["igd_plus", "epsilon"] + (["spread"] if m == 2 else [])
-    built = _yardsticks(algorithms, names, cfg, scalarize)
-    assert not built.failures
-    for columns in (names, []):
-        prebuilt = indicator_table(algorithms, columns, cfg, built)
-        assert _fields(prebuilt) == _fields(indicator_table(algorithms, columns, cfg))
 
 
 @pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")
