@@ -638,18 +638,18 @@ def _stages(args: argparse.Namespace) -> _Stages:
     reads.
 
     The columns are the indicators the flags or the manifest name, else the
-    plan's.  One config serves them all and ranks the runs by hv: the plan's
-    when the plan picks the columns (its indicators share one), else the
-    default, with the fields the manifest sets and then those the flags set
-    on top.  On the best-value route no column runs, so none is kept.
+    plan's.  One config serves them all and ranks the runs by hv: the plan's,
+    with the fields the manifest sets and then those the flags set on top,
+    whichever columns are named.  On the best-value route no column runs, so
+    none is kept.
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
     prefs, live_m = manifest.preferences, prepared.live_m
     plan = _plan(prefs, len(manifest.objectives), live_m, len(manifest.algorithms))
-    names = args.indicator or manifest.indicators
+    names = getattr(args, "indicator", None) or manifest.indicators
     chosen = [canonical_name(n) for n in names] or [p.name for p in plan.indicators]
-    config = _configure(IndicatorConfig() if names else plan.config, manifest, args)
+    config = _configure(plan.config, manifest, args)
     route = _route(prefs, live_m)
     judged = [] if route == "best-value" else chosen
     columns = [n for n in judged if live_m in aspects_of(n).objectives]
@@ -1068,15 +1068,14 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     stages = _stages(args)
     prepared = stages.prepared
     manifest = prepared.manifest
+    # The same pick as evaluate: the run whose hv is closest to the median.
+    representative: dict[str, int] = {}
+    if stages.route != "best-value":
+        table = indicator_table(prepared.algorithms, [], stages.config)
+        representative = table.representative
     default = manifest.resolve(manifest.plot_data) or "plot-data"
     out_dir = Path(args.out or default)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    # The same pick as evaluate: the run whose hv is closest to the median.
-    representative: dict[str, int] = {}
-    if stages.route != "best-value" and any(len(s) for s in prepared.all_sets):
-        table = indicator_table(prepared.algorithms, [], stages.config)
-        representative = table.representative
 
     chosen_runs: dict[str, SolutionSet] = {}
     for alg, runs in prepared.algorithms.items():
@@ -1169,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "plot-data",
             "write plot-ready CSV files",
-            ["--manifest", "--indicator", "--ref-point", "--ref-strategy", "--out"],
+            ["--manifest", "--ref-point", "--ref-strategy", "--out"],
         ),
     ]
     parser = argparse.ArgumentParser(

@@ -13,7 +13,8 @@ sort-based routine replaced, the ``*_matrix`` distance indicators are the
 ``*_oracle`` preprocessing transforms are the per-row versions the array
 transforms replaced: each rebuilds every surviving row as a new ``Solution``.
 The run-file oracle is the per-line CSV walk that one numpy parse of the
-body replaced: each cell goes through ``float()`` on its own.  The group
+body replaced: each cell goes through ``float()`` on its own.  The
+grid-diversity oracle finds each solution's cell on its own.  The group
 staircase is the bisect-based 2-D front of one HV3D group that a stable
 sort with a running minimum replaced.  The report text is the one-shot
 ``json.dumps`` that the streaming report writer replaced.
@@ -417,6 +418,27 @@ def unfr_oracle(A, sets) -> float:
     union_front = {union[i] for i in front_indices(union)}
     mine = {A[i] for i in front_indices(A)}
     return len(mine & union_front) / len(union_front)
+
+
+def grid_diversity_oracle(sets, divisions=10) -> list[float]:
+    """Share of the union's occupied grid cells each set of tuples occupies,
+    cell by cell: each objective's range over the union is split into
+    ``divisions`` equal cells, its top edge in the last one and a zero range
+    in cell 0."""
+    union = [p for s in sets for p in s]
+    lows = [min(column) for column in zip(*union)]
+    highs = [max(column) for column in zip(*union)]
+
+    def cell(point):
+        index = []
+        for v, lo, hi in zip(point, lows, highs):
+            k = 0 if hi == lo else int((v - lo) / (hi - lo) * divisions)
+            index.append(min(k, divisions - 1))
+        return tuple(index)
+
+    per_set = [{cell(p) for p in s} for s in sets]
+    occupied = set().union(*per_set)
+    return [len(cells) / len(occupied) for cells in per_set]
 
 
 def _signs(A: SolutionSet) -> tuple[float, ...]:

@@ -1731,7 +1731,7 @@ class TestPlannedOnLiveObjectives:
 
     @pytest.mark.parametrize(
         "argv",
-        [["evaluate"], ["lint", "--indicator", "hv"], ["plot-data", "--indicator", "hv"]],
+        [["evaluate"], ["lint", "--indicator", "hv"], ["plot-data"]],
         ids=lambda argv: argv[0],
     )
     def test_one_objective_cannot_be_planned(self, tmp_path, capsys, argv):
@@ -1925,6 +1925,74 @@ class TestPlotData:
         assert {len(row) for row in rows} == {4}
         assert [row[0] for row in rows[1:]] == ["NSGA-II, tuned"] * 8 + ["b"] * 4
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_all_emptied_exits_2_as_evaluate_does(self, tmp_path, capsys, m):
+        # f0 <= 1 keeps no row: plot-data refuses with evaluate's error
+        # before it makes the output directory.
+        objectives = [{"name": f"f{j}", "direction": "min"} for j in range(m)]
+        runs = {"A": [[[2 + j for j in range(m)]]], "B": [[[3] * m, [5] * m]]}
+        at_most = {"objective": "f0", "kind": "at_most", "threshold": 1}
+        path = write_manifest(tmp_path, objectives, runs, {"clear": [at_most]})
+        out_dir = tmp_path / "plots"
+        for command in ("evaluate", "plot-data"):
+            argv = [command, "--manifest", str(path), "--out", str(out_dir)]
+            with pytest.warns(EvaluationWarning, match="removed every solution"):
+                assert main(argv) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err == "error: every set is empty after preprocessing\n"
+            assert not out_dir.exists()
+
+
+# Two algorithms of three runs each, whose hv pick differs between the
+# extreme route's doubled_range point and the default nadir_plus_tenth one.
+PICKED_RUNS = {
+    "A": [[(3, 4), (1, 6), (7, 2)], [(1, 1), (0, 6), (8, 4)], [(0, 3), (8, 8), (5, 4)]],
+    "B": [[(2, 1), (4, 3), (0, 4)], [(4, 3), (2, 4), (4, 5)], [(1, 9), (5, 6), (8, 3)]],
+}
+ROUTES = {
+    "extreme": {"roi": {"extreme": ["f1"]}},
+    "general": None,
+    "knee": {"roi": "knee"},
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+class TestNamedColumnsKeepThePick:
+    """Naming indicators picks the columns and nothing else: the runs are
+    ranked, and hv computed, under the plan's config whichever are named."""
+
+    def test_evaluate_picks_the_same_runs(self, tmp_path, capsys, route):
+        path = write_manifest(tmp_path, MIN_2D, PICKED_RUNS, ROUTES[route])
+        out = tmp_path / "report.json"
+        picks, hv = [], []
+        for named in ([], ["--indicator", "hv"], ["--indicator", "gd_plus"]):
+            argv = ["evaluate", "--manifest", str(path), "--out", str(out), *named]
+            assert main(argv) != EXIT_ERROR
+            report = json.loads(out.read_text())
+            picks.append(report["representative_runs"])
+            rows = [row for row in report["results"] if row["indicator"] == "hv"]
+            if rows:
+                hv.append(rows)
+        capsys.readouterr()
+        assert picks[0] == picks[1] == picks[2]
+        # No names and --indicator hv run hv; --indicator gd_plus does not.
+        assert len(hv) == 2 and hv[0] == hv[1]
+
+    def test_plot_data_writes_the_same_runs(self, tmp_path, capsys, route):
+        files = {}
+        for overrides in (None, {"indicators": ["gd_plus"]}):
+            path = write_manifest(
+                tmp_path, MIN_2D, PICKED_RUNS, ROUTES[route], overrides
+            )
+            out_dir = tmp_path / f"plots-{overrides is None}"
+            argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+            assert main(argv) == EXIT_OK
+            files[overrides is None] = {
+                p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+            }
+        capsys.readouterr()
+        assert files[True] == files[False]
+
 
 class TestYardsticksBuiltOnce:
     """evaluate, lint and plot-data each build the union front of the runs
@@ -2110,14 +2178,15 @@ class TestMainErrors:
     def test_ranking_point_inside_the_nadir_exits_2(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        # No hv column, so the point only ranks the runs; it must still be
-        # checked rather than the pick quietly skipped.
+        # No hv column (plot-data computes none), so the point only ranks the
+        # runs; it must still be checked rather than the pick quietly skipped.
         monkeypatch.chdir(tmp_path)
         path = write_manifest(
             tmp_path, MIN_2D, {"alpha": [KNEE_A, KNEE_B], "beta": [DIAG_B, DIAG_C]}
         )
-        argv = ["--manifest", str(path), "--indicator", "gd_plus", "--ref-point", "0,0"]
-        assert main([command, *argv]) == EXIT_ERROR
+        argv = ["--manifest", str(path), "--ref-point", "0,0"]
+        named = ["--indicator", "gd_plus"] if command == "evaluate" else []
+        assert main([command, *argv, *named]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(
             "error: reference point (0.0, 0.0) does not weakly exceed the basis nadir"
@@ -2384,9 +2453,7 @@ class TestFlags:
         "compare": {"--manifest", "--indicator", "--no-normalize", "--out"},
         "recommend": {"--manifest", "--out"},
         "stats": {"--manifest", "--out"},
-        "plot-data": {
-            "--manifest", "--indicator", "--ref-point", "--ref-strategy", "--out",
-        },
+        "plot-data": {"--manifest", "--ref-point", "--ref-strategy", "--out"},
     }
     READS["lint"] = READS["evaluate"]
 
@@ -2399,7 +2466,7 @@ class TestFlags:
             for name, p in subcommands.items()
         }
         assert registered == self.READS
-        assert sum(map(len, registered.values())) == 31
+        assert sum(map(len, registered.values())) == 30
 
     @pytest.mark.parametrize(
         "argv",

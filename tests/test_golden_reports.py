@@ -14,10 +14,12 @@ reports were serialized from their dataclasses; the ``plot-data`` and
 and ``compare`` read the pooled runs.  A report byte that moves,
 the last bit of a value included, fails here.
 
-On the same workloads, ``evaluate``'s reference-set size, hv reference
-point, hv values and representative runs match the ones rebuilt from
-``tests/oracles.py`` and plain numpy; and on them and on two small manifests
-that once split them, ``lint`` exits with the status ``evaluate`` reports.
+On the same workloads at seeds 1-3, ``evaluate``'s results, aggregates,
+representative runs and exit status match the ones rebuilt from
+``tests/oracles.py``, plain numpy and ``statistics``; on them and on two small manifests that once split them,
+``lint`` exits with the status ``evaluate`` reports.  On a generated m=4 run
+front, ``hypervolume`` stays within four machine epsilons of the exact
+value.
 """
 
 from __future__ import annotations
@@ -27,15 +29,19 @@ import hashlib
 import importlib.util
 import io
 import json
+import statistics
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from paretoeval import EvaluationWarning, cli
+from conftest import make_set
+from paretoeval import EvaluationWarning, NormalizationBounds, cli
+from paretoeval.indicators import hypervolume
 
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
@@ -123,14 +129,16 @@ def bench_inputs():
 
 @pytest.fixture(scope="module")
 def manifests(bench_inputs, tmp_path_factory):
-    """Each workload's manifest at seed 1, generated on first use."""
+    """Each workload's manifest at a seed, 1 unless named, generated on
+    first use."""
     made = {}
 
-    def manifest(name):
-        if name not in made:
+    def manifest(name, seed=1):
+        if (name, seed) not in made:
             spec = bench_inputs.WORKLOADS[name]
-            made[name] = bench_inputs.generate(spec, 1, tmp_path_factory.mktemp(name))
-        return made[name].manifest
+            directory = tmp_path_factory.mktemp(f"{name}-{seed}")
+            made[name, seed] = bench_inputs.generate(spec, seed, directory)
+        return made[name, seed].manifest
 
     return manifest
 
@@ -176,43 +184,157 @@ def test_compare_bytes_unchanged(manifests, tmp_path, name, indicator):
     assert _sha256(report) == GOLDEN_COMPARE_SHA256[name][indicator]
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_SHA256))
-def test_evaluate_yardsticks_match_oracles(manifests, tmp_path, name):
-    path = manifests(name)
+def _tuples(V):
+    return [tuple(row) for row in V.tolist()]
+
+
+# The exit status each finding severity asks for without --strict.
+EXIT_BY_SEVERITY = {
+    "info": cli.EXIT_OK, "warning": cli.EXIT_WARNINGS, "error": cli.EXIT_ERROR
+}
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        # Seed 1 keeps the bare workload id it has always had.
+        pytest.param(name, seed, id=name if seed == 1 else f"{name}-seed{seed}")
+        for name in GOLDEN_SHA256
+        for seed in (1, 2, 3)
+    ],
+)
+def test_evaluate_yardsticks_match_oracles(manifests, tmp_path, name, seed):
+    """Each result, aggregate and pick of an ``evaluate`` report and its exit
+    status, rebuilt from ``cli.prepare``'s runs with ``tests/oracles.py``,
+    plain numpy and ``statistics``: bit for bit where the code promises bits,
+    within a relative 1e-12 for spread and the aggregates, whose sums run in
+    another order."""
+    path = manifests(name, seed)
     report = tmp_path / "report.json"
     _run(["evaluate", "--manifest", str(path), "--out", str(report)])
     results = json.loads(report.read_text())
-    runs = cli.prepare(cli.load_manifest(path)).algorithms
+    prepared = cli.prepare(cli.load_manifest(path))
+    runs = prepared.algorithms
     live = {
-        (alg, r): run.values()
+        (alg, r): run
         for alg, alg_runs in runs.items()
         for r, run in enumerate(alg_runs)
         if len(run)
     }
-    union = np.vstack(list(live.values()))
+    union = np.vstack([run.values() for run in live.values()])
+    # Unique rows in lexicographic order: spread's ends are the first and last.
     front = np.unique(union[oracles.kernel_front_mask(union)], axis=0)
     nadir = front.max(axis=0)
     point = [float(v) for v in nadir + (nadir - front.min(axis=0)) / 10.0]
-    per_run = [row for row in results["results"] if "run" in row]
-    assert {row["config"]["reference_set_size"] for row in per_run} == {len(front)}
-    hv = {
-        (row["algorithm"], row["run"]): row
-        for row in per_run
-        if row["indicator"] == "hv"
-    }
-    assert hv.keys() == live.keys()
-    for slot, row in hv.items():
-        assert row["config"]["reference_point"] == point
-        expected = oracles.hv_filter_sweep_oracle(live[slot], point)
-        assert repr(row["value"]) == repr(expected)
+    bounds = NormalizationBounds(union.min(axis=0), union.max(axis=0))
+    *scaled, scaled_front = oracles.normalize_oracle(
+        [*live.values(), make_set("front", _tuples(front))], bounds
+    )
+    scaled = dict(zip(live, (s.values() for s in scaled)))
+    ends = _tuples(scaled_front.values()[[0, -1]])
+    cells = oracles.grid_diversity_oracle([_tuples(r.values()) for r in live.values()])
+    shares = dict(zip(live, cells))
+    union_front = set(_tuples(front))
+
+    def expected(indicator, slot):
+        values = live[slot].values()
+        if indicator == "hv":
+            return oracles.hv_filter_sweep_oracle(values, point)
+        if indicator == "gd_plus":
+            return oracles.gd_plus_matrix(scaled[slot], scaled_front.values())
+        if indicator == "unfr":
+            return len(set(_tuples(values)) & union_front) / len(front)
+        if indicator == "grid_diversity":
+            return shares[slot]
+        assert indicator == "spread"
+        return oracles.spread_oracle(_tuples(scaled[slot]), *ends)
+
+    per_run, pairwise = {}, {}
+    for row in results["results"]:
+        if "run" in row:
+            slot = row["algorithm"], row["run"]
+            per_run.setdefault(row["indicator"], {})[slot] = row
+        else:
+            pairwise[row["indicator"], row["algorithm"], row["against"]] = row
+    for indicator, column in per_run.items():
+        assert column.keys() == live.keys()
+        for slot, row in column.items():
+            config = row["config"]
+            assert config["reference_set_size"] == len(front)
+            assert config["reference_point"] == point
+            assert config["bounds_ideal"] == list(bounds.ideal)
+            assert config["bounds_nadir"] == list(bounds.nadir)
+            value = expected(indicator, slot)
+            if indicator == "spread":
+                assert row["value"] == pytest.approx(value, rel=1e-12)
+            else:
+                assert repr(row["value"]) == repr(value)
+    # ci, the one pairwise column a plan picks, reads the pooled runs.
+    expected_pairs = {}
+    if "ci" in (p["name"] for p in results["plan"]["indicators"]):
+        pooled = {alg: _tuples(s.values()) for alg, s in prepared.pooled().items()}
+        first, second = pooled
+        for a, b in ((first, second), (second, first)):
+            expected_pairs["ci", a, b] = oracles.contribution_oracle(pooled[a], pooled[b])
+    assert {key: row["value"] for key, row in pairwise.items()} == expected_pairs
+    # Each algorithm's mean and median per column, in column order.
+    aggregates = []
+    for alg in runs:
+        for indicator, column in per_run.items():
+            values = [row["value"] for (a, _), row in column.items() if a == alg]
+            mean, median = statistics.mean(values), statistics.median(values)
+            aggregates.append(
+                {
+                    "algorithm": alg,
+                    "indicator": indicator,
+                    "mean": pytest.approx(mean, rel=1e-12),
+                    "median": pytest.approx(median, rel=1e-12),
+                    "runs": len(values),
+                }
+            )
+    assert results["aggregates"] == aggregates
     # Each algorithm's run closest to the lower median of its hv values,
     # the lowest run on a tie.
-    picked = {}
+    picked, hv = {}, per_run["hv"]
     for alg in runs:
         values = {r: row["value"] for (a, r), row in hv.items() if a == alg}
         median = sorted(values.values())[(len(values) - 1) // 2]
         picked[alg] = min(values, key=lambda r: (abs(values[r] - median), r))
     assert results["representative_runs"] == picked
+    severities = [EXIT_BY_SEVERITY[f["severity"]] for f in results["findings"]]
+    assert results["exit_status"] == max(severities, default=cli.EXIT_OK)
+
+
+@pytest.fixture(scope="module")
+def real_front_4d(bench_inputs, tmp_path_factory):
+    """The first 80 front rows, in file order, of one generated m=4 run of
+    1000 front and 1000 filler rows at seed 7; the point a tenth of their
+    range beyond their nadir; and their exact hypervolume, from the slicer
+    summing Fractions (about 3 s; the whole front would take minutes)."""
+    spec = bench_inputs.Workload(
+        name="real-4d", m=4, algorithms=1, runs=1,
+        front_rows=1000, filler_rows=1000, indicators=("hv",),
+    )
+    made = bench_inputs.generate(spec, 7, tmp_path_factory.mktemp("real-4d"))
+    run = np.array(made.runs["alg0"][0])
+    rows = run[oracles.kernel_front_mask(run)][:80]
+    nadir = rows.max(axis=0)
+    point = tuple((nadir + (nadir - rows.min(axis=0)) / 10.0).tolist())
+    exact = oracles.hv_slicer_oracle(
+        [tuple(map(Fraction, row)) for row in rows.tolist()],
+        tuple(map(Fraction, point)),
+    )
+    return rows, point, exact
+
+
+def test_real_run_front_hypervolume_is_within_four_epsilon_of_exact(
+    block_pairs, real_front_4d
+):
+    # At the tiny block cap WFG's 4-column nodes also filter their limit
+    # sets row by row; both paths stay within the property test's bound.
+    rows, point, exact = real_front_4d
+    value = hypervolume(make_set("A", rows.tolist()), point)
+    assert abs(Fraction(value) - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
 
 
 # Three objectives, f3 constant: a grid_diversity column once failed
