@@ -627,8 +627,9 @@ class _Stages(NamedTuple):
     plan: EvaluationPlan  # for the objectives left after preprocessing
     route: str  # the plan's branch, as guidance._route names it
     config: IndicatorConfig  # the one merged config every column runs with
-    chosen: list[str]  # what lint reports as chosen
-    columns: list[str]  # chosen, defined at live_m; none on best-value
+    chosen: list[str]  # what lint reports as chosen, each name once
+    judged: list[str]  # what lint judges: chosen, none on best-value
+    columns: list[str]  # judged, defined at live_m
 
 
 def _stages(args: argparse.Namespace) -> _Stages:
@@ -638,22 +639,22 @@ def _stages(args: argparse.Namespace) -> _Stages:
     reads.
 
     The columns are the indicators the flags or the manifest name, else the
-    plan's.  One config serves them all and ranks the runs by hv: the plan's,
-    with the fields the manifest sets and then those the flags set on top,
-    whichever columns are named.  On the best-value route no column runs, so
-    none is kept.
+    plan's; a name given twice, or by two aliases, counts once.  One config
+    serves them all and ranks the runs by hv: the plan's, with the fields
+    the manifest sets and then those the flags set on top, whichever columns
+    are named.  On the best-value route none is judged, so no column runs.
     """
     manifest = load_manifest(args.manifest)
     prepared = prepare(manifest)
     prefs, live_m = manifest.preferences, prepared.live_m
     plan = _plan(prefs, len(manifest.objectives), live_m, len(manifest.algorithms))
-    names = getattr(args, "indicator", None) or manifest.indicators
-    chosen = [canonical_name(n) for n in names] or [p.name for p in plan.indicators]
+    names = map(canonical_name, getattr(args, "indicator", None) or manifest.indicators)
+    chosen = list(dict.fromkeys(names)) or [p.name for p in plan.indicators]
     config = _configure(plan.config, manifest, args)
     route = _route(prefs, live_m)
     judged = [] if route == "best-value" else chosen
     columns = [n for n in judged if live_m in aspects_of(n).objectives]
-    return _Stages(prepared, plan, route, config, chosen, columns)
+    return _Stages(prepared, plan, route, config, chosen, judged, columns)
 
 
 def _lint_findings(
@@ -662,27 +663,19 @@ def _lint_findings(
     reference: SolutionSet | None,
     failures: Mapping[str, ValueError],
 ) -> list[LintWarning]:
-    """Lint what evaluate computes: the chosen columns (none on the
-    best-value route) under the stages' config at the objective count left,
-    an explicit hv ``point`` at the nadir of the union front ``reference``,
-    each yardstick failure by its lint code with its error, and each run too
-    small."""
-    prepared, config = stages.prepared, stages.config
-    judged = [] if stages.route == "best-value" else stages.chosen
+    """Lint what evaluate computes: the judged indicators under the stages'
+    config at the objective count left, an explicit hv ``point`` at the
+    nadir of the union front ``reference``, and each failure of the
+    yardstick build, a run too small for a column among them, by its lint
+    code with evaluate's own error."""
+    config, prefs = stages.config, stages.prepared.manifest.preferences
     at_nadir = False
     if point is not None:
         nadir = tuple(reference.values().max(axis=0).tolist())
         at_nadir = config.hv_strategy == "explicit" and point == nadir
     mode = EvaluationMode(hv_ref_at_nadir=at_nadir)
-    found = lint(judged, config, prepared.manifest.preferences, prepared.live_m, mode)
-    found += [_finding(code, str(exc)) for code, exc in failures.items()]
-    for name in stages.columns:
-        need = aspects_of(name).min_size
-        short = [s.name for s in prepared.all_sets if 0 < len(s) < need]
-        if short:
-            detail = f"{name} needs {need}; {', '.join(short)} keep fewer"
-            found.append(_finding("L-RUN-TOO-SMALL", detail))
-    return found
+    found = lint(stages.judged, config, prefs, stages.prepared.live_m, mode)
+    return found + [_finding(code, str(exc)) for code, exc in failures.items()]
 
 
 def _both_orders(indicator):
@@ -998,8 +991,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     stages = _stages(args)
-    point = reference = None
-    failures: Mapping[str, ValueError] = {}
+    point, reference, failures = None, None, {}
     if stages.route != "best-value":  # what evaluate reads, with no run front cut
         built = _yardsticks(
             stages.prepared.algorithms, stages.columns, stages.config,

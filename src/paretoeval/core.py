@@ -668,7 +668,7 @@ def _sparse_front_mask(V: np.ndarray) -> np.ndarray:
     sum, ``_HEAD_ROWS`` at a time.  Each head drops every later row that one
     of its rows weakly dominates: such a row is dominated, or repeats an
     earlier row.  The heads and the rows left standing then hold the whole
-    unique front, and ``_front_hits`` cuts it from them.  The heads stop
+    unique front, and ``_front_mask`` cuts it from them.  The heads stop
     once they pass ``_HANDOFF_SHARE`` of the rows decided, so a set that is
     mostly front costs about one head more than ``_front_mask``.
     """
@@ -681,9 +681,8 @@ def _sparse_front_mask(V: np.ndarray) -> np.ndarray:
         rest = rest[~_dominance(S[head], S[rest], weak=True)]
     # Positions stay ascending, so equal rows keep their input order.
     rows = order[np.concatenate([heads, rest])]
-    sub, T, repeat = _lex_sorted(V[rows])
     mask = np.zeros(len(V), dtype=bool)
-    mask[rows[sub[~_front_hits(T) & ~repeat]]] = True
+    mask[rows[_front_mask(V[rows], unique=True)]] = True
     return mask
 
 

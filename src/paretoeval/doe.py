@@ -222,7 +222,8 @@ def _yardsticks(
     rows, tags and order as from the raw runs (see
     :func:`build_reference_set`).  At m <= 3 the sweeps read raw rows, and
     lint, which only checks the yardsticks, passes ``computed=False``, so no
-    run front is cut for them."""
+    run front is cut for them.  A column whose profile's ``min_size`` some
+    non-empty run falls short of fails too, the first such column only."""
     live = [run for runs in algorithms.values() for run in runs if len(run)]
     if not live:
         empty = EmptySetError("every set is empty after preprocessing")
@@ -250,6 +251,11 @@ def _yardsticks(
             point = _point_beyond(reference.values(), strategy, explicit)
         except ValueError as exc:
             failures[code] = exc
+    for name in columns:
+        need = aspects_of(name).min_size
+        if short := [run.name for run in live if len(run) < need]:
+            detail = f"{name} needs {need}; {', '.join(short)} keep fewer"
+            failures.setdefault("L-RUN-TOO-SMALL", ValueError(detail))
     return _Yardsticks(reference, bounds, point, ranked, failures, fronts)
 
 

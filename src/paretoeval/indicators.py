@@ -283,7 +283,9 @@ def coverage(A: SolutionSet, B: SolutionSet) -> float:
     return int(covered.sum()) / len(distinct_b)
 
 
-def gd(A: SolutionSet, reference: SolutionSet, p: float = 1.0) -> float:
+def gd(
+    A: SolutionSet, reference: SolutionSet, p: float = IndicatorConfig.gd_p
+) -> float:
     """Generational distance of A from a reference set.
 
     d_i is the Euclidean distance from each member of A to its nearest
@@ -590,7 +592,7 @@ def epsilon_additive(A: SolutionSet, B: SolutionSet) -> float:
 
 
 def grid_diversity(
-    sets: Sequence[SolutionSet], divisions: int = 10
+    sets: Sequence[SolutionSet], divisions: int = IndicatorConfig.grid_divisions
 ) -> list[float]:
     """Fraction of the union's occupied grid cells each set touches.
 

@@ -138,7 +138,8 @@ class VagueClamp:
 
 @dataclass(frozen=True)
 class RegionOfInterest:
-    """Preferred region of the front: knee solutions or extreme solutions."""
+    """Preferred region of the front: knee solutions or extreme solutions.
+    Nothing reads ``objectives`` yet: every objective gets its best value."""
 
     kind: str
     objectives: tuple[int, ...] = ()

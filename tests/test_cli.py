@@ -1551,7 +1551,8 @@ class TestLint:
     HARD_BOUNDS = {"normalization": "hard_bounds"}
     # The codes of evaluate's yardstick build, whose errors lint reports.
     YARDSTICK_CODES = (
-        "L-ALL-EMPTY", "L-NO-HARD-BOUNDS", "L-HV-REF-INVALID", "L-HV-REF-INSIDE"
+        "L-ALL-EMPTY", "L-NO-HARD-BOUNDS", "L-HV-REF-INVALID", "L-HV-REF-INSIDE",
+        "L-RUN-TOO-SMALL",
     )
 
     @pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")
@@ -1571,7 +1572,7 @@ class TestLint:
             ),
             pytest.param(
                 {"a": [KNEE_A], "b": [[(5, 5)]]}, None, None, ["--indicator", "sp"],
-                "L-RUN-TOO-SMALL", "spacing needs at least 2 solutions",
+                "L-RUN-TOO-SMALL", "sp needs 2; b keep fewer",
                 id="spacing-one-solution",
             ),
             pytest.param(
@@ -1649,6 +1650,34 @@ class TestLint:
         assert report["schema"] == "solution-set-lint/1"
         assert report["chosen"] == ["igd"]
         assert report["exit_status"] == EXIT_WARNINGS
+
+    def test_indicator_named_twice_is_one_column(self, tmp_path):
+        # f2 <= 5.5 empties b's second run, so a has two live runs and b one.
+        algorithms = {"a": [KNEE_A, KNEE_B], "b": [KNEE_B, [(6, 6), (8, 7)]]}
+        path = write_manifest(tmp_path, MIN_2D, algorithms, preferences=F2_AT_MOST)
+        with pytest.warns(EvaluationWarning, match="every solution of set 'b#1'"):
+            code, report, _, lint_report = self._evaluate_then_lint(
+                tmp_path, path, "--indicator", "hv", "--indicator", "hypervolume"
+            )
+        assert code == EXIT_OK
+        hv_runs = [(r["algorithm"], r["run"]) for r in report["results"]]
+        assert hv_runs == [("a", 0), ("a", 1), ("b", 0)]
+        aggregates = report["aggregates"]
+        runs = {(g["algorithm"], g["indicator"]): g["runs"] for g in aggregates}
+        assert runs == {("a", "hv"): 2, ("b", "hv"): 1}
+        assert lint_report["chosen"] == ["hv"]
+
+    def test_manifest_alias_of_a_named_indicator_is_judged_once(self, tmp_path):
+        path = write_manifest(
+            tmp_path, MIN_2D, {"a": [KNEE_A], "b": [[(5, 5)]]},
+            overrides={"indicators": ["sp", "spacing"]},
+        )
+        out = tmp_path / "lint.json"
+        assert main(["lint", "--manifest", str(path), "--out", str(out)]) == EXIT_ERROR
+        report = json.loads(out.read_text())
+        assert report["chosen"] == ["sp"]
+        codes = [f["code"] for f in report["findings"]]
+        assert codes.count("L-RUN-TOO-SMALL") == 1
 
 
 F123 = [{"name": f"f{i}", "direction": "min"} for i in (1, 2, 3)]

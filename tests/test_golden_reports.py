@@ -14,8 +14,8 @@ reports were serialized from their dataclasses; the ``plot-data`` and
 and ``compare`` read the pooled runs.  A report byte that moves,
 the last bit of a value included, fails here.
 
-On the same workloads at seeds 1-3, ``evaluate``'s results, aggregates,
-representative runs and exit status match the ones rebuilt from
+On the same workloads at seeds 1-3, ``evaluate``'s removed rows, results,
+aggregates, representative runs and exit status match the ones rebuilt from
 ``tests/oracles.py``, plain numpy and ``statistics``; on them and on two small manifests that once split them,
 ``lint`` exits with the status ``evaluate`` reports.  On a generated m=4 run
 front, ``hypervolume`` stays within four machine epsilons of the exact
@@ -194,6 +194,30 @@ EXIT_BY_SEVERITY = {
 }
 
 
+def _preprocessed_by_oracles(manifest):
+    """``(removals, runs)``: each run file read, oriented, screened, cleared
+    and clamped by ``tests/oracles.py`` row by row, as ``cli.prepare`` runs
+    those steps; the removals in report form, the runs by algorithm."""
+    prefs, removals, runs = manifest.preferences, [], {}
+    for alg, files in manifest.algorithms.items():
+        for r, rel in enumerate(files):
+            name = alg if len(files) == 1 else f"{alg}#{r}"
+            path = manifest.resolve(rel)
+            raw = oracles.load_solution_set_oracle(path, manifest.objectives, name)
+            work, log = oracles.to_minimization_oracle(raw), []
+            for rules in (prefs.screen, prefs.clear):
+                work = oracles.filter_by_rules_oracle(work, rules, log)
+            work = oracles.apply_vague_preferences_oracle(work, prefs, log)
+            for rm in log:
+                natural = [k * v for k, v in zip(work.signs, rm.solution.objectives)]
+                removals.append(
+                    {"set": name, "index": rm.index, "rule": rm.rule,
+                     "objectives": natural}
+                )
+            runs.setdefault(alg, []).append(_tuples(work.values()))
+    return removals, runs
+
+
 @pytest.mark.parametrize(
     "name, seed",
     [
@@ -204,9 +228,10 @@ EXIT_BY_SEVERITY = {
     ],
 )
 def test_evaluate_yardsticks_match_oracles(manifests, tmp_path, name, seed):
-    """Each result, aggregate and pick of an ``evaluate`` report and its exit
-    status, rebuilt from ``cli.prepare``'s runs with ``tests/oracles.py``,
-    plain numpy and ``statistics``: bit for bit where the code promises bits,
+    """Each removal, result, aggregate and pick of an ``evaluate`` report and
+    its exit status, rebuilt with ``tests/oracles.py``, plain numpy and
+    ``statistics``: the removals and ``cli.prepare``'s runs from the files,
+    the rest from those runs.  Bit for bit where the code promises bits,
     within a relative 1e-12 for spread and the aggregates, whose sums run in
     another order."""
     path = manifests(name, seed)
@@ -215,6 +240,12 @@ def test_evaluate_yardsticks_match_oracles(manifests, tmp_path, name, seed):
     results = json.loads(report.read_text())
     prepared = cli.prepare(cli.load_manifest(path))
     runs = prepared.algorithms
+    removals, oracle_runs = _preprocessed_by_oracles(prepared.manifest)
+    assert results["preprocessing"]["removals"] == removals
+    assert bool(removals) == (name == "prefs-5d")  # the one workload with rules
+    assert {alg: [_tuples(run.values()) for run in rs] for alg, rs in runs.items()} == (
+        oracle_runs
+    )
     live = {
         (alg, r): run
         for alg, alg_runs in runs.items()
