@@ -24,7 +24,6 @@ import stat
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -294,8 +293,8 @@ def _preferences(raw: dict, names: list[str]) -> PreferenceSpec:
 
     roi = raw.get("roi")
     if isinstance(roi, dict):
-        extreme = (index(o, "preferences.roi.extreme") for o in roi["extreme"])
-        roi = RegionOfInterest("extreme", tuple(extreme))
+        extreme = tuple(index(o, "preferences.roi.extreme") for o in roi["extreme"])
+        roi = _at("preferences.roi.extreme", RegionOfInterest, "extreme", extreme)
     elif roi is not None:
         roi = RegionOfInterest(roi)
     typed = {
@@ -703,16 +702,8 @@ def _exit_from_findings(findings: Sequence[LintWarning], strict: bool) -> int:
     return worst
 
 
-# The encoder of ``json.dumps(value, sort_keys=True, indent=2)``.  With an
-# indent it yields small tokens, so they go out joined a batch at a time.
-_INDENTED = json.JSONEncoder(sort_keys=True, indent=2)
-_TOKENS_PER_WRITE = 512
-
-
 def _stream(report: dict, out: TextIO) -> None:
-    tokens = _INDENTED.iterencode(report)
-    while batch := "".join(islice(tokens, _TOKENS_PER_WRITE)):
-        out.write(batch)
+    json.dump(report, out, sort_keys=True, indent=2)
     out.write("\n")
 
 
@@ -777,8 +768,9 @@ def _column(name: str, cfg: IndicatorConfig, table: IndicatorTable | None) -> di
 def _doe_block(stages: _Stages) -> dict:
     """The plan's doe step on each algorithm's pooled survivors: best values
     on the one objective left, the best sum weighted over the objectives
-    left, or each objective's best value (natural units).  The knee and
-    general routes have none."""
+    left, or the best value of each objective the extreme preference names
+    and preprocessing left, in the order it names them (natural units).
+    The knee and general routes have none."""
     if stages.route in ("knee", "general"):
         return {}
     prepared, prefs = stages.prepared, stages.prepared.manifest.preferences
@@ -807,10 +799,16 @@ def _doe_block(stages: _Stages) -> dict:
             "by_algorithm": scal,
             "winner": min(scal, key=lambda a: scal[a]["score"]),
         }
+    live = [o.name for o in prepared.all_sets[0].meta]
+    named = [prepared.manifest.objectives[j].name for j in prefs.roi.objectives]
+    cols = [live.index(name) for name in named if name in live]
     return {  # extreme
         "kind": "per-objective-best",
-        "objectives": [o.name for o in prepared.all_sets[0].meta],
-        "best": {a: list(per_objective_stats(s).best) for a, s in pooled.items()},
+        "objectives": [live[c] for c in cols],
+        "best": {
+            a: np.take(per_objective_stats(s).best, cols).tolist()
+            for a, s in pooled.items()
+        },
     }
 
 

@@ -160,7 +160,7 @@ def scalarize_best(
         raise DimensionMismatchError("weights length must match objective count")
     scores = A.values() @ w
     idx = int(np.argmin(scores))
-    return A.solutions[idx], float(scores[idx])
+    return A._select([idx]).solutions[0], float(scores[idx])
 
 
 @dataclass(frozen=True)

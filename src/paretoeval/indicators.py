@@ -343,14 +343,13 @@ def spread_delta(
         raise ValueError(
             f"spread is only defined for two objectives, set has {A.m}"
         )
-    pts = sorted(_values(A).tolist())
+    _, arr, _ = _lex_sorted(_values(A))
     ext = sorted([tuple(float(v) for v in e) for e in extremes])
     if len(ext) != 2 or any(len(e) != 2 for e in ext):
         raise ValueError("exactly two bi-objective extreme points are required")
-    arr = np.asarray(pts)
     edge_low = float(np.linalg.norm(arr[0] - np.asarray(ext[0])))
     edge_high = float(np.linalg.norm(arr[-1] - np.asarray(ext[1])))
-    if len(pts) == 1:
+    if len(arr) == 1:
         return 0.0 if edge_low + edge_high == 0 else 1.0
     gaps = np.linalg.norm(arr[1:] - arr[:-1], axis=1)
     mean_gap = float(gaps.mean())

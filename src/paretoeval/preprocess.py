@@ -139,7 +139,8 @@ class VagueClamp:
 @dataclass(frozen=True)
 class RegionOfInterest:
     """Preferred region of the front: knee solutions or extreme solutions.
-    Nothing reads ``objectives`` yet: every objective gets its best value."""
+    An extreme region names its objectives by index, each once: the doe
+    step reports each algorithm's best value on those objectives only."""
 
     kind: str
     objectives: tuple[int, ...] = ()
@@ -147,7 +148,13 @@ class RegionOfInterest:
     def __post_init__(self) -> None:
         if self.kind not in ("knee", "extreme"):
             raise ValueError(f"unknown region of interest {self.kind!r}")
-        object.__setattr__(self, "objectives", tuple(int(i) for i in self.objectives))
+        objectives = tuple(int(i) for i in self.objectives)
+        if self.kind == "extreme" and not objectives:
+            raise ValueError("an extreme region needs at least one objective")
+        twice = [j for k, j in enumerate(objectives) if j in objectives[:k]]
+        if twice:
+            raise ValueError(f"objective index {twice[0]} named twice")
+        object.__setattr__(self, "objectives", objectives)
 
 
 @dataclass(frozen=True)

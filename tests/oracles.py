@@ -16,7 +16,8 @@ The run-file oracle is the per-line CSV walk that one numpy parse of the
 body replaced: each cell goes through ``float()`` on its own.  The
 grid-diversity oracle finds each solution's cell on its own.  The group
 staircase is the bisect-based 2-D front of one HV3D group that a stable
-sort with a running minimum replaced.  The report text is the one-shot
+sort with a running minimum replaced, and the list-sorted spread the one
+whose Python sort of the rows the kernel's lexicographic sort replaced.  The report text is the one-shot
 ``json.dumps`` that the streaming report writer replaced.
 """
 
@@ -343,6 +344,26 @@ def spread_oracle(points, extreme_low, extreme_high) -> float:
     num = d_upper + d_bottom + sum(abs(g - mean_gap) for g in gaps)
     den = d_upper + d_bottom + len(gaps) * mean_gap
     return num / den if den else 0.0
+
+
+def spread_list_sorted(V: np.ndarray, extremes) -> float:
+    """Spread with the rows in the order Python's ``sorted`` gives their
+    lists, then the library's arithmetic: the route the stable lexicographic
+    row sort replaced (a bit-exact reference)."""
+    pts = sorted(V.tolist())
+    ext = sorted([tuple(float(v) for v in e) for e in extremes])
+    arr = np.asarray(pts)
+    edge_low = float(np.linalg.norm(arr[0] - np.asarray(ext[0])))
+    edge_high = float(np.linalg.norm(arr[-1] - np.asarray(ext[1])))
+    if len(pts) == 1:
+        return 0.0 if edge_low + edge_high == 0 else 1.0
+    gaps = np.linalg.norm(arr[1:] - arr[:-1], axis=1)
+    mean_gap = float(gaps.mean())
+    numerator = edge_low + edge_high + float(np.abs(gaps - mean_gap).sum())
+    denominator = edge_low + edge_high + len(gaps) * mean_gap
+    if denominator == 0:
+        return 0.0
+    return numerator / denominator
 
 
 def spacing_oracle(points) -> float:

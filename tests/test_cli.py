@@ -1161,7 +1161,7 @@ class TestDoeRoutes:
             {"alpha": [COVERAGE_A, [(600, 0.5)]], "beta": [COVERAGE_B]},
             {
                 "clear": [{"objective": "cost", "kind": "at_most", "threshold": 400}],
-                "roi": {"extreme": ["cost"]},
+                "roi": {"extreme": ["cost", "coverage"]},
             },
         )
         assert code == EXIT_OK
@@ -1180,6 +1180,30 @@ class TestDoeRoutes:
             pick = (min, max)  # cost is minimized, coverage maximized
             expected = [f(values) for f, values in zip(pick, bests)]
             assert report["doe"]["best"][alg] == expected
+
+    @pytest.mark.parametrize(
+        "clear, objectives",
+        [([], ["f3", "f1"]), ([{"objective": "f3", "kind": "exactly_best"}], ["f1"])],
+        ids=["named-order", "dropped-left-out"],
+    )
+    def test_extreme_route_reads_the_objectives_it_names(
+        self, tmp_path, clear, objectives
+    ):
+        # Only the named objectives, in the order named; f3 is 0 on every
+        # survivor, so an agreed exactly_best drops it from the block.
+        runs = {
+            "alpha": [[(1, 4, 0), (2, 3, 0)], [(4, 1, 0)]],
+            "beta": [[(2.5, 5, 0), (3, 2, 0)]],
+        }
+        preferences = {"clear": clear, "roi": {"extreme": ["f3", "f1"]}}
+        code, report = self._evaluate(tmp_path, F123, runs, preferences)
+        best = {"f1": {"alpha": 1.0, "beta": 2.5}, "f3": {"alpha": 0.0, "beta": 0.0}}
+        assert code == EXIT_OK
+        assert report["doe"] == {
+            "kind": "per-objective-best",
+            "objectives": objectives,
+            "best": {a: [best[o][a] for o in objectives] for a in runs},
+        }
 
     def test_scalarize_skips_an_emptied_algorithm(self, tmp_path):
         code, report = self._evaluate(
@@ -2380,6 +2404,15 @@ class TestMainErrors:
                 "preferences.roi: missing 'extreme'",
             ),
             (
+                lambda d: d.update(preferences={"roi": {"extreme": []}}),
+                "preferences.roi.extreme: an extreme region needs at least one "
+                "objective",
+            ),
+            (
+                lambda d: d.update(preferences={"roi": {"extreme": ["f2", "f1", 1]}}),
+                "preferences.roi.extreme: objective index 1 named twice",
+            ),
+            (
                 lambda d: d.pop("algorithms"),
                 "manifest: missing 'algorithms'",
             ),
@@ -2430,6 +2463,8 @@ class TestMainErrors:
             "name-missing",
             "saturation-missing",
             "extreme-missing",
+            "extreme-empty",
+            "extreme-repeated",
             "algorithms-missing",
             "algorithm-name-empty",
             "ref-point-beside-a-strategy",

@@ -196,8 +196,19 @@ class TestScalarizeBest:
     def test_tie_keeps_first_occurrence(self):
         A = make_set("A", [(0.0, 1.0), (1.0, 0.0)])
         best, score = scalarize_best(A, (0.5, 0.5))
-        assert best is A.solutions[0]
+        assert best == A.solutions[0]
         assert score == pytest.approx(0.5)
+
+    def test_builds_only_the_row_it_returns(self):
+        meta = make_set("A", self.POINTS).meta
+        values = np.array(self.POINTS)
+        ids, sources = ["a", "b", "c"], ["run0", None, "run2"]
+        for weights, row in (((0.5, 0.5), 0), ((1.0, 0.0), 1), ((0.0, 1.0), 2)):
+            A = SolutionSet._from_array("A", meta, values, ids, sources)
+            best, _ = scalarize_best(A, weights)
+            assert A._rows is None
+            assert best == A.solutions[row]
+            assert (best.id, best.source) == (ids[row], sources[row])
 
     def test_weight_length_checked(self):
         with pytest.raises(DimensionMismatchError):

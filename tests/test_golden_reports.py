@@ -12,12 +12,18 @@ f4 and f5 in ``preprocessing.removals`` moved); the others before the
 reports were serialized from their dataclasses; the ``plot-data`` and
 ``compare`` ones before the preprocessing rules moved into ``preprocess``
 and ``compare`` read the pooled runs.  A report byte that moves,
-the last bit of a value included, fails here.
+the last bit of a value included, fails here.  Two real-size experiments
+from the same generator at seed 7, m=3 with 2 x 10 runs and m=5 with 2 x 2
+runs of 2000 rows each, pin their ``evaluate`` reports, and the m=3 one its
+``plot-data`` files; those hashes were recorded before reports were written
+by ``json.dump`` and spread took the kernel's row sort.
 
 On the same workloads at seeds 1-3, ``evaluate``'s removed rows, results,
 aggregates, representative runs and exit status match the ones rebuilt from
 ``tests/oracles.py``, plain numpy and ``statistics``; on them and on two small manifests that once split them,
-``lint`` exits with the status ``evaluate`` reports.  On a generated m=4 run
+``lint`` exits with the status ``evaluate`` reports.  Reversing the order of
+the algorithms and of each algorithm's runs keeps every value, pick,
+finding and exit status (metamorphic relation R3).  On a generated m=4 run
 front, ``hypervolume`` stays within four machine epsilons of the exact
 value.
 """
@@ -29,6 +35,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import statistics
 import sys
 import warnings
@@ -101,6 +108,29 @@ GOLDEN_COMPARE_SHA256 = {
         "ci": "6521dd2d4eaee46ac717270e58c1da595839b39fe9b904c63c317ae71f9c4ce6",
         "c": "249aacd3d7f046188f76ea8bf5368cdbd36d57789bef303c0c8a5a9ca0b8eb2a",
         "epsilon": "574a51ba7ec8975a2f0c39a38a907f921ce89817fc991878befae4b4a49982bf",
+    },
+}
+
+
+# Real-size experiments from the same generator at seed 7: two algorithms
+# with runs of 1000 front and 1000 filler rows each, and the default plan.
+# The m=5 one reaches the sparse front kernel inside hypervolume's WFG
+# nodes, which no workload above does.
+REAL_WORKLOADS = {
+    "real-3d": {"m": 3, "runs": 10},
+    "real-5d": {"m": 5, "runs": 2},
+}
+
+REAL_SHA256 = {
+    "real-3d": {
+        "evaluate": "f5013425cd78341b9d8f93b6aaa5dcbfee2e795fd0aa94b165412620dbecd2e4",
+        "plot-data": {
+            "alg0.csv": "bf1630602754dc7a68b21ef6bcb03d4b917917b192d6598bee9a1076e92a274c",
+            "alg1.csv": "4808b0b492cd0c33ff38c67c08f775855d55eb16f84a90ac52cfc59387342416",
+        },
+    },
+    "real-5d": {
+        "evaluate": "24f1298d42931cd80135e02f9cfc2d452eafe6c8c5d0389a4e6c9bce87e916b8",
     },
 }
 
@@ -182,6 +212,37 @@ def test_compare_bytes_unchanged(manifests, tmp_path, name, indicator):
     argv = ["compare", "--manifest", manifest, "--indicator", indicator]
     _run([*argv, "--out", str(report), "alg0", "alg1"])
     assert _sha256(report) == GOLDEN_COMPARE_SHA256[name][indicator]
+
+
+@pytest.fixture(scope="module")
+def real_manifest(bench_inputs, tmp_path_factory):
+    """A real-size experiment's manifest, generated on first use."""
+    made = {}
+
+    def manifest(name):
+        if name not in made:
+            spec = bench_inputs.Workload(
+                name=name, algorithms=2, front_rows=1000, filler_rows=1000,
+                indicators=(), **REAL_WORKLOADS[name],
+            )
+            made[name] = bench_inputs.generate(spec, 7, tmp_path_factory.mktemp(name))
+        return str(made[name].manifest)
+
+    return manifest
+
+
+@pytest.mark.parametrize("name", list(REAL_SHA256))
+def test_real_size_report_bytes_unchanged(real_manifest, tmp_path, name):
+    report = tmp_path / "report.json"
+    _run(["evaluate", "--manifest", real_manifest(name), "--out", str(report)])
+    assert _sha256(report) == REAL_SHA256[name]["evaluate"]
+
+
+def test_real_size_plot_data_bytes_unchanged(real_manifest, tmp_path):
+    plots = tmp_path / "plots"
+    _run(["plot-data", "--manifest", real_manifest("real-3d"), "--out", str(plots)])
+    written = {p.name: _sha256(p) for p in sorted(plots.iterdir())}
+    assert written == REAL_SHA256["real-3d"]["plot-data"]
 
 
 def _tuples(V):
@@ -334,6 +395,60 @@ def test_evaluate_yardsticks_match_oracles(manifests, tmp_path, name, seed):
     assert results["representative_runs"] == picked
     severities = [EXIT_BY_SEVERITY[f["severity"]] for f in results["findings"]]
     assert results["exit_status"] == max(severities, default=cli.EXIT_OK)
+
+
+def _by_file(report, doc):
+    """An ``evaluate`` report's per-run rows and representative runs with
+    each run named by its file, its pairwise rows keyed by opponent, and its
+    aggregates keyed by algorithm and indicator."""
+    files = {a["name"]: a["runs"] for a in doc["algorithms"]}
+    rows = {}
+    for row in report["results"]:
+        alg = row["algorithm"]
+        slot = files[alg][row["run"]] if "run" in row else row["against"]
+        rows[alg, slot, row["indicator"]] = {**row, "run": slot}
+    picks = {alg: files[alg][r] for alg, r in report["representative_runs"].items()}
+    aggregates = {(a["algorithm"], a["indicator"]): a for a in report["aggregates"]}
+    return rows, picks, aggregates
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SHA256))
+def test_reversed_algorithms_and_runs_keep_every_value(manifests, tmp_path, name):
+    """Metamorphic relation R3: reversing the order of the algorithms, and of
+    each algorithm's runs, changes no value a run or a pair gets, nor the run
+    each algorithm's pick names, the findings or the exit status.  An
+    aggregate's median and run count are equal too; its mean sums in run
+    order, so it may move by a few ulp."""
+    path = manifests(name)
+    doc = json.loads(path.read_text())
+    flipped = {
+        **doc,
+        "algorithms": [
+            {**a, "runs": a["runs"][::-1]} for a in doc["algorithms"][::-1]
+        ],
+    }
+    flipped_path = path.with_name("reversed.json")
+    flipped_path.write_text(json.dumps(flipped), encoding="utf-8")
+    reports = []
+    for manifest in (path, flipped_path):
+        out = tmp_path / f"{manifest.stem}-report.json"
+        _run(["evaluate", "--manifest", str(manifest), "--out", str(out)])
+        reports.append(json.loads(out.read_text()))
+    (rows, picks, aggregates), (rows_r, picks_r, aggregates_r) = (
+        _by_file(report, d) for report, d in zip(reports, (doc, flipped))
+    )
+    assert rows.keys() == rows_r.keys()
+    for key, row in rows.items():
+        assert repr(rows_r[key]) == repr(row), key
+    assert picks_r == picks
+    for key in ("findings", "exit_status"):
+        assert reports[1][key] == reports[0][key]
+    assert aggregates.keys() == aggregates_r.keys()
+    for key, agg in aggregates.items():
+        flip = aggregates_r[key]
+        assert (repr(flip["median"]), flip["runs"]) == (repr(agg["median"]), agg["runs"])
+        ulp = math.ulp(max(abs(agg["mean"]), abs(flip["mean"])))
+        assert abs(flip["mean"] - agg["mean"]) <= 4 * ulp, key
 
 
 @pytest.fixture(scope="module")

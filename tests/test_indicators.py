@@ -239,6 +239,10 @@ class TestIgdPlus:
         assert igd_plus(A, R) == pytest.approx(oracles.igd_plus_oracle(pa, pr))
 
 
+# Few distinct coordinates, so first objectives tie, with zeros of either sign.
+SPREAD_COORD = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0]) | st.floats(-1e3, 1e3)
+
+
 class TestSpread:
     def test_equidistant_with_met_extremes(self):
         A = make_set("A", [(0, 1), (0.5, 0.5), (1, 0)])
@@ -285,6 +289,19 @@ class TestSpread:
             [tuple(map(float, p)) for p in points], (0.0, 12.0), (12.0, 0.0)
         )
         assert spread_delta(A, [(0, 12), (12, 0)]) == pytest.approx(expected)
+
+    @given(
+        rows=st.lists(st.tuples(SPREAD_COORD, SPREAD_COORD), min_size=1, max_size=12),
+        copies=st.lists(st.integers(0, 11), max_size=4),
+        extremes=st.tuples(*[st.tuples(SPREAD_COORD, SPREAD_COORD)] * 2),
+    )
+    def test_matches_the_list_sorted_route(self, rows, copies, extremes):
+        # Tied first objectives, duplicate rows and zeros of either sign: the
+        # stable lexicographic sort must give the rows the order Python's
+        # sort of their lists does, so every value keeps its bits.
+        rows = rows + [rows[i % len(rows)] for i in copies]
+        expected = oracles.spread_list_sorted(np.array(rows), extremes)
+        assert repr(spread_delta(make_set("A", rows), extremes)) == repr(expected)
 
 
 class TestSpacing:

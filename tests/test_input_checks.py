@@ -102,6 +102,16 @@ CASES = {
         ValueError,
         "unknown region of interest 'middle'",
     ),
+    "roi-extreme-empty": (
+        lambda: RegionOfInterest("extreme"),
+        ValueError,
+        "an extreme region needs at least one objective",
+    ),
+    "roi-extreme-repeated": (
+        lambda: RegionOfInterest("extreme", (1, 0, 1)),
+        ValueError,
+        "objective index 1 named twice",
+    ),
     "screen-index-out-of-range": (
         lambda: screen_trivial(_knee(), (ClearConstraint(2, "at_most", 1.0),)),
         IndexError,

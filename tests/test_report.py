@@ -1,9 +1,10 @@
 """The report writer against the one-shot ``json.dumps`` it replaced.
 
 Every JSON report goes out through ``cli._write_report``: the same encoder's
-tokens, joined a batch at a time, into a file beside the target that then
-replaces it.  Its bytes must equal ``oracles.report_text`` for any
-report-shaped value, and its memory must follow a batch, not the report.
+tokens, written as ``json.dump`` encodes them, into a file beside the target
+that then replaces it.  Its bytes must equal ``oracles.report_text`` for any
+report-shaped value, and its memory must follow the file's buffer, not the
+report.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def test_writer_matches_the_one_shot_dump(tmp_path, report):
 def test_report_memory_follows_a_batch(tmp_path):
     # 5 columns x 2000 rows, each row repeating its column's config as the
     # runs-3d report does.  The one-shot json.dumps held about six times the
-    # text it wrote; the writer holds a batch of tokens and the file's
+    # text it wrote; the writer holds one token at a time and the file's
     # buffers.
     rng = np.random.default_rng(0)
     table = SimpleNamespace(
