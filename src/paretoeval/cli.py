@@ -47,6 +47,7 @@ from .guidance import (
     EvaluationMode,
     EvaluationPlan,
     LintWarning,
+    _DOE_STEPS,
     _finding,
     _plan,
     _route,
@@ -496,7 +497,7 @@ def write_solution_set(path: str | Path, A: SolutionSet) -> None:
     header = (["id"] if has_id else []) + [o.name for o in A.meta]
     rows = [",".join(header)]
     for i, s in enumerate(A.solutions):
-        cells = [s.id or str(i)] if has_id else []
+        cells = [s.id if s.id is not None else str(i)] if has_id else []
         cells += [repr(float(v)) for v in natural[i]]
         rows.append(",".join(cells))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -770,8 +771,8 @@ def _doe_block(stages: _Stages) -> dict:
     on the one objective left, the best sum weighted over the objectives
     left, or the best value of each objective the extreme preference names
     and preprocessing left, in the order it names them (natural units).
-    The knee and general routes have none."""
-    if stages.route in ("knee", "general"):
+    A route with no doe step has none."""
+    if stages.route not in _DOE_STEPS:
         return {}
     prepared, prefs = stages.prepared, stages.prepared.manifest.preferences
     pooled = prepared.pooled()
@@ -1098,7 +1099,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             for alg, run in chosen_runs.items():
                 normed = normalize([run], bounds)[0] if len(run) else run
                 for i, sol in enumerate(normed.solutions):
-                    label = sol.id or str(i)
+                    label = sol.id if sol.id is not None else str(i)
                     for name, v in zip((o.name for o in normed.meta), sol.objectives):
                         writer.writerow([alg, label, name, repr(v)])
         written.append(str(path))

@@ -414,17 +414,19 @@ def _nearest(
     rows = max(1, min(n, _BLOCK_PAIRS // cols))
     buffers = [np.empty(rows * cols) for _ in range(max(r for _, r in steps) + 1)]
     row_min = np.full(n, np.inf)
+    # Each objective as one contiguous row, which every block reads from.
+    XT, YT = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
     for i in range(0, n, rows):
-        xs = X[i : i + rows]
+        xs = XT[:, i : i + rows]
         for j in range(0, k, cols):
-            ys = Y[j : j + cols]
-            shape = (len(xs), len(ys))
+            ys = YT[:, j : j + cols]
+            shape = (xs.shape[1], ys.shape[1])
             buf = [b[: shape[0] * shape[1]].reshape(shape) for b in buffers]
             for t, r in steps:
                 if t is None:
                     fold(buf[r], buf[r + 1], out=buf[r])
                     continue
-                np.subtract.outer(xs[:, t], ys[:, t], out=buf[r])
+                np.subtract.outer(xs[t], ys[t], out=buf[r])
                 if metric == "shortfall":
                     np.maximum(buf[r], 0.0, out=buf[r])
                 if metric == "l1":
@@ -441,10 +443,9 @@ def _nearest(
     return row_min
 
 
-# Rows up to which ``_dominated_by`` compares every pair through
-# ``_dominance`` for m >= 4 instead of sorting and splitting them.  Of 64 to
-# 1024, 256 was within 20% of the fastest on m=4 and m=5 fronts and set
-# comparisons of 850 to 5000 rows.
+# Rows up to which ``_split`` compares every pair through ``_dominance``
+# instead of splitting them further.  Of 64 to 1024, 256 was within 20% of
+# the fastest on m=4 and m=5 fronts and set comparisons of 850 to 5000 rows.
 _SPLIT_ROWS = 256
 
 
@@ -459,16 +460,14 @@ def _dominated_by(F: np.ndarray, X: np.ndarray, weak: bool = False) -> np.ndarra
     ``X`` row goes first only when it counts, so that a row of ``X`` is
     dominated exactly when an earlier row of ``F`` weakly dominates it.
     Then a staircase sweep (m=3) or a split on the first objective (m >= 4,
-    see ``_split``) finds those rows; m >= 4 compares every pair instead up
-    to ``_SPLIT_ROWS`` rows in all.
+    see ``_split``, which compares every pair up to ``_SPLIT_ROWS`` rows)
+    finds those rows.
     """
     m = X.shape[1]
     if not len(F) or not len(X):
         return np.zeros(len(X), dtype=bool)
     if m <= 2:
         return _dominated_by2(F, X, weak)
-    if m >= 4 and len(F) + len(X) <= _SPLIT_ROWS:
-        return _dominance(F, X, weak)
     is_x = np.arange(len(F) + len(X)) >= len(F)
     V = np.concatenate([F, X])
     order = np.lexsort((is_x == weak, *V.T[::-1]))

@@ -25,7 +25,7 @@ D14 plotting recommendation
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .indicators import ASPECTS, IndicatorConfig, aspects_of, canonical_name
 from .preprocess import PreferenceSpec
@@ -290,19 +290,57 @@ def lint(
         findings.append(_finding("L-PREF-IGNORED"))
 
     if prefs.roi is not None:
-        code, clashing = _ROI_CLASHES[prefs.roi.kind]
-        clash = sorted(set(names) & clashing)
+        region = _REGIONS[prefs.roi.kind]
+        clash = sorted(set(names).intersection(region.clashes))
         if clash:
-            findings.append(_finding(code, ", ".join(clash)))
+            findings.append(_finding(region.finding, ", ".join(clash)))
 
     return findings
 
 
-# Each region-of-interest preference: the finding that names the
-# indicators it clashes with, and those indicators.
-_ROI_CLASHES = {
-    "knee": ("L-KNEE-MISMATCH", frozenset({"igd", "gd", "ci"})),
-    "extreme": ("L-EXTREME-MISMATCH", frozenset({"igd"})),
+class _Region(NamedTuple):
+    """A region-of-interest route (D11): the finding for the indicators it
+    clashes with, those indicators, and its hv's strategy, rationale and notes."""
+
+    finding: str
+    clashes: tuple[str, ...]
+    hv_strategy: str
+    rationale: str
+    notes: tuple[tuple[str, str], ...] = ()
+
+
+_REGIONS = {
+    "knee": _Region(
+        "L-KNEE-MISMATCH", ("igd", "gd", "ci"), "nadir_plus_tenth",
+        "D11: knee preference; hypervolume with a nearby reference "
+        "point concentrates credit around balanced solutions",
+        (("N-IGD-EXCLUDED", "knee preference"),),
+    ),
+    "extreme": _Region(
+        "L-EXTREME-MISMATCH", ("igd",), "doubled_range",
+        "D11: extreme-point preference; a distant reference point "
+        "amplifies credit for boundary solutions",
+    ),
+}
+
+# P1-P3 in plan order: the preference field that asks for each, its step
+# kind and its description.
+_TRANSFERS = (
+    ("screen", "screen", "P1: drop trivially useless solutions before judging"),
+    ("clear", "clear-transfer",
+     "P2: filter by the hard constraints, then judge survivors"),
+    ("vague", "vague-transfer",
+     "P3: clamp beyond-saturation values, drop below-floor solutions"),
+)
+
+# The doe steps of each route that has any.  On best-value and scalarize
+# they are the whole judgement: those routes plan no indicator.
+_DOE_STEPS = {
+    "best-value": (
+        "best: compare the best surviving value on the remaining objective",
+    ),
+    "scalarize": ("scalarize: rank sets by their best weighted-sum solution",),
+    "extreme": ("best: report per-objective best values",),
 }
 
 
@@ -377,75 +415,24 @@ def _plan(
     if live_m < 1:
         raise ValueError("clear constraints require best values on every objective")
 
-    steps: list[PlanStep] = []
-    plan_notes: list[LintWarning] = []
-    doe_steps: list[str] = []
-    indicators: list[PlannedIndicator] = []
-
-    if prefs.screen:
-        steps.append(
-            PlanStep("screen", "P1: drop trivially useless solutions before judging")
-        )
-
-    if prefs.clear:
-        steps.append(
-            PlanStep(
-                "clear-transfer",
-                "P2: filter by the hard constraints, then judge survivors",
-            )
-        )
-
-    if prefs.vague:
-        steps.append(
-            PlanStep(
-                "vague-transfer",
-                "P3: clamp beyond-saturation values, drop below-floor solutions",
-            )
-        )
-
+    steps = [
+        PlanStep(kind, why) for key, kind, why in _TRANSFERS if getattr(prefs, key)
+    ]
     route = _route(prefs, live_m)
-    if route == "best-value":
-        doe_steps.append(
-            "best: compare the best surviving value on the remaining objective"
-        )
-    elif route == "scalarize":
-        doe_steps.append(
-            "scalarize: rank sets by their best weighted-sum solution"
-        )
-    elif route in _ROI_CLASHES and live_m not in aspects_of("hv").objectives:
-        # hv is undefined: the general route's indicators stand in, less
-        # those the region of interest clashes with.
-        clashing = _ROI_CLASHES[route][1]
+    region = _REGIONS.get(route)
+    indicators, plan_notes = [], []
+    if region is not None and live_m in aspects_of("hv").objectives:
+        config = IndicatorConfig(hv_strategy=region.hv_strategy)
+        indicators = [PlannedIndicator("hv", config, region.rationale)]
+        plan_notes = [_finding(*note) for note in region.notes]
+    elif route not in ("best-value", "scalarize"):  # those judge by doe steps only
+        # The general picks, less a region's clashes where hv is undefined.
+        clashing = region.clashes if region is not None else ()
         general = _general_indicators(live_m, set_count)
-        indicators.extend(p for p in general if p.name not in clashing)
-    elif route == "knee":
-        indicators.append(
-            PlannedIndicator(
-                "hv",
-                IndicatorConfig(hv_strategy="nadir_plus_tenth"),
-                "D11: knee preference; hypervolume with a nearby reference "
-                "point concentrates credit around balanced solutions",
-            )
-        )
-        plan_notes.append(_finding("N-IGD-EXCLUDED", "knee preference"))
-    elif route == "extreme":
-        indicators.append(
-            PlannedIndicator(
-                "hv",
-                IndicatorConfig(hv_strategy="doubled_range"),
-                "D11: extreme-point preference; a distant reference point "
-                "amplifies credit for boundary solutions",
-            )
-        )
-    else:
-        indicators.extend(_general_indicators(live_m, set_count))
-    if route == "extreme":
-        doe_steps.append("best: report per-objective best values")
+        indicators = [p for p in general if p.name not in clashing]
 
     if any(aspects_of(p.name).needs_normalization for p in indicators):
-        steps.append(
-            PlanStep("normalize", "scale objectives to comparable ranges")
-        )
+        steps.append(PlanStep("normalize", "scale objectives to comparable ranges"))
 
     plotting = _plot_kind(live_m)
     plan_notes.append(_finding("N-PLOT", f"D14: {plotting} for m={live_m}"))
@@ -456,7 +443,7 @@ def _plan(
     plan = EvaluationPlan(
         preprocessing=tuple(steps),
         indicators=tuple(indicators),
-        doe_steps=tuple(doe_steps),
+        doe_steps=_DOE_STEPS.get(route, ()),
         plotting=plotting,
         warnings=tuple(plan_notes),
     )

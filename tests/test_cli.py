@@ -1965,6 +1965,27 @@ class TestPlotData:
         assert sorted(p.name for p in out_dir.iterdir()) == ["..%2Fescape.csv", "b.csv"]
         assert not (tmp_path / "escape.csv").exists()
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_an_empty_id_stays_empty(self, tmp_path, m):
+        # An id cell that is present but empty once became the row index, so
+        # ids 1,,x were written 1,1,x.
+        objectives = [{"name": f"f{j}", "direction": "min"} for j in range(m)]
+        rows = [[1, 3, 1, 3][:m], [2, 2, 2, 2][:m], [3, 1, 3, 1][:m]]
+        path = write_manifest(tmp_path, objectives, {"a": [rows], "b": [rows[:1]]})
+        header = ",".join(["id", *(o["name"] for o in objectives)])
+        body = [f"{i},{','.join(map(str, r))}" for i, r in zip(["1", "", "x"], rows)]
+        (tmp_path / "a_0.csv").write_text("\n".join([header, *body]) + "\n")
+        out_dir = tmp_path / "plots"
+        argv = ["plot-data", "--manifest", str(path), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        if m == 2:
+            lines = (out_dir / "a.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines] == ["id", "1", "", "x"]
+        else:
+            text = (out_dir / "parallel-coordinates.csv").read_text()
+            labels = [row[1] for row in csv.reader(text.splitlines()) if row[0] == "a"]
+            assert labels == ["1"] * m + [""] * m + ["x"] * m
+
     def test_parallel_coordinates_quote_a_comma_in_a_name(self, tmp_path):
         objectives = [{"name": f"o{i}", "direction": "min"} for i in range(4)]
         runs = [[[[1, 2, 3, 4], [4, 3, 2, 1]]], [[[2, 2, 2, 2]]]]

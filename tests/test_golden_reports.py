@@ -23,7 +23,11 @@ aggregates, representative runs and exit status match the ones rebuilt from
 ``tests/oracles.py``, plain numpy and ``statistics``; on them and on two small manifests that once split them,
 ``lint`` exits with the status ``evaluate`` reports.  Reversing the order of
 the algorithms and of each algorithm's runs keeps every value, pick,
-finding and exit status (metamorphic relation R3).  On a generated m=4 run
+finding and exit status (metamorphic relation R3); scaling every value and
+preference by a power of two scales only hv (R1), and flipping one
+objective's sign and direction turns over only its natural values in the
+removed rows (R2).  ``evaluate --indicator c`` matches ``coverage_oracle``
+on the pooled survivors.  On a generated m=4 run
 front, ``hypervolume`` stays within four machine epsilons of the exact
 value.
 """
@@ -449,6 +453,152 @@ def test_reversed_algorithms_and_runs_keep_every_value(manifests, tmp_path, name
         assert (repr(flip["median"]), flip["runs"]) == (repr(agg["median"]), agg["runs"])
         ulp = math.ulp(max(abs(agg["mean"]), abs(flip["mean"])))
         assert abs(flip["mean"] - agg["mean"]) <= 4 * ulp, key
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["runs", "first-run-twice"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coverage_column_matches_its_oracle(manifests, tmp_path, seed, repeated):
+    """Each ``c`` row of ``evaluate --indicator c`` on ``pair-2d`` is
+    ``coverage_oracle`` of its algorithm's pooled survivors against its
+    opponent's, bit for bit.  Listing each algorithm's first run twice puts
+    every row of that run twice in the pooled sets, which ``c`` counts once."""
+    path = manifests("pair-2d", seed)
+    if repeated:
+        doc = json.loads(path.read_text())
+        for entry in doc["algorithms"]:
+            entry["runs"] = [*entry["runs"], entry["runs"][0]]
+        path = path.with_name("repeated.json")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--manifest", str(path), "--indicator", "c"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        # c alone leaves aspects uncovered: a warning, exit 1.
+        assert cli.main([*argv, "--out", str(report)]) == cli.EXIT_WARNINGS
+    rows = json.loads(report.read_text())["results"]
+    pooled = cli.prepare(cli.load_manifest(path)).pooled()
+    assert [(r["algorithm"], r["against"]) for r in rows] == [
+        ("alg0", "alg1"), ("alg1", "alg0")
+    ]
+    for row in rows:
+        first, second = (pooled[row[key]].values() for key in ("algorithm", "against"))
+        expected = oracles.coverage_oracle(_tuples(first), _tuples(second))
+        assert repr(row["value"]) == repr(expected)
+
+
+def _mapped(path, directory, factors):
+    """The experiment at ``path`` with objective j's natural values, and its
+    preference thresholds, saturations and floors, times ``factors[j]``,
+    written under ``directory``.  A negative factor also flips the
+    objective's direction and its screen and clear kinds."""
+    doc = json.loads(path.read_text())
+    flip = {"at_most": "at_least", "at_least": "at_most", "min": "max", "max": "min"}
+    column = {o["name"]: j for j, o in enumerate(doc["objectives"])}
+    for j, objective in enumerate(doc["objectives"]):
+        if factors[j] < 0:
+            objective["direction"] = flip[objective["direction"]]
+    prefs = doc.get("preferences", {})
+    for rule in (*prefs.get("screen", ()), *prefs.get("clear", ())):
+        f = factors[column[rule["objective"]]]
+        rule["threshold"] *= f
+        rule["kind"] = flip[rule["kind"]] if f < 0 else rule["kind"]
+    for clamp in prefs.get("vague", ()):
+        f = factors[column[clamp["objective"]]]
+        for key in ("saturation", "hard_floor"):
+            if key in clamp:
+                clamp[key] *= f
+    directory.mkdir()
+    for entry in doc["algorithms"]:
+        for rel in entry["runs"]:
+            header, *body = (path.parent / rel).read_text().splitlines()
+            lines = [header]
+            for line in body:
+                row = zip(factors, map(float, line.split(",")))
+                lines.append(",".join(repr(f * x) for f, x in row))
+            (directory / rel).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    mapped = directory / "manifest.json"
+    mapped.write_text(json.dumps(doc), encoding="utf-8")
+    return mapped
+
+
+def _evaluated(manifest, out):
+    _run(["evaluate", "--manifest", str(manifest), "--out", str(out)])
+    return json.loads(out.read_text())
+
+
+def _same_removed_rows(report, mapped):
+    """Both reports remove the same rows of the same sets; the removed rows'
+    natural values in each, row by row."""
+    old, new = (r["preprocessing"]["removals"] for r in (report, mapped))
+    assert [(r["set"], r["index"]) for r in new] == [
+        (r["set"], r["index"]) for r in old
+    ]
+    return [(r["objectives"], m["objectives"]) for r, m in zip(old, new)]
+
+
+def _same_apart_from(report, mapped, *keys):
+    """Every top-level field but the results, aggregates, preprocessing and
+    ``keys`` is equal in both reports."""
+    for key in report.keys() - {"results", "aggregates", "preprocessing", *keys}:
+        assert mapped[key] == report[key], key
+
+
+@pytest.mark.parametrize("k", [3, -2])
+@pytest.mark.parametrize("name", list(GOLDEN_SHA256))
+def test_power_of_two_scaling_scales_only_hv(manifests, tmp_path, name, k):
+    """Metamorphic relation R1: every value, threshold, saturation and floor
+    times 2**k leaves every indicator value bit-equal but hv, which is
+    exactly 2**(k*m) times its value, scales the report's points, bounds
+    and removed rows by 2**k, and keeps every pick, finding and removal."""
+    path = manifests(name)
+    m = len(json.loads(path.read_text())["objectives"])
+    scale = 2.0**k
+    report = _evaluated(path, tmp_path / "report.json")
+    scaled = _mapped(path, tmp_path / "scaled", [scale] * m)
+    mapped = _evaluated(scaled, tmp_path / "r1.json")
+    _same_apart_from(report, mapped)
+    for old, new in _same_removed_rows(report, mapped):
+        assert new == [scale * v for v in old]
+    for row, moved in zip(report["results"], mapped["results"], strict=True):
+        factor = scale**m if row["indicator"] == "hv" else 1.0
+        config = dict(row["config"])
+        for key in ("reference_point", "bounds_ideal", "bounds_nadir"):
+            if key in config:
+                config[key] = [scale * v for v in config[key]]
+        expected = {**row, "config": config, "value": factor * row["value"]}
+        assert repr(moved) == repr(expected)
+    for agg, moved in zip(report["aggregates"], mapped["aggregates"], strict=True):
+        factor = scale**m if agg["indicator"] == "hv" else 1.0
+        scaled_stats = {key: factor * agg[key] for key in ("mean", "median")}
+        assert repr(moved) == repr({**agg, **scaled_stats})
+
+
+@pytest.mark.parametrize(
+    "name, objective",
+    [("pair-2d", 0), ("runs-3d", 2), ("prefs-5d", 0), ("prefs-5d", 1), ("prefs-5d", 3)],
+)
+def test_direction_flip_keeps_every_value(manifests, tmp_path, name, objective):
+    """Metamorphic relation R2: negating one objective's column and flipping
+    its direction, its screen and clear kinds and its vague values leaves
+    the minimised data as it was, so every value, pick and finding is
+    bit-equal; only that objective's natural values in the removed rows,
+    and its declared direction, turn over.  On ``prefs-5d`` the flipped
+    objective carries the screen (f1), clear (f2) or vague (f4) rule."""
+    path = manifests(name)
+    m = len(json.loads(path.read_text())["objectives"])
+    factors = [-1.0 if j == objective else 1.0 for j in range(m)]
+    report = _evaluated(path, tmp_path / "report.json")
+    flipped_path = _mapped(path, tmp_path / "flipped", factors)
+    mapped = _evaluated(flipped_path, tmp_path / "r2.json")
+    _same_apart_from(report, mapped, "objectives")
+    for key in ("results", "aggregates"):
+        assert repr(mapped[key]) == repr(report[key])
+    directions = [o["direction"] for o in report["objectives"]]
+    directions[objective] = {"min": "max", "max": "min"}[directions[objective]]
+    assert [o["direction"] for o in mapped["objectives"]] == directions
+    removed = _same_removed_rows(report, mapped)
+    assert bool(removed) == (name == "prefs-5d")
+    for old, new in removed:
+        assert new == [f * v for f, v in zip(factors, old)]
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -498,3 +499,66 @@ def test_readme_indicator_table_matches_the_profiles():
         name: (dict(p.aspects), p.compliant, p.better, p.objectives)
         for name, p in _PROFILES.items()
     }
+
+
+# Each route case of the planner: (prefs, m, live_m, set_count), and the
+# sha256 of ``repr(asdict(plan))``, recorded before the planner's transfer,
+# doe and region choices became table rows.
+PLAN_CASES = {
+    **{
+        f"general-m{m}-sets{sets}": (NO_PREFS, m, m, sets)
+        for m in (2, 3, 11)
+        for sets in (1, 2, 3)
+    },
+    "knee-m3": (KNEE, 3, 3, 2),
+    "extreme-m3": (EXTREME, 3, 3, 2),
+    "knee-m11": (KNEE, 11, 11, 2),
+    "extreme-m11": (EXTREME, 11, 11, 2),
+    "scalarize": (WEIGHTED, 2, 2, 2),
+    "best-value": (ONE_BEST, 2, 1, 2),
+    "untransferable": (replace(KNEE, untransferable=True), 2, 2, 2),
+    "p1-screen": (PreferenceSpec(screen=(ClearConstraint(0, "at_most", 100),)), 2, 2, 2),
+    "p2-clear": (PreferenceSpec(clear=(ClearConstraint(0, "at_most", 400),)), 3, 3, 2),
+    "p3-vague": (CAPACITY_CLAMP, 2, 2, 2),
+    "p1-p3-knee": (
+        PreferenceSpec(
+            screen=(ClearConstraint(0, "at_most", 125),),
+            clear=(ClearConstraint(1, "at_most", 115),),
+            vague=(VagueClamp(3, saturation=5, hard_floor=120),),
+            roi=RegionOfInterest("knee"),
+        ),
+        5, 5, 2,
+    ),
+}
+
+PLAN_SHA256 = {
+    "general-m2-sets1": "0b59adea84d7986f985897131cdf7bc77bbc9743010649d6d3e0b593711a2a7d",
+    "general-m2-sets2": "ac61709cdd4f79c66911f636745f104ac9f382b68ae6e2aa4eacecdf70c2e2f4",
+    "general-m2-sets3": "0b59adea84d7986f985897131cdf7bc77bbc9743010649d6d3e0b593711a2a7d",
+    "general-m3-sets1": "b94dade3fb1cbef875fdf53791d11214b1ce31bc022b161f4f67553d4e959248",
+    "general-m3-sets2": "173d079af2a02c7bd28ea588e835999156bdac14a39b1daadba831cc7a16bebd",
+    "general-m3-sets3": "b94dade3fb1cbef875fdf53791d11214b1ce31bc022b161f4f67553d4e959248",
+    "general-m11-sets1": "7f397f0dfefa1749f37fe61798bb351744923e8b7a2dd9e9b0a28fc07922ca9a",
+    "general-m11-sets2": "52e26a6a2aab187fd2e3e8e498c0fef37479b7dd99dc780e0c7c1b71ff960208",
+    "general-m11-sets3": "7f397f0dfefa1749f37fe61798bb351744923e8b7a2dd9e9b0a28fc07922ca9a",
+    "knee-m3": "d76abb1913bf8ff15881900dc18a58c23282e01100d7fb79dfbe6aadd2933e80",
+    "extreme-m3": "0728109f4e4979770d53630b2c432a4ecd9fee0a06a511340b3709dcdb0d654d",
+    "knee-m11": "7f397f0dfefa1749f37fe61798bb351744923e8b7a2dd9e9b0a28fc07922ca9a",
+    "extreme-m11": "18b59fa997d747beb587420a3e2df744c27e7cacd4dc055cbe01b9ed3c157b09",
+    "scalarize": "1c6e944839985621094ab838ec98ce38de8d44e2ac58ace4385328760d39e0ce",
+    "best-value": "e060fa96985956fe9a3cda070104166d30e52db97ef09b156acee10801b32764",
+    "untransferable": "9a9907d5c81ff4440143f406db3f86d88ff0668f3880f9a6ba5fea7a49e68b0d",
+    "p1-screen": "bd6b6b2d9d3f9ee76f6edcfdfb0af95b5c4458eca44e92b6420e54acf1d62d12",
+    "p2-clear": "e13b611ce995ce6ae9f54e6c542e3bde13d986291002201d9c1c8723d3604382",
+    "p3-vague": "a639c4863350c6c25238761746e46eb8b367cbfff1e1099071cb98cc0c7ea3b8",
+    "p1-p3-knee": "3af2d8fbfcd2925ea49df906c692538942379172d34fd49865dbed3d386c1428",
+}
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plan_is_unchanged(case):
+    """Every field of the plan of each route case, its steps, indicators,
+    configs, doe steps, plot kind and findings in order, is as recorded."""
+    plan = guidance._plan(*PLAN_CASES[case])
+    digest = hashlib.sha256(repr(asdict(plan)).encode()).hexdigest()
+    assert digest == PLAN_SHA256[case]
