@@ -44,7 +44,6 @@ from .doe import (
     scalarize_best,
 )
 from .guidance import (
-    EvaluationMode,
     EvaluationPlan,
     LintWarning,
     _DOE_STEPS,
@@ -673,8 +672,9 @@ def _lint_findings(
     if point is not None:
         nadir = tuple(reference.values().max(axis=0).tolist())
         at_nadir = config.hv_strategy == "explicit" and point == nadir
-    mode = EvaluationMode(hv_ref_at_nadir=at_nadir)
-    found = lint(stages.judged, config, prefs, stages.prepared.live_m, mode)
+    found = lint(
+        stages.judged, config, prefs, stages.prepared.live_m, hv_ref_at_nadir=at_nadir
+    )
     return found + [_finding(code, str(exc)) for code, exc in failures.items()]
 
 
@@ -1008,10 +1008,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     _write_report(report, args.out)
     if not findings:
         print("no findings")
+    _print_findings(findings)
+    return status
+
+
+def _print_findings(findings: Sequence[LintWarning]) -> None:
     for f in findings:
         issue = f" (misuse {f.issue})" if f.issue else ""
         print(f"[{f.severity}] {f.code}{issue}: {f.message}")
-    return status
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -1034,7 +1038,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     "worst": list(st.worst),
                 }
             )
-    report = {"schema": "solution-set-stats/1", "stats": blocks}
+    # Statistics reported alone are the sole comparison: misuse II.
+    findings = [_finding("L-DOE-SOLE", "mean, median, worst")] if blocks else []
+    status = _exit_from_findings(findings, False)
+    report = {
+        "schema": "solution-set-stats/2",
+        "stats": blocks,
+        "findings": [asdict(f) for f in findings],
+        "exit_status": status,
+    }
     _write_report(report, args.out)
     for b in blocks:
         print(f"{b['algorithm']} run {b['run']}:")
@@ -1043,11 +1055,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"  {name:<16} best={b['best'][i]:.6g} worst={b['worst'][i]:.6g} "
                 f"mean={b['mean'][i]:.6g} median={b['median'][i]:.6g}"
             )
-    print(
-        "note: summary statistics alone can contradict the dominance relation "
-        "between sets; pair them with dominance-aware indicators"
-    )
-    return EXIT_OK
+    _print_findings(findings)
+    return status
 
 
 # A scatter file is named after its algorithm with these percent-encoded, so

@@ -37,7 +37,6 @@ __all__ = [
     "PlannedIndicator",
     "PlanStep",
     "EvaluationPlan",
-    "EvaluationMode",
     "aspect_coverage",
     "lint",
     "recommend",
@@ -47,12 +46,6 @@ SEVERITIES = ("info", "warning", "error")
 
 # code -> (misuse class, severity, summary)
 WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
-    "L-SSP-ONLY": (
-        "I",
-        "warning",
-        "plotting solution sets is the only evaluation, or a scatter plot is "
-        "requested for more than three objectives",
-    ),
     "L-DOE-SOLE": (
         "II",
         "warning",
@@ -99,11 +92,6 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
         "preprocessing, so evaluate rejects it",
     ),
     "L-ALL-EMPTY": (None, "error", "evaluate has no solution left to evaluate"),
-    "L-PREF-IGNORED": (
-        "IV",
-        "warning",
-        "clear preferences are declared but never transferred onto the data",
-    ),
     "L-KNEE-MISMATCH": (
         "V",
         "warning",
@@ -203,19 +191,6 @@ class EvaluationPlan:
         return self.indicators[0].config if self.indicators else IndicatorConfig()
 
 
-@dataclass(frozen=True)
-class EvaluationMode:
-    """How an evaluation is conducted, for lint purposes."""
-
-    plotting_only: bool = False
-    scatter_requested: bool = False
-    doe_only: bool = False
-    doe_stats: tuple[str, ...] = ()
-    clear_transfer_planned: bool = True
-    combined_front_reference: bool = True
-    hv_ref_at_nadir: bool = False
-
-
 def aspect_coverage(names: Sequence[str]) -> dict[str, str]:
     """Union of quality aspects covered by the named indicators.
 
@@ -235,38 +210,24 @@ def lint(
     config: IndicatorConfig,
     prefs: PreferenceSpec,
     m: int,
-    mode: EvaluationMode | None = None,
+    *,
+    hv_ref_at_nadir: bool = False,
 ) -> list[LintWarning]:
     """Check an evaluation setup against the documented misuse patterns.
 
-    ``chosen`` names the indicators the experimenter intends to report, all
-    computed under ``config``; ``mode`` describes everything else about the
-    setup that matters: whether plots or summary statistics stand alone,
-    whether declared clear preferences are actually transferred, what
-    reference material the distance indicators use, and where the explicit
-    hv reference point lies.
+    ``chosen`` names the indicators the experimenter intends to report on
+    ``m`` objectives, all computed under ``config``, the distance indicators
+    against the combined front of the evaluated sets; ``hv_ref_at_nadir``
+    says that the explicit hv reference point lies exactly at that front's
+    nadir.  Statistics as the sole comparison (misuse II) are flagged by the
+    ``stats`` command that computes them, not here.
     """
-    mode = mode or EvaluationMode()
     if m < 1:
         raise ValueError("m must be positive")
     names = [canonical_name(name) for name in chosen]
     findings: list[LintWarning] = []
 
-    if mode.plotting_only or (mode.scatter_requested and _plot_kind(m) != "scatter"):
-        detail = (
-            "plotting is the sole evaluation method"
-            if mode.plotting_only
-            else f"scatter plot requested for m={m}"
-        )
-        findings.append(_finding("L-SSP-ONLY", detail))
-
-    misleading_stats = tuple(
-        s for s in mode.doe_stats if s in ("mean", "median", "worst")
-    )
-    if mode.doe_only and misleading_stats:
-        findings.append(_finding("L-DOE-SOLE", ", ".join(misleading_stats)))
-
-    if prefs.is_empty() and not mode.plotting_only and not mode.doe_only:
+    if prefs.is_empty():
         covered = aspect_coverage(names)
         missing = [a for a in ASPECTS if a not in covered]
         if missing:
@@ -276,18 +237,11 @@ def lint(
         if name in names and m not in aspects_of(name).objectives:
             findings.append(_finding(code, f"m={m}"))
 
-    if mode.combined_front_reference and any(
-        n in names for n in ("igd", "igd_plus", "spread")
-    ):
+    if any(n in names for n in ("igd", "igd_plus", "spread")):
         findings.append(_finding("L-IGD-REFSET"))
 
-    if "hv" in names and (
-        config.hv_strategy == "worst_values" or mode.hv_ref_at_nadir
-    ):
+    if "hv" in names and (config.hv_strategy == "worst_values" or hv_ref_at_nadir):
         findings.append(_finding("L-HV-REFPOINT", config.hv_strategy))
-
-    if prefs.clear and not mode.clear_transfer_planned:
-        findings.append(_finding("L-PREF-IGNORED"))
 
     if prefs.roi is not None:
         region = _REGIONS[prefs.roi.kind]

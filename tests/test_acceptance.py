@@ -18,8 +18,6 @@ from paretoeval import (
     EXACTLY_BEST,
     EvaluationWarning,
     ClearConstraint,
-    EvaluationMode,
-    IndicatorConfig,
     PreferenceSpec,
     RegionOfInterest,
     VagueClamp,
@@ -37,7 +35,6 @@ from paretoeval import (
     hypervolume,
     igd,
     igd_plus,
-    lint,
     nfs,
     recommend,
     set_dominates,
@@ -185,9 +182,9 @@ def test_criterion_06_cardinality_then_best_value_pipeline(tmp_path):
     _pass(6, "PFS 4 vs 5; best-value transfer declares 450 beats 500")
 
 
-def test_criterion_07_misleading_statistics_flagged():
-    A = make_set("A", [(0, 0), (10, 10)])
-    B = make_set("B", [(3, 3), (5, 5)])
+def test_criterion_07_misleading_statistics_flagged(tmp_path, capsys):
+    a_rows, b_rows = [(0, 0), (10, 10)], [(3, 3), (5, 5)]
+    A, B = make_set("A", a_rows), make_set("B", b_rows)
     assert set_dominates(A, B)
     outcome = doe_compare(A, B, stat="mean")
     assert outcome.first_stats.mean == (5.0, 5.0)
@@ -195,10 +192,17 @@ def test_criterion_07_misleading_statistics_flagged():
     assert outcome.winners == (-1, -1)
     assert outcome.misleading_flag
 
-    mode = EvaluationMode(doe_only=True, doe_stats=("mean",))
-    findings = lint([], IndicatorConfig(), PreferenceSpec(), 2, mode)
-    assert {f.code for f in findings} == {"L-DOE-SOLE"}
-    _pass(7, "dominated set wins the mean; flag raised and setup linted")
+    # The stats command reports those means alone, so it flags itself.
+    manifest = write_manifest(tmp_path, MIN_2D, {"A": [a_rows], "B": [b_rows]})
+    out = tmp_path / "stats.json"
+    code = main(["stats", "--manifest", str(manifest), "--out", str(out)])
+    assert code == EXIT_WARNINGS
+    report = json.loads(out.read_text())
+    assert [b["mean"] for b in report["stats"]] == [[5.0, 5.0], [4.0, 4.0]]
+    assert [f["code"] for f in report["findings"]] == ["L-DOE-SOLE"]
+    assert report["exit_status"] == EXIT_WARNINGS
+    assert "[warning] L-DOE-SOLE (misuse II)" in capsys.readouterr().out
+    _pass(7, "dominated set wins the mean; stats flags L-DOE-SOLE, exit 1")
 
 
 def test_criterion_08_hv_matches_independent_oracles():

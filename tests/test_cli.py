@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from paretoeval import (
+    WARNING_CODES,
     ClearConstraint,
     Direction,
     EvaluationWarning,
@@ -1862,11 +1863,15 @@ class TestStats:
         path = write_manifest(
             tmp_path, COST_COVERAGE, {"alpha": [COVERAGE_A]}
         )
-        assert main(["stats", "--manifest", str(path)]) == EXIT_OK
+        assert main(["stats", "--manifest", str(path)]) == EXIT_WARNINGS
         out = capsys.readouterr().out
         assert "alpha run 0:" in out
         assert "cost" in out and "coverage" in out
-        assert "contradict the dominance relation" in out
+        assert out.splitlines()[-1] == (
+            "[warning] L-DOE-SOLE (misuse II): mean/median/worst per-objective "
+            "statistics are the sole comparison; they can contradict the "
+            "dominance relation between sets (mean, median, worst)"
+        )
 
     def test_stats_report_values(self, tmp_path):
         path = write_manifest(
@@ -1874,10 +1879,13 @@ class TestStats:
         )
         out = tmp_path / "stats.json"
         main(["stats", "--manifest", str(path), "--out", str(out)])
-        block = json.loads(out.read_text())["stats"][0]
+        report = json.loads(out.read_text())
+        assert report["schema"] == "solution-set-stats/2"
+        block = report["stats"][0]
         assert block["best"] == [200.0, 1.0]
         assert block["worst"] == [450.0, 0.2]
-
+        assert [f["code"] for f in report["findings"]] == ["L-DOE-SOLE"]
+        assert report["exit_status"] == EXIT_WARNINGS
 
     def test_emptied_algorithm_skipped(self, tmp_path):
         path = write_manifest(tmp_path, MIN_2D, EMPTIED_ALPHA, preferences=F2_AT_MOST)
@@ -1885,10 +1893,126 @@ class TestStats:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EvaluationWarning)
             code = main(["stats", "--manifest", str(path), "--out", str(out)])
-        assert code == EXIT_OK
+        assert code == EXIT_WARNINGS
         blocks = json.loads(out.read_text())["stats"]
         assert [(b["algorithm"], b["run"]) for b in blocks] == [("beta", 0)]
         assert blocks[0]["best"] == [7.0, 1.5]
+
+    def test_no_statistics_no_finding(self, tmp_path, capsys):
+        # Preprocessing empties the one run: nothing is compared.
+        path = write_manifest(
+            tmp_path, MIN_2D, {"alpha": EMPTIED_ALPHA["alpha"]}, preferences=F2_AT_MOST
+        )
+        out = tmp_path / "stats.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EvaluationWarning)
+            code = main(["stats", "--manifest", str(path), "--out", str(out)])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        assert (report["stats"], report["findings"], report["exit_status"]) == (
+            [], [], EXIT_OK
+        )
+        assert capsys.readouterr().out == ""
+
+
+TWO_KNEES = {"a": [KNEE_A], "b": [KNEE_B]}
+# f2 is exactly_best; beta's best coverage is 0.9, below alpha's 1.0.
+DISPUTED = {
+    "objectives": COST_COVERAGE,
+    "algorithms": {"alpha": [COVERAGE_A], "beta": [COVERAGE_B[:-1]]},
+    "preferences": {"clear": [{"objective": "coverage", "kind": "exactly_best"}]},
+}
+
+
+class TestEveryCodeIsRaised:
+    """Each code of ``WARNING_CODES`` reaches a report: the command that
+    raises it, a manifest (``MIN_2D`` and ``TWO_KNEES`` unless named) and
+    flags."""
+
+    CASES = {
+        "L-DOE-SOLE": ("stats", {}, []),
+        "L-ASPECT-GAP": ("lint", {}, ["--indicator", "gd_plus"]),
+        "L-SPREAD-DIM": (
+            "lint",
+            {"objectives": MIN_3D, "algorithms": {"a": [[(1, 2, 3), (3, 1, 2)]]}},
+            ["--indicator", "spread"],
+        ),
+        "L-HV-DIM": (
+            "lint",
+            {
+                "objectives": [{"name": f"f{j}"} for j in range(11)],
+                "algorithms": {"a": [[tuple(range(11)), tuple(range(11))[::-1]]]},
+            },
+            ["--indicator", "hv"],
+        ),
+        "L-IGD-REFSET": ("lint", {}, ["--indicator", "igd"]),
+        "L-HV-REFPOINT": ("lint", {}, ["--ref-strategy", "worst_values"]),
+        "L-HV-REF-INSIDE": (
+            "lint",
+            {"algorithms": {"a": [[(1, 4), (4, 1)]]}},
+            ["--indicator", "hv", "--ref-point", "3,3"],
+        ),
+        "L-HV-REF-INVALID": ("lint", {}, ["--ref-strategy", "explicit"]),
+        "L-NO-HARD-BOUNDS": (
+            "lint", {"overrides": {"normalization": "hard_bounds"}}, []
+        ),
+        "L-RUN-TOO-SMALL": (
+            "lint",
+            {"algorithms": {"a": [KNEE_A], "b": [[(5, 5)]]}},
+            ["--indicator", "sp"],
+        ),
+        "L-ALL-EMPTY": (
+            "lint",
+            {"algorithms": {"a": [[(6, 6)]]}, "preferences": F2_AT_MOST},
+            [],
+        ),
+        "L-KNEE-MISMATCH": (
+            "lint", {"preferences": {"roi": "knee"}}, ["--indicator", "igd"]
+        ),
+        "L-EXTREME-MISMATCH": (
+            "lint",
+            {"preferences": {"roi": {"extreme": ["f1"]}}},
+            ["--indicator", "igd"],
+        ),
+        "N-PSI": ("evaluate", {}, []),
+        "N-IGD-EXCLUDED": ("evaluate", {"preferences": {"roi": "knee"}}, []),
+        "N-PLOT": ("evaluate", {}, []),
+        "N-EXTREMES-SUBSTITUTED": ("evaluate", {}, []),
+        "N-RENORM-SURVIVORS": ("evaluate", DISPUTED, []),
+        "N-BINARY-SKIPPED": (
+            "evaluate",
+            {"algorithms": {"a": [DIAG_A], "b": [DIAG_B], "c": [DIAG_C]}},
+            ["--indicator", "ci", "--indicator", "hv"],
+        ),
+        "N-BEST-VALUE-SKIPPED": (
+            "evaluate",
+            {
+                "algorithms": {"a": [[(1, 0), (4, 1)]], "b": [[(0.5, 0), (3, 2)]]},
+                "preferences": {"clear": [{"objective": "f2", "kind": "exactly_best"}]},
+            },
+            ["--indicator", "hv"],
+        ),
+    }
+
+    def test_the_cases_name_every_code(self):
+        assert self.CASES.keys() == WARNING_CODES.keys()
+
+    @pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")
+    @pytest.mark.parametrize("code", list(CASES))
+    def test_code_reaches_the_report(self, tmp_path, capsys, code):
+        command, manifest, flags = self.CASES[code]
+        path = write_manifest(
+            tmp_path,
+            manifest.get("objectives", MIN_2D),
+            manifest.get("algorithms", TWO_KNEES),
+            preferences=manifest.get("preferences"),
+            overrides=manifest.get("overrides"),
+        )
+        out = tmp_path / "report.json"
+        status = main([command, "--manifest", str(path), *flags, "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code in [f["code"] for f in report["findings"]]
+        assert status == report["exit_status"]
 
 
 class TestPlotData:

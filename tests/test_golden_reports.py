@@ -11,7 +11,8 @@ its removed rows turned to natural units: only the signs of its maximised
 f4 and f5 in ``preprocessing.removals`` moved); the others before the
 reports were serialized from their dataclasses; the ``plot-data`` and
 ``compare`` ones before the preprocessing rules moved into ``preprocess``
-and ``compare`` read the pooled runs.  A report byte that moves,
+and ``compare`` read the pooled runs; the ``stats`` ones when its report
+gained its ``L-DOE-SOLE`` finding and exit status.  A report byte that moves,
 the last bit of a value included, fails here.  Two real-size experiments
 from the same generator at seed 7, m=3 with 2 x 10 runs and m=5 with 2 x 2
 runs of 2000 rows each, pin their ``evaluate`` reports, and the m=3 one its
@@ -24,12 +25,13 @@ aggregates, representative runs and exit status match the ones rebuilt from
 ``lint`` exits with the status ``evaluate`` reports.  Reversing the order of
 the algorithms and of each algorithm's runs keeps every value, pick,
 finding and exit status (metamorphic relation R3); scaling every value and
-preference by a power of two scales only hv (R1), and flipping one
+preference by a power of two scales only hv (R1), flipping one
 objective's sign and direction turns over only its natural values in the
-removed rows (R2).  ``evaluate --indicator c`` matches ``coverage_oracle``
-on the pooled survivors.  On a generated m=4 run
-front, ``hypervolume`` stays within four machine epsilons of the exact
-value.
+removed rows (R2), and shuffling each run file's rows moves only
+``gd_plus`` and hv at m >= 4, within stated bounds (R4).  ``evaluate
+--indicator c`` matches ``coverage_oracle`` on the pooled survivors.  On
+a generated m=4 run front, ``hypervolume`` stays within four machine
+epsilons of the exact value.
 """
 
 from __future__ import annotations
@@ -61,19 +63,19 @@ GOLDEN_SHA256 = {
         "evaluate": "dac5cd0d625518f9148f642bd31fb394942504162aa8c51d398a83b4a1774d8d",
         "lint": "f03383a7255b47e98f2060185ccb5cbbf443a49ad8c5262f8a9d3a681ce7f1ed",
         "recommend": "b9dbda4bab080878b3baf89270bb86a576fb7c8b8ec80d8e6e5a94458bb02df2",
-        "stats": "c753156a9a15c6e7c3d035026d1f5b4d98247d4a15eb4b9249695468bbf78777",
+        "stats": "c6559dee8d1d9a6182673f2cf708873cc066addae69122a26d8201cb3fe6ad79",
     },
     "runs-3d": {
         "evaluate": "cad444edcca84c07d8a97cdd6d5115b22f9cb24a915d61893e53918fa32a583f",
         "lint": "9321ce69735f059f1a7aaf7a61c9e623de887457d8d630b790e1e5907f56e310",
         "recommend": "53b7209493264809cc858020b404a9f3c2e6b7fa2d67324a7423971262d4fa06",
-        "stats": "d8276fb3137a432507b3165e6d77d04441ccf99a370e32d831b95bb417d4c0ec",
+        "stats": "210d03a695b1d07a66090e2ce666ef40199531b4e8bb30fbbf408ab5d689b006",
     },
     "prefs-5d": {
         "evaluate": "2c45acc17b198b64e7234892868305a14b74495945a2eb80709be7508f9394a9",
         "lint": "ae17bea7abae9ae9fbe8102e2eb169b9c7770869cc871866f2a439e1da50f779",
         "recommend": "6729248a0628787a56440ebaa727847bebd8249b854a484f4c88c7077b57caa5",
-        "stats": "f8e8b470a314d330fbb6f29b89fab1f19149df0b4cad924ee948bb559e183fba",
+        "stats": "f42cfe80563c0497a15ab4f448307d0f5985e06899c2576bccc7116f07121fa0",
     },
 }
 
@@ -139,9 +141,9 @@ REAL_SHA256 = {
 }
 
 
-def _run(argv):
+def _run(argv, status=cli.EXIT_OK):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == cli.EXIT_OK
+        assert cli.main(argv) == status
 
 
 def _sha256(path):
@@ -190,7 +192,9 @@ def manifests(bench_inputs, tmp_path_factory):
 )
 def test_report_bytes_unchanged(manifests, tmp_path, name, command):
     report = tmp_path / "report.json"
-    _run([command, "--manifest", str(manifests(name)), "--out", str(report)])
+    # stats flags its own statistics as the sole comparison: exit 1.
+    status = cli.EXIT_WARNINGS if command == "stats" else cli.EXIT_OK
+    _run([command, "--manifest", str(manifests(name)), "--out", str(report)], status)
     assert _sha256(report) == GOLDEN_SHA256[name][command]
 
 
@@ -506,18 +510,27 @@ def _mapped(path, directory, factors):
         for key in ("saturation", "hard_floor"):
             if key in clamp:
                 clamp[key] *= f
+
+    def scaled(line):
+        row = zip(factors, map(float, line.split(",")))
+        return ",".join(repr(f * x) for f, x in row)
+
+    return _rewritten(path, doc, directory, lambda body: map(scaled, body))
+
+
+def _rewritten(path, doc, directory, rows):
+    """The manifest ``doc`` of the experiment at ``path`` and its run files,
+    each file's body lines passed through ``rows``, written under
+    ``directory``."""
     directory.mkdir()
     for entry in doc["algorithms"]:
         for rel in entry["runs"]:
             header, *body = (path.parent / rel).read_text().splitlines()
-            lines = [header]
-            for line in body:
-                row = zip(factors, map(float, line.split(",")))
-                lines.append(",".join(repr(f * x) for f, x in row))
+            lines = [header, *rows(body)]
             (directory / rel).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    mapped = directory / "manifest.json"
-    mapped.write_text(json.dumps(doc), encoding="utf-8")
-    return mapped
+    written = directory / "manifest.json"
+    written.write_text(json.dumps(doc), encoding="utf-8")
+    return written
 
 
 def _evaluated(manifest, out):
@@ -599,6 +612,65 @@ def test_direction_flip_keeps_every_value(manifests, tmp_path, name, objective):
     assert bool(removed) == (name == "prefs-5d")
     for old, new in removed:
         assert new == [f * v for f, v in zip(factors, old)]
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        pytest.param(name, seed, id=f"{name}-seed{seed}")
+        for name in GOLDEN_SHA256
+        for seed in (1, 2, 3)
+    ],
+)
+def test_shuffled_rows_keep_every_value(manifests, tmp_path, name, seed):
+    """Metamorphic relation R4: shuffling the rows of every run file keeps
+    every value bit-equal but two that sum in row order, every pick, finding
+    and exit status, and the removed rows as a multiset (a removal's
+    ``index`` follows the rows).  ``gd_plus`` is a mean of up to n terms,
+    within pairwise summation's ceil(log2 n) eps of the exact mean; hv at
+    m >= 4 is within 4 eps of exact, as WFG's stable sort keeps the order of
+    tied rows.  Two values each within e of exact differ by at most 2e, and
+    an aggregate of r such values by 2e plus 2r eps of its own rounding."""
+    path = manifests(name, seed)
+    doc = json.loads(path.read_text())
+    runs = [path.parent / rel for entry in doc["algorithms"] for rel in entry["runs"]]
+    n = max(len(run.read_text().splitlines()) - 1 for run in runs)
+    eps = float(np.finfo(float).eps)
+    error = {"gd_plus": math.ceil(math.log2(n)) * eps}
+    if len(doc["objectives"]) >= 4:
+        error["hv"] = 4 * eps
+    report = _evaluated(path, tmp_path / "report.json")
+    rng = np.random.default_rng(seed)
+    shuffled_path = _rewritten(
+        path, doc, tmp_path / "shuffled", lambda body: rng.permutation(body).tolist()
+    )
+    shuffled = _evaluated(shuffled_path, tmp_path / "r4.json")
+    _same_apart_from(report, shuffled)
+
+    def removed(r):
+        rows = r["preprocessing"].pop("removals")
+        return sorted(repr((x["set"], x["rule"], x["objectives"])) for x in rows)
+
+    assert removed(shuffled) == removed(report)
+    assert shuffled["preprocessing"] == report["preprocessing"]
+
+    def close(moved, value, bound):
+        return abs(moved - value) <= bound * abs(value)
+
+    for row, moved in zip(report["results"], shuffled["results"], strict=True):
+        assert repr({**moved, "value": 0}) == repr({**row, "value": 0})
+        if row["indicator"] in error:
+            assert close(moved["value"], row["value"], 2 * error[row["indicator"]])
+        else:
+            assert repr(moved["value"]) == repr(row["value"]), row
+    for agg, moved in zip(report["aggregates"], shuffled["aggregates"], strict=True):
+        if agg["indicator"] not in error:
+            assert repr(moved) == repr(agg)
+            continue
+        bound = 2 * error[agg["indicator"]] + 2 * agg["runs"] * eps
+        assert moved["runs"] == agg["runs"]
+        for key in ("mean", "median"):
+            assert close(moved[key], agg[key], bound), (agg, moved)
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -17,7 +18,6 @@ from paretoeval import (
     SEVERITIES,
     WARNING_CODES,
     ClearConstraint,
-    EvaluationMode,
     IndicatorConfig,
     LintWarning,
     PreferenceSpec,
@@ -29,8 +29,10 @@ from paretoeval import (
     recommend,
     spread_delta,
 )
+from paretoeval.cli import EXIT_WARNINGS, main
 from paretoeval.indicators import _PROFILES
-from conftest import make_set
+from conftest import KNEE_A, KNEE_B, make_set
+from test_cli import MIN_2D, write_manifest
 
 CFG = IndicatorConfig()
 
@@ -84,37 +86,35 @@ class TestAspectCoverage:
         assert set(aspect_coverage(["hypervolume"])) == set(ASPECTS)
 
 
+def _findings(directory, command):
+    """The findings of ``command``'s report on a two-algorithm manifest,
+    and its exit status."""
+    path = write_manifest(directory, MIN_2D, {"alpha": [KNEE_A], "beta": [KNEE_B]})
+    out = directory / f"{command}.json"
+    status = main([command, "--manifest", str(path), "--out", str(out)])
+    return [LintWarning(**f) for f in json.loads(out.read_text())["findings"]], status
+
+
 class TestLintRules:
-    def test_plotting_only(self):
-        out = lint([], CFG, NO_PREFS, 2, EvaluationMode(plotting_only=True))
-        assert codes(out) == {"L-SSP-ONLY"}
-
-    def test_scatter_beyond_three_objectives(self):
-        out = lint(
-            *chosen("hv"), NO_PREFS, 5, EvaluationMode(scatter_requested=True)
-        )
-        assert "L-SSP-ONLY" in codes(out)
-        ok = lint(
-            *chosen("hv"), NO_PREFS, 3, EvaluationMode(scatter_requested=True)
-        )
-        assert "L-SSP-ONLY" not in codes(ok)
-
-    def test_doe_sole_with_misleading_stat(self):
-        mode = EvaluationMode(doe_only=True, doe_stats=("mean", "worst"))
-        out = lint([], CFG, NO_PREFS, 2, mode)
+    def test_doe_sole_with_misleading_stat(self, tmp_path, capsys):
+        # stats reports per-objective statistics and nothing else.
+        out, status = _findings(tmp_path, "stats")
         assert codes(out) == {"L-DOE-SOLE"}
-        finding = next(f for f in out if f.code == "L-DOE-SOLE")
+        assert status == EXIT_WARNINGS
+        finding = out[0]
         assert finding.issue == "II"
         assert "mean" in finding.message
 
-    def test_doe_best_statistic_is_safe(self):
-        mode = EvaluationMode(doe_only=True, doe_stats=("best",))
-        assert codes(lint([], CFG, NO_PREFS, 2, mode)) == set()
+    def test_doe_best_statistic_is_safe(self, tmp_path, capsys):
+        # stats also reports the best value; the finding names the others.
+        (finding,), _ = _findings(tmp_path, "stats")
+        assert finding.message.endswith("(mean, median, worst)")
 
-    def test_doe_alongside_indicators_is_fine(self):
-        mode = EvaluationMode(doe_stats=("mean",))
-        out = lint(*chosen("hv", "gd_plus", "spread", "unfr"), NO_PREFS, 2, mode)
-        assert "L-DOE-SOLE" not in codes(out)
+    def test_doe_alongside_indicators_is_fine(self, tmp_path, capsys):
+        # evaluate reports indicators beside its statistics; lint checks it.
+        for command in ("evaluate", "lint"):
+            out, _ = _findings(tmp_path, command)
+            assert out and "L-DOE-SOLE" not in codes(out)
 
     def test_aspect_gap_without_preferences(self):
         out = lint(*chosen("gd_plus"), NO_PREFS, 2)
@@ -164,10 +164,11 @@ class TestLintRules:
         finding = next(f for f in out if f.code == "L-IGD-REFSET")
         assert finding.severity == "info"
         assert finding.issue == "III"
-
-    def test_igd_against_external_reference(self):
-        mode = EvaluationMode(combined_front_reference=False)
-        assert "L-IGD-REFSET" not in codes(lint(*chosen("igd"), KNEE, 4, mode))
+        # Every distance-to-reference indicator reads the combined front.
+        flagged = {
+            n for n in _PROFILES if "L-IGD-REFSET" in codes(lint([n], CFG, KNEE, 2))
+        }
+        assert flagged == {"igd", "igd_plus", "spread"}
 
     def test_spread_uses_reference_extremes_too(self):
         out = lint(*chosen("spread"), KNEE, 2)
@@ -180,21 +181,13 @@ class TestLintRules:
         assert "worst_values" in finding.message
 
     def test_hv_reference_at_exact_nadir(self):
-        mode = EvaluationMode(hv_ref_at_nadir=True)
         out = lint(*chosen("hv", hv_strategy="explicit", ref_point=(1.0, 1.0)),
-                   KNEE, 2, mode)
+                   KNEE, 2, hv_ref_at_nadir=True)
         assert "L-HV-REFPOINT" in codes(out)
 
     def test_hv_reference_beyond_nadir_is_fine(self):
         out = lint(*chosen("hv"), KNEE, 2)
         assert "L-HV-REFPOINT" not in codes(out)
-
-    def test_clear_preferences_ignored(self):
-        mode = EvaluationMode(clear_transfer_planned=False)
-        out = lint(*chosen("hv"), ONE_BEST, 2, mode)
-        finding = next(f for f in out if f.code == "L-PREF-IGNORED")
-        assert finding.issue == "IV"
-        assert "L-PREF-IGNORED" not in codes(lint(*chosen("hv"), ONE_BEST, 2))
 
     def test_knee_clashes(self):
         out = lint(*chosen("igd", "gd", "ci", "hv"), KNEE, 2)
