@@ -48,6 +48,7 @@ from .guidance import (
     LintWarning,
     _DOE_STEPS,
     _finding,
+    _notes,
     _plan,
     _route,
     lint,
@@ -817,17 +818,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     stages = _stages(args)
     prepared, plan = stages.prepared, stages.plan
     manifest = prepared.manifest
-    # Carry the plan's advisory notes over without repeating its self-lint
-    # findings, and only where the columns bear them out: the substituted
-    # spread extremes when spread runs, the excluded distance columns when
-    # the columns are the plan's.
-    holds = {
-        "N-EXTREMES-SUBSTITUTED": "spread" in stages.columns,
-        "N-IGD-EXCLUDED": stages.chosen == [p.name for p in plan.indicators],
-    }
-    notes = [
-        w for w in plan.warnings if w.code.startswith("N-") and holds.get(w.code, True)
-    ]
+    notes = _notes(stages.route, prepared.live_m, stages.columns)
 
     results: list[dict] = []
     aggregates: list[dict] = []

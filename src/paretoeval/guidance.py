@@ -254,13 +254,12 @@ def lint(
 
 class _Region(NamedTuple):
     """A region-of-interest route (D11): the finding for the indicators it
-    clashes with, those indicators, and its hv's strategy, rationale and notes."""
+    clashes with, those indicators, and its hv's strategy and rationale."""
 
     finding: str
     clashes: tuple[str, ...]
     hv_strategy: str
     rationale: str
-    notes: tuple[tuple[str, str], ...] = ()
 
 
 _REGIONS = {
@@ -268,7 +267,6 @@ _REGIONS = {
         "L-KNEE-MISMATCH", ("igd", "gd", "ci"), "nadir_plus_tenth",
         "D11: knee preference; hypervolume with a nearby reference "
         "point concentrates credit around balanced solutions",
-        (("N-IGD-EXCLUDED", "knee preference"),),
     ),
     "extreme": _Region(
         "L-EXTREME-MISMATCH", ("igd",), "doubled_range",
@@ -329,9 +327,9 @@ def recommend(
 
     The plan is a pure function of the preference specification, the
     declared objective count ``m``, and the number of sets compared,
-    ``set_count``; it self-lints before being returned and embeds the
-    findings (notes included) in ``warnings``.  Without the data, each
-    ``exactly_best`` constraint is predicted to drop its objective.
+    ``set_count``; it self-lints and embeds the findings, then the notes
+    ``evaluate`` gives the same columns, in ``warnings``.  Without the data,
+    each ``exactly_best`` constraint is predicted to drop its objective.
     """
     live_m = m - len(prefs.best_value_objectives)
     return _plan(prefs, m, live_m, set_count)
@@ -357,6 +355,20 @@ def _plot_kind(m: int) -> str:
     return "scatter" if m <= 3 else "parallel-coordinates"
 
 
+def _notes(route: str, live_m: int, names: list[str]) -> list[LintWarning]:
+    """The notes that hold when ``names`` are computed on ``live_m``
+    objectives on ``route``: the distance indicators a region's hv-only plan
+    leaves out, D14's plot kind, D13, and the substituted spread extremes."""
+    notes = []
+    if route in _REGIONS and names == ["hv"]:
+        notes.append(_finding("N-IGD-EXCLUDED", f"{route} preference"))
+    notes.append(_finding("N-PLOT", f"D14: {_plot_kind(live_m)} for m={live_m}"))
+    notes.append(_finding("N-PSI", "D13"))
+    if "spread" in names:
+        notes.append(_finding("N-EXTREMES-SUBSTITUTED"))
+    return notes
+
+
 def _plan(
     prefs: PreferenceSpec, m: int, live_m: int, set_count: int
 ) -> EvaluationPlan:
@@ -374,11 +386,10 @@ def _plan(
     ]
     route = _route(prefs, live_m)
     region = _REGIONS.get(route)
-    indicators, plan_notes = [], []
+    indicators = []
     if region is not None and live_m in aspects_of("hv").objectives:
         config = IndicatorConfig(hv_strategy=region.hv_strategy)
         indicators = [PlannedIndicator("hv", config, region.rationale)]
-        plan_notes = [_finding(*note) for note in region.notes]
     elif route not in ("best-value", "scalarize"):  # those judge by doe steps only
         # The general picks, less a region's clashes where hv is undefined.
         clashing = region.clashes if region is not None else ()
@@ -388,19 +399,14 @@ def _plan(
     if any(aspects_of(p.name).needs_normalization for p in indicators):
         steps.append(PlanStep("normalize", "scale objectives to comparable ranges"))
 
-    plotting = _plot_kind(live_m)
-    plan_notes.append(_finding("N-PLOT", f"D14: {plotting} for m={live_m}"))
-    plan_notes.append(_finding("N-PSI", "D13"))
-    if any(p.name == "spread" for p in indicators):
-        plan_notes.append(_finding("N-EXTREMES-SUBSTITUTED"))
-
+    names = [p.name for p in indicators]
     plan = EvaluationPlan(
         preprocessing=tuple(steps),
         indicators=tuple(indicators),
         doe_steps=_DOE_STEPS.get(route, ()),
-        plotting=plotting,
-        warnings=tuple(plan_notes),
+        plotting=_plot_kind(live_m),
+        warnings=tuple(_notes(route, live_m, names)),
     )
-    self_findings = lint([p.name for p in indicators], plan.config, prefs, live_m)
+    self_findings = lint(names, plan.config, prefs, live_m)
     return replace(plan, warnings=tuple(self_findings) + plan.warnings)
 

@@ -959,9 +959,10 @@ class TestEvaluate:
         "preferences, indicators, dropped, kept",
         [
             ({"roi": "knee"}, ["igd"], "N-IGD-EXCLUDED", "L-KNEE-MISMATCH"),
+            ({"roi": "knee"}, ["hv", "unfr"], "N-IGD-EXCLUDED", "N-PLOT"),
             (None, ["hv"], "N-EXTREMES-SUBSTITUTED", "N-PSI"),
         ],
-        ids=["knee-igd", "hv-without-spread"],
+        ids=["knee-igd", "knee-hv-unfr", "hv-without-spread"],
     )
     def test_plan_notes_follow_the_columns(
         self, tmp_path, preferences, indicators, dropped, kept
@@ -2013,6 +2014,110 @@ class TestEveryCodeIsRaised:
         report = json.loads(out.read_text())
         assert code in [f["code"] for f in report["findings"]]
         assert status == report["exit_status"]
+
+
+
+def _simplex_runs(m, algorithms=2):
+    """One run per algorithm of six rows on a simplex, so no row of a run
+    dominates another; each algorithm is shifted half a unit past the last."""
+    rows = np.random.default_rng(m).dirichlet(np.ones(m), size=6) * 10
+    return {f"alg{k}": [(rows + k / 2).tolist()] for k in range(algorithms)}
+
+
+def _objectives(m):
+    return [{"name": f"f{j + 1}", "direction": "min"} for j in range(m)]
+
+
+# The notes evaluate decides itself, beside those of its columns.
+CLI_NOTES = {"N-BEST-VALUE-SKIPPED", "N-BINARY-SKIPPED", "N-RENORM-SURVIVORS"}
+EXTREME_F1 = {"roi": {"extreme": ["f1"]}}
+
+
+class TestNotesFollowTheColumns:
+    """One rule decides each note, for the plan's indicators and for the
+    columns ``evaluate`` computes."""
+
+    @staticmethod
+    def _evaluate(tmp_path, path, *flags):
+        out = tmp_path / "report.json"
+        status = main(["evaluate", "--manifest", str(path), *flags, "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert status == report["exit_status"]
+        return report
+
+    @pytest.mark.parametrize(
+        "preferences",
+        [{"roi": "knee"}, EXTREME_F1, {"weights": [0.5, 0.5]}],
+        ids=["knee", "extreme", "scalarize"],
+    )
+    def test_named_spread_notes_the_substituted_extremes(self, tmp_path, preferences):
+        # None of these plans computes spread, so only the column bears the
+        # note out.
+        path = write_manifest(tmp_path, MIN_2D, TWO_KNEES, preferences=preferences)
+        report = self._evaluate(tmp_path, path, "--indicator", "spread")
+        assert "spread" in [r["indicator"] for r in report["results"]]
+        assert "N-EXTREMES-SUBSTITUTED" not in [
+            w["code"] for w in report["plan"]["warnings"]
+        ]
+        assert "N-EXTREMES-SUBSTITUTED" in [f["code"] for f in report["findings"]]
+
+    def test_spread_beyond_two_objectives_notes_nothing(self, tmp_path):
+        # spread is defined at m=2 only: at m=3 lint rejects it, and it is
+        # not a column.
+        path = write_manifest(tmp_path, MIN_3D, _simplex_runs(3))
+        report = self._evaluate(tmp_path, path, "--indicator", "spread")
+        assert report["results"] == []
+        assert "N-EXTREMES-SUBSTITUTED" not in [f["code"] for f in report["findings"]]
+
+    def test_extreme_plan_notes_the_excluded_distance_indicators(self, tmp_path):
+        runs = _simplex_runs(3)
+        path = write_manifest(tmp_path, MIN_3D, runs, preferences=EXTREME_F1)
+        summary = WARNING_CODES["N-IGD-EXCLUDED"][2]
+        excluded = {
+            "code": "N-IGD-EXCLUDED",
+            "severity": "info",
+            "message": f"{summary} (extreme preference)",
+            "issue": "V",
+        }
+        out = tmp_path / "plan.json"
+        status = main(["recommend", "--manifest", str(path), "--out", str(out)])
+        assert status == EXIT_OK
+        assert excluded in json.loads(out.read_text())["plan"]["warnings"]
+        report = self._evaluate(tmp_path, path)
+        assert [r["indicator"] for r in report["results"]] == ["hv", "hv"]
+        assert excluded in report["findings"]
+
+    @pytest.mark.parametrize(
+        "m, preferences, runs",
+        [
+            pytest.param(2, None, None, id="general-m2"),
+            pytest.param(3, None, None, id="general-m3"),
+            pytest.param(2, {"roi": "knee"}, None, id="knee-m2"),
+            pytest.param(5, {"roi": "knee"}, None, id="knee-m5"),
+            pytest.param(2, EXTREME_F1, None, id="extreme-m2"),
+            pytest.param(3, EXTREME_F1, None, id="extreme-m3"),
+            pytest.param(2, {"weights": [0.5, 0.5]}, None, id="scalarize"),
+            pytest.param(
+                2,
+                {"clear": [{"objective": "f2", "kind": "exactly_best"}]},
+                {"a": [[(1, 0), (4, 1)]], "b": [[(0.5, 0), (3, 2)]]},
+                id="best-value",
+            ),
+        ],
+    )
+    def test_findings_carry_the_plan_notes_in_order(
+        self, tmp_path, m, preferences, runs
+    ):
+        # No manifest here provokes an EvaluationWarning: tier-1 turns one
+        # into an error.
+        path = write_manifest(
+            tmp_path, _objectives(m), runs or _simplex_runs(m), preferences=preferences
+        )
+        report = self._evaluate(tmp_path, path)
+        planned = [w for w in report["plan"]["warnings"] if w["code"].startswith("N-")]
+        found = [f for f in report["findings"] if f["code"].startswith("N-")]
+        assert found[: len(planned)] == planned
+        assert {f["code"] for f in found[len(planned):]} <= CLI_NOTES
 
 
 class TestPlotData:

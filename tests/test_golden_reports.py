@@ -19,9 +19,11 @@ runs of 2000 rows each, pin their ``evaluate`` reports, and the m=3 one its
 ``plot-data`` files; those hashes were recorded before reports were written
 by ``json.dump`` and spread took the kernel's row sort.
 
-On the same workloads at seeds 1-3, ``evaluate``'s removed rows, results,
-aggregates, representative runs and exit status match the ones rebuilt from
-``tests/oracles.py``, plain numpy and ``statistics``; on them and on two small manifests that once split them,
+On the same workloads and a mid-size m=3 experiment (2 x 3 runs of 300
+rows) at seeds 1-3, ``evaluate``'s removed rows, results, aggregates,
+representative runs and exit status match the ones rebuilt from
+``tests/oracles.py``, plain numpy and ``statistics``; on the workloads and
+on two small manifests that once split them,
 ``lint`` exits with the status ``evaluate`` reports.  Reversing the order of
 the algorithms and of each algorithm's runs keeps every value, pick,
 finding and exit status (metamorphic relation R3); scaling every value and
@@ -141,6 +143,17 @@ REAL_SHA256 = {
 }
 
 
+# A mid-size experiment from the same generator, checked against the
+# oracles only: m=3 with 2 x 3 runs of 150 front and 150 filler rows each,
+# and the default plan.
+MID_WORKLOADS = {
+    "mid-3d": {
+        "m": 3, "algorithms": 2, "runs": 3, "front_rows": 150, "filler_rows": 150,
+        "indicators": (),
+    },
+}
+
+
 def _run(argv, status=cli.EXIT_OK):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == status
@@ -171,7 +184,9 @@ def manifests(bench_inputs, tmp_path_factory):
 
     def manifest(name, seed=1):
         if (name, seed) not in made:
-            spec = bench_inputs.WORKLOADS[name]
+            spec = bench_inputs.WORKLOADS.get(name) or bench_inputs.Workload(
+                name=name, **MID_WORKLOADS[name]
+            )
             directory = tmp_path_factory.mktemp(f"{name}-{seed}")
             made[name, seed] = bench_inputs.generate(spec, seed, directory)
         return made[name, seed].manifest
@@ -292,7 +307,7 @@ def _preprocessed_by_oracles(manifest):
     [
         # Seed 1 keeps the bare workload id it has always had.
         pytest.param(name, seed, id=name if seed == 1 else f"{name}-seed{seed}")
-        for name in GOLDEN_SHA256
+        for name in [*GOLDEN_SHA256, *MID_WORKLOADS]
         for seed in (1, 2, 3)
     ],
 )

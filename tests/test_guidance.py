@@ -535,7 +535,7 @@ PLAN_SHA256 = {
     "general-m11-sets2": "52e26a6a2aab187fd2e3e8e498c0fef37479b7dd99dc780e0c7c1b71ff960208",
     "general-m11-sets3": "7f397f0dfefa1749f37fe61798bb351744923e8b7a2dd9e9b0a28fc07922ca9a",
     "knee-m3": "d76abb1913bf8ff15881900dc18a58c23282e01100d7fb79dfbe6aadd2933e80",
-    "extreme-m3": "0728109f4e4979770d53630b2c432a4ecd9fee0a06a511340b3709dcdb0d654d",
+    "extreme-m3": "d2bc41adfc0457a0c8588fa0612f511ada9ec6e581670d29a01920bffae50c4d",
     "knee-m11": "7f397f0dfefa1749f37fe61798bb351744923e8b7a2dd9e9b0a28fc07922ca9a",
     "extreme-m11": "18b59fa997d747beb587420a3e2df744c27e7cacd4dc055cbe01b9ed3c157b09",
     "scalarize": "1c6e944839985621094ab838ec98ce38de8d44e2ac58ace4385328760d39e0ce",
