@@ -490,11 +490,16 @@ def _row_values(
 
 
 def write_solution_set(path: str | Path, A: SolutionSet) -> None:
-    """Write a set as CSV in natural units; values round-trip exactly."""
+    """Write a set as CSV in natural units; values round-trip exactly.  An
+    id or objective name :func:`load_solution_set` would not read back (a
+    comma, a line break or surrounding whitespace) raises before writing."""
     path = Path(path)
     natural = A.natural_values()
     has_id = any(s.id is not None for s in A.solutions)
     header = (["id"] if has_id else []) + [o.name for o in A.meta]
+    for cell in header + [s.id for s in A.solutions if s.id is not None]:
+        if "," in cell or len(cell.splitlines()) > 1 or cell != cell.strip():
+            raise ValueError(f"{cell!r} does not read back from a CSV cell")
     rows = [",".join(header)]
     for i, s in enumerate(A.solutions):
         cells = [s.id if s.id is not None else str(i)] if has_id else []

@@ -55,8 +55,8 @@ WARNING_CODES: dict[str, tuple[str | None, str, str]] = {
     "L-ASPECT-GAP": (
         "III",
         "warning",
-        "with no preference information the chosen indicators leave a "
-        "quality aspect uncovered",
+        "on the no-preference route the chosen indicators leave a quality "
+        "aspect uncovered",
     ),
     "L-SPREAD-DIM": (
         "III",
@@ -219,15 +219,19 @@ def lint(
     ``m`` objectives, all computed under ``config``, the distance indicators
     against the combined front of the evaluated sets; ``hv_ref_at_nadir``
     says that the explicit hv reference point lies exactly at that front's
-    nadir.  Statistics as the sole comparison (misuse II) are flagged by the
+    nadir.  The preference rules key on the planner's route for ``prefs``
+    on ``m`` objectives: an uncovered aspect is flagged on the general
+    route, a region's clashing indicators on that region's route only.
+    Statistics as the sole comparison (misuse II) are flagged by the
     ``stats`` command that computes them, not here.
     """
     if m < 1:
         raise ValueError("m must be positive")
     names = [canonical_name(name) for name in chosen]
     findings: list[LintWarning] = []
+    route = _route(prefs, m)
 
-    if prefs.is_empty():
+    if route == "general":
         covered = aspect_coverage(names)
         missing = [a for a in ASPECTS if a not in covered]
         if missing:
@@ -243,8 +247,8 @@ def lint(
     if "hv" in names and (config.hv_strategy == "worst_values" or hv_ref_at_nadir):
         findings.append(_finding("L-HV-REFPOINT", config.hv_strategy))
 
-    if prefs.roi is not None:
-        region = _REGIONS[prefs.roi.kind]
+    region = _REGIONS.get(route)
+    if region is not None:
         clash = sorted(set(names).intersection(region.clashes))
         if clash:
             findings.append(_finding(region.finding, ", ".join(clash)))

@@ -216,19 +216,6 @@ class PreferenceSpec:
         transfer leaves every survivor equal on each of them."""
         return tuple(sorted(c.objective for c in self.clear if c.kind == EXACTLY_BEST))
 
-    def is_empty(self) -> bool:
-        """True when no transferable preference information is present.
-
-        Screening rules are data hygiene, not preferences, so they do not
-        count; neither does an ``untransferable`` marker on its own.
-        """
-        return (
-            not self.clear
-            and not self.vague
-            and self.roi is None
-            and self.weights is None
-        )
-
 
 @dataclass(frozen=True)
 class Removal:

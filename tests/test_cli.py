@@ -10,6 +10,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -654,6 +655,21 @@ class TestSolutionFiles:
         loaded = load_solution_set(path, original.meta)
         assert loaded.solutions[0].id == "keep-me"
 
+
+    @pytest.mark.parametrize("where", ["id", "objective"])
+    @pytest.mark.parametrize("cell", ["a,b", "p\nq", " x "])
+    def test_unreadable_cell_rejected_before_writing(self, tmp_path, cell, where):
+        names = [cell, "f2"] if where == "objective" else None
+        original = make_set("run", [(1, 2), (3, 4)], names=names)
+        if where == "id":
+            first, second = original.solutions
+            original = original.with_solutions(
+                (first.__class__(first.objectives, id=cell), second)
+            )
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(cell))):
+            write_solution_set(path, original)
+        assert not path.exists()
 
 class TestEvaluate:
     def test_worked_example_report(self, knee_manifest, tmp_path, capsys):

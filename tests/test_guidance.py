@@ -29,7 +29,7 @@ from paretoeval import (
     recommend,
     spread_delta,
 )
-from paretoeval.cli import EXIT_WARNINGS, main
+from paretoeval.cli import EXIT_OK, EXIT_WARNINGS, main
 from paretoeval.indicators import _PROFILES
 from conftest import KNEE_A, KNEE_B, make_set
 from test_cli import MIN_2D, write_manifest
@@ -52,6 +52,8 @@ CAPACITY_CLAMP = PreferenceSpec(
     vague=(VagueClamp(objective=1, saturation=3000, hard_floor=1500),)
 )
 WEIGHTED = PreferenceSpec(weights=(0.7, 0.3))
+SCREEN_ONLY = PreferenceSpec(screen=(ClearConstraint(0, "at_most", 100),))
+CLEAR_ONLY = PreferenceSpec(clear=(ClearConstraint(0, "at_most", 400),))
 
 
 def codes(findings, min_severity="info"):
@@ -123,6 +125,12 @@ class TestLintRules:
         assert gap.issue == "III"
         for aspect in ("spread", "uniformity", "cardinality"):
             assert aspect in gap.message
+
+    def test_aspect_gap_with_screening_only(self):
+        # Screening is data hygiene, so the route stays the no-preference one.
+        out = lint(*chosen("gd_plus"), SCREEN_ONLY, 2)
+        assert out == lint(*chosen("gd_plus"), NO_PREFS, 2)
+        assert "L-ASPECT-GAP" in codes(out)
 
     def test_no_aspect_gap_with_preferences(self):
         assert "L-ASPECT-GAP" not in codes(lint(*chosen("gd_plus"), KNEE, 2))
@@ -265,8 +273,7 @@ class TestRecommendGeneralRoute:
         ]
 
     def test_screening_step_leads(self):
-        spec = PreferenceSpec(screen=(ClearConstraint(0, "at_most", 100),))
-        plan = recommend(spec, 2)
+        plan = recommend(SCREEN_ONLY, 2)
         assert plan.preprocessing[0].kind == "screen"
 
     def test_front_extremes_note_only_with_spread(self):
@@ -293,10 +300,70 @@ class TestRoute:
             (CAPACITY_CLAMP, 2, "general"),
             (PreferenceSpec(weights=(0.7, 0.3), untransferable=True), 2, "general"),
             (replace(KNEE, untransferable=True), 2, "general"),
+            (SCREEN_ONLY, 2, "general"),
+            (CLEAR_ONLY, 3, "general"),
         ],
     )
     def test_routes(self, prefs, live_m, route):
         assert guidance._route(prefs, live_m) == route
+
+
+class TestLintFollowsTheRoute:
+    """lint judges preferences by the route the planner takes."""
+
+    @staticmethod
+    def _run(directory, command, preferences, *flags):
+        path = write_manifest(
+            directory, MIN_2D, {"alpha": [KNEE_A], "beta": [KNEE_B]},
+            preferences=preferences,
+        )
+        out = directory / f"{command}.json"
+        status = main([command, "--manifest", str(path), "--out", str(out), *flags])
+        found = json.loads(out.read_text())["findings"]
+        return {f["code"] for f in found}, status
+
+    def test_untransferable_region_passes_its_own_plan(self, tmp_path, capsys):
+        found, status = self._run(
+            tmp_path, "evaluate", {"roi": "knee", "untransferable": True}
+        )
+        assert "L-KNEE-MISMATCH" not in found
+        assert status == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "preferences",
+        [
+            {"clear": [{"objective": "f2", "kind": "at_most", "threshold": 20}]},
+            {"vague": [{"objective": "f2", "saturation": 1, "hard_floor": 20}]},
+        ],
+        ids=["clear", "vague"],
+    )
+    def test_transferred_preferences_keep_the_aspect_gap(
+        self, tmp_path, capsys, preferences
+    ):
+        found, status = self._run(
+            tmp_path, "lint", preferences, "--indicator", "gd_plus"
+        )
+        assert "L-ASPECT-GAP" in found
+        assert status == EXIT_WARNINGS
+
+    def test_weights_beside_a_region_drop_the_region_clash(self, tmp_path, capsys):
+        found, _ = self._run(
+            tmp_path, "lint", {"roi": "knee", "weights": [0.5, 0.5]},
+            "--indicator", "ci",
+        )
+        assert "L-KNEE-MISMATCH" not in found
+
+    @pytest.mark.parametrize("m, set_count", itertools.product((2, 3), (1, 2, 3)))
+    @pytest.mark.parametrize(
+        "prefs",
+        [replace(spec, untransferable=True) for spec in (KNEE, EXTREME, WEIGHTED)],
+        ids=["knee", "extreme", "weights"],
+    )
+    def test_untransferable_plans_are_the_no_preference_plan(
+        self, prefs, m, set_count
+    ):
+        plan = asdict(guidance._plan(prefs, m, m, set_count))
+        assert plan == asdict(guidance._plan(NO_PREFS, m, m, set_count))
 
 
 class TestRecommendPreferenceRoutes:
@@ -382,19 +449,35 @@ class TestPlanHygiene:
             assert recommend(spec, m) == recommend(spec, m)
 
     def test_plans_never_self_flag(self):
-        """Every recommended plan passes its own lint at warning level."""
-        # Beyond ten objectives hv is undefined, also for knee and extreme.
-        beyond_hv = [NO_PREFS, ONE_BEST, CAPACITY_CLAMP, KNEE, EXTREME]
-        cases = [*itertools.product(self.SPECS, (2, 3, 4, 10))]
-        cases += itertools.product(beyond_hv, (11, 12))
-        for (spec, m), set_count in itertools.product(cases, (1, 2, 3)):
-            plan = recommend(spec, m, set_count)
-            flagged = {
-                f.code
-                for f in plan.warnings
-                if f.severity != "info" and f.issue in ("III", "IV", "V")
-            }
-            assert not flagged, (spec, m, set_count, flagged)
+        """No recommended plan carries a finding above info, for any spec of
+        up to three preference parts on 2 to 12 objectives and 1 to 3 sets."""
+        parts = {
+            "at_most": {"clear": (ClearConstraint(0, "at_most", 400),)},
+            "exactly_best": {"clear": (ClearConstraint(1, EXACTLY_BEST),)},
+            "clamp": {"vague": (VagueClamp(1, saturation=3000, hard_floor=1500),)},
+            "knee": {"roi": RegionOfInterest("knee")},
+            "extreme": {"roi": RegionOfInterest("extreme", objectives=(0,))},
+            "weights": {"weights": (0.7, 0.3)},
+            "untransferable": {"untransferable": True},
+        }
+        checked = 0
+        for size in range(4):
+            for combo in itertools.combinations(parts, size):
+                if {"knee", "extreme"} <= set(combo):
+                    continue
+                fields = {}
+                for part in combo:
+                    for key, value in parts[part].items():
+                        if key == "clear":  # the two clear parts share a field
+                            value = fields.get(key, ()) + value
+                        fields[key] = value
+                spec = PreferenceSpec(**fields)
+                for m, set_count in itertools.product(range(2, 13), (1, 2, 3)):
+                    plan = recommend(spec, m, set_count)
+                    raised = [f.code for f in plan.warnings if f.severity != "info"]
+                    assert not raised, (combo, m, set_count, raised)
+                    checked += 1
+        assert checked == 1914
 
     def test_plan_names_resolve_and_note_codes_are_known(self):
         for spec, m in itertools.product(self.SPECS, (2, 4)):
@@ -496,7 +579,9 @@ def test_readme_indicator_table_matches_the_profiles():
 
 # Each route case of the planner: (prefs, m, live_m, set_count), and the
 # sha256 of ``repr(asdict(plan))``, recorded before the planner's transfer,
-# doe and region choices became table rows.
+# doe and region choices became table rows; the untransferable one again when
+# lint began to judge preferences by the route, which made it the
+# no-preference plan.
 PLAN_CASES = {
     **{
         f"general-m{m}-sets{sets}": (NO_PREFS, m, m, sets)
@@ -510,8 +595,8 @@ PLAN_CASES = {
     "scalarize": (WEIGHTED, 2, 2, 2),
     "best-value": (ONE_BEST, 2, 1, 2),
     "untransferable": (replace(KNEE, untransferable=True), 2, 2, 2),
-    "p1-screen": (PreferenceSpec(screen=(ClearConstraint(0, "at_most", 100),)), 2, 2, 2),
-    "p2-clear": (PreferenceSpec(clear=(ClearConstraint(0, "at_most", 400),)), 3, 3, 2),
+    "p1-screen": (SCREEN_ONLY, 2, 2, 2),
+    "p2-clear": (CLEAR_ONLY, 3, 3, 2),
     "p3-vague": (CAPACITY_CLAMP, 2, 2, 2),
     "p1-p3-knee": (
         PreferenceSpec(
@@ -540,7 +625,7 @@ PLAN_SHA256 = {
     "extreme-m11": "18b59fa997d747beb587420a3e2df744c27e7cacd4dc055cbe01b9ed3c157b09",
     "scalarize": "1c6e944839985621094ab838ec98ce38de8d44e2ac58ace4385328760d39e0ce",
     "best-value": "e060fa96985956fe9a3cda070104166d30e52db97ef09b156acee10801b32764",
-    "untransferable": "9a9907d5c81ff4440143f406db3f86d88ff0668f3880f9a6ba5fea7a49e68b0d",
+    "untransferable": "ac61709cdd4f79c66911f636745f104ac9f382b68ae6e2aa4eacecdf70c2e2f4",
     "p1-screen": "bd6b6b2d9d3f9ee76f6edcfdfb0af95b5c4458eca44e92b6420e54acf1d62d12",
     "p2-clear": "e13b611ce995ce6ae9f54e6c542e3bde13d986291002201d9c1c8723d3604382",
     "p3-vague": "a639c4863350c6c25238761746e46eb8b367cbfff1e1099071cb98cc0c7ea3b8",

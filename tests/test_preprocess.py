@@ -405,8 +405,3 @@ class TestPreferenceSpecValidation:
         c2 = ClearConstraint(objective=0, kind="at_least", threshold=1)
         with pytest.raises(ValueError):
             PreferenceSpec(clear=(c1, c2))
-
-    def test_is_empty_ignores_screening(self):
-        rule = ClearConstraint(objective=0, kind="at_most", threshold=5)
-        assert PreferenceSpec(screen=(rule,)).is_empty()
-        assert not PreferenceSpec(clear=(rule,)).is_empty()
