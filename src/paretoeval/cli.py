@@ -519,8 +519,7 @@ class Prepared:
     manifest: Manifest
     algorithms: dict[str, list[SolutionSet]]
     dropped: tuple[int, ...]
-    # Each removal with its run's name and signs (natural = sign * stored).
-    removals: list[tuple[str, Removal, tuple[float, ...]]]
+    removals: list[dict]  # as evaluate's report writes them
     notes: list[str]
     # Exactly-best objectives kept because best-value survivors disagree.
     disputed: tuple[int, ...]
@@ -554,12 +553,19 @@ def prepare(manifest: Manifest) -> Prepared:
     """Load every run and push it through the preprocessing pipeline.
 
     Order: orientation conversion, trivial screening, clear-constraint
-    transfer, vague-clamp transfer.  An objective made redundant by an
-    exactly-best constraint is dropped only when every surviving set agrees
-    on its value; otherwise it stays in play and a note records why.
+    transfer, vague-clamp transfer; each removed row is recorded once, as
+    the report writes it, by its row in the run file.  An objective made
+    redundant by an exactly-best constraint is dropped only when every
+    surviving set agrees on its value; otherwise it stays in play and a
+    note records why.
     """
     prefs = manifest.preferences
-    removals: list[tuple[str, Removal, tuple[float, ...]]] = []
+    steps = (
+        (screen_trivial, prefs.screen),
+        (apply_clear_preferences, prefs),
+        (apply_vague_preferences, prefs),
+    )
+    removals: list[dict] = []
     notes: list[str] = []
     algorithms: dict[str, list[SolutionSet]] = {}
 
@@ -570,11 +576,17 @@ def prepare(manifest: Manifest) -> Prepared:
             path = manifest.resolve(rel)
             raw = load_solution_set(path, manifest.objectives, name=run_name)
             work = to_minimization(raw)
-            log: list[Removal] = []
-            work = screen_trivial(work, prefs.screen, log=log)
-            work, _ = apply_clear_preferences(work, prefs, log=log)
-            work = apply_vague_preferences(work, prefs, log=log)
-            removals.extend((run_name, rm, work.signs) for rm in log)
+            rows = np.arange(len(work))  # each survivor's row in the run file
+            for step, rules in steps:
+                log: list[Removal] = []
+                work = step(work, rules, log=log)
+                if log:  # a step that removes nothing costs no numpy call
+                    removals += [
+                        {"set": run_name, "index": int(rows[rm.index]), "rule": rm.rule,
+                         "objectives": [k * v for k, v in zip(work.signs, rm.solution.objectives)]}
+                        for rm in log
+                    ]
+                    rows = np.delete(rows, [rm.index for rm in log])
             if not len(work):
                 notes.append(f"set {run_name!r} is empty after preprocessing")
             runs.append(work)
@@ -891,11 +903,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "algorithms": list(manifest.algorithms),
         "plan": asdict(plan),
         "preprocessing": {
-            "removals": [
-                {"set": s, "index": rm.index, "rule": rm.rule,
-                 "objectives": [k * v for k, v in zip(signs, rm.solution.objectives)]}
-                for s, rm, signs in prepared.removals
-            ],
+            "removals": prepared.removals,
             "dropped_objectives": [
                 manifest.objectives[j].name for j in prepared.dropped
             ],
@@ -1022,18 +1030,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for r, run in enumerate(runs):
             if not len(run):
                 continue
-            st = per_objective_stats(run)
-            blocks.append(
-                {
-                    "algorithm": alg,
-                    "run": r,
-                    "objectives": list(st.names),
-                    "mean": list(st.mean),
-                    "median": list(st.median),
-                    "best": list(st.best),
-                    "worst": list(st.worst),
-                }
-            )
+            blocks.append({"algorithm": alg, "run": r, **asdict(per_objective_stats(run))})
     # Statistics reported alone are the sole comparison: misuse II.
     findings = [_finding("L-DOE-SOLE", "mean, median, worst")] if blocks else []
     status = _exit_from_findings(findings, False)

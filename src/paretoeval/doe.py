@@ -54,7 +54,7 @@ STATS = ("mean", "median", "best", "worst")
 class ObjectiveStats:
     """Componentwise summary of a set, in natural units and direction."""
 
-    names: tuple[str, ...]
+    objectives: tuple[str, ...]
     mean: tuple[float, ...]
     median: tuple[float, ...]
     best: tuple[float, ...]
@@ -93,7 +93,7 @@ def per_objective_stats(A: SolutionSet) -> ObjectiveStats:
         best.append(high if maximized else low)
         worst.append(low if maximized else high)
     return ObjectiveStats(
-        names=tuple(o.name for o in A.meta),
+        objectives=tuple(o.name for o in A.meta),
         mean=tuple(float(v) for v in natural.mean(axis=0)),
         median=tuple(float(v) for v in np.median(natural, axis=0)),
         best=tuple(best),

@@ -219,7 +219,9 @@ class PreferenceSpec:
 
 @dataclass(frozen=True)
 class Removal:
-    """Record of one solution removed by a screening rule or constraint."""
+    """Record of one solution removed by a screening rule or constraint.
+    ``index`` is the row's position in the set the step was given, which
+    is not its row in the run file once an earlier step has removed rows."""
 
     index: int
     solution: Solution
@@ -343,20 +345,17 @@ def apply_clear_preferences(
     A: SolutionSet,
     spec: PreferenceSpec,
     log: list[Removal] | None = None,
-) -> tuple[SolutionSet, tuple[int, ...]]:
-    """Transfer hard constraints onto the set.
-
-    Returns the surviving solutions plus the indices of objectives that the
-    transfer made redundant for comparison: an ``exactly_best`` constraint
-    leaves every survivor equal on its objective, so that objective carries
-    no information and is marked dropped.  Threshold constraints never drop
-    objectives, even when a single survivor remains.
+) -> SolutionSet:
+    """Transfer hard constraints onto the set: the solutions that meet every
+    one of them.  An ``exactly_best`` constraint leaves every survivor equal
+    on its objective; whether that objective is then dropped is decided
+    across all sets, not here.
     """
     _check_indices(A, (c.objective for c in spec.clear), "clear constraint")
     if not spec.clear:
-        return A, ()
+        return A
     out = _filter_by_rules(A, spec.clear, log)
-    return _warn_if_emptied(A, out, "clear constraints"), spec.best_value_objectives
+    return _warn_if_emptied(A, out, "clear constraints")
 
 
 def apply_vague_preferences(

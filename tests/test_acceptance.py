@@ -162,8 +162,8 @@ def test_criterion_06_cardinality_then_best_value_pipeline(tmp_path):
     assert nfs(B) == 5
 
     spec = PreferenceSpec(clear=(ClearConstraint(1, EXACTLY_BEST),))
-    survivors_a, _ = apply_clear_preferences(A, spec)
-    survivors_b, _ = apply_clear_preferences(B, spec)
+    survivors_a = apply_clear_preferences(A, spec)
+    survivors_b = apply_clear_preferences(B, spec)
     assert survivors_a.natural_values().tolist() == [[450.0, 1.0]]
     assert survivors_b.natural_values().tolist() == [[500.0, 1.0]]
 

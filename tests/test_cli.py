@@ -726,6 +726,26 @@ class TestEvaluate:
             {"set": "beta", "index": 1, "rule": rule, "objectives": [250.0, 0.3]},
         ]
 
+    def test_removed_rows_are_named_by_their_file_row(self, tmp_path):
+        # The screen removes file row 1, so the clear step is given file
+        # row 3 at position 2; the report names the file row.
+        path = write_manifest(
+            tmp_path,
+            MIN_2D,
+            {"alpha": [[(1, 5), (10, 1), (2, 4), (3, 20), (4, 2)]]},
+            preferences={
+                "screen": [{"objective": "f1", "kind": "at_most", "threshold": 9}],
+                "clear": [{"objective": "f2", "kind": "at_most", "threshold": 9}],
+            },
+        )
+        out = tmp_path / "r.json"
+        main(["evaluate", "--manifest", str(path), "--out", str(out)])
+        removals = json.loads(out.read_text())["preprocessing"]["removals"]
+        assert removals == [
+            {"set": "alpha", "index": 1, "rule": "f1 <= 9.0", "objectives": [10.0, 1.0]},
+            {"set": "alpha", "index": 3, "rule": "f2 <= 9.0", "objectives": [3.0, 20.0]},
+        ]
+
     def test_reports_are_byte_stable(self, knee_manifest, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

@@ -59,7 +59,7 @@ class TestPerObjectiveStats:
         # natural units
         assert stats.best == (200.0, 1.0)
         assert stats.worst == (450.0, 0.2)
-        assert stats.names == ("cost", "coverage")
+        assert stats.objectives == ("cost", "coverage")
 
     def test_unconverted_set_follows_declared_direction(self):
         raw = make_set(

@@ -8,7 +8,9 @@ seed 1.  The ``evaluate`` hashes were recorded before the hypervolume
 sweeps took raw rows and the nearest-distance kernel dropped its column
 minima, both of which promise unchanged values (``prefs-5d``'s again when
 its removed rows turned to natural units: only the signs of its maximised
-f4 and f5 in ``preprocessing.removals`` moved); the others before the
+f4 and f5 in ``preprocessing.removals`` moved, and again when each
+removal's ``index`` came to name its row in the run file rather than in
+the set its step was given); the others before the
 reports were serialized from their dataclasses; the ``plot-data`` and
 ``compare`` ones before the preprocessing rules moved into ``preprocess``
 and ``compare`` read the pooled runs; the ``stats`` ones when its report
@@ -74,7 +76,7 @@ GOLDEN_SHA256 = {
         "stats": "210d03a695b1d07a66090e2ce666ef40199531b4e8bb30fbbf408ab5d689b006",
     },
     "prefs-5d": {
-        "evaluate": "2c45acc17b198b64e7234892868305a14b74495945a2eb80709be7508f9394a9",
+        "evaluate": "54a5d80a4cf639d1dba632b0e46b04f40abc741829a2c02d8f53dcd987b475d7",
         "lint": "ae17bea7abae9ae9fbe8102e2eb169b9c7770869cc871866f2a439e1da50f779",
         "recommend": "6729248a0628787a56440ebaa727847bebd8249b854a484f4c88c7077b57caa5",
         "stats": "f42cfe80563c0497a15ab4f448307d0f5985e06899c2576bccc7116f07121fa0",
@@ -281,23 +283,33 @@ EXIT_BY_SEVERITY = {
 def _preprocessed_by_oracles(manifest):
     """``(removals, runs)``: each run file read, oriented, screened, cleared
     and clamped by ``tests/oracles.py`` row by row, as ``cli.prepare`` runs
-    those steps; the removals in report form, the runs by algorithm."""
+    those steps; the removals in report form, each with its row in the run
+    file, the runs by algorithm."""
     prefs, removals, runs = manifest.preferences, [], {}
+    steps = (
+        lambda A, log: oracles.filter_by_rules_oracle(A, prefs.screen, log),
+        lambda A, log: oracles.filter_by_rules_oracle(A, prefs.clear, log),
+        lambda A, log: oracles.apply_vague_preferences_oracle(A, prefs, log),
+    )
     for alg, files in manifest.algorithms.items():
         for r, rel in enumerate(files):
             name = alg if len(files) == 1 else f"{alg}#{r}"
             path = manifest.resolve(rel)
             raw = oracles.load_solution_set_oracle(path, manifest.objectives, name)
-            work, log = oracles.to_minimization_oracle(raw), []
-            for rules in (prefs.screen, prefs.clear):
-                work = oracles.filter_by_rules_oracle(work, rules, log)
-            work = oracles.apply_vague_preferences_oracle(work, prefs, log)
-            for rm in log:
-                natural = [k * v for k, v in zip(work.signs, rm.solution.objectives)]
-                removals.append(
-                    {"set": name, "index": rm.index, "rule": rm.rule,
-                     "objectives": natural}
-                )
+            work = oracles.to_minimization_oracle(raw)
+            file_rows = list(range(len(raw)))  # the file row of each row of work
+            for step in steps:
+                log = []
+                work = step(work, log)
+                gone = set()
+                for rm in log:
+                    natural = [k * v for k, v in zip(work.signs, rm.solution.objectives)]
+                    removals.append(
+                        {"set": name, "index": file_rows[rm.index], "rule": rm.rule,
+                         "objectives": natural}
+                    )
+                    gone.add(rm.index)
+                file_rows = [row for k, row in enumerate(file_rows) if k not in gone]
             runs.setdefault(alg, []).append(_tuples(work.values()))
     return removals, runs
 
@@ -548,6 +560,16 @@ def _rewritten(path, doc, directory, rows):
     return written
 
 
+def _run_files(doc):
+    """Each run's set name in the reports of the manifest ``doc``, mapped to
+    its run file, in manifest order."""
+    return {
+        entry["name"] if len(entry["runs"]) == 1 else f"{entry['name']}#{r}": rel
+        for entry in doc["algorithms"]
+        for r, rel in enumerate(entry["runs"])
+    }
+
+
 def _evaluated(manifest, out):
     _run(["evaluate", "--manifest", str(manifest), "--out", str(out)])
     return json.loads(out.read_text())
@@ -568,6 +590,21 @@ def _same_apart_from(report, mapped, *keys):
     ``keys`` is equal in both reports."""
     for key in report.keys() - {"results", "aggregates", "preprocessing", *keys}:
         assert mapped[key] == report[key], key
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", list(GOLDEN_SHA256))
+def test_removed_rows_are_their_file_rows(manifests, tmp_path, name, seed):
+    """Each removed row of an ``evaluate`` report holds, in natural units,
+    the values of the run file's solution row that its ``index`` names,
+    counting from 0 and skipping blank lines."""
+    path = manifests(name, seed)
+    files = _run_files(json.loads(path.read_text()))
+    report = _evaluated(path, tmp_path / "report.json")
+    for x in report["preprocessing"]["removals"]:
+        _, *body = (path.parent / files[x["set"]]).read_text().splitlines()
+        row = [line for line in body if line.strip()][x["index"]]
+        assert [float(v) for v in row.split(",")] == x["objectives"], x
 
 
 @pytest.mark.parametrize("k", [3, -2])
@@ -640,8 +677,8 @@ def test_direction_flip_keeps_every_value(manifests, tmp_path, name, objective):
 def test_shuffled_rows_keep_every_value(manifests, tmp_path, name, seed):
     """Metamorphic relation R4: shuffling the rows of every run file keeps
     every value bit-equal but two that sum in row order, every pick, finding
-    and exit status, and the removed rows as a multiset (a removal's
-    ``index`` follows the rows).  ``gd_plus`` is a mean of up to n terms,
+    and exit status, and the removed rows as a multiset, each named by its
+    row in the unshuffled file.  ``gd_plus`` is a mean of up to n terms,
     within pairwise summation's ceil(log2 n) eps of the exact mean; hv at
     m >= 4 is within 4 eps of exact, as WFG's stable sort keeps the order of
     tied rows.  Two values each within e of exact differ by at most 2e, and
@@ -656,17 +693,25 @@ def test_shuffled_rows_keep_every_value(manifests, tmp_path, name, seed):
         error["hv"] = 4 * eps
     report = _evaluated(path, tmp_path / "report.json")
     rng = np.random.default_rng(seed)
-    shuffled_path = _rewritten(
-        path, doc, tmp_path / "shuffled", lambda body: rng.permutation(body).tolist()
-    )
+    perms = []  # line k of a shuffled body is line perms[i][k] of the file's
+
+    def shuffle(body):
+        perms.append(rng.permutation(len(body)))
+        return [body[k] for k in perms[-1]]
+
+    shuffled_path = _rewritten(path, doc, tmp_path / "shuffled", shuffle)
     shuffled = _evaluated(shuffled_path, tmp_path / "r4.json")
     _same_apart_from(report, shuffled)
+    origin = dict(zip(_run_files(doc), perms, strict=True))
 
-    def removed(r):
-        rows = r["preprocessing"].pop("removals")
-        return sorted(repr((x["set"], x["rule"], x["objectives"])) for x in rows)
+    def removed(r, row):
+        return sorted(
+            repr((x["set"], x["rule"], x["objectives"], row(x)))
+            for x in r["preprocessing"].pop("removals")
+        )
 
-    assert removed(shuffled) == removed(report)
+    original = removed(report, lambda x: x["index"])
+    assert removed(shuffled, lambda x: int(origin[x["set"]][x["index"]])) == original
     assert shuffled["preprocessing"] == report["preprocessing"]
 
     def close(moved, value, bound):

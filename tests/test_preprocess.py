@@ -103,11 +103,12 @@ class TestClearPreferences:
         spec = PreferenceSpec(
             clear=(ClearConstraint(objective=1, kind="exactly_best"),)
         )
-        outA, droppedA = apply_clear_preferences(to_minimization(A), spec)
-        outB, droppedB = apply_clear_preferences(to_minimization(B), spec)
+        outA = apply_clear_preferences(to_minimization(A), spec)
+        outB = apply_clear_preferences(to_minimization(B), spec)
         assert [s.objectives for s in outA.solutions] == [(450.0, -1.0)]
         assert [s.objectives for s in outB.solutions] == [(500.0, -1.0)]
-        assert droppedA == (1,) and droppedB == (1,)
+        # Every survivor is equal on coverage, the spec's best-value objective.
+        assert spec.best_value_objectives == (1,)
 
     def test_at_least_filters_without_dropping(self):
         dirs = [Direction.MINIMIZE, Direction.MAXIMIZE]
@@ -115,9 +116,9 @@ class TestClearPreferences:
         spec = PreferenceSpec(
             clear=(ClearConstraint(objective=1, kind="at_least", threshold=0.95),)
         )
-        out, dropped = apply_clear_preferences(to_minimization(A), spec)
+        out = apply_clear_preferences(to_minimization(A), spec)
         assert [s.objectives for s in out.solutions] == [(1.0, -0.96)]
-        assert dropped == ()
+        assert out.m == 2 and spec.best_value_objectives == ()
 
     def test_threshold_is_inclusive(self):
         dirs = [Direction.MINIMIZE, Direction.MAXIMIZE]
@@ -125,13 +126,12 @@ class TestClearPreferences:
         spec = PreferenceSpec(
             clear=(ClearConstraint(objective=1, kind="at_least", threshold=0.95),)
         )
-        out, _ = apply_clear_preferences(to_minimization(A), spec)
+        out = apply_clear_preferences(to_minimization(A), spec)
         assert len(out) == 1
 
     def test_empty_spec_identity(self):
         A = to_minimization(make_set("A", KNEE_A))
-        out, dropped = apply_clear_preferences(A, PreferenceSpec())
-        assert out is A and dropped == ()
+        assert apply_clear_preferences(A, PreferenceSpec()) is A
 
     @given(
         st.lists(
@@ -149,7 +149,7 @@ class TestClearPreferences:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EvaluationWarning)
-            out, _ = apply_clear_preferences(to_minimization(A), spec)
+            out = apply_clear_preferences(to_minimization(A), spec)
         assert len(out) <= len(A)
 
 
