@@ -39,6 +39,7 @@ from . import indicators as ind
 from .doe import (
     IndicatorTable,
     _yardsticks,
+    contradicting_statistics,
     indicator_table,
     per_objective_stats,
     scalarize_best,
@@ -1031,8 +1032,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             if not len(run):
                 continue
             blocks.append({"algorithm": alg, "run": r, **asdict(per_objective_stats(run))})
-    # Statistics reported alone are the sole comparison: misuse II.
-    findings = [_finding("L-DOE-SOLE", "mean, median, worst")] if blocks else []
+    # Statistics reported alone are the sole comparison: misuse II, with
+    # each statistic that favours a set another set dominates.
+    detail = "mean, median, worst" + "".join(
+        f"; {x} dominates {y}, yet {y}'s {stat} is better on {', '.join(names)}"
+        for x, y, stat, names in contradicting_statistics(prepared.pooled())
+    )
+    findings = [_finding("L-DOE-SOLE", detail)] if blocks else []
     status = _exit_from_findings(findings, False)
     report = {
         "schema": "solution-set-stats/2",

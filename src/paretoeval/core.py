@@ -1,4 +1,4 @@
-"""Domain types and Pareto dominance relations over objective vectors.
+"""Domain types, set dominance and nondominated fronts over objective vectors.
 
 All comparisons in this module assume minimization orientation: lower is
 better on every objective.  Data recorded for maximization objectives is
@@ -12,26 +12,19 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Direction",
-    "DominanceOutcome",
-    "SetRelation",
     "DimensionMismatchError",
     "EmptySetError",
     "EvaluationWarning",
     "ObjectiveMeta",
     "Solution",
     "SolutionSet",
-    "weakly_dominates",
-    "dominates",
-    "compare",
     "set_dominates",
-    "set_weakly_dominates",
-    "better_relation",
     "nondominated_front",
     "unique_nondominated_front",
 ]
@@ -42,24 +35,6 @@ class Direction(str, Enum):
 
     MINIMIZE = "min"
     MAXIMIZE = "max"
-
-
-class DominanceOutcome(Enum):
-    """Pairwise dominance verdict for two equal-length vectors."""
-
-    FIRST_DOMINATES = "first_dominates"
-    SECOND_DOMINATES = "second_dominates"
-    INCOMPARABLE = "incomparable"
-    EQUAL = "equal"
-
-
-class SetRelation(Enum):
-    """Set-level verdict derived from mutual weak set-dominance."""
-
-    FIRST_BETTER = "first_better"
-    SECOND_BETTER = "second_better"
-    INCOMPARABLE = "incomparable"
-    EQUIVALENT = "equivalent"
 
 
 class DimensionMismatchError(ValueError):
@@ -121,16 +96,6 @@ class Solution:
 
     def __len__(self) -> int:
         return len(self.objectives)
-
-
-# Anything accepted where a point is expected: a Solution or a plain vector.
-Vector = Union[Solution, Sequence[float]]
-
-
-def _vec(x: Vector) -> tuple[float, ...]:
-    if isinstance(x, Solution):
-        return x.objectives
-    return tuple(float(v) for v in x)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -270,55 +235,6 @@ class SolutionSet:
     def natural_values(self) -> np.ndarray:
         """Values in natural units/direction, shape ``(n, m)``."""
         return self._values if self.signs is None else self._values * self.signs
-
-    def vectors(self) -> list[tuple[float, ...]]:
-        return list(map(tuple, self._values.tolist()))
-
-    def with_solutions(
-        self, solutions: Sequence[Solution], name: str | None = None
-    ) -> "SolutionSet":
-        """Same metadata and orientation, different members."""
-        return SolutionSet(
-            name=name if name is not None else self.name,
-            meta=self.meta,
-            solutions=tuple(solutions),
-            signs=self.signs,
-        )
-
-
-def _check_pair(a: Vector, b: Vector) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    va, vb = _vec(a), _vec(b)
-    if len(va) != len(vb):
-        raise DimensionMismatchError(
-            f"cannot compare vectors of length {len(va)} and {len(vb)}"
-        )
-    return va, vb
-
-
-def weakly_dominates(a: Vector, b: Vector) -> bool:
-    """True if ``a`` is at least as good as ``b`` on every objective."""
-    va, vb = _check_pair(a, b)
-    return all(x <= y for x, y in zip(va, vb))
-
-
-def dominates(a: Vector, b: Vector) -> bool:
-    """True if ``a`` weakly dominates ``b`` and improves somewhere."""
-    va, vb = _check_pair(a, b)
-    return va != vb and all(x <= y for x, y in zip(va, vb))
-
-
-def compare(a: Vector, b: Vector) -> DominanceOutcome:
-    """Classify the dominance relation between two vectors."""
-    va, vb = _check_pair(a, b)
-    if va == vb:
-        return DominanceOutcome.EQUAL
-    a_le = all(x <= y for x, y in zip(va, vb))
-    b_le = all(y <= x for x, y in zip(va, vb))
-    if a_le:
-        return DominanceOutcome.FIRST_DOMINATES
-    if b_le:
-        return DominanceOutcome.SECOND_DOMINATES
-    return DominanceOutcome.INCOMPARABLE
 
 
 # Cap on the row pairs one block of ``_dominance`` or ``_nearest`` compares,
@@ -703,36 +619,6 @@ def set_dominates(first: SolutionSet, second: SolutionSet) -> bool:
     if not len(second):
         raise EmptySetError("set dominance against an empty set is undefined")
     return bool(_dominated_by(first.values(), second.values()).all())
-
-
-def set_weakly_dominates(first: SolutionSet, second: SolutionSet) -> bool:
-    """True if every member of ``second`` is weakly dominated by some member
-    of ``first``, by one weak ``_dominated_by`` query (see ``set_dominates``)."""
-    _check_sets(first, second)
-    if not len(second):
-        raise EmptySetError("weak set dominance against an empty set is undefined")
-    return bool(_dominated_by(first.values(), second.values(), weak=True).all())
-
-
-def better_relation(first: SolutionSet, second: SolutionSet) -> SetRelation:
-    """Classify two sets by mutual weak set-dominance.
-
-    ``FIRST_BETTER`` means ``first`` weakly set-dominates ``second`` while at
-    least one of its members is not weakly dominated back; ``EQUIVALENT``
-    means mutual weak set-dominance.
-    """
-    _check_sets(first, second)
-    if not len(first) or not len(second):
-        raise EmptySetError("better relation needs two non-empty sets")
-    fw = set_weakly_dominates(first, second)
-    bw = set_weakly_dominates(second, first)
-    if fw and bw:
-        return SetRelation.EQUIVALENT
-    if fw:
-        return SetRelation.FIRST_BETTER
-    if bw:
-        return SetRelation.SECOND_BETTER
-    return SetRelation.INCOMPARABLE
 
 
 def nondominated_front(A: SolutionSet) -> SolutionSet:

@@ -3,14 +3,15 @@ indicator table every per-run evaluation reads from.
 
 Per-objective summaries (mean/median/best/worst) are the classic way to
 report multi-run experiments, but on their own they can invert the verdict
-of the dominance relation; :func:`doe_compare` computes them anyway and
-raises a flag whenever its verdict contradicts set dominance, so reports can
-say so loudly instead of silently misleading.
+of the dominance relation (misuse II): :func:`contradicting_statistics`
+names each statistic that favours a set another set dominates, so the
+``stats`` command can say so instead of silently misleading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .preprocess import (
     NormalizationBounds,
     _explicit_point,
     _maximized,
-    _point_beyond,
+    build_reference_point,
     build_reference_set,
     normalization_bounds,
     normalize,
@@ -39,10 +40,9 @@ from .preprocess import (
 __all__ = [
     "STATS",
     "ObjectiveStats",
-    "DoeComparison",
     "IndicatorTable",
     "per_objective_stats",
-    "doe_compare",
+    "contradicting_statistics",
     "scalarize_best",
     "indicator_table",
 ]
@@ -59,23 +59,6 @@ class ObjectiveStats:
     median: tuple[float, ...]
     best: tuple[float, ...]
     worst: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DoeComparison:
-    """Outcome of a statistic-by-statistic comparison of two sets.
-
-    ``winners`` holds one entry per objective: +1 when the first set's
-    statistic is better, -1 when the second's is, 0 on a tie.
-    ``misleading_flag`` is True when one set dominates the other as a set
-    yet the statistics hand any objective to the dominated side.
-    """
-
-    stat: str
-    winners: tuple[int, ...]
-    first_stats: ObjectiveStats
-    second_stats: ObjectiveStats
-    misleading_flag: bool
 
 
 def per_objective_stats(A: SolutionSet) -> ObjectiveStats:
@@ -101,47 +84,31 @@ def per_objective_stats(A: SolutionSet) -> ObjectiveStats:
     )
 
 
-def _direction_aware_winner(
-    first: float, second: float, maximize: bool
-) -> int:
-    if first == second:
-        return 0
-    if maximize:
-        return 1 if first > second else -1
-    return 1 if first < second else -1
-
-
-def doe_compare(A: SolutionSet, B: SolutionSet, stat: str = "mean") -> DoeComparison:
-    """Compare two sets objective by objective on one summary statistic.
-
-    The verdict is purely statistical; when it contradicts the dominance
-    relation between the sets (one set dominates, yet the other wins at
-    least one objective on the statistic) the result carries
-    ``misleading_flag=True``.
-    """
-    if stat not in STATS:
-        raise ValueError(f"unknown statistic {stat!r}")
-    if A.m != B.m:
-        raise DimensionMismatchError("sets disagree on objective count")
-    sa = per_objective_stats(A)
-    sb = per_objective_stats(B)
-    va = getattr(sa, stat)
-    vb = getattr(sb, stat)
-    winners = tuple(
-        _direction_aware_winner(x, y, mx) for x, y, mx in zip(va, vb, _maximized(A))
-    )
-    misleading = False
-    if set_dominates(A, B) and any(w < 0 for w in winners):
-        misleading = True
-    elif set_dominates(B, A) and any(w > 0 for w in winners):
-        misleading = True
-    return DoeComparison(
-        stat=stat,
-        winners=winners,
-        first_stats=sa,
-        second_stats=sb,
-        misleading_flag=misleading,
-    )
+def contradicting_statistics(
+    sets: Mapping[str, SolutionSet],
+) -> list[tuple[str, str, str, tuple[str, ...]]]:
+    """Misuse II's evidence over named non-empty sets: for each ordered pair
+    in which the first set dominates the second (:func:`set_dominates`),
+    each statistic on which the dominated set is strictly better, in natural
+    direction, as ``(dominating, dominated, statistic, objectives)``.  Best
+    never appears: each dominated member has a dominator, so the dominating
+    set's best is never worse."""
+    stats = {name: per_objective_stats(s) for name, s in sets.items()}
+    found = []
+    for x, y in permutations(sets, 2):
+        if not set_dominates(sets[x], sets[y]):
+            continue
+        maximized = _maximized(sets[x])
+        for stat in STATS:
+            pairs = zip(getattr(stats[x], stat), getattr(stats[y], stat), maximized)
+            better = tuple(
+                name
+                for name, (a, b, mx) in zip(stats[y].objectives, pairs)
+                if (b > a if mx else b < a)
+            )
+            if better:
+                found.append((x, y, stat, better))
+    return found
 
 
 def scalarize_best(
@@ -248,7 +215,7 @@ def _yardsticks(
             if strategy == "explicit":
                 _explicit_point(explicit, reference.m)
             code = "L-HV-REF-INSIDE"
-            point = _point_beyond(reference.values(), strategy, explicit)
+            point = build_reference_point(reference, strategy, explicit)
         except ValueError as exc:
             failures[code] = exc
     for name in columns:
@@ -305,7 +272,7 @@ def indicator_table(
         if name == "nfs":
             return [float(_ind.nfs(run)) for run in live]
         if name == "unfr":
-            return [_ind._front_share(run, built.reference) for run in live]
+            return [_ind.unfr(run, built.reference) for run in live]
         if name == "hv":  # a run's unique front has the run's hv
             return [_ind.hypervolume(f, built.point) for f in built.fronts or live]
         if name == "grid_diversity":

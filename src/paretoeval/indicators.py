@@ -30,7 +30,6 @@ from .core import (
     _nearest,
     _row_counts,
     nondominated_front,
-    unique_nondominated_front,
 )
 from .preprocess import (
     NORMALIZATION_MODES, REF_STRATEGIES, NormalizationBounds, normalize,
@@ -379,28 +378,16 @@ def nfs(A: SolutionSet) -> int:
     return len(nondominated_front(A))
 
 
-def unfr(A: SolutionSet, sets: Sequence[SolutionSet]) -> float:
-    """A's share of the union nondominated front.
-
-    The reference front is the unique nondominated front of the union of
-    ``sets`` (with A joined in when not already among them); the value is the
-    fraction of that front's size contributed by A's own unique nondominated
-    vectors that survive against the union.
-    """
-    basis = [A] + [s for s in sets if s is not A]
-    merged = SolutionSet._concat(basis, "union")
-    if not len(merged):
-        raise EmptySetError("union of sets is empty")
-    return _front_share(A, unique_nondominated_front(merged))
-
-
-def _front_share(A: SolutionSet, union: SolutionSet) -> float:
+def unfr(A: SolutionSet, union: SolutionSet) -> float:
     """A's unique nondominated vectors that survive in ``union``, the unique
-    nondominated front of a union that includes A, as a share of its size.
+    nondominated front of a union that includes A (as
+    :func:`build_reference_set` returns it), as a share of its size.
 
     A vector of A on the union front is nondominated within A as well, so
     counting A's distinct vectors on that front counts exactly those.
     """
+    if not len(union):
+        raise EmptySetError("union front is empty")
     _, in_a, in_union = _row_counts(A.values(), union.values())
     return int(np.count_nonzero((in_a > 0) & (in_union > 0))) / len(union)
 

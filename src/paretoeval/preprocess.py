@@ -27,7 +27,6 @@ from .core import (
     ObjectiveMeta,
     Solution,
     SolutionSet,
-    _front_mask,
     unique_nondominated_front,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "NormalizationBounds",
     "Removal",
     "to_minimization",
-    "restore_orientation",
     "screen_trivial",
     "apply_clear_preferences",
     "apply_vague_preferences",
@@ -261,15 +259,6 @@ def to_minimization(A: SolutionSet) -> SolutionSet:
         for o in A.meta
     )
     return A._select(values=A.values() * signs, meta=meta, signs=signs)
-
-
-def restore_orientation(A: SolutionSet, original_meta: Sequence[ObjectiveMeta]) -> SolutionSet:
-    """Invert :func:`to_minimization` using the recorded signs (bit-exact)."""
-    if A.signs is None:
-        raise ValueError("set carries no orientation transform to undo")
-    if len(original_meta) != A.m:
-        raise DimensionMismatchError("original metadata length must match")
-    return A._select(values=A.values() * A.signs, meta=original_meta, signs=None)
 
 
 def _drop(
@@ -547,40 +536,27 @@ def _explicit_point(explicit: Sequence[float] | None, m: int) -> tuple[float, ..
 
 
 def build_reference_point(
-    basis: SolutionSet,
+    front: SolutionSet,
     strategy: str,
     explicit: Sequence[float] | None = None,
 ) -> tuple[float, ...]:
-    """Construct a hypervolume reference point from a basis set.
+    """Construct a hypervolume reference point from ``front``, a set that is
+    its own unique nondominated front (as :func:`build_reference_set`
+    returns it).
 
-    Strategies other than ``worst_values`` and ``explicit`` derive the nadir
-    and range from the unique nondominated front of the basis, then step
-    beyond the nadir: ``nadir_plus_tenth`` by a tenth of the range,
-    ``nadir_plus_l_over_h`` by range/h (see :func:`compute_h`), and
-    ``doubled_range`` by the full range.  ``worst_values`` takes the
-    componentwise maximum over all raw basis solutions.  A degenerate range
-    component falls back to nadir + 1 with a warning.  The result always
-    weakly exceeds the basis front's nadir; an explicit point that does not
+    ``worst_values`` is the front's nadir, its componentwise maximum.  The
+    other derived strategies step beyond that nadir: ``nadir_plus_tenth`` by
+    a tenth of the front's range, ``nadir_plus_l_over_h`` by range/h (see
+    :func:`compute_h`), and ``doubled_range`` by the full range.  A
+    degenerate range component falls back to nadir + 1 with a warning.  The
+    result always weakly exceeds the nadir; an explicit point that does not
     is rejected.
     """
     if strategy not in REF_STRATEGIES:
         raise ValueError(f"unknown reference strategy {strategy!r}")
-    if not len(basis):
+    if not len(front):
         raise EmptySetError("cannot derive a reference point from an empty basis")
-    # Only the front's values are needed, so no front set is built.
-    fv = basis.values()
-    if strategy != "worst_values":
-        fv = fv[_front_mask(fv, unique=True)]
-    return _point_beyond(fv, strategy, explicit)
-
-
-def _point_beyond(
-    fv: np.ndarray, strategy: str, explicit: Sequence[float] | None
-) -> tuple[float, ...]:
-    """:func:`build_reference_point`'s point for a known ``strategy``, read
-    off the non-empty rows ``fv``: the raw basis for ``worst_values``, else
-    its unique front.  A basis that is its own unique front serves as it is
-    for every strategy."""
+    fv = front.values()
     nadir = fv.max(axis=0)
     if strategy == "worst_values":
         return tuple(float(v) for v in nadir)
@@ -598,7 +574,7 @@ def _point_beyond(
         warnings.warn(
             "degenerate objective range in reference basis; stepping by 1",
             EvaluationWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     if strategy == "nadir_plus_tenth":
         step = span / 10.0

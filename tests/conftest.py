@@ -54,6 +54,11 @@ def make_set(name, points, directions=None, names=None, signs=None):
     return SolutionSet(name=name, meta=meta, solutions=sols, signs=signs)
 
 
+def rows(A):
+    """A set's stored values as a list of tuples, one per row."""
+    return [tuple(row) for row in A.values().tolist()]
+
+
 # Bi-objective minimization: two knee points vs three well-spread points.
 KNEE_A = [(2, 6), (9, 2)]
 KNEE_B = [(1, 10), (7, 5), (12, 1.5)]

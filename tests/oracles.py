@@ -71,6 +71,37 @@ def dominated_by_oracle(F, X, weak=False) -> list[bool]:
     return [any(dom(f, x) for f in F) for x in X]
 
 
+def set_weakly_dominates_oracle(A: SolutionSet, B: SolutionSet) -> bool:
+    """Every row of B is weakly dominated by some row of A, pair by pair."""
+    return all(dominated_by_oracle(A.values().tolist(), B.values().tolist(), weak=True))
+
+
+def contradicting_statistics_oracle(sets) -> list:
+    """For each ordered pair of named sets in which every row of the second
+    is dominated by a row of the first (pair by pair), each of mean, median
+    and worst (numpy, on natural values) that is strictly better for the
+    second set, with the names of the objectives it is better on."""
+    found = []
+    for x, X in sets.items():
+        for y, Y in sets.items():
+            dominated = dominated_by_oracle(X.values().tolist(), Y.values().tolist())
+            if x == y or not all(dominated):
+                continue
+            maximized = np.array([s < 0 for s in _signs(X)])
+            nx, ny = X.natural_values(), Y.natural_values()
+            for stat in ("mean", "median", "worst"):
+                if stat == "worst":
+                    a = np.where(maximized, nx.min(axis=0), nx.max(axis=0))
+                    b = np.where(maximized, ny.min(axis=0), ny.max(axis=0))
+                else:
+                    a, b = getattr(np, stat)(nx, axis=0), getattr(np, stat)(ny, axis=0)
+                better = np.where(maximized, b > a, b < a)
+                names = tuple(o.name for o, hit in zip(X.meta, better) if hit)
+                if names:
+                    found.append((x, y, stat, names))
+    return found
+
+
 def front_indices(points) -> list[int]:
     """O(n^2) pairwise filter: indices of members no other member dominates."""
     keep = []
@@ -488,23 +519,12 @@ def to_minimization_oracle(A: SolutionSet) -> SolutionSet:
     return SolutionSet(A.name, meta, sols, signs=signs)
 
 
-def restore_orientation_oracle(
-    A: SolutionSet, original_meta: Sequence[ObjectiveMeta]
-) -> SolutionSet:
-    """Invert :func:`to_minimization_oracle` row by row."""
-    if A.signs is None:
-        raise ValueError("set carries no orientation transform to undo")
-    if len(original_meta) != A.m:
-        raise DimensionMismatchError("original metadata length must match")
-    sols = tuple(
-        Solution(
-            tuple(s * v for s, v in zip(A.signs, sol.objectives)),
-            id=sol.id,
-            source=sol.source,
-        )
-        for sol in A.solutions
-    )
-    return SolutionSet(A.name, tuple(original_meta), sols, signs=None)
+def natural_values_oracle(A: SolutionSet) -> np.ndarray:
+    """Invert :func:`to_minimization_oracle` row by row: each stored value
+    times its objective's sign."""
+    signs = _signs(A)
+    rows = [[s * v for s, v in zip(signs, sol.objectives)] for sol in A.solutions]
+    return np.array(rows, dtype=float).reshape(len(A), A.m)
 
 
 def _satisfies(
@@ -548,7 +568,7 @@ def filter_by_rules_oracle(
             keep.append(sol)
         elif log is not None:
             log.append(Removal(idx, sol, violated.describe(A.meta)))
-    return A.with_solutions(keep)
+    return SolutionSet(A.name, A.meta, keep, A.signs)
 
 
 def apply_vague_preferences_oracle(
@@ -593,7 +613,7 @@ def apply_vague_preferences_oracle(
             EvaluationWarning,
             stacklevel=2,
         )
-    return A.with_solutions(keep)
+    return SolutionSet(A.name, A.meta, keep, A.signs)
 
 
 def normalize_oracle(
@@ -652,7 +672,7 @@ def unique_front_oracle(A: SolutionSet) -> SolutionSet:
         if s.objectives not in seen:
             seen.add(s.objectives)
             keep.append(s)
-    return A.with_solutions(keep)
+    return SolutionSet(A.name, A.meta, keep, A.signs)
 
 
 def build_reference_set_oracle(sets: Sequence[SolutionSet]) -> SolutionSet:

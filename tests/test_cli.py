@@ -32,14 +32,17 @@ from paretoeval import (
     NormalizationBounds,
     ObjectiveMeta,
     PreferenceSpec,
+    Solution,
+    SolutionSet,
     VagueClamp,
     build_reference_point,
+    build_reference_set,
     normalize,
     per_objective_stats,
     screen_trivial,
     to_minimization,
 )
-from paretoeval import cli, preprocess
+from paretoeval import cli, core
 from paretoeval.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -61,6 +64,7 @@ from conftest import (
     KNEE_A,
     KNEE_B,
     make_set,
+    rows,
 )
 
 
@@ -442,7 +446,7 @@ class TestSolutionFiles:
         path.write_text("id,f1,f2\ns1,1,2\ns2,3,4\n", encoding="utf-8")
         loaded = load_solution_set(path, META_2D)
         assert [s.id for s in loaded.solutions] == ["s1", "s2"]
-        assert loaded.vectors() == [(1.0, 2.0), (3.0, 4.0)]
+        assert rows(loaded) == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_non_numeric_cell_line_number(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -473,7 +477,7 @@ class TestSolutionFiles:
         screened = screen_trivial(run, [ClearConstraint(1, "at_least", 1.0)])
         (normed,) = normalize([screened], NormalizationBounds.from_sets([screened]))
         assert [s.id for s in normed.solutions] == ["s1", "s3"]
-        assert normed.vectors() == [(0.0, 0.0), (1.0, 1.0)]
+        assert rows(normed) == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_empty_header_line_exits_2(self, tmp_path, capsys):
         path = write_manifest(tmp_path, MIN_2D, {"a": [KNEE_A]})
@@ -527,7 +531,7 @@ class TestSolutionFiles:
         path = tmp_path / "out.csv"
         write_solution_set(path, original)
         loaded = load_solution_set(path, original.meta)
-        assert loaded.vectors() == original.vectors()
+        assert rows(loaded) == rows(original)
 
     @settings(
         max_examples=100,
@@ -586,24 +590,26 @@ class TestSolutionFiles:
         path.write_text("id,f2\n1,2\n3,4\n", encoding="utf-8")
         loaded = load_solution_set(path, self.META_ID)
         assert [s.id for s in loaded.solutions] == [None, None]
-        assert loaded.vectors() == [(1.0, 2.0), (3.0, 4.0)]
+        assert rows(loaded) == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_id_column_before_an_objective_named_id(self, tmp_path):
         path = tmp_path / "run.csv"
         path.write_text("id,id,f2\ns1,1,2\ns2,3,4\n", encoding="utf-8")
         loaded = load_solution_set(path, self.META_ID)
         assert [s.id for s in loaded.solutions] == ["s1", "s2"]
-        assert loaded.vectors() == [(1.0, 2.0), (3.0, 4.0)]
+        assert rows(loaded) == [(1.0, 2.0), (3.0, 4.0)]
 
     @pytest.mark.parametrize("ids", [None, ("a", "b")], ids=["no-ids", "ids"])
     def test_round_trip_with_an_objective_named_id(self, tmp_path, ids):
         original = make_set("run", [(1, 2), (0.1, 1 / 3)], names=["id", "f2"])
         if ids is not None:
-            original = original.with_solutions(
+            original = SolutionSet(
+                "run",
+                original.meta,
                 tuple(
                     s.__class__(s.objectives, id=i)
                     for s, i in zip(original.solutions, ids)
-                )
+                ),
             )
         path = tmp_path / "out.csv"
         write_solution_set(path, original)
@@ -644,11 +650,9 @@ class TestSolutionFiles:
         event("error" if fast[0][0] == "error" else f"{fast[0][1][0]} row(s)")
 
     def test_round_trip_keeps_ids(self, tmp_path):
-        original = make_set("run", [(1, 2)]).with_solutions(
-            tuple(
-                s.__class__(s.objectives, id="keep-me")
-                for s in make_set("run", [(1, 2)]).solutions
-            )
+        original = make_set("run", [(1, 2)])
+        original = SolutionSet(
+            "run", original.meta, (Solution((1.0, 2.0), id="keep-me"),)
         )
         path = tmp_path / "out.csv"
         write_solution_set(path, original)
@@ -663,8 +667,8 @@ class TestSolutionFiles:
         original = make_set("run", [(1, 2), (3, 4)], names=names)
         if where == "id":
             first, second = original.solutions
-            original = original.with_solutions(
-                (first.__class__(first.objectives, id=cell), second)
+            original = SolutionSet(
+                "run", original.meta, (first.__class__(first.objectives, id=cell), second)
             )
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=re.escape(repr(cell))):
@@ -1127,7 +1131,7 @@ class TestEvaluate:
         code = main(["plot-data", "--manifest", str(path), "--out", str(out_dir)])
         assert code == EXIT_OK
         plotted = load_solution_set(out_dir / "alg.csv", META_2D)
-        assert plotted.vectors() == [tuple(map(float, p)) for p in runs[2]]
+        assert rows(plotted) == [tuple(map(float, p)) for p in runs[2]]
 
     def test_multi_run_reports_are_byte_stable(self, tmp_path):
         rng = np.random.default_rng(20240611)
@@ -1924,6 +1928,28 @@ class TestStats:
         assert [f["code"] for f in report["findings"]] == ["L-DOE-SOLE"]
         assert report["exit_status"] == EXIT_WARNINGS
 
+    def test_finding_names_the_one_contradicting_pair(self, tmp_path, capsys):
+        # Pooled over its two runs, a dominates b and c; b's statistics beat
+        # a's on every objective, c's on none, and b and c are incomparable.
+        algorithms = {
+            "a": [[(0, 0)], [(10, 10)]],
+            "b": [[(3, 3), (5, 5)]],
+            "c": [[(1, 12), (12, 1)]],
+        }
+        path = write_manifest(tmp_path, MIN_2D, algorithms)
+        out = tmp_path / "stats.json"
+        assert main(["stats", "--manifest", str(path), "--out", str(out)]) == EXIT_WARNINGS
+        (finding,) = json.loads(out.read_text())["findings"]
+        assert finding["message"].endswith(
+            "(mean, median, worst"
+            "; a dominates b, yet b's mean is better on f1, f2"
+            "; a dominates b, yet b's median is better on f1, f2"
+            "; a dominates b, yet b's worst is better on f1, f2)"
+        )
+        assert capsys.readouterr().out.splitlines()[-1].endswith(
+            "; a dominates b, yet b's worst is better on f1, f2)"
+        )
+
     def test_emptied_algorithm_skipped(self, tmp_path):
         path = write_manifest(tmp_path, MIN_2D, EMPTIED_ALPHA, preferences=F2_AT_MOST)
         out = tmp_path / "stats.json"
@@ -2167,7 +2193,7 @@ class TestPlotData:
         assert "algorithm 'alpha' has no surviving solutions to plot" in messages
         assert (out_dir / "alpha.csv").read_text() == "f1,f2\n"
         beta = load_solution_set(out_dir / "beta.csv", META_2D)
-        assert beta.vectors() == [(7.0, 5.0), (12.0, 1.5)]
+        assert rows(beta) == [(7.0, 5.0), (12.0, 1.5)]
         assert "wrote scatter data for 2 set(s)" in capsys.readouterr().out
 
     def test_scatter_csvs(self, tmp_path):
@@ -2182,7 +2208,7 @@ class TestPlotData:
             == EXIT_OK
         )
         alpha = load_solution_set(out_dir / "alpha.csv", META_2D)
-        assert alpha.vectors() == [tuple(map(float, p)) for p in KNEE_A]
+        assert rows(alpha) == [tuple(map(float, p)) for p in KNEE_A]
 
     def test_parallel_coordinates_beyond_three(self, tmp_path):
         objectives = [{"name": f"o{i}", "direction": "min"} for i in range(5)]
@@ -2220,7 +2246,7 @@ class TestPlotData:
         written = sorted(p.name for p in out_dir.iterdir())
         assert written == ["50%25%5Cx.csv", "MOEA%2FD.csv"]
         moead = load_solution_set(out_dir / "MOEA%2FD.csv", META_2D)
-        assert moead.vectors() == [tuple(map(float, p)) for p in KNEE_A]
+        assert rows(moead) == [tuple(map(float, p)) for p in KNEE_A]
 
     def test_scatter_files_stay_in_the_output_directory(self, tmp_path):
         path = self._named(tmp_path, MIN_2D, [[KNEE_A], [KNEE_B]], ["../escape", "b"])
@@ -2363,29 +2389,48 @@ class TestYardsticksBuiltOnce:
         assert main([command, *argv]) in (EXIT_OK, EXIT_WARNINGS)
         assert len(calls) == builds
 
-    def test_point_is_read_off_the_built_front(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "strategy",
+        ["worst_values", "nadir_plus_tenth", "nadir_plus_l_over_h", "doubled_range"],
+    )
+    def test_point_is_read_off_the_built_front(self, tmp_path, monkeypatch, strategy):
         # The hv point comes from the union front the stage already holds,
-        # so the point build filters no front of its own.
+        # so the point build filters no front of its own, and the dominated
+        # (5, 5) and (6, 6) are no strategy's worst values.
         a, b = [(1, 4), (4, 1), (5, 5)], [(2, 5), (5, 2), (6, 6)]
         path = write_manifest(
             tmp_path, MIN_2D, {"a": [a], "b": [b]}, overrides={"indicators": ["hv"]}
         )
         calls = []
 
-        def counted(V, unique=False, mask=preprocess._front_mask):
+        def counted(V, unique=False, mask=core._front_mask):
             calls.append(len(V))
             return mask(V, unique)
 
-        monkeypatch.setattr(preprocess, "_front_mask", counted)
+        monkeypatch.setattr(core, "_front_mask", counted)
         out = tmp_path / "r.json"
-        assert main(["evaluate", "--manifest", str(path), "--out", str(out)]) == EXIT_OK
-        assert calls == []
+        argv = ["--manifest", str(path), "--ref-strategy", strategy, "--out", str(out)]
+        # worst_values puts the front's extremes on the box: L-HV-REFPOINT.
+        status = EXIT_WARNINGS if strategy == "worst_values" else EXIT_OK
+        assert main(["evaluate", *argv]) == status
+        assert calls == [6]  # the union front, once
         point = json.loads(out.read_text())["results"][0]["config"]["reference_point"]
-        # The public builder filters its raw basis, and agrees.
-        assert tuple(point) == build_reference_point(
-            make_set("union", a + b), "nadir_plus_tenth"
+        # The public builder reads the same front, and agrees.
+        front = build_reference_set([make_set("a", a), make_set("b", b)])
+        assert tuple(point) == build_reference_point(front, strategy)
+
+    def test_worst_values_is_the_front_nadir(self, tmp_path):
+        # (20, 20) is dominated: the point is the front's nadir, as the
+        # library's build_reference_point gives it for the reference set.
+        path = write_manifest(
+            tmp_path, MIN_2D, {"a": [[(1, 5), (5, 1), (20, 20)]]},
+            overrides={"indicators": ["hv"], "hv_strategy": "worst_values"},
         )
-        assert calls == [6]
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--manifest", str(path), "--out", str(out)]
+        assert main(argv) == EXIT_WARNINGS  # L-HV-REFPOINT
+        point = json.loads(out.read_text())["results"][0]["config"]["reference_point"]
+        assert point == [5.0, 5.0]
 
     def test_plot_data_ignores_a_yardstick_it_does_not_read(self, tmp_path, capsys):
         # igd reads the hard bounds that no objective declares; plot-data

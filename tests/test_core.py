@@ -1,4 +1,4 @@
-"""Dominance relations, set relations, and front extraction."""
+"""Point dominance (the oracles' truth), set dominance, and front extraction."""
 
 from __future__ import annotations
 
@@ -8,27 +8,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretoeval import (
-    DimensionMismatchError,
-    DominanceOutcome,
     EmptySetError,
-    SetRelation,
     Solution,
-    better_relation,
-    compare,
-    dominates,
     nondominated_front,
     set_dominates,
-    set_weakly_dominates,
     unique_nondominated_front,
-    weakly_dominates,
 )
 from paretoeval import core
 from conftest import KNEE_A, KNEE_B, kernel_settings, make_set
 import oracles
 
 
-def vec(*values):
-    return Solution(tuple(float(v) for v in values))
+# Point dominance is the oracles' pairwise truth, which the kernels are
+# checked against.
+weakly_dominates, dominates = oracles.weakly_dom, oracles.strictly_dom
+
+
+def weakly_covers(A, B) -> bool:
+    """Every row of B is weakly dominated by some row of A: the weak query
+    that CI and C run, checked against the pairwise scan."""
+    got = bool(core._dominated_by(A.values(), B.values(), weak=True).all())
+    assert got == oracles.set_weakly_dominates_oracle(A, B)
+    return got
+
+
+def dominates_set(A, B) -> bool:
+    """:func:`set_dominates`, checked against the pairwise scan."""
+    got = set_dominates(A, B)
+    assert got == all(oracles.dominated_by_oracle(A.values().tolist(), B.values().tolist()))
+    return got
 
 
 vectors = st.lists(
@@ -44,80 +52,76 @@ pair = st.integers(min_value=2, max_value=4).flatmap(
 
 class TestPointDominance:
     def test_weak_includes_equality(self):
-        assert weakly_dominates(vec(1, 2), vec(1, 2))
+        assert weakly_dominates((1, 2), (1, 2))
 
     def test_weak_fails_on_tradeoff(self):
-        assert not weakly_dominates(vec(2, 6), vec(7, 5))
+        assert not weakly_dominates((2, 6), (7, 5))
 
     def test_weak_on_strict_improvement(self):
-        assert weakly_dominates(vec(1, 4), vec(2, 5))
+        assert weakly_dominates((1, 4), (2, 5))
 
     def test_equal_vectors_never_dominate(self):
-        assert not dominates(vec(1, 2), vec(1, 2))
+        assert not dominates((1, 2), (1, 2))
 
     def test_strict_dominance(self):
-        assert dominates(vec(2, 5), vec(3, 9))
-        assert dominates(vec(1, 3), vec(3, 3))
+        assert dominates((2, 5), (3, 9))
+        assert dominates((1, 3), (3, 3))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            weakly_dominates(vec(1, 2), vec(1, 2, 3))
-        with pytest.raises(DimensionMismatchError):
-            dominates(vec(1, 2, 3), vec(1, 2))
-
-    def test_compare_outcomes(self):
-        assert compare(vec(2, 6), vec(9, 2)) is DominanceOutcome.INCOMPARABLE
-        assert compare(vec(5, 5), vec(5, 5)) is DominanceOutcome.EQUAL
-        assert compare(vec(1, 1), vec(2, 2)) is DominanceOutcome.FIRST_DOMINATES
-        assert compare(vec(2, 2), vec(1, 1)) is DominanceOutcome.SECOND_DOMINATES
-
-    def test_compare_accepts_sequences(self):
-        assert compare((1.0, 1.0), (2.0, 2.0)) is DominanceOutcome.FIRST_DOMINATES
+    def test_outcomes_in_both_directions(self):
+        outcomes = {
+            ((2, 6), (9, 2)): (False, False),  # incomparable
+            ((5, 5), (5, 5)): (False, False),  # equal
+            ((1, 1), (2, 2)): (True, False),
+            ((2, 2), (1, 1)): (False, True),
+        }
+        for (a, b), expected in outcomes.items():
+            assert (dominates(a, b), dominates(b, a)) == expected
 
 
 class TestSetRelations:
     def test_set_dominates_basic(self):
         A = make_set("A", [(2, 2), (3, 3)])
         B = make_set("B", [(4, 4), (5, 5)])
-        assert set_dominates(A, B)
+        assert dominates_set(A, B)
 
     def test_mutually_nondominated_sets(self):
         A, B = make_set("A", KNEE_A), make_set("B", KNEE_B)
-        assert not set_dominates(A, B)
-        assert not set_dominates(B, A)
-        assert not set_weakly_dominates(A, B)
-        assert not set_weakly_dominates(B, A)
+        assert not dominates_set(A, B)
+        assert not dominates_set(B, A)
+        assert not weakly_covers(A, B)
+        assert not weakly_covers(B, A)
 
     def test_equal_singletons(self):
         A = make_set("A", [(1, 1)])
         B = make_set("B", [(1, 1)])
-        assert not set_dominates(A, B)
-        assert set_weakly_dominates(A, B)
+        assert not dominates_set(A, B)
+        assert weakly_covers(A, B)
 
     def test_weak_set_dominance_with_shared_member(self):
         A = make_set("A", [(2, 2)])
         B = make_set("B", [(3, 3), (2, 2)])
-        assert set_weakly_dominates(A, B)
+        assert weakly_covers(A, B)
 
     def test_empty_second_set_rejected(self):
         A = make_set("A", [(1, 1)])
-        B = A.with_solutions(())
+        B = make_set("B", [])
         with pytest.raises(EmptySetError):
             set_dominates(A, B)
 
-    def test_better_relation_basic(self):
+    def test_dominance_one_way(self):
         A = make_set("A", [(1, 1)])
         B = make_set("B", [(2, 2)])
-        assert better_relation(A, B) is SetRelation.FIRST_BETTER
-        assert better_relation(B, A) is SetRelation.SECOND_BETTER
-        assert better_relation(A, A) is SetRelation.EQUIVALENT
+        assert dominates_set(A, B)
+        assert not dominates_set(B, A)
+        assert not dominates_set(A, A)
 
-    def test_better_relation_incomparable_scenario(self, coverage_sets):
+    def test_incomparable_scenario(self, coverage_sets):
         # Neither test-generation set weakly set-dominates the other.
         from paretoeval import to_minimization
 
         A, B = (to_minimization(s) for s in coverage_sets)
-        assert better_relation(A, B) is SetRelation.INCOMPARABLE
+        assert not weakly_covers(A, B)
+        assert not weakly_covers(B, A)
 
 
 class TestFronts:
@@ -151,7 +155,7 @@ class TestFronts:
         assert vecs == [(1.0, 1.0)]
 
     def test_empty_in_empty_out(self):
-        A = make_set("A", [(1, 1)]).with_solutions(())
+        A = make_set("A", [])
         assert len(nondominated_front(A)) == 0
 
 
@@ -185,11 +189,12 @@ class TestDominanceProperties:
             st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=12
         ),
     )
-    def test_set_dominance_implies_first_better(self, pa, pb):
+    def test_set_dominance_is_one_way(self, pa, pb):
         A = make_set("A", pa)
         B = make_set("B", pb)
-        if set_dominates(A, B):
-            assert better_relation(A, B) is SetRelation.FIRST_BETTER
+        if dominates_set(A, B):
+            assert weakly_covers(A, B)
+            assert not dominates_set(B, A)
 
     @given(
         st.lists(
@@ -228,21 +233,14 @@ class TestDominanceProperties:
     )
     def test_unique_front_weakly_set_dominates_input(self, points):
         A = make_set("A", points)
-        assert set_weakly_dominates(unique_nondominated_front(A), A)
+        assert weakly_covers(unique_nondominated_front(A), A)
 
     @given(vectors)
-    def test_better_relation_antisymmetric_on_singletons(self, v):
+    def test_shifted_singleton_is_dominated_one_way(self, v):
         A = make_set("A", [tuple(v)])
         B = make_set("B", [tuple(x + 1.0 for x in v)])
-        fwd = better_relation(A, B)
-        back = better_relation(B, A)
-        mirror = {
-            SetRelation.FIRST_BETTER: SetRelation.SECOND_BETTER,
-            SetRelation.SECOND_BETTER: SetRelation.FIRST_BETTER,
-            SetRelation.INCOMPARABLE: SetRelation.INCOMPARABLE,
-            SetRelation.EQUIVALENT: SetRelation.EQUIVALENT,
-        }
-        assert back is mirror[fwd]
+        assert dominates_set(A, B)
+        assert not dominates_set(B, A)
 
 
 @st.composite

@@ -1,10 +1,11 @@
-"""Descriptive statistics, their misleading-verdict flag, and run selection."""
+"""Descriptive statistics, the ones that contradict set dominance, and run
+selection."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from paretoeval import (
@@ -16,7 +17,7 @@ from paretoeval import (
     ObjectiveMeta,
     SolutionSet,
     build_reference_set,
-    doe_compare,
+    contradicting_statistics,
     gd,
     hypervolume,
     normalize,
@@ -27,7 +28,7 @@ from paretoeval import (
     to_minimization,
     unique_nondominated_front,
 )
-from paretoeval import core, preprocess
+from paretoeval import core
 from paretoeval import indicators as ind
 from paretoeval.doe import _yardsticks, indicator_table
 from conftest import make_set
@@ -73,68 +74,53 @@ class TestPerObjectiveStats:
         assert per_objective_stats(to_minimization(raw)) == stats
 
     def test_empty_set_rejected(self):
-        empty = make_set("A", [(1, 1)]).with_solutions(())
+        empty = make_set("A", [])
         with pytest.raises(EmptySetError):
             per_objective_stats(empty)
 
 
-class TestDoeCompare:
-    def test_mean_contradicts_dominance(self):
-        A = make_set("A", WIDE)
-        B = make_set("B", TIGHT)
+def _contradictions(**points):
+    return contradicting_statistics({k: make_set(k, p) for k, p in points.items()})
+
+
+class TestContradictingStatistics:
+    def test_mean_median_worst_contradict_dominance(self):
+        A, B = make_set("A", WIDE), make_set("B", TIGHT)
         assert set_dominates(A, B)
-        outcome = doe_compare(A, B, stat="mean")
-        assert outcome.first_stats.mean == (5.0, 5.0)
-        assert outcome.second_stats.mean == (4.0, 4.0)
-        assert outcome.winners == (-1, -1)
-        assert outcome.misleading_flag
+        assert per_objective_stats(A).mean == (5.0, 5.0)
+        assert per_objective_stats(B).mean == (4.0, 4.0)
+        assert _contradictions(A=WIDE, B=TIGHT) == [
+            ("A", "B", stat, ("f1", "f2")) for stat in ("mean", "median", "worst")
+        ]
 
-    def test_flag_symmetric_under_swap(self):
-        A = make_set("A", WIDE)
-        B = make_set("B", TIGHT)
-        outcome = doe_compare(B, A, stat="mean")
-        assert outcome.winners == (1, 1)
-        assert outcome.misleading_flag
+    def test_order_of_the_sets_only_orders_the_pairs(self):
+        assert _contradictions(B=TIGHT, A=WIDE) == _contradictions(A=WIDE, B=TIGHT)
 
-    def test_worst_also_contradicts_here(self):
-        outcome = doe_compare(make_set("A", WIDE), make_set("B", TIGHT), "worst")
-        assert outcome.winners == (-1, -1)
-        assert outcome.misleading_flag
+    def test_identical_sets_contradict_nothing(self):
+        assert _contradictions(A=TIGHT, B=TIGHT) == []
 
-    def test_best_agrees_here(self):
-        outcome = doe_compare(make_set("A", WIDE), make_set("B", TIGHT), "best")
-        assert outcome.winners == (1, 1)
-        assert not outcome.misleading_flag
+    def test_nothing_without_dominance(self):
+        assert _contradictions(A=[(0, 10)], B=[(1, 1)]) == []
 
-    def test_identical_sets_tie_everywhere(self):
-        A = make_set("A", TIGHT)
-        B = make_set("B", TIGHT)
-        for stat in ("mean", "median", "best", "worst"):
-            outcome = doe_compare(A, B, stat)
-            assert outcome.winners == (0, 0)
-            assert not outcome.misleading_flag
+    def test_only_the_dominated_pair_is_named(self):
+        # C is incomparable with both; only A over B contradicts.
+        found = _contradictions(A=WIDE, B=TIGHT, C=[(-1, 20)])
+        assert {(x, y) for x, y, _, _ in found} == {("A", "B")}
 
-    def test_no_flag_without_dominance(self):
-        A = make_set("A", [(0, 10)])
-        B = make_set("B", [(1, 1)])
-        outcome = doe_compare(A, B)
-        assert outcome.winners == (1, -1)
-        assert not outcome.misleading_flag
-
-    def test_natural_directions_in_winners(self, users_sets):
-        A, B = (to_minimization(s) for s in users_sets)
-        outcome = doe_compare(A, B, stat="mean")
-        # first set has cheaper mean cost; second serves more users
-        assert outcome.winners == (1, -1)
-        assert not outcome.misleading_flag
-
-    def test_unknown_stat(self):
-        with pytest.raises(ValueError):
-            doe_compare(make_set("A", TIGHT), make_set("B", TIGHT), "mode")
+    def test_maximized_objective_in_natural_direction(self):
+        # X dominates Y (cost 10 < 11, gain 10 > 9), yet Y's gain is higher
+        # in every statistic, and its cost in none.
+        dirs = [Direction.MINIMIZE, Direction.MAXIMIZE]
+        names = ["cost", "gain"]
+        X = to_minimization(make_set("X", [(0, 0), (10, 10)], dirs, names))
+        Y = to_minimization(make_set("Y", [(11, 9)], dirs, names))
+        assert contradicting_statistics({"X": X, "Y": Y}) == [
+            ("X", "Y", stat, ("gain",)) for stat in ("mean", "median", "worst")
+        ]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            doe_compare(make_set("A", [(1, 2)]), make_set("B", [(1, 2, 3)]))
+            _contradictions(A=[(1, 2)], B=[(1, 2, 3)])
 
     @given(
         st.lists(
@@ -152,30 +138,37 @@ class TestDoeCompare:
         worse = [
             tuple(x + d for x, d in zip(p, s)) for p, s in zip(front, shifts)
         ]
-        A = make_set("A", front)
-        B = make_set("B", worse)
-        assert set_dominates(A, B)
-        outcome = doe_compare(A, B, stat="best")
-        assert all(w >= 0 for w in outcome.winners)
-        assert not outcome.misleading_flag
+        assert set_dominates(make_set("A", front), make_set("B", worse))
+        assert all(stat != "best" for _, _, stat, _ in _contradictions(A=front, B=worse))
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=6
-        ),
-        st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=6
-        ),
-        st.sampled_from(["mean", "median", "best", "worst"]),
-    )
-    @settings(max_examples=150)
-    def test_flag_iff_contradiction(self, pa, pb, stat):
-        A, B = make_set("A", pa), make_set("B", pb)
-        outcome = doe_compare(A, B, stat)
-        contradiction = (
-            set_dominates(A, B) and any(w < 0 for w in outcome.winners)
-        ) or (set_dominates(B, A) and any(w > 0 for w in outcome.winners))
-        assert outcome.misleading_flag == contradiction
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, data):
+        # Two to four sets over two or three objectives, one of them
+        # maximized; half the sets are worse copies, in natural units, of a
+        # few rows of the first, so set dominance, and statistics that
+        # contradict it, are common.
+        m = data.draw(st.integers(2, 3))
+        dirs = [Direction.MINIMIZE] * m
+        dirs[data.draw(st.integers(0, m - 1))] = Direction.MAXIMIZE
+        signs = [-1 if d is Direction.MAXIMIZE else 1 for d in dirs]
+        row = st.tuples(*[st.integers(0, 6)] * m)
+        first = data.draw(st.lists(row, min_size=1, max_size=6))
+        sets = {"s0": first}
+        for k in range(1, data.draw(st.integers(2, 4))):
+            if data.draw(st.booleans()):
+                picked = data.draw(st.lists(st.sampled_from(first), min_size=1, max_size=4))
+                shifts = data.draw(st.lists(row, min_size=len(picked), max_size=len(picked)))
+                sets[f"s{k}"] = [
+                    tuple(v + sg * d for v, sg, d in zip(p, signs, s))
+                    for p, s in zip(picked, shifts)
+                ]
+            else:
+                sets[f"s{k}"] = data.draw(st.lists(row, min_size=1, max_size=6))
+        stored = {k: to_minimization(make_set(k, p, dirs)) for k, p in sets.items()}
+        found = contradicting_statistics(stored)
+        event(f"{len(found)} contradiction(s)")
+        assert found == oracles.contradicting_statistics_oracle(stored)
 
 
 class TestScalarizeBest:
@@ -215,7 +208,7 @@ class TestScalarizeBest:
             scalarize_best(make_set("A", self.POINTS), (1.0,))
 
     def test_empty_set_rejected(self):
-        empty = make_set("A", [(1, 1)]).with_solutions(())
+        empty = make_set("A", [])
         with pytest.raises(EmptySetError):
             scalarize_best(empty, (0.5, 0.5))
 
@@ -376,7 +369,7 @@ def test_union_front_of_run_fronts_is_union_front_of_runs(runs):
 def _front_cuts(monkeypatch):
     """Record each ``_front_mask`` call as (inside hv, rows in, rows kept)."""
     calls, depth = [], [0]
-    for module in (core, ind, preprocess):
+    for module in (core, ind):
         mask = module._front_mask
 
         def counted(V, unique=False, mask=mask):

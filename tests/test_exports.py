@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import paretoeval
 from paretoeval import core, doe, guidance, indicators, preprocess
+from test_readme import quickstart
 
 MODULES = (core, preprocess, indicators, doe, guidance)
 
@@ -43,3 +45,24 @@ def test_import_leaves_the_cli_out():
     assert {n for n in added if n.startswith("paretoeval")} == {"paretoeval", *library}
     others = {n.partition(".")[0] for n in added if not n.startswith("paretoeval")}
     assert others <= {"numpy", *sys.stdlib_module_names}
+
+
+def _loaded_names(source: str) -> set[str]:
+    """Every name the source reads, bare (``ast.Name``) or as an attribute."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    return loaded
+
+
+def test_every_export_is_read_by_the_package_or_the_quickstart():
+    # A public name of a library module stays only if the package itself
+    # reads it, so a command can reach it, or the README's quickstart shows it.
+    package = Path(paretoeval.__file__).parent
+    loaded = _loaded_names(quickstart()).union(
+        *(_loaded_names(p.read_text(encoding="utf-8")) for p in package.glob("*.py"))
+    )
+    assert [n for m in MODULES for n in m.__all__ if n not in loaded] == []

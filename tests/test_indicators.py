@@ -29,7 +29,6 @@ from paretoeval import (
     igd_plus,
     nfs,
     PreferenceSpec,
-    set_weakly_dominates,
     spacing,
     spread_delta,
     to_minimization,
@@ -338,7 +337,7 @@ class TestCardinality:
         assert nfs(B) == 5
 
     def test_empty_set(self):
-        A = make_set("A", [(1, 1)]).with_solutions(())
+        A = make_set("A", [])
         assert nfs(A) == 0
 
     def test_duplicates_counted(self):
@@ -346,18 +345,20 @@ class TestCardinality:
 
     def test_unfr_against_self(self):
         A = make_set("A", KNEE_A)
-        assert unfr(A, [A]) == 1.0
+        assert unfr(A, build_reference_set([A])) == 1.0
 
     def test_unfr_shares(self, knee_sets):
+        union = build_reference_set(list(knee_sets))
         A, B = knee_sets
-        assert unfr(A, [A, B]) == pytest.approx(0.4)
-        assert unfr(B, [A, B]) == pytest.approx(0.6)
+        assert unfr(A, union) == pytest.approx(0.4)
+        assert unfr(B, union) == pytest.approx(0.6)
 
     def test_unfr_fully_dominated_side(self):
         A = make_set("A", [(0, 0)])
         B = make_set("B", [(1, 1), (2, 2)])
-        assert unfr(B, [A, B]) == 0.0
-        assert unfr(A, [A, B]) == 1.0
+        union = build_reference_set([A, B])
+        assert unfr(B, union) == 0.0
+        assert unfr(A, union) == 1.0
 
 
 class TestHypervolume:
@@ -675,7 +676,7 @@ class TestParetoCompliance:
         front, shifted = weakly_dominating_pair(raw_a, shifts)
         A = make_set("A", front)
         B = make_set("B", shifted)
-        assert set_weakly_dominates(A, B)
+        assert oracles.set_weakly_dominates_oracle(A, B)
         R = make_set("R", [raw_r[i] for i in oracles.front_indices(raw_r)])
         tol = 1e-9
 
@@ -687,14 +688,15 @@ class TestParetoCompliance:
         assert epsilon_additive(A, R) <= epsilon_additive(B, R) + tol
         assert gd_plus(A, R) <= gd_plus(B, R) + tol
         assert igd_plus(A, R) <= igd_plus(B, R) + tol
-        assert unfr(A, [A, B]) >= unfr(B, [A, B]) - tol
+        union = build_reference_set([A, B])
+        assert unfr(A, union) >= unfr(B, union) - tol
         assert contribution(A, B) >= 0.5 - tol
 
     def test_gd_violation_witness(self):
         # The dominating singleton scores worse against sparse anchors.
         A, B = make_set("A", SINGLE_A), make_set("B", SINGLE_B)
         R = make_set("R", ANCHORS)
-        assert set_weakly_dominates(A, B)
+        assert oracles.set_weakly_dominates_oracle(A, B)
         assert gd(A, R, p=2) > gd(B, R, p=2)
         assert gd(A, R, p=1) > gd(B, R, p=1)
         # The one-sided replacement restores the correct order.
@@ -704,7 +706,7 @@ class TestParetoCompliance:
         A = make_set("A", [(0, 0)])
         B = make_set("B", [(4, 4)])
         R = make_set("R", [(5, 5), (0, 10)])
-        assert set_weakly_dominates(A, B)
+        assert oracles.set_weakly_dominates_oracle(A, B)
         assert igd(A, R) > igd(B, R)
         assert igd_plus(A, R) <= igd_plus(B, R)
 
@@ -742,7 +744,7 @@ class TestEpsilon:
     def test_nonpositive_iff_weak_set_dominance(self):
         A = make_set("A", [(1, 1), (0, 3)])
         B = make_set("B", [(2, 2), (1, 3)])
-        assert set_weakly_dominates(A, B)
+        assert oracles.set_weakly_dominates_oracle(A, B)
         assert epsilon_additive(A, B) <= 0.0
 
 
@@ -824,7 +826,9 @@ class TestScaleInvariances:
         A2, B2 = make_set("A", rescale(pa)), make_set("B", rescale(pb))
         assert contribution(A, B) == contribution(A2, B2)
         assert coverage(A, B) == coverage(A2, B2)
-        assert unfr(A, [A, B]) == unfr(A2, [A2, B2])
+        assert unfr(A, build_reference_set([A, B])) == unfr(
+            A2, build_reference_set([A2, B2])
+        )
 
 
 class TestTaxonomy:

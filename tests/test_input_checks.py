@@ -22,7 +22,6 @@ from paretoeval import (
     VagueClamp,
     apply_clear_preferences,
     apply_vague_preferences,
-    better_relation,
     build_reference_point,
     build_reference_set,
     compute_h,
@@ -32,11 +31,9 @@ from paretoeval import (
     grid_diversity,
     normalize,
     recommend,
-    restore_orientation,
     screen_trivial,
-    set_weakly_dominates,
+    set_dominates,
     spread_delta,
-    to_minimization,
     unfr,
 )
 from paretoeval.cli import ManifestError, load_manifest
@@ -206,15 +203,10 @@ CASES = {
         DimensionMismatchError,
         "sets 'knee' and 'cube' disagree on objective count (2 vs 3)",
     ),
-    "weak-dominance-empty": (
-        lambda: set_weakly_dominates(_knee(), _empty()),
+    "set-dominance-empty": (
+        lambda: set_dominates(_knee(), _empty()),
         EmptySetError,
-        "weak set dominance against an empty set is undefined",
-    ),
-    "better-relation-empty": (
-        lambda: better_relation(_empty(), _knee()),
-        EmptySetError,
-        "better relation needs two non-empty sets",
+        "set dominance against an empty set is undefined",
     ),
     "gd-power-below-one": (
         lambda: gd(_knee(), _knee(), p=0.5),
@@ -242,9 +234,9 @@ CASES = {
         "exactly two bi-objective extreme points are required",
     ),
     "unfr-empty": (
-        lambda: unfr(_empty(), [_empty()]),
+        lambda: unfr(_empty(), _empty()),
         EmptySetError,
-        "union of sets is empty",
+        "union front is empty",
     ),
     "grid-no-sets": (
         lambda: grid_diversity([]),
@@ -260,16 +252,6 @@ CASES = {
         lambda: grid_diversity([_knee(), _empty()]),
         EmptySetError,
         "set 'none' is empty",
-    ),
-    "restore-unconverted": (
-        lambda: restore_orientation(_knee(), META_2D),
-        ValueError,
-        "set carries no orientation transform to undo",
-    ),
-    "restore-meta-length": (
-        lambda: restore_orientation(to_minimization(_knee()), META_2D[:1]),
-        DimensionMismatchError,
-        "original metadata length must match",
     ),
     "bounds-no-sets": (
         lambda: NormalizationBounds.from_sets([]),

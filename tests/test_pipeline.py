@@ -37,6 +37,7 @@ from paretoeval.indicators import (
     unfr,
 )
 from paretoeval.preprocess import (
+    REF_STRATEGIES,
     ClearConstraint,
     NormalizationBounds,
     build_reference_point,
@@ -44,7 +45,7 @@ from paretoeval.preprocess import (
     normalize,
     screen_trivial,
 )
-from conftest import make_set
+from conftest import make_set, rows
 import oracles
 
 SCREEN = (ClearConstraint(objective=0, kind="at_most", threshold=50.0),)
@@ -119,12 +120,12 @@ def test_table_equals_public_calls(algorithms, divisions):
     ref_norm = build_reference_set(normed)
     point = build_reference_point(reference, cfg.hv_strategy)
     cells = grid_diversity(live, divisions)
-    ordered = sorted(ref_norm.vectors())
+    ordered = sorted(map(tuple, ref_norm.values().tolist()))
     extremes = [ordered[0], ordered[-1]]
     for i, (slot, run) in enumerate(zip(slots, live)):
         expected = [
             float(nfs(run)),
-            unfr(run, all_sets),
+            unfr(run, reference),
             cells[i],
             hypervolume(run, point),
             gd(normed[i], ref_norm, p=2.0),
@@ -138,7 +139,7 @@ def test_table_equals_public_calls(algorithms, divisions):
         assert table.values[slot] == tuple(expected)
         assert raw.values[slot] == (gd_plus(run, reference),)
         assert expected[1] == oracles.unfr_oracle(
-            run.vectors(), [s.vectors() for s in all_sets]
+            rows(run), [rows(s) for s in all_sets]
         )
 
     assert table.point == point
@@ -160,6 +161,23 @@ def test_table_equals_public_calls(algorithms, divisions):
     assert unranked.representative == table.representative
     assert raw.representative == table.representative
     assert unranked.point is None
+
+
+@pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")
+@settings(max_examples=40, deadline=None)
+@given(experiments(), st.sampled_from(REF_STRATEGIES))
+def test_hv_point_is_the_public_point_of_the_reference_set(algorithms, strategy):
+    # A dominated outlier beyond every other row: no strategy may read it,
+    # since every one reads the union front.
+    m = algorithms["alg0"][0].m
+    outlier = make_set("outlier", [(40.0,) * m])
+    algorithms = {**algorithms, "alg0": [*algorithms["alg0"], outlier]}
+    live = [run for runs in algorithms.values() for run in runs if len(run)]
+    explicit = (11.0,) * m if strategy == "explicit" else None
+    cfg = IndicatorConfig(hv_strategy=strategy, ref_point=explicit)
+    point = build_reference_point(build_reference_set(live), strategy, explicit)
+    assert indicator_table(algorithms, ["hv"], cfg).point == point
+    assert max(point) < 40.0
 
 
 @pytest.mark.filterwarnings("ignore::paretoeval.EvaluationWarning")

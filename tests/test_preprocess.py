@@ -25,9 +25,7 @@ from paretoeval import (
     build_reference_set,
     compute_h,
     normalize,
-    restore_orientation,
     screen_trivial,
-    set_weakly_dominates,
     to_minimization,
 )
 from conftest import KNEE_A, KNEE_B, REFSET_A, REFSET_B, make_set
@@ -50,13 +48,14 @@ class TestOrientation:
         assert converted.values().tolist() == A.values().tolist()
 
     def test_round_trip_bit_exact(self, users_sets):
+        # natural_values() is the way out of stored orientation: it gives the
+        # input back bit for bit, zeros of either sign included.
         A, _ = users_sets
-        converted = to_minimization(A)
-        restored = restore_orientation(converted, A.meta)
-        assert [s.objectives for s in restored.solutions] == [
-            s.objectives for s in A.solutions
-        ]
-        assert [o.direction for o in restored.meta] == [o.direction for o in A.meta]
+        dirs = [Direction.MINIMIZE, Direction.MAXIMIZE]
+        zeros = make_set("Z", [(-0.0, 0.0), (0.0, -0.0), (1.5, -2.25)], dirs)
+        for raw in (A, zeros):
+            converted = to_minimization(raw)
+            assert converted.natural_values().tobytes() == raw.values().tobytes()
 
     def test_double_conversion_rejected(self, users_sets):
         A, _ = users_sets
@@ -335,13 +334,17 @@ class TestReferencePoint:
         point = build_reference_point(basis, "doubled_range")
         assert point == pytest.approx((23.0, 18.5), abs=1e-12)
 
-    def test_worst_values_weakly_dominated_by_every_member(self, refset_sets):
-        A, B = refset_sets
-        union = make_set("U", REFSET_A + REFSET_B)
-        point = build_reference_point(union, "worst_values")
+    def test_worst_values_weakly_dominated_by_every_front_member(self, refset_sets):
+        front = build_reference_set(list(refset_sets))
+        point = build_reference_point(front, "worst_values")
         assert point == (10.0, 10.0)
-        for s in union.solutions:
+        for s in front.solutions:
             assert all(v <= r for v, r in zip(s.objectives, point))
+
+    def test_worst_values_ignores_dominated_outliers(self):
+        # The front's nadir, not the raw rows' maximum: (20, 20) is dominated.
+        front = build_reference_set([make_set("A", [(1, 5), (5, 1), (20, 20)])])
+        assert build_reference_point(front, "worst_values") == (5.0, 5.0)
 
     def test_nadir_plus_l_over_h(self, knee_sets):
         A, B = knee_sets
@@ -351,22 +354,24 @@ class TestReferencePoint:
         assert point == pytest.approx((12 + 11 / 4, 10 + 8.5 / 4), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "strategy", ["nadir_plus_tenth", "nadir_plus_l_over_h", "doubled_range"]
+        "strategy",
+        ["worst_values", "nadir_plus_tenth", "nadir_plus_l_over_h", "doubled_range"],
     )
     def test_raw_basis_gives_the_point_of_its_unique_front(self, knee_sets, strategy):
-        # Twice every knee point plus two dominated rows: h for nadir_plus_l_over_h
-        # must count the 5 distinct front points, not the 10 copies.
+        # Twice every knee point plus two dominated rows: their reference set
+        # is the 5 distinct front points, so h for nadir_plus_l_over_h counts
+        # those, not the 10 copies, and no strategy reads (13, 11).
         raw = make_set("U", KNEE_A + KNEE_B + KNEE_B + KNEE_A + [(13, 11), (9, 6)])
         front = build_reference_set(list(knee_sets))
-        assert build_reference_point(raw, strategy) == build_reference_point(
-            front, strategy
-        )
+        assert build_reference_point(
+            build_reference_set([raw]), strategy
+        ) == build_reference_point(front, strategy)
 
     def test_degenerate_range_steps_by_one(self):
-        A = make_set("A", [(1, 5), (2, 5)])
+        front = build_reference_set([make_set("A", [(1, 5), (2, 5)])])
         with pytest.warns(EvaluationWarning):
-            point = build_reference_point(A, "nadir_plus_tenth")
-        assert point[1] == 6.0
+            point = build_reference_point(front, "nadir_plus_tenth")
+        assert point == (2.0, 6.0)
 
     def test_explicit_below_nadir_rejected(self, knee_sets):
         A, B = knee_sets

@@ -23,7 +23,6 @@ from paretoeval import (
     apply_vague_preferences,
     build_reference_set,
     normalize,
-    restore_orientation,
     to_minimization,
     unique_nondominated_front,
 )
@@ -41,7 +40,7 @@ class TestStorage:
         assert values is A.values()
         with pytest.raises(ValueError):
             values[0, 0] = 99.0
-        assert A.vectors() == [(2.0, 6.0), (9.0, 2.0)]
+        assert values.tolist() == [[2.0, 6.0], [9.0, 2.0]]
 
     def test_transformed_sets_are_read_only(self):
         dirs = [Direction.MINIMIZE, Direction.MAXIMIZE]
@@ -59,7 +58,7 @@ class TestStorage:
     def test_row_view_built_once(self):
         A = to_minimization(make_set("A", KNEE_A))
         assert A.solutions is A.solutions
-        assert [s.objectives for s in A] == A.vectors()
+        assert [list(s.objectives) for s in A] == A.values().tolist()
 
     def test_array_constructor_checks_finiteness_and_shape(self):
         with pytest.raises(ValueError, match="finite"):
@@ -73,7 +72,7 @@ class TestStorage:
         raw = np.array([[1.0, 2.0]])
         A = SolutionSet._from_array("A", META_2D, raw, ids=["s"])
         raw[0, 0] = 5.0
-        assert A.vectors() == [(1.0, 2.0)]
+        assert A.values().tolist() == [[1.0, 2.0]]
         assert A.solutions[0].id == "s"
 
     @pytest.mark.parametrize("values", [np.ones((2, 2)), np.empty((0, 2))])
@@ -88,7 +87,7 @@ class TestStorage:
         A = SolutionSet._concat([A], "union")  # every row gets a source tag
         converted = to_minimization(A)
         (scaled,) = normalize([converted], NormalizationBounds.from_sets([converted]))
-        for out in (converted, scaled, restore_orientation(converted, A.meta)):
+        for out in (converted, scaled):
             assert out._ids is A._ids and out._sources is A._sources
 
 
@@ -169,7 +168,7 @@ def _run(fn, *args):
 
 def _assert_same(new, old):
     assert (new.name, new.meta, new.signs) == (old.name, old.meta, old.signs)
-    assert new.vectors() == old.vectors()
+    assert new.values().tolist() == old.values().tolist()
     assert np.signbit(new.values()).tolist() == np.signbit(old.values()).tolist()
     assert [(s.id, s.source) for s in new.solutions] == [
         (s.id, s.source) for s in old.solutions
@@ -186,9 +185,9 @@ def test_array_transforms_match_per_row_oracles(data):
     A = data.draw(_raw_sets())
     new, old = to_minimization(A), oracles.to_minimization_oracle(A)
     _assert_same(new, old)
-    _assert_same(
-        restore_orientation(new, A.meta), oracles.restore_orientation_oracle(old, A.meta)
-    )
+    # Natural values, bit for bit: the row-by-row oracle's, and the raw input's.
+    natural = new.natural_values().tobytes()
+    assert natural == oracles.natural_values_oracle(old).tobytes() == A.values().tobytes()
 
     rules = data.draw(_rules(A.m))
     log_new, log_old = [], []
@@ -218,7 +217,7 @@ def test_array_transforms_match_per_row_oracles(data):
             _assert_same(a, b)
 
     _assert_same(unique_nondominated_front(new), oracles.unique_front_oracle(old))
-    groups = [new.with_solutions(new.solutions, name="g0"), screened, clamped]
+    groups = [SolutionSet("g0", new.meta, new.solutions, new.signs), screened, clamped]
     reference, reference_old = (
         _run(build_reference_set, groups)[0],
         _run(oracles.build_reference_set_oracle, groups)[0],
